@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import limits as lim
-from . import paths as lp
-from .arrivals import (NHPPArrivals, PoissonArrivals, RateFunction,
-                       RenewalArrivals)
+from .arrivals import ArrivalModel
 from .config import config_from_dict
 from .experiments import run_experiment
-from .fields import Grid, TwoParamField
+from .fields import Grid
 from .rng import substream
 from .scaling import decompose_hatQr
 from .service import (Deterministic, Exponential, FiniteAtoms,
@@ -62,9 +60,9 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = True
     grid = Grid([0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0])
     cases = [
-        ("M/exp", PoissonArrivals(1.0), Exponential(1.0)),
-        ("M/mixture", PoissonArrivals(1.0), _mix_service()),
-        ("renewal-H2/exp2", RenewalArrivals(HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))),
+        ("M/exp", ArrivalModel.poisson(1.0), Exponential(1.0)),
+        ("M/mixture", ArrivalModel.poisson(1.0), _mix_service()),
+        ("renewal-H2/exp2", ArrivalModel.renewal(HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))),
          Exponential(2.0)),
     ]
     for rep in range(5):
@@ -100,7 +98,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     passed = ok
 
     # two-term decomposition additivity (continuous service only)
-    arrival, service = PoissonArrivals(1.0), Exponential(1.0)
+    arrival, service = ArrivalModel.poisson(1.0), Exponential(1.0)
     inputs = lim.LimitInputs.from_models(arrival, service)
     fluid = lim.surface(inputs, grid, "fluid_qr")
     worst = 0.0
@@ -168,7 +166,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     lines = []
     passed = True
     for name, service in (("exp", Exponential(1.0)), ("mixture", _mix_service())):
-        inputs = lim.LimitInputs.from_models(PoissonArrivals(1.0), service)
+        inputs = lim.LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
         worst = 0.0
         for t in (0.5, 1.0, 1.5, 2.0):
             for y in (0.0, 0.25, 0.5, 1.0):
@@ -266,13 +264,13 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     ts = (0.4, 0.8, 1.2, 1.6, 2.0)
     ys = (0.0, 0.25, 0.5, 1.0, 1.5)
     cases = [
-        ("exp, Poisson arrivals", PoissonArrivals(1.0), Exponential(1.0)),
-        ("mixture, Poisson arrivals", PoissonArrivals(1.0),
+        ("exp, Poisson arrivals", ArrivalModel.poisson(1.0), Exponential(1.0)),
+        ("mixture, Poisson arrivals", ArrivalModel.poisson(1.0),
          Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))),
-        ("hyperexp, Poisson arrivals", PoissonArrivals(1.0),
+        ("hyperexp, Poisson arrivals", ArrivalModel.poisson(1.0),
          HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))),
         ("mixture, deterministic renewal (c_a^2 = 0)",
-         RenewalArrivals(Deterministic(1.0)),
+         ArrivalModel.renewal(Deterministic(1.0)),
          Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))),
     ]
     for name, arrival, service in cases:
@@ -336,7 +334,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
                      f"mean Wt/n(8) = {mean_pt.estimate:.4f} vs fluid {mean_pt.target:.6f} (0.07)")
     for name, service, expect in (("exp", Exponential(1.0), 1.0),
                                   ("det", Deterministic(1.0), 0.5)):
-        inputs = lim.LimitInputs.from_models(PoissonArrivals(1.0), service)
+        inputs = lim.LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
         quad, exact = lim.fluid_workload_steady(inputs)
         ok = abs(exact - expect) <= 1e-12 and abs(quad - exact) <= 1e-6
         passed &= _check(lines, ok,
@@ -432,7 +430,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     passed = _check(lines, abs(est - target) <= 0.1 * target,
                     f"Var Qir-hat(ln 2) = {est:.4f} vs {target} (10%)")
 
-    arrival, service = PoissonArrivals(1.0), Exponential(1.0)
+    arrival, service = ArrivalModel.poisson(1.0), Exponential(1.0)
     init = InitialConditions(CountLaw("fixed", 1.0), fi)
     grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.0])
     worst = 0.0

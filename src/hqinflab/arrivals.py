@@ -1,30 +1,28 @@
-"""Arrival-stream models for the n-th system.
+"""The arrival stream of the n-th system: one model for every spec kind.
 
-Each model carries the base cumulative rate abar(t) (arrivals per unit of the
-scale parameter n) and the asymptotic variability c_a^2 of the stream, and can
-generate one realization of the n-th system's arrival epochs.  Rate functions
-are restricted to a declarative catalog (constant, linear, sinusoidal) so the
-cumulative rate and its inverse stay exact.
+Every stream here has the form A_n(t) = R(n * abar(t)), where R is a
+stationary renewal process of rate 1 and abar(t) is a cumulative base rate
+(arrivals per unit of the scale parameter n).  The limits of Pang & Whitt
+need only the fluid limit abar(t) and the FCLT limit sqrt(c_a^2) B(abar(t)),
+with c_a^2 the squared coefficient of variation of R's interarrivals.
+Poisson streams (exponential interarrivals at a constant rate),
+nonhomogeneous Poisson streams (exponential interarrivals under a rate
+function) and plain renewal streams (any interarrival law at the constant
+rate 1/mean) are all special cases.  Rate functions are restricted to a
+declarative catalog (constant, linear, sinusoidal) so the cumulative rate
+and its inverse stay exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .service import ServiceModel, service_from_spec
+from .service import Exponential, Moments, ServiceModel, service_from_spec
 
-__all__ = [
-    "RateFunction",
-    "ArrivalModel",
-    "PoissonArrivals",
-    "NHPPArrivals",
-    "RenewalArrivals",
-    "TimeChangedRenewalArrivals",
-    "arrival_from_spec",
-]
+__all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
 
 
 @dataclass(frozen=True)
@@ -95,208 +93,87 @@ class RateFunction:
 
 def _strictify(epochs: np.ndarray) -> np.ndarray:
     """Perturb exact ties so epochs are strictly increasing (jitter < 1e-12)."""
-    if len(epochs) < 2:
+    ties = np.flatnonzero(np.diff(epochs) <= 0) + 1
+    if ties.size == 0:
         return epochs
     out = epochs.copy()
-    for i in range(1, len(out)):
-        if out[i] <= out[i - 1]:
+    for i in ties:
+        # a fix-up can tie with the next epoch, so carry it forward
+        while i < len(out) and out[i] <= out[i - 1]:
             out[i] = out[i - 1] + 1e-13 * (1.0 + out[i - 1])
+            i += 1
     return out
 
 
+def _interarrival_moments(law: ServiceModel) -> Moments:
+    m = law.moments()
+    if not math.isfinite(m.mean) or m.mean <= 0:
+        raise ValueError("interarrival law needs a positive finite mean")
+    return m
+
+
+@dataclass(frozen=True)
 class ArrivalModel:
-    """Base class: cumulative base rate, asymptotic parameters, generation."""
+    """A_n(t) = R(n * abar(t)): ``interarrival`` is the law of R's gaps
+    (rescaled to mean 1) and ``rate_fn`` gives abar(t) = int_0^t rate."""
+    interarrival: ServiceModel
+    rate_fn: RateFunction
+    ca2: float = field(init=False)
+    _mean: float = field(init=False, repr=False)
 
-    ca2: float
+    def __post_init__(self):
+        m = _interarrival_moments(self.interarrival)
+        object.__setattr__(self, "ca2", m.scv)
+        object.__setattr__(self, "_mean", m.mean)
 
-    def cumulative_rate(self, t) -> float:
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+    @classmethod
+    def poisson(cls, rate: float) -> "ArrivalModel":
+        """Poisson stream: exponential interarrivals at a constant rate."""
+        return cls(Exponential(1.0), RateFunction("constant", a=rate))
+
+    @classmethod
+    def nhpp(cls, rate_fn: RateFunction) -> "ArrivalModel":
+        """Nonhomogeneous Poisson stream: exponential interarrivals under rate_fn."""
+        return cls(Exponential(1.0), rate_fn)
+
+    @classmethod
+    def renewal(cls, law: ServiceModel) -> "ArrivalModel":
+        """Renewal stream with interarrival law ``law``: rate 1/mean."""
+        return cls(law, RateFunction("constant", a=1.0 / _interarrival_moments(law).mean))
+
+    def cumulative_rate(self, t):
+        if np.any(np.asarray(t, dtype=float) < 0):
             raise ValueError("cumulative rate undefined for t < 0")
-        return self._cumulative(t)
-
-    def _cumulative(self, t):
-        raise NotImplementedError
+        return self.rate_fn.cumulative(t)
 
     def rate(self, t):
-        raise NotImplementedError
-
-    def asymptotic_params(self):
-        """(constant rate or rate function, c_a^2)."""
-        raise NotImplementedError
+        return self.rate_fn.rate(t)
 
     @property
     def constant_rate(self) -> float | None:
         """lambda when abar(t) = lambda * t, else None."""
-        return None
+        return self.rate_fn.constant_rate
 
     def generate(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
+        """Arrival epochs of the n-th system on [0, horizon], strictly increasing."""
         if n < 1:
             raise ValueError("scale n must be >= 1")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        return _strictify(self._generate(int(n), float(horizon), rng))
-
-    def _generate(self, n, horizon, rng):
-        raise NotImplementedError
-
-
-def _unit_poisson_levels(total: float, rng: np.random.Generator) -> np.ndarray:
-    """Cumulative jump levels of a unit-rate Poisson stream on [0, total]."""
-    levels = []
-    pos = 0.0
-    batch = max(int(total + 6.0 * math.sqrt(total + 1.0)), 16)
-    while pos <= total:
-        gaps = rng.exponential(1.0, size=batch)
-        cum = pos + np.cumsum(gaps)
-        levels.append(cum)
-        pos = cum[-1]
-    levels = np.concatenate(levels)
-    return levels[levels <= total]
-
-
-@dataclass(frozen=True)
-class PoissonArrivals(ArrivalModel):
-    rate_per_scale: float
-
-    def __post_init__(self):
-        if self.rate_per_scale <= 0:
-            raise ValueError("rate must be positive")
-        object.__setattr__(self, "ca2", 1.0)
-
-    def _cumulative(self, t):
-        out = self.rate_per_scale * np.asarray(t, dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-    def rate(self, t):
-        return self.rate_per_scale
-
-    def asymptotic_params(self):
-        return self.rate_per_scale, 1.0
-
-    @property
-    def constant_rate(self):
-        return self.rate_per_scale
-
-    def _generate(self, n, horizon, rng):
-        levels = _unit_poisson_levels(n * self.rate_per_scale * horizon, rng)
-        return levels / (n * self.rate_per_scale)
-
-
-@dataclass(frozen=True)
-class NHPPArrivals(ArrivalModel):
-    rate_fn: RateFunction
-
-    def __post_init__(self):
-        object.__setattr__(self, "ca2", 1.0)
-
-    def _cumulative(self, t):
-        return self.rate_fn.cumulative(t)
-
-    def rate(self, t):
-        return self.rate_fn.rate(t)
-
-    def asymptotic_params(self):
-        return self.rate_fn, 1.0
-
-    @property
-    def constant_rate(self):
-        return self.rate_fn.constant_rate
-
-    def _generate(self, n, horizon, rng):
-        # Inversion: unit-rate Poisson levels mapped through (n * abar)^(-1).
-        levels = _unit_poisson_levels(n * self.rate_fn.cumulative(horizon), rng)
-        return self.rate_fn.invert_cumulative(levels / n, horizon)
-
-
-@dataclass(frozen=True)
-class RenewalArrivals(ArrivalModel):
-    interarrival: ServiceModel
-
-    def __post_init__(self):
-        m = self.interarrival.moments()
-        if not math.isfinite(m.mean) or m.mean <= 0:
-            raise ValueError("interarrival law needs a positive finite mean")
-        object.__setattr__(self, "ca2", m.scv)
-
-    @property
-    def _lambda(self):
-        return 1.0 / self.interarrival.moments().mean
-
-    def _cumulative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self._lambda * t
-        return float(out) if out.ndim == 0 else out
-
-    def rate(self, t):
-        return self._lambda
-
-    def asymptotic_params(self):
-        return self._lambda, self.ca2
-
-    @property
-    def constant_rate(self):
-        return self._lambda
-
-    def _renewal_epochs(self, total_time: float, rng) -> np.ndarray:
-        """Partial sums of raw interarrivals up to total_time."""
-        mean = self.interarrival.moments().mean
-        epochs = []
-        pos = 0.0
-        batch = max(int(total_time / mean * 1.1 + 6.0 * math.sqrt(total_time / mean + 1.0)), 16)
-        while pos <= total_time:
-            draws = np.asarray(self.interarrival.sample(rng, size=batch), dtype=float)
-            cum = pos + np.cumsum(draws)
-            epochs.append(cum)
-            pos = cum[-1]
-        epochs = np.concatenate(epochs)
-        return epochs[epochs <= total_time]
-
-    def _generate(self, n, horizon, rng):
-        # interarrivals shrunk by 1/n: partial sums S_k / n up to horizon
-        return self._renewal_epochs(n * horizon, rng) / n
-
-
-@dataclass(frozen=True)
-class TimeChangedRenewalArrivals(ArrivalModel):
-    """A_n(t) = R(n * abar(t)) for a rate-1 stationary renewal stream R."""
-    interarrival: ServiceModel
-    rate_fn: RateFunction
-
-    def __post_init__(self):
-        m = self.interarrival.moments()
-        if not math.isfinite(m.mean) or m.mean <= 0:
-            raise ValueError("interarrival law needs a positive finite mean")
-        object.__setattr__(self, "ca2", m.scv)
-
-    def _cumulative(self, t):
-        return self.rate_fn.cumulative(t)
-
-    def rate(self, t):
-        return self.rate_fn.rate(t)
-
-    def asymptotic_params(self):
-        return self.rate_fn, self.ca2
-
-    @property
-    def constant_rate(self):
-        return self.rate_fn.constant_rate
-
-    def _generate(self, n, horizon, rng):
-        mean = self.interarrival.moments().mean
+        n, horizon = int(n), float(horizon)
         total = n * self.rate_fn.cumulative(horizon)
-        epochs = []
+        chunks = []
         pos = 0.0
         batch = max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
         while pos <= total:
             # normalized to mean 1: the driving stream must have rate 1
-            draws = np.asarray(self.interarrival.sample(rng, size=batch), dtype=float) / mean
+            draws = np.asarray(self.interarrival.sample(rng, size=batch), dtype=float) / self._mean
             cum = pos + np.cumsum(draws)
-            epochs.append(cum)
+            chunks.append(cum)
             pos = cum[-1]
-        levels = np.concatenate(epochs)
+        levels = np.concatenate(chunks)
         levels = levels[levels <= total]
-        return self.rate_fn.invert_cumulative(levels / n, horizon)
+        return _strictify(self.rate_fn.invert_cumulative(levels / n, horizon))
 
 
 def _rate_fn_from_spec(spec: dict, where: str) -> RateFunction:
@@ -332,11 +209,10 @@ def arrival_from_spec(spec: dict, where: str = "arrival") -> ArrivalModel:
         rate = float(spec["rate"])
         if rate <= 0:
             raise ValueError(f"{where}: rate must be positive")
-        return PoissonArrivals(rate_per_scale=rate)
+        return ArrivalModel.poisson(rate)
     if kind == "nhpp":
-        return NHPPArrivals(rate_fn=_rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))
+        return ArrivalModel.nhpp(_rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))
     if kind == "renewal":
-        return RenewalArrivals(interarrival=service_from_spec(spec["interarrival"], where + ".interarrival"))
-    return TimeChangedRenewalArrivals(
-        interarrival=service_from_spec(spec["interarrival"], where + ".interarrival"),
-        rate_fn=_rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))
+        return ArrivalModel.renewal(service_from_spec(spec["interarrival"], where + ".interarrival"))
+    return ArrivalModel(service_from_spec(spec["interarrival"], where + ".interarrival"),
+                        _rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))

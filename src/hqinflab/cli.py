@@ -18,7 +18,7 @@ from pathlib import Path
 from . import acceptance
 from .config import parse_config
 from .experiments import analytic_surfaces, emit, run_experiment
-from .fields import Grid
+from .fields import TwoParamField, write_fields_csv
 
 
 def _cmd_run(args) -> int:
@@ -41,16 +41,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_surfaces(args) -> int:
     cfg = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    surfaces = analytic_surfaces(cfg)
-    for name, values in surfaces.items():
-        path = out / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("label,t,y,value\n")
-            for i, t in enumerate(cfg.grid.t):
-                for j, y in enumerate(cfg.grid.y):
-                    fh.write(f"{name},{t:.12g},{y:.12g},{values[i, j]:.12g}\n")
+    for name, values in analytic_surfaces(cfg).items():
+        path = write_fields_csv(Path(args.out) / f"{name}.csv",
+                                [TwoParamField(cfg.grid, values, name)])
         print(f"wrote {path}")
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .arrivals import ArrivalModel, arrival_from_spec
@@ -82,6 +81,16 @@ def _fail(where: str, msg: str):
     raise ValueError(f"config error at {where}: {msg}")
 
 
+def _int_key(where: str, value, lo: int) -> int:
+    """An integer >= lo; bools and non-integral numbers are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        _fail(where, f"expected an integer, got {value!r}")
+    if value < lo:
+        _fail(where, f"must be >= {lo}, got {value!r}")
+    return int(value)
+
+
 def _parse_init(spec: dict):
     allowed = {"count", "residual"}
     extra = set(spec) - allowed
@@ -129,16 +138,13 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         _fail("experiment", f"unknown experiment {experiment!r} (known: {list(EXPERIMENTS)})")
 
-    n_list = tuple(int(n) for n in raw.get("n_list", (400,)))
-    if not n_list or any(n < 1 for n in n_list):
+    n_list = raw.get("n_list", (400,))
+    if not isinstance(n_list, (list, tuple)) or not n_list:
         _fail("n_list", "must be a nonempty list of integers >= 1")
-    replications = int(raw.get("replications", 200))
-    if replications < 1:
-        _fail("replications", "must be >= 1")
-    k = int(raw.get("k", 200))
-    if k < 1:
-        _fail("k", "must be >= 1")
-    master_seed = int(raw.get("master_seed", 20100709))
+    n_list = tuple(_int_key(f"n_list[{i}]", n, 1) for i, n in enumerate(n_list))
+    replications = _int_key("replications", raw.get("replications", 200), 1)
+    k = _int_key("k", raw.get("k", 200), 1)
+    master_seed = _int_key("master_seed", raw.get("master_seed", 20100709), 0)
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in (raw.get("tolerances") or {}).items():

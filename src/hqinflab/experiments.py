@@ -21,13 +21,13 @@ import numpy as np
 
 from . import limits as lim
 from . import paths as lp
-from .arrivals import NHPPArrivals, PoissonArrivals
 from .config import ExperimentConfig
-from .fields import Grid
+from .fields import Grid, write_csv
 from .rng import substream
 from .scaling import decompose_hatQr
-from .simulate import (eval_empirical_distributions, eval_initial_fields,
-                       eval_queue_fields, eval_workload_fields, simulate)
+from .service import Exponential
+from .simulate import (eval_empirical_distributions, eval_queue_fields,
+                       eval_workload_fields, simulate)
 from .stats import correlation, sample_var, skew_kurtosis
 
 __all__ = ["PointStat", "ExperimentReport", "run_experiment", "emit",
@@ -68,7 +68,6 @@ class ExperimentReport:
     experiment: str
     seed: int
     points: list[PointStat] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     plotdata: dict = field(default_factory=dict)   # name -> list of row dicts
     config_echo: dict = field(default_factory=dict)
@@ -152,14 +151,6 @@ def _workload_rep(cfg: ExperimentConfig, n: int, rep: int):
     trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng)
     w = eval_workload_fields(trace, cfg.grid)
     return w["Wt"].values / n
-
-
-def _initial_rep(cfg: ExperimentConfig, n: int, qir_fluid, rep: int):
-    rng = substream(cfg.master_seed, cfg.experiment, n, rep, "trace")
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng, init=cfg.init_sim)
-    fields = eval_initial_fields(trace, cfg.grid)
-    qir = np.array([np.sum(trace.initial_residuals > y) for y in cfg.grid.y], dtype=float)
-    return math.sqrt(n) * (qir / n - qir_fluid)
 
 
 # -- runners --------------------------------------------------------------------
@@ -313,8 +304,8 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
 def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Poisson dispersion (variance = mean) of the unscaled counts, and the
     Bernoulli-thinning resample whose variance must match."""
-    if not isinstance(cfg.arrival, (PoissonArrivals, NHPPArrivals)):
-        raise ValueError("poisson_property requires c_a^2 = 1 Poisson arrivals")
+    if not isinstance(cfg.arrival.interarrival, Exponential):
+        raise ValueError("poisson_property requires Poisson arrivals (exponential interarrivals)")
     rep_out = ExperimentReport(experiment=cfg.experiment, seed=cfg.master_seed,
                                config_echo=cfg.echo)
     inputs = _inputs(cfg)
@@ -523,12 +514,6 @@ def analytic_surfaces(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
 
 # -- emission -------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def emit(report: ExperimentReport, out_dir) -> list[Path]:
     """Write report.json, summary.csv and plotdata/*.csv.
 
@@ -545,7 +530,6 @@ def emit(report: ExperimentReport, out_dir) -> list[Path]:
         "seed": report.seed,
         "verdict": "pass" if report.verdict else "fail",
         "points": [dict(asdict(p), abs_err=p.abs_err) for p in report.points],
-        "notes": report.notes,
         "extras": report.extras,
         "config": report.config_echo,
         "runtime_s": report.runtime_s,
@@ -555,29 +539,13 @@ def emit(report: ExperimentReport, out_dir) -> list[Path]:
                                       default=float) + "\n")
     written.append(report_path)
 
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("label,t,y,estimate,target,abs_err,tol,tol_kind,passed\n")
-        for p in report.points:
-            fh.write(",".join([
-                p.label.replace(",", ";"), _fmt(p.t), _fmt(p.y),
-                _fmt(p.estimate), _fmt(p.target), _fmt(p.abs_err),
-                _fmt(p.tol), p.tol_kind, "1" if p.passed else "0"]) + "\n")
-    written.append(summary_path)
-
-    if report.plotdata:
-        plot_dir = out / "plotdata"
-        plot_dir.mkdir(exist_ok=True)
-        for name, rows in sorted(report.plotdata.items()):
-            path = plot_dir / f"{name}.csv"
-            if not rows:
-                path.write_text("")
-                written.append(path)
-                continue
-            cols = list(rows[0].keys())
-            with open(path, "w", newline="") as fh:
-                fh.write(",".join(cols) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-            written.append(path)
+    written.append(write_csv(
+        out / "summary.csv",
+        ("label", "t", "y", "estimate", "target", "abs_err", "tol", "tol_kind", "passed"),
+        ((p.label.replace(",", ";"), p.t, p.y, p.estimate, p.target, p.abs_err,
+          p.tol, p.tol_kind, "1" if p.passed else "0") for p in report.points)))
+    for name, rows in sorted(report.plotdata.items()):
+        cols = list(rows[0])
+        written.append(write_csv(out / "plotdata" / f"{name}.csv", cols,
+                                 ([row[c] for c in cols] for row in rows)))
     return written

@@ -1,14 +1,14 @@
-"""Rectangular (t, y) grids and the field containers evaluated on them."""
+"""Rectangular (t, y) grids, the field containers evaluated on them, and the
+package's one CSV writer."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Grid", "TwoParamField", "TimeField", "write_fields_csv"]
+__all__ = ["Grid", "TwoParamField", "TimeField", "write_csv", "write_fields_csv"]
 
 
 def _check_axis(vals, name):
@@ -81,13 +81,28 @@ class TimeField:
             yield (self.label, float(t), 0.0, float(v))
 
 
-def write_fields_csv(path, fields) -> None:
-    """Common export schema: one row per (label, t, y, value)."""
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` as comma-separated lines ending in LF.
+
+    Floats (numpy floats included) print as ``.12g``, anything else with
+    ``str``; values are not quoted, so callers keep commas out of them.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "t", "y", "value"])
-        for f in fields:
-            for label, t, y, v in f.rows():
-                writer.writerow([label, f"{t:.12g}", f"{y:.12g}", f"{v:.12g}"])
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
+
+
+def write_fields_csv(path, fields) -> Path:
+    """Common export schema: one row per (label, t, y, value)."""
+    return write_csv(path, ("label", "t", "y", "value"),
+                     (row for f in fields for row in f.rows()))

@@ -68,14 +68,3 @@ def integrate(f: Callable[[float], float], a: float, b: float,
                            tol / npanels, budget)
     return total
 
-
-def bisect_increasing(g: Callable[[float], float], target: float,
-                      lo: float, hi: float, iters: int = 80) -> float:
-    """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

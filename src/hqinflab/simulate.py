@@ -17,15 +17,13 @@ hold with equality on every trace (not just in distribution).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .arrivals import ArrivalModel
-from .fields import Grid, TimeField, TwoParamField
+from .fields import Grid, TimeField, TwoParamField, write_csv
 from .service import ServiceModel
 
 __all__ = [
@@ -215,10 +213,5 @@ def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoPara
 
 def export_trace_csv(trace: SimulationTrace, path) -> None:
     """Audit dump: one row (i, tau, eta) per customer."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "tau", "eta"])
-        for i, (tau, eta) in enumerate(zip(trace.arrivals, trace.services), start=1):
-            writer.writerow([i, f"{tau:.12g}", f"{eta:.12g}"])
+    write_csv(path, ("i", "tau", "eta"),
+              zip(range(1, len(trace.arrivals) + 1), trace.arrivals, trace.services))

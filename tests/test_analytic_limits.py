@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hqinflab.arrivals import (NHPPArrivals, PoissonArrivals, RateFunction,
-                               RenewalArrivals)
+from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
 from hqinflab.limits import (InitialLimits, LimitInputs, cov_x2_increment,
                              fluid_age_residual, fluid_qe, fluid_qr, fluid_qt,
@@ -18,11 +17,11 @@ from hqinflab.service import (Deterministic, Exponential, FiniteAtoms,
 from oracles import simpson
 
 EXP1 = Exponential(1.0)
-M_EXP = LimitInputs.from_models(PoissonArrivals(1.0), EXP1)
-M_DET = LimitInputs.from_models(PoissonArrivals(1.0), Deterministic(1.0))
+M_EXP = LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1)
+M_DET = LimitInputs.from_models(ArrivalModel.poisson(1.0), Deterministic(1.0))
 MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
-M_MIX = LimitInputs.from_models(PoissonArrivals(1.0), MIX)
-D_EXP = LimitInputs.from_models(RenewalArrivals(Deterministic(1.0)), EXP1)
+M_MIX = LimitInputs.from_models(ArrivalModel.poisson(1.0), MIX)
+D_EXP = LimitInputs.from_models(ArrivalModel.renewal(Deterministic(1.0)), EXP1)
 
 
 class TestFluidCounts:
@@ -54,7 +53,7 @@ class TestFluidCounts:
 
     def test_nhpp_time_varying(self):
         inputs = LimitInputs.from_models(
-            NHPPArrivals(RateFunction("sinusoidal", a=1.0, b=0.5)), EXP1)
+            ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), EXP1)
         t, y = 2.0, 0.25
         oracle = simpson(lambda s: math.exp(-(t + y - s)) * (1.0 + 0.5 * math.sin(s)),
                          0.0, t)
@@ -110,7 +109,7 @@ class TestFluidWorkload:
 
     def test_requires_standard_case(self):
         inputs = LimitInputs.from_models(
-            NHPPArrivals(RateFunction("sinusoidal", a=1.0, b=0.5)), EXP1)
+            ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), EXP1)
         with pytest.raises(ValueError, match="standard case"):
             fluid_workload(inputs, 1.0, 0.0)
 
@@ -146,7 +145,7 @@ class TestVariances:
 
     @pytest.mark.parametrize("inputs", [M_EXP, M_MIX, D_EXP,
                                         LimitInputs.from_models(
-                                            PoissonArrivals(1.0),
+                                            ArrivalModel.poisson(1.0),
                                             HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)))])
     def test_additivity(self, inputs):
         for t in (0.4, 1.2, 2.0):
@@ -200,7 +199,7 @@ class TestInitialAndTotal:
     INIT = InitialLimits(qbar_it=1.0, var_qit=0.0, residual=EXP1)
 
     def _inputs(self):
-        return LimitInputs.from_models(PoissonArrivals(1.0), EXP1, init=self.INIT)
+        return LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1, init=self.INIT)
 
     def test_y_zero(self):
         qir, var_qir, _, _ = initial_and_total_limits(self._inputs(), 0.0, 0.0)

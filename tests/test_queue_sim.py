@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqinflab.arrivals import PoissonArrivals, RenewalArrivals
+from hqinflab.arrivals import ArrivalModel
 from hqinflab.fields import Grid, TwoParamField, write_fields_csv
 from hqinflab.rng import substream
 from hqinflab.service import Deterministic, Exponential
@@ -57,18 +57,18 @@ class TestGridAndFields:
 
 class TestSimulate:
     def test_alignment(self):
-        trace = simulate(PoissonArrivals(1.0), EXP1, n=1, horizon=10.0,
+        trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=1, horizon=10.0,
                          rng=substream(0, "t"))
         assert len(trace.services) == len(trace.arrivals)
 
     def test_deterministic_renewal_epochs(self):
-        trace = simulate(RenewalArrivals(Deterministic(1.0)), EXP1, n=2,
+        trace = simulate(ArrivalModel.renewal(Deterministic(1.0)), EXP1, n=2,
                          horizon=1.0, rng=substream(0, "t"))
         assert np.allclose(trace.arrivals, [0.5, 1.0])
 
     def test_initial_state(self):
         init = InitialConditions(CountLaw("fixed", 5.0), EXP1)
-        trace = simulate(PoissonArrivals(1.0), EXP1, n=100, horizon=1.0,
+        trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=100, horizon=1.0,
                          rng=substream(0, "t"), init=init)
         assert trace.initial_count == 500
         assert len(trace.initial_residuals) == 500
@@ -189,7 +189,7 @@ class TestEmpiricalDistributions:
         assert not emp["Frc"].values.any()
 
     def test_age_cdf_reaches_one(self):
-        trace = simulate(PoissonArrivals(1.0), EXP1, n=50, horizon=2.0,
+        trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=50, horizon=2.0,
                          rng=substream(4, "emp"))
         t = 2.0
         emp = eval_empirical_distributions(trace, Grid([t], [t]))

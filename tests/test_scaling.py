@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hqinflab.arrivals import PoissonArrivals
+from hqinflab.arrivals import ArrivalModel
 from hqinflab.fields import Grid, TwoParamField
 from hqinflab.limits import LimitInputs, fluid_qr, surface, var_components
 from hqinflab.rng import substream
@@ -14,7 +14,7 @@ from hqinflab.service import Exponential, FiniteAtoms, Mixture
 from hqinflab.simulate import SimulationTrace, eval_queue_fields, simulate
 
 EXP1 = Exponential(1.0)
-ARR = PoissonArrivals(1.0)
+ARR = ArrivalModel.poisson(1.0)
 INPUTS = LimitInputs.from_models(ARR, EXP1)
 
 
@@ -141,7 +141,7 @@ class TestSplitArrivals:
 
     def test_atom_fractions(self):
         service = FiniteAtoms(((1.0, 0.3), (2.0, 0.7)))
-        trace = simulate(PoissonArrivals(1.0), service, 100_000, 1.0,
+        trace = simulate(ArrivalModel.poisson(1.0), service, 100_000, 1.0,
                          substream(3, "split"))
         out = split_arrivals(trace, service.decompose(), np.array([1.0]))
         total = trace.count_arrivals([1.0])[0]
