@@ -21,7 +21,7 @@ import numpy as np
 
 from . import limits as lim
 from . import paths as lp
-from .config import ExperimentConfig
+from .config import EXPERIMENTS, ExperimentConfig
 from .fields import Grid, write_csv
 from .rng import substream
 from .scaling import decompose_hatQr
@@ -282,7 +282,6 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     lam = cfg.arrival.constant_rate
     if lam is None:
         raise ValueError("age-distribution experiment needs standard-case arrivals")
-    cfg.service.moments()
     fe_targets = np.array([cfg.service.stationary_excess_cdf(float(y)) for y in cfg.grid.y])
     n = cfg.n_list[-1]
     sups = _map_replications(partial(_age_rep, cfg, n, fe_targets),
@@ -475,15 +474,8 @@ def run_workload(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     return rep_out
 
 
-_RUNNERS = {
-    "fwlln": run_fwlln,
-    "fclt_variance": run_fclt_variance,
-    "age_distribution": run_age_distribution,
-    "poisson_property": run_poisson_property,
-    "limit_path_validation": run_limit_path_validation,
-    "markov_check": run_markov_check,
-    "workload": run_workload,
-}
+# each experiment named in config.EXPERIMENTS runs as run_<name>
+_RUNNERS = {name: globals()[f"run_{name}"] for name in EXPERIMENTS}
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:

@@ -234,11 +234,86 @@ class Uniform(ServiceModel):
         return (self.a, self.b)
 
 
-def _phi(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+_SQRT_HALF = math.sqrt(0.5)
+_BLOCK = 32768
+
+# Rational approximations of Cody (1969, Math. Comp. 23), coefficients as in
+# his CALERF: erf on |x| <= 0.46875, erfc on (0.46875, 4] and erfc on (4, inf).
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
 
 
-_erf_vec = np.vectorize(math.erf)
+def _exp_neg_square(y):
+    """exp(-y^2), with y^2 split at trunc(16y)/16 so the large part is exact."""
+    head = np.trunc(16.0 * y) / 16.0
+    return np.exp(-head * head) * np.exp((head - y) * (head + y))
+
+
+def _rational(v, num, den):
+    """Cody's rational form, evaluated in place:
+    (((num[-1] v + num[0]) v + num[1]) v + ... ) v + num[-2] over the monic
+    (((v + den[0]) v + den[1]) v + ... ) v + den[-1]."""
+    top = num[-1] * v
+    for c in num[:-2]:
+        top += c
+        top *= v
+    top += num[-2]
+    bottom = v.copy()
+    for d in den[:-1]:
+        bottom += d
+        bottom *= v
+    bottom += den[-1]
+    top /= bottom
+    return top
+
+
+def _erfc_block(x):
+    y = np.minimum(np.abs(x), 30.0)          # erfc(30) underflows; also maps inf
+    # the (0.46875, 4] form on the whole block; the other ranges overwrite it
+    out = _exp_neg_square(y)
+    out *= _rational(y, _ERFC_C, _ERFC_D)
+    big = y > 4.0
+    if big.any():
+        v = y[big]
+        isq = 1.0 / (v * v)
+        tail = (_INV_SQRT_PI - isq * _rational(isq, _ERFC_P, _ERFC_Q)) / v
+        out[big] = _exp_neg_square(v) * tail
+    out = np.where(x < 0.0, 2.0 - out, out)
+    small = y <= 0.46875
+    if small.any():
+        v = x[small]
+        out[small] = 1.0 - v * _rational(v * v, _ERF_A, _ERF_B)
+    return out
+
+
+def _blockwise(fn, x) -> np.ndarray:
+    """``fn`` applied to a float array in blocks of ``_BLOCK`` elements, which
+    keeps its temporaries small and in cache."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        out[lo:lo + _BLOCK] = fn(flat[lo:lo + _BLOCK])
+    return out.reshape(x.shape)
+
+
+def erfc_array(x) -> np.ndarray:
+    """Complementary error function, elementwise, to a relative error below
+    1e-15 wherever the result exceeds 1e-300."""
+    return _blockwise(_erfc_block, x)
 
 
 @dataclass(frozen=True)
@@ -251,11 +326,17 @@ class LogNormal(ServiceModel):
             raise ValueError("logsd must be positive")
 
     def cdf(self, x):
-        def fn(v):
-            z = (np.log(np.maximum(v, 1e-300)) - self.logmean) / self.logsd
-            vals = 0.5 * (1.0 + _erf_vec(z / math.sqrt(2.0)))
-            return np.where(v <= 0, 0.0, vals)
-        return _as_array_or_scalar(x, fn)
+        if isinstance(x, (int, float)):
+            if x <= 0:
+                return 0.0
+            z = (math.log(x) - self.logmean) / self.logsd
+            return 0.5 * math.erfc(-z * _SQRT_HALF)
+        out = _blockwise(self._cdf_block, x)
+        return float(out) if out.ndim == 0 else out
+
+    def _cdf_block(self, v):
+        z = (np.log(np.maximum(v, 1e-300)) - self.logmean) / self.logsd
+        return np.where(v <= 0, 0.0, 0.5 * _erfc_block(-z * _SQRT_HALF))
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.logmean, self.logsd, size=size)
@@ -275,7 +356,8 @@ class LogNormal(ServiceModel):
             return 0.0
         mean = self.moments().mean
         z = (math.log(x) - self.logmean) / self.logsd
-        return x * (1.0 - _phi(z)) + mean * _phi(z - self.logsd)
+        return (0.5 * x * math.erfc(z * _SQRT_HALF)
+                + 0.5 * mean * math.erfc((self.logsd - z) * _SQRT_HALF))
 
 
 @dataclass(frozen=True)
@@ -350,6 +432,8 @@ class FiniteAtoms(ServiceModel):
         object.__setattr__(self, "atoms", tuple((float(x), float(p)) for x, p in self.atoms))
 
     def cdf(self, x):
+        if isinstance(x, (int, float)):
+            return float(sum(p for loc, p in self.atoms if loc <= x))
         locs = np.asarray([a[0] for a in self.atoms])
         masses = np.asarray([a[1] for a in self.atoms])
         x_arr = np.asarray(x, dtype=float)

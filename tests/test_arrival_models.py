@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify, arrival_from_spec
+from hqinflab.arrivals import (NEWTON_MAX_ITER, ArrivalModel, RateFunction, _strictify,
+                               arrival_from_spec)
 from hqinflab.rng import substream
 from hqinflab.service import Deterministic, Exponential, HyperExponential
 
@@ -67,6 +68,82 @@ def strictify_reference(epochs):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + 1e-13 * (1.0 + out[i - 1])
     return out
+
+
+def bisect_inverse(rate_fn, levels, horizon):
+    """The 80-sweep bisection that invert_cumulative used to run."""
+    lo = np.zeros_like(levels)
+    hi = np.full_like(levels, horizon)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = rate_fn.cumulative(mid) < levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# (rate function, horizon); the last two have a zero of the rate inside the
+# horizon (a = |b|), where cumulative() is flat to third order
+INVERSION_CASES = {
+    "linear": (RateFunction("linear", a=1.0, b=0.5), 4.0),
+    "linear_from_zero": (RateFunction("linear", a=0.0, b=2.0), 4.0),
+    "sinusoidal": (RateFunction("sinusoidal", a=1.0, b=0.5), 4.0),
+    "sin_zero_rate": (RateFunction("sinusoidal", a=1.0, b=1.0), 5.0),
+    "sin_zero_rate_shifted": (RateFunction("sinusoidal", a=2.0, b=-2.0, c=3.0, d=1.0), 5.0),
+}
+
+
+def inversion_levels(rate_fn, horizon):
+    top = rate_fn.cumulative(horizon)
+    rng = np.random.default_rng(7)
+    return np.concatenate([[0.0, top], np.linspace(0.0, top, 2001)[1:-1],
+                           rng.uniform(0.0, top, 20000)])
+
+
+class TestInvertCumulative:
+    @pytest.mark.parametrize("case", INVERSION_CASES)
+    def test_round_trip(self, case):
+        rate_fn, horizon = INVERSION_CASES[case]
+        levels = inversion_levels(rate_fn, horizon)
+        t = rate_fn.invert_cumulative(levels, horizon)
+        assert t[0] == 0.0 and np.all((t >= 0.0) & (t <= horizon))
+        # 4 ulp of the largest term cumulative() adds: for the sinusoidal form
+        # a*t and (b/c)(cos d - cos(ct + d)), whose rounding near t = 0 is
+        # many ulp of a small level
+        scale = levels.copy()
+        if rate_fn.form == "sinusoidal":
+            scale = np.maximum(scale, abs(rate_fn.b / rate_fn.c) * (1.0 + abs(math.cos(rate_fn.d))))
+        assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(scale))
+
+    @pytest.mark.parametrize("case", ["linear", "linear_from_zero", "sinusoidal"])
+    def test_matches_bisection(self, case):
+        rate_fn, horizon = INVERSION_CASES[case]
+        levels = inversion_levels(rate_fn, horizon)
+        # atol: near t = 0 the bisection oracle resolves t only to
+        # horizon * 2^-80 and cumulative() rounds to ~1e-16 absolute
+        np.testing.assert_allclose(rate_fn.invert_cumulative(levels, horizon),
+                                   bisect_inverse(rate_fn, levels, horizon),
+                                   rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["sinusoidal", "sin_zero_rate", "sin_zero_rate_shifted"])
+    def test_iterations_bounded(self, case, monkeypatch):
+        rate_fn, horizon = INVERSION_CASES[case]
+        levels = inversion_levels(rate_fn, horizon)
+        sizes = []
+        original = RateFunction.cumulative
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return original(self, t)
+        monkeypatch.setattr(RateFunction, "cumulative", counted)
+        rate_fn.invert_cumulative(levels, horizon)
+        sweeps = sizes[1:]                  # sizes[0] is the start table
+        assert sweeps[0] == levels.size
+        # Newton converges quadratically: after three sweeps almost every
+        # level is done, and the stragglers near a zero of the rate stop
+        # long before the cap
+        assert sweeps[3] <= 0.02 * levels.size
+        assert len(sweeps) <= 20 < NEWTON_MAX_ITER
 
 
 class TestCumulativeRate:

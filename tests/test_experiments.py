@@ -3,8 +3,8 @@ import re
 import pytest
 import yaml
 
-from hqinflab import cli
-from hqinflab.config import config_from_dict
+from hqinflab import cli, experiments
+from hqinflab.config import EXPERIMENTS, config_from_dict
 from hqinflab.experiments import run_experiment
 
 H2 = {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
@@ -24,6 +24,15 @@ def write_config(tmp_path, raw):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+class TestRunners:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_every_experiment_has_its_runner(self, name):
+        assert experiments._RUNNERS[name] is getattr(experiments, f"run_{name}")
+
+    def test_no_runner_without_a_config_name(self):
+        assert list(experiments._RUNNERS) == list(EXPERIMENTS)
 
 
 class TestIntegerKeys:

@@ -3,19 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from hqinflab.arrivals import ArrivalModel
+from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid, TwoParamField
 from hqinflab.limits import LimitInputs, fluid_qr, surface, var_components
 from hqinflab.rng import substream
 from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
                               decompose_hatQr, lln_scale, sequential_empirical,
                               split_arrivals, x1_integration_by_parts)
-from hqinflab.service import Exponential, FiniteAtoms, Mixture
+from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
 from hqinflab.simulate import SimulationTrace, eval_queue_fields, simulate
 
 EXP1 = Exponential(1.0)
 ARR = ArrivalModel.poisson(1.0)
 INPUTS = LimitInputs.from_models(ARR, EXP1)
+
+
+# decompose_hatQr at n=200, horizon 2, H2 interarrivals under the sinusoidal
+# rate a=1, b=0.5, LogNormal(-0.5, 1) service, substream(2024, "pin",
+# "decompose"), recorded when the lognormal c.d.f. went through math.erf and
+# the rate was inverted by 80-sweep bisection
+PINNED_X1 = np.array([[1.3538101970906746, 0.7055330050184327, 0.24650318628221846],
+                       [1.8558604041182765, 0.9994113471860251, 0.35822802051063274],
+                       [-1.106386978062078, -0.5421407992682212, -0.15492650568256394]])
+PINNED_X2 = np.array([[0.1453485523733671, 0.6233886196357633, 0.421787882318161],
+                       [0.6074116325098616, 0.11745965572433077, 0.45621922283681715],
+                       [0.019005696102492184, -0.1399687318657933, 0.15927278500211953]])
 
 
 def _trace(n, horizon, seed, service=EXP1, arrival=ARR):
@@ -192,6 +204,20 @@ class TestDecomposition:
         x1, _ = decompose_hatQr(trace, g, center)
         parts = x1_integration_by_parts(trace, g, INPUTS.abar, INPUTS.rate)
         assert np.max(np.abs(x1.values - parts)) < 1e-6
+
+    def test_pinned_lognormal_time_varying(self):
+        # roundoff only: the erfc and the rate inverse changed, not the sums
+        arrival = ArrivalModel(HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)),
+                               RateFunction("sinusoidal", a=1.0, b=0.5))
+        service = LogNormal(-0.5, 1.0)
+        g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+        center = surface(LimitInputs.from_models(arrival, service), g, "fluid_qr")
+        trace = simulate(arrival, service, n=200, horizon=2.0,
+                         rng=substream(2024, "pin", "decompose"))
+        assert len(trace.arrivals) == 548
+        x1, x2 = decompose_hatQr(trace, g, center)
+        np.testing.assert_allclose(x1.values, PINNED_X1, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(x2.values, PINNED_X2, rtol=1e-10, atol=0.0)
 
     def test_x2_variance(self):
         # Var X2(1, 0) -> int_0^1 F(1-s) F^c(1-s) ds = 0.199789

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hqinflab.rng import substream
 from hqinflab.service import (Deterministic, Exponential, FiniteAtoms,
                               HyperExponential, LogNormal, Mixture, Uniform,
-                              service_from_spec)
+                              erfc_array, service_from_spec)
 from hqinflab.stats import ks_critical_value, ks_distance
 
 from oracles import simpson
@@ -59,6 +59,44 @@ class TestCdf:
         vals = np.array([model.cdf(x) for x in xs])
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestErfc:
+    def test_against_math_erfc(self):
+        x = np.linspace(-30.0, 30.0, 600001)
+        ref = np.array([math.erfc(v) for v in x])
+        err = np.abs(erfc_array(x) - ref)
+        assert err.max() <= 1e-15
+        normal = ref > 1e-300
+        assert np.max(err[normal] / ref[normal]) <= 1e-14
+
+    def test_shape_and_extremes(self):
+        x = np.array([[-np.inf, 0.0], [np.inf, 40.0]])
+        assert erfc_array(x).tolist() == [[2.0, 1.0], [0.0, 0.0]]
+        assert np.isnan(erfc_array(np.nan))
+
+    def test_lognormal_scalar_and_array_paths_agree(self):
+        model = LogNormal(-0.5, 1.0)
+        xs = np.concatenate([np.linspace(-1.0, 50.0, 200001), np.geomspace(1e-12, 1e6, 100001)])
+        scalar = np.array([model.cdf(float(v)) for v in xs])
+        # one ulp of 1: the two erfc implementations round apart by that much
+        # where erfc of a negative argument lies in [1, 2)
+        assert np.max(np.abs(model.cdf(xs) - scalar)) <= np.finfo(float).eps
+
+    def test_lognormal_edges(self):
+        model = LogNormal(-0.5, 1.0)
+        assert model.cdf(0.0) == 0.0 and model.cdf(-2.0) == 0.0 and model.cdf(0) == 0.0
+        assert model.cdf(np.array([-1.0, 0.0])).tolist() == [0.0, 0.0]
+        for x in (np.array(1.5), np.float64(1.5), 1.5, np.array(-1.0)):
+            assert type(model.cdf(x)) is float
+        assert model.cdf(np.array(1.5)) == model.cdf(1.5)
+
+    def test_atoms_scalar_path_matches_0d_path(self):
+        atoms = FiniteAtoms(((1.0, 0.3), (2.0, 0.5), (0.5, 0.2)))
+        for x in (-1.0, 0.0, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0):
+            assert type(atoms.cdf(x)) is float
+            assert atoms.cdf(x) == atoms.cdf(np.array(x))
+        np.testing.assert_allclose(atoms.cdf(np.array([0.7, 3.0])), [0.2, 1.0], rtol=0, atol=1e-15)
 
 
 class TestDecompose:
