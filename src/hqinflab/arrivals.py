@@ -21,14 +21,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .service import Exponential, Moments, ServiceModel, service_from_spec
+from .service import Exponential, Moments, ServiceModel, _is_scalar, service_from_spec
 
 __all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
 
-#: Cap on the sweeps of the sinusoidal inverse.  Newton needs about 3 from
-#: its table start; levels next to a zero of the rate, where it converges
-#: only linearly, about 15.
-NEWTON_MAX_ITER = 100
+# Sweeps after which the sinusoidal inverse stops taking Newton steps and only
+# bisects.  Newton needs about 3 from its table start; levels next to a zero
+# of the rate, where it converges only linearly, about 15.
+_NEWTON_MAX_ITER = 100
+
+
+def _float_or_array(t):
+    """(t, math) for a scalar t, (t as a float array, np) otherwise: the
+    scalar quadrature integrands skip numpy's per-call overhead."""
+    if _is_scalar(t):
+        return float(t), math
+    return np.asarray(t, dtype=float), np
 
 
 @dataclass(frozen=True)
@@ -55,38 +63,21 @@ class RateFunction:
             raise ValueError("sinusoidal rate requires a >= |b| > 0 to stay nonnegative")
 
     def rate(self, t):
-        if isinstance(t, (int, float)):
-            t = float(t)
-            if self.form == "constant":
-                return float(self.a)
-            if self.form == "linear":
-                return self.a + self.b * t
-            return self.a + self.b * math.sin(self.c * t + self.d)
-        t = np.asarray(t, dtype=float)
-        if self.form == "constant":
-            out = np.full_like(t, self.a)
-        elif self.form == "linear":
-            out = self.a + self.b * t
-        else:
-            out = self.a + self.b * np.sin(self.c * t + self.d)
-        return float(out) if out.ndim == 0 else out
+        t, xp = _float_or_array(t)
+        if self.form == "sinusoidal":
+            return self.a + self.b * xp.sin(self.c * t + self.d)
+        return self.a + self._slope * t
 
     def cumulative(self, t):
-        if isinstance(t, (int, float)):
-            t = float(t)
-            if self.form == "constant":
-                return self.a * t
-            if self.form == "linear":
-                return self.a * t + 0.5 * self.b * t * t
-            return self.a * t + (self.b / self.c) * (math.cos(self.d) - math.cos(self.c * t + self.d))
-        t = np.asarray(t, dtype=float)
-        if self.form == "constant":
-            out = self.a * t
-        elif self.form == "linear":
-            out = self.a * t + 0.5 * self.b * t * t
-        else:
-            out = self.a * t + (self.b / self.c) * (np.cos(self.d) - np.cos(self.c * t + self.d))
-        return float(out) if out.ndim == 0 else out
+        t, xp = _float_or_array(t)
+        if self.form == "sinusoidal":
+            return self.a * t + (self.b / self.c) * (xp.cos(self.d) - xp.cos(self.c * t + self.d))
+        return self.a * t + 0.5 * self._slope * t * t
+
+    @property
+    def _slope(self) -> float:
+        """b of the linear form; a constant rate has none, whatever b holds."""
+        return 0.0 if self.form == "constant" else self.b
 
     @property
     def constant_rate(self) -> float | None:
@@ -117,8 +108,10 @@ class RateFunction:
         cumulative(t) (64 nodes per radian of phase), whose two neighbouring
         nodes bracket its root.  Every iterate shrinks the closed bracket
         [lo, hi]; a Newton step that leaves it (or a zero rate) bisects
-        instead.  A level stops once |cumulative(t) - L| <= 4 ulp(L), its
-        Newton step no longer moves t, or its bracket cannot shrink.
+        instead, and so does every step after ``_NEWTON_MAX_ITER`` sweeps,
+        which bounds the loop.  A level stops once |cumulative(t) - L| <=
+        4 ulp(L), its Newton step no longer moves t, or its bracket cannot
+        shrink.
         """
         nodes = np.linspace(0.0, horizon, int(min(64.0 * abs(self.c) * horizon, levels.size)) + 2)
         table = np.maximum.accumulate(self.cumulative(nodes))
@@ -127,9 +120,8 @@ class RateFunction:
         t = np.interp(levels, table, nodes)
         tol = 4.0 * np.spacing(levels)
         active = np.arange(levels.size)
-        for _ in range(NEWTON_MAX_ITER):
-            if active.size == 0:
-                break
+        sweep = 0
+        while active.size:
             ta = t[active]
             f = self.cumulative(ta) - levels[active]
             lo_a = np.where(f < 0.0, ta, lo[active])
@@ -140,10 +132,11 @@ class RateFunction:
             done = (np.abs(f) <= tol[active]) | (newton == ta) | (mid == lo_a) | (mid == hi_a)
             # ta is one end of the bracket: a step onto the other end would
             # oscillate between the two, so it bisects like any step outside
-            inside = (newton > lo_a) & (newton < hi_a)
+            inside = (newton > lo_a) & (newton < hi_a) & (sweep < _NEWTON_MAX_ITER)
             t[active] = np.where(done, ta, np.where(inside, newton, mid))
             lo[active], hi[active] = lo_a, hi_a
             active = active[~done]
+            sweep += 1
         return t
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hqinflab.arrivals import (NEWTON_MAX_ITER, ArrivalModel, RateFunction, _strictify,
-                               arrival_from_spec)
+from hqinflab import arrivals
+from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify, arrival_from_spec
 from hqinflab.rng import substream
 from hqinflab.service import Deterministic, Exponential, HyperExponential
 
@@ -100,20 +100,23 @@ def inversion_levels(rate_fn, horizon):
                            rng.uniform(0.0, top, 20000)])
 
 
+def assert_round_trip(rate_fn, levels, t, horizon):
+    assert t[0] == 0.0 and np.all((t >= 0.0) & (t <= horizon))
+    # 4 ulp of the largest term cumulative() adds: for the sinusoidal form
+    # a*t and (b/c)(cos d - cos(ct + d)), whose rounding near t = 0 is many
+    # ulp of a small level
+    scale = levels.copy()
+    if rate_fn.form == "sinusoidal":
+        scale = np.maximum(scale, abs(rate_fn.b / rate_fn.c) * (1.0 + abs(math.cos(rate_fn.d))))
+    assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(scale))
+
+
 class TestInvertCumulative:
     @pytest.mark.parametrize("case", INVERSION_CASES)
     def test_round_trip(self, case):
         rate_fn, horizon = INVERSION_CASES[case]
         levels = inversion_levels(rate_fn, horizon)
-        t = rate_fn.invert_cumulative(levels, horizon)
-        assert t[0] == 0.0 and np.all((t >= 0.0) & (t <= horizon))
-        # 4 ulp of the largest term cumulative() adds: for the sinusoidal form
-        # a*t and (b/c)(cos d - cos(ct + d)), whose rounding near t = 0 is
-        # many ulp of a small level
-        scale = levels.copy()
-        if rate_fn.form == "sinusoidal":
-            scale = np.maximum(scale, abs(rate_fn.b / rate_fn.c) * (1.0 + abs(math.cos(rate_fn.d))))
-        assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(scale))
+        assert_round_trip(rate_fn, levels, rate_fn.invert_cumulative(levels, horizon), horizon)
 
     @pytest.mark.parametrize("case", ["linear", "linear_from_zero", "sinusoidal"])
     def test_matches_bisection(self, case):
@@ -143,7 +146,16 @@ class TestInvertCumulative:
         # level is done, and the stragglers near a zero of the rate stop
         # long before the cap
         assert sweeps[3] <= 0.02 * levels.size
-        assert len(sweeps) <= 20 < NEWTON_MAX_ITER
+        assert len(sweeps) <= 20
+
+    @pytest.mark.parametrize("case", ["sinusoidal", "sin_zero_rate", "sin_zero_rate_shifted"])
+    def test_cap_falls_back_to_bisection(self, case, monkeypatch):
+        rate_fn, horizon = INVERSION_CASES[case]
+        levels = inversion_levels(rate_fn, horizon)
+        # with no Newton step allowed every level bisects its start bracket
+        # until it meets the same stopping rule
+        monkeypatch.setattr(arrivals, "_NEWTON_MAX_ITER", 0)
+        assert_round_trip(rate_fn, levels, rate_fn.invert_cumulative(levels, horizon), horizon)
 
 
 class TestCumulativeRate:

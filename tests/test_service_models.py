@@ -91,12 +91,15 @@ class TestErfc:
             assert type(model.cdf(x)) is float
         assert model.cdf(np.array(1.5)) == model.cdf(1.5)
 
-    def test_atoms_scalar_path_matches_0d_path(self):
+    def test_atoms_cdf(self):
         atoms = FiniteAtoms(((1.0, 0.3), (2.0, 0.5), (0.5, 0.2)))
-        for x in (-1.0, 0.0, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0):
-            assert type(atoms.cdf(x)) is float
-            assert atoms.cdf(x) == atoms.cdf(np.array(x))
-        np.testing.assert_allclose(atoms.cdf(np.array([0.7, 3.0])), [0.2, 1.0], rtol=0, atol=1e-15)
+        expected = {-1.0: 0.0, 0.5: 0.2, 0.7: 0.2, 1.0: 0.5, 1.5: 0.5, 2.0: 1.0, 3.0: 1.0}
+        for x, want in expected.items():
+            for arg in (x, np.float64(x), np.array(x)):
+                assert type(atoms.cdf(arg)) is float
+                assert atoms.cdf(arg) == pytest.approx(want, abs=1e-15)
+        np.testing.assert_allclose(atoms.cdf(np.array(list(expected))), list(expected.values()),
+                                   rtol=0, atol=1e-15)
 
 
 class TestDecompose:
