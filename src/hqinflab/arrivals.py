@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .service import Exponential, Moments, ServiceModel, _is_scalar, service_from_spec
+from .service import Exponential, Moments, ServiceModel, _as_array_or_scalar, service_from_spec
 
 __all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
 
@@ -29,14 +29,6 @@ __all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
 # bisects.  Newton needs about 3 from its table start; levels next to a zero
 # of the rate, where it converges only linearly, about 15.
 _NEWTON_MAX_ITER = 100
-
-
-def _float_or_array(t):
-    """(t, math) for a scalar t, (t as a float array, np) otherwise: the
-    scalar quadrature integrands skip numpy's per-call overhead."""
-    if _is_scalar(t):
-        return float(t), math
-    return np.asarray(t, dtype=float), np
 
 
 @dataclass(frozen=True)
@@ -63,16 +55,16 @@ class RateFunction:
             raise ValueError("sinusoidal rate requires a >= |b| > 0 to stay nonnegative")
 
     def rate(self, t):
-        t, xp = _float_or_array(t)
         if self.form == "sinusoidal":
-            return self.a + self.b * xp.sin(self.c * t + self.d)
-        return self.a + self._slope * t
+            return _as_array_or_scalar(t, lambda v: self.a + self.b * np.sin(self.c * v + self.d))
+        return _as_array_or_scalar(t, lambda v: self.a + self._slope * v)
 
     def cumulative(self, t):
-        t, xp = _float_or_array(t)
         if self.form == "sinusoidal":
-            return self.a * t + (self.b / self.c) * (xp.cos(self.d) - xp.cos(self.c * t + self.d))
-        return self.a * t + 0.5 * self._slope * t * t
+            # (b/c)(cos d - cos(ct + d)) as a product of sines: no cancellation near t = 0
+            return _as_array_or_scalar(t, lambda v: self.a * v + 2.0 * (self.b / self.c)
+                                       * np.sin(0.5 * self.c * v) * np.sin(0.5 * self.c * v + self.d))
+        return _as_array_or_scalar(t, lambda v: self.a * v + 0.5 * self._slope * v * v)
 
     @property
     def _slope(self) -> float:

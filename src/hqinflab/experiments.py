@@ -172,7 +172,7 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         and math.isfinite(cfg.service.moments().mean)
     wt_fluid = None
     if want_workload:
-        wt_fluid = np.array([lim.fluid_workload(inputs, t, 0.0) for t in cfg.grid.t])
+        wt_fluid = lim.fluid_workload(inputs, cfg.grid.t, 0.0)
     rep_out.surface_rows("fluid", cfg.grid, fq_r.values, "fluid_qr")
     rep_out.surface_rows("fluid", cfg.grid, fq_e.values, "fluid_qe")
 
@@ -226,8 +226,7 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     decomposable = inputs.decomposition.p_d == 0.0
     comp = None
     if decomposable:
-        comp = [[lim.var_components(inputs, float(t), float(y)) for y in cfg.grid.y]
-                for t in cfg.grid.t]
+        comp = lim.var_components(inputs, *np.meshgrid(cfg.grid.t, cfg.grid.y, indexing="ij"))
 
     for n in cfg.n_list:
         results = _map_replications(
@@ -257,13 +256,12 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             vx2 = sample_var(x2, axis=0)
             for i, t in enumerate(cfg.grid.t):
                 for j, y in enumerate(cfg.grid.y):
-                    c = comp[i][j]
-                    if c.arrival > 1e-10:
+                    if comp.arrival[i, j] > 1e-10:
                         rep_out.add(_rel_point(f"Var X1 n={n}", t, y, vx1[i, j],
-                                               c.arrival, tols["variance_rel_loose"]))
-                    if c.service > 1e-10:
+                                               comp.arrival[i, j], tols["variance_rel_loose"]))
+                    if comp.service[i, j] > 1e-10:
                         rep_out.add(_rel_point(f"Var X2 n={n}", t, y, vx2[i, j],
-                                               c.service, tols["variance_rel_loose"]))
+                                               comp.service[i, j], tols["variance_rel_loose"]))
         qt = qr[:, :, 0] if cfg.grid.y[0] == 0.0 else None
         if qt is not None:
             moments = [skew_kurtosis(qt[:, i]) for i in range(len(cfg.grid.t))]
@@ -309,7 +307,7 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
                                config_echo=cfg.echo)
     inputs = _inputs(cfg)
     fq_r = lim.surface(inputs, cfg.grid, "fluid_qr").values
-    qt_fluid = np.array([lim.fluid_qt(inputs, float(t)) for t in cfg.grid.t])
+    qt_fluid = lim.fluid_qt(inputs, cfg.grid.t)
     with np.errstate(invalid="ignore", divide="ignore"):
         frc = np.where(qt_fluid[:, None] > 0, fq_r / qt_fluid[:, None], 0.0)
     n = cfg.n_list[-1]
@@ -349,10 +347,12 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
         seed_info=f"seed={cfg.master_seed}")
     qr = bundle.paths["Qr"]
     qe = bundle.paths["Qe"]
+    v_r = lim.surface(inputs, grid, "var_qr").values
+    v_e = lim.surface(inputs, grid, "var_qe").values
     summary_rows = rep_out.plotdata.setdefault("limit_summary", [])
     for i, t in enumerate(grid.t):
         for j, y in enumerate(grid.y):
-            target = lim.var_qr(inputs, float(t), float(y))
+            target = float(v_r[i, j])
             est = float(sample_var(qr[:, i, j]))
             summary_rows.append({"label": "Qr", "t": float(t), "y": float(y),
                                  "mc_mean": float(qr[:, i, j].mean()),
@@ -363,7 +363,7 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
                 sk, ku = skew_kurtosis(qr[:, i, j])
                 rep_out.add(_abs_point("skew limit Qr", t, y, sk, 0.0, tols["skew_abs"]))
                 rep_out.add(_abs_point("kurtosis limit Qr", t, y, ku, 0.0, tols["kurt_abs"]))
-            target_e = lim.var_qe(inputs, float(t), float(min(y, t)))
+            target_e = float(v_e[i, j])
             if target_e > 1e-10:
                 rep_out.add(_rel_point("Var limit Qe", t, y,
                                        float(sample_var(qe[:, i, j])), target_e,
@@ -380,9 +380,10 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
                         tols["corr_abs"]))
     if cfg.workload:
         wr = bundle.paths["Wr"]
+        v_w = lim.surface(inputs, grid, "var_w").values
         for i, t in enumerate(grid.t):
             for j, y in enumerate(grid.y):
-                target = lim.var_workload(inputs, float(t), float(y))
+                target = float(v_w[i, j])
                 if target > 1e-8:
                     rep_out.add(_rel_point("Var limit Wr", t, y,
                                            float(sample_var(wr[:, i, j])), target,
@@ -391,9 +392,9 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     sheet = lp.sample_sheet([1.0], [0.3, 0.5, 0.6, 1.0],
                             substream(cfg.master_seed, cfg.experiment, "sheet"),
                             n_paths=n_paths)
-    u5 = lp.kiefer_eval(sheet, 1.0, 0.5)
-    u3 = lp.kiefer_eval(sheet, 1.0, 0.3)
-    u6 = lp.kiefer_eval(sheet, 1.0, 0.6)
+    u5 = sheet.kiefer(1.0, 0.5)
+    u3 = sheet.kiefer(1.0, 0.3)
+    u6 = sheet.kiefer(1.0, 0.6)
     rep_out.add(_rel_point("Var Kiefer U(1,0.5)", 1.0, 0.5,
                            float(sample_var(u5)), 0.25, tols["variance_rel"]))
     rep_out.add(_rel_point("Cov Kiefer U(1,0.3),U(1,0.6)", 1.0, 0.3,

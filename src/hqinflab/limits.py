@@ -47,9 +47,9 @@ __all__ = [
     "surface",
 ]
 
-QUAD_TOL = 1e-8
 TAIL_EPS = 1e-6     # truncation level for F^c in workload integrals
 STEADY_HORIZON_MEANS = 40.0   # "t -> infinity" evaluated at 40 mean services
+WORKLOAD_NODES = 24  # Gauss-Legendre nodes per axis of the workload (x, z) square
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,10 @@ class VarianceComponents:
     @property
     def total(self) -> float:
         return self.arrival + self.service + self.splitting
+
+
+def _broadcast(*args):
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
 
 
 class LimitInputs:
@@ -102,19 +106,16 @@ class LimitInputs:
                    standard_rate=arrival.constant_rate,
                    init=init)
 
-    def _cuts(self, shift: float):
-        """Quadrature breakpoints in s for integrands built from F(shift - s)."""
-        return [shift - b for b in self.service.breakpoints()]
-
-    def int_abar(self, g, lo: float, hi: float, cuts=()) -> float:
-        """int_lo^hi g(s) dabar(s)."""
-        if hi <= lo:
-            return 0.0
-        return integrate(lambda s: g(s) * float(self.rate(s)), lo, hi,
-                         tol=QUAD_TOL, breakpoints=cuts)
-
-    def abar_at(self, t: float) -> float:
-        return float(self.abar(max(t, 0.0)))
+    def int_abar(self, g, lo, hi, *shifts):
+        """int_lo^hi g(u_1 - s, u_2 - s, ...) dabar(s) for the shifts u_k,
+        elementwise over the broadcast of lo, hi and the shifts, with panel
+        edges at every u_k minus a breakpoint of the service law."""
+        lo, hi, *shifts = _broadcast(lo, hi, *shifts)
+        shifts = [u[..., None] for u in shifts]
+        law_cuts = np.asarray(self.service.breakpoints(), dtype=float)
+        cuts = np.concatenate([u - law_cuts for u in shifts], axis=-1)
+        return integrate(lambda s: g(*(u - s for u in shifts)) * self.rate(s),
+                         lo, hi, breakpoints=cuts)
 
     def require_standard(self, what: str) -> float:
         if self.standard_rate is None:
@@ -129,27 +130,42 @@ class LimitInputs:
 
 
 # -- fluid limits ------------------------------------------------------------
+#
+# Every function below takes t, y (and t2, y2) as numbers or as arrays that
+# broadcast together, and returns a float for numbers, else an array.
 
-def fluid_qr(inputs: LimitInputs, t: float, y: float) -> float:
+def _nonneg(t, y):
+    t, y = _broadcast(t, y)
+    if np.any(t < 0) or np.any(y < 0):
+        raise ValueError("t and y must be nonnegative")
+    return t, y
+
+
+def _elapsed_args(t, y, what: str):
+    t, y = _nonneg(t, y)
+    if np.any(y > t):
+        bad = np.argmax(y > t)
+        raise ValueError(f"{what} needs y <= t, got y={y.flat[bad]} > t={t.flat[bad]}")
+    return t, y
+
+
+def _value(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def fluid_qr(inputs: LimitInputs, t, y):
     """qr(t, y) = int_0^t F^c(t+y-s) dabar(s)."""
-    if t < 0 or y < 0:
-        raise ValueError("t and y must be nonnegative")
-    sf = inputs.service.sf
-    return inputs.int_abar(lambda s: float(sf(t + y - s)), 0.0, t,
-                           inputs._cuts(t + y))
+    t, y = _nonneg(t, y)
+    return inputs.int_abar(inputs.service.sf, 0.0, t, t + y)
 
 
-def fluid_qe(inputs: LimitInputs, t: float, y: float) -> float:
+def fluid_qe(inputs: LimitInputs, t, y):
     """qe(t, y) = int_{t-y}^t F^c(t-s) dabar(s) for 0 <= y <= t."""
-    if y < 0 or t < 0:
-        raise ValueError("t and y must be nonnegative")
-    if y > t:
-        raise ValueError(f"fluid_qe needs y <= t, got y={y} > t={t}")
-    sf = inputs.service.sf
-    return inputs.int_abar(lambda s: float(sf(t - s)), t - y, t, inputs._cuts(t))
+    t, y = _elapsed_args(t, y, "fluid_qe")
+    return inputs.int_abar(inputs.service.sf, t - y, t, t)
 
 
-def fluid_qt(inputs: LimitInputs, t: float) -> float:
+def fluid_qt(inputs: LimitInputs, t):
     return fluid_qr(inputs, t, 0.0)
 
 
@@ -161,7 +177,7 @@ def fluid_age_residual(inputs: LimitInputs, t: float, y: float) -> tuple[float, 
     return fluid_qe(inputs, t, min(y, t)) / qt, fluid_qr(inputs, t, y) / qt
 
 
-def fluid_workload(inputs: LimitInputs, t: float, y: float) -> float:
+def fluid_workload(inputs: LimitInputs, t, y):
     """w^r(t,y) = (lambda/mu) int_0^t F_e^c(y+s) ds  (standard case).
 
     F_e^c(z) = 1 - mu * int_0^z F^c, so the integrand is
@@ -170,11 +186,10 @@ def fluid_workload(inputs: LimitInputs, t: float, y: float) -> float:
     lam = inputs.require_standard("fluid workload")
     mean = inputs.require_finite_mean("fluid workload")
     svc = inputs.service
-    if t <= 0:
-        return 0.0
+    t, y = _broadcast(t, y)
+    y = y[..., None]
     return lam * integrate(lambda s: mean - svc.integrated_sf(y + s), 0.0, t,
-                           tol=QUAD_TOL,
-                           breakpoints=[b - y for b in svc.breakpoints()])
+                           breakpoints=np.asarray(svc.breakpoints(), dtype=float) - y)
 
 
 def fluid_workload_steady(inputs: LimitInputs) -> tuple[float, float]:
@@ -201,28 +216,29 @@ def fluid_totals(inputs: LimitInputs, t: float) -> tuple[float, float, float]:
 
 # -- Gaussian variances -------------------------------------------------------
 
-def var_qr(inputs: LimitInputs, t: float, y: float) -> float:
+def var_qr(inputs: LimitInputs, t, y):
     """(c_a^2 - 1) int_0^t F^c(t+y-s)^2 dabar(s) + qr(t, y)."""
-    sf = inputs.service.sf
-    extra = 0.0
-    if inputs.ca2 != 1.0:
-        extra = (inputs.ca2 - 1.0) * inputs.int_abar(
-            lambda s: float(sf(t + y - s)) ** 2, 0.0, t, inputs._cuts(t + y))
-    return extra + fluid_qr(inputs, t, y)
+    t, y = _nonneg(t, y)
+    return inputs.int_abar(_variance_integrand(inputs), 0.0, t, t + y)
 
 
-def var_qe(inputs: LimitInputs, t: float, y: float) -> float:
-    if y > t:
-        raise ValueError(f"var_qe needs y <= t, got y={y} > t={t}")
-    sf = inputs.service.sf
-    extra = 0.0
-    if inputs.ca2 != 1.0:
-        extra = (inputs.ca2 - 1.0) * inputs.int_abar(
-            lambda s: float(sf(t - s)) ** 2, t - y, t, inputs._cuts(t))
-    return extra + fluid_qe(inputs, t, y)
+def var_qe(inputs: LimitInputs, t, y):
+    """(c_a^2 - 1) int_{t-y}^t F^c(t-s)^2 dabar(s) + qe(t, y) for y <= t."""
+    t, y = _elapsed_args(t, y, "var_qe")
+    return inputs.int_abar(_variance_integrand(inputs), t - y, t, t)
 
 
-def var_components(inputs: LimitInputs, t: float, y: float) -> VarianceComponents:
+def _variance_integrand(inputs: LimitInputs):
+    """F^c + (c_a^2 - 1) (F^c)^2, exactly F^c when c_a^2 = 1."""
+    sf, extra = inputs.service.sf, inputs.ca2 - 1.0
+
+    def g(v):
+        fc = sf(v)
+        return fc + extra * fc * fc
+    return g
+
+
+def var_components(inputs: LimitInputs, t, y) -> VarianceComponents:
     """Variance of the residual-count limit split by noise source.
 
     arrival   = c_a^2 int_0^t F^c(t+y-s)^2 dabar(s)
@@ -236,113 +252,87 @@ def var_components(inputs: LimitInputs, t: float, y: float) -> VarianceComponent
     equals var_qr identically (the additivity identity is the ground truth
     for this split).
     """
+    t, y = _nonneg(t, y)
+    u = t + y
     dec = inputs.decomposition
     sf = inputs.service.sf
-    arrival = inputs.ca2 * inputs.int_abar(
-        lambda s: float(sf(t + y - s)) ** 2, 0.0, t, inputs._cuts(t + y)) if t > 0 else 0.0
+    arrival = inputs.ca2 * inputs.int_abar(lambda v: sf(v) ** 2, 0.0, t, u)
 
     p_c, p_d = dec.p_c, dec.p_d
     cont = dec.continuous_part
-    service = 0.0
-    if p_c > 0.0 and t > 0:
-        csf = cont.sf
-        ccd = cont.cdf
-        cuts = [t + y - b for b in cont.breakpoints()]
-        service = p_c * inputs.int_abar(
-            lambda s: float(ccd(t + y - s)) * float(csf(t + y - s)), 0.0, t, cuts)
+    service = np.zeros_like(t)
+    if p_c > 0.0:
+        service = p_c * inputs.int_abar(lambda v: cont.cdf(v) * cont.sf(v), 0.0, t, u)
 
-    splitting = 0.0
-    if p_d > 0.0 and t > 0:
+    splitting = np.zeros_like(t)
+    if p_d > 0.0:
         atoms = dec.atoms
-        abar_t = inputs.abar_at(t)
-        starts = [max(t - max(loc - y, 0.0), 0.0) for loc, _ in atoms]
+        abar_t = inputs.abar(t)
+        starts = [np.maximum(t - np.maximum(loc - y, 0.0), 0.0) for loc, _ in atoms]
         if p_c > 0.0:
-            csf = cont.sf
-            cuts = [t + y - b for b in cont.breakpoints()]
-            splitting += p_d * p_c * inputs.int_abar(
-                lambda s: float(csf(t + y - s)) ** 2, 0.0, t, cuts)
+            splitting += p_d * p_c * inputs.int_abar(lambda v: cont.sf(v) ** 2, 0.0, t, u)
             for (loc, mass), s0 in zip(atoms, starts):
                 c_ci = -p_c * p_d * mass
-                splitting += 2.0 * c_ci * inputs.int_abar(
-                    lambda s: float(csf(t + y - s)), s0, t, cuts)
+                splitting += 2.0 * c_ci * inputs.int_abar(cont.sf, s0, t, u)
         for i, ((loc_i, m_i), s_i) in enumerate(zip(atoms, starts)):
             pdi = p_d * m_i
-            splitting += pdi * (1.0 - pdi) * (abar_t - inputs.abar_at(s_i))
+            splitting += pdi * (1.0 - pdi) * (abar_t - inputs.abar(s_i))
             for (loc_j, m_j), s_j in zip(atoms[i + 1:], starts[i + 1:]):
-                later = max(s_i, s_j)
-                splitting += 2.0 * (-p_d * p_d * m_i * m_j) * (abar_t - inputs.abar_at(later))
-    return VarianceComponents(arrival=arrival, service=service, splitting=splitting)
+                later = np.maximum(s_i, s_j)
+                splitting += 2.0 * (-p_d * p_d * m_i * m_j) * (abar_t - inputs.abar(later))
+    return VarianceComponents(arrival=_value(arrival), service=_value(service),
+                              splitting=_value(splitting))
 
 
-def var_workload(inputs: LimitInputs, t: float, y: float,
-                 panel_points: int = 24) -> float:
+def var_workload(inputs: LimitInputs, t, y):
     """Variance of the remaining-workload limit:
 
     c_a^2 iint_{[y,xmax]^2} int_0^t F^c(t+x-s) F^c(t+z-s) dabar(s) dx dz
         + iint int_0^t F(t + x^z - s) F^c(t + xvz - s) dabar(s) dx dz,
 
     with the outer square truncated at xmax where F^c(xmax) < 1e-6 and the
-    symmetric integrand folded onto x <= z.
+    symmetric integrand folded onto x <= z.  The (x, z) Gauss-Legendre nodes
+    are extra rows of one inner quadrature.
     """
     inputs.require_standard("workload variance")
     inputs.require_finite_mean("workload variance")
-    if t <= 0:
-        return 0.0
+    t, y = _broadcast(t, y)
     svc = inputs.service
-    xmax = max(svc.sf_quantile(TAIL_EPS), y)
-    if xmax <= y:
-        return 0.0
-    sf = svc.sf
-    cd = svc.cdf
-
-    def inner(x: float, z: float) -> float:
-        lo_arg, hi_arg = (x, z) if x <= z else (z, x)
-        cuts = inputs._cuts(t + lo_arg) + inputs._cuts(t + hi_arg)
-        return inputs.int_abar(
-            lambda s: (inputs.ca2 * float(sf(t + x - s)) * float(sf(t + z - s))
-                       + float(cd(t + lo_arg - s)) * float(sf(t + hi_arg - s))),
-            0.0, t, cuts)
-
-    # Gauss-Legendre panels over the (x, z) square, x <= z half doubled
-    nodes, weights = np.polynomial.legendre.leggauss(panel_points)
-    xs = y + 0.5 * (nodes + 1.0) * (xmax - y)
-    ws = 0.5 * (xmax - y) * weights
-    total = 0.0
-    for a, wa in zip(xs, ws):
-        for b, wb in zip(xs, ws):
-            if b < a:
-                continue
-            val = inner(a, b)
-            total += wa * wb * val * (1.0 if b == a else 2.0)
-    return total
+    half = 0.5 * np.maximum(svc.sf_quantile(TAIL_EPS) - y, 0.0)[..., None]
+    nodes, weights = np.polynomial.legendre.leggauss(WORKLOAD_NODES)
+    ix, iz = np.triu_indices(WORKLOAD_NODES)          # x <= z: nodes ascend
+    fold = np.where(ix == iz, 1.0, 2.0) * weights[ix] * weights[iz]
+    xs = y[..., None] + half * (nodes + 1.0)
+    t = t[..., None]
+    ca2, sf, cd = inputs.ca2, svc.sf, svc.cdf
+    inner = inputs.int_abar(lambda vx, vz: ca2 * sf(vx) * sf(vz) + cd(vx) * sf(vz),
+                            0.0, t, t + xs[..., ix], t + xs[..., iz])
+    return _value(half[..., 0] ** 2 * (inner @ fold))
 
 
-def cov_x2_increment(inputs: LimitInputs, t: float, y: float,
-                     t2: float, y2: float) -> float:
+def cov_x2_increment(inputs: LimitInputs, t, y, t2, y2):
     """Mean-square increment of the service-noise component between (t, y)
     and (t2, y2) with t <= t2, y <= y2:
 
     int_0^t (F_c(t2+y2-u) - F_c(t+y-u)) (1 + F_c(t+y-u) - F_c(t2+y2-u))
     dabar^c(u),   dabar^c = p_c dabar.
     """
-    if t2 < t or y2 < y:
+    t, y, t2, y2 = _broadcast(t, y, t2, y2)
+    if np.any(t2 < t) or np.any(y2 < y):
         raise ValueError("increment ordering requires t <= t2 and y <= y2")
     dec = inputs.decomposition
-    if dec.p_c == 0.0 or t <= 0:
-        return 0.0
-    cont = dec.continuous_part
-    cd = cont.cdf
-    cuts = inputs._cuts(t + y) + inputs._cuts(t2 + y2)
+    if dec.p_c == 0.0:
+        return _value(np.zeros_like(t))
+    cd = dec.continuous_part.cdf
 
-    def g(u: float) -> float:
-        diff = float(cd(t2 + y2 - u)) - float(cd(t + y - u))
+    def g(v2, v1):
+        diff = cd(v2) - cd(v1)
         return diff * (1.0 - diff)
 
-    return dec.p_c * inputs.int_abar(g, 0.0, t, cuts)
+    return dec.p_c * inputs.int_abar(g, 0.0, t, t2 + y2, t + y)
 
 
-def initial_and_total_limits(inputs: LimitInputs, t: float, y: float
-                             ) -> tuple[float, float, float, float]:
+def initial_and_total_limits(inputs: LimitInputs, t, y):
     """(qir(y), Var Qir-hat(y), qTr(t,y), Var QTr-hat(t,y)).
 
     qir(y) = F_i^c(y) q^{i,t};  the CLT variance adds the Brownian-bridge
@@ -353,11 +343,12 @@ def initial_and_total_limits(inputs: LimitInputs, t: float, y: float
     if inputs.init is None:
         raise ValueError("no initial-condition block configured")
     init = inputs.init
-    fi = float(init.residual.cdf(y))
+    t, y = _nonneg(t, y)
+    fi = init.residual.cdf(y)
     fic = 1.0 - fi
     qir = fic * init.qbar_it
     var_qir = fic * fic * init.var_qit + init.qbar_it * fi * fic
-    fi_shift = float(init.residual.cdf(t + y))
+    fi_shift = init.residual.cdf(t + y)
     fic_shift = 1.0 - fi_shift
     qtr = fic_shift * init.qbar_it + fluid_qr(inputs, t, y)
     var_qtr = (fic_shift * fic_shift * init.var_qit
@@ -368,24 +359,27 @@ def initial_and_total_limits(inputs: LimitInputs, t: float, y: float
 
 # -- grid evaluation -----------------------------------------------------------
 
+_SURFACES = {
+    "fluid_qr": fluid_qr,
+    "fluid_qe": fluid_qe,
+    "fluid_wr": fluid_workload,
+    "var_qr": var_qr,
+    "var_qe": var_qe,
+    "var_w": var_workload,
+    "fluid_total": lambda inputs, t, y: initial_and_total_limits(inputs, t, y)[2],
+    "var_total": lambda inputs, t, y: initial_and_total_limits(inputs, t, y)[3],
+}
+
+
 def surface(inputs: LimitInputs, grid: Grid, which: str) -> TwoParamField:
-    """Evaluate a named limit surface on a grid.
+    """Evaluate a named limit surface on a grid, all points at once.
 
     ``fluid_qe``/``var_qe`` clamp y to t (matching the prelimit convention
     that the elapsed-count field is constant in y beyond y = t).
     """
-    fns = {
-        "fluid_qr": lambda t, y: fluid_qr(inputs, t, y),
-        "fluid_qe": lambda t, y: fluid_qe(inputs, t, min(y, t)),
-        "fluid_wr": lambda t, y: fluid_workload(inputs, t, y),
-        "var_qr": lambda t, y: var_qr(inputs, t, y),
-        "var_qe": lambda t, y: var_qe(inputs, t, min(y, t)),
-        "var_w": lambda t, y: var_workload(inputs, t, y),
-        "var_total": lambda t, y: initial_and_total_limits(inputs, t, y)[3],
-        "fluid_total": lambda t, y: initial_and_total_limits(inputs, t, y)[2],
-    }
-    if which not in fns:
-        raise ValueError(f"unknown surface {which!r} (known: {sorted(fns)})")
-    fn = fns[which]
-    vals = np.array([[fn(float(t), float(y)) for y in grid.y] for t in grid.t])
-    return TwoParamField(grid, vals, which)
+    if which not in _SURFACES:
+        raise ValueError(f"unknown surface {which!r} (known: {sorted(_SURFACES)})")
+    t, y = np.meshgrid(grid.t, grid.y, indexing="ij")
+    if which in ("fluid_qe", "var_qe"):
+        y = np.minimum(y, t)
+    return TwoParamField(grid, _SURFACES[which](inputs, t, y), which)

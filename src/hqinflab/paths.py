@@ -38,10 +38,6 @@ from .limits import LimitInputs
 __all__ = [
     "SheetSample",
     "sample_sheet",
-    "kiefer_eval",
-    "sample_x1",
-    "sample_x2",
-    "sample_x3",
     "assemble_limit_bundle",
     "markov_decomposition_check",
     "LimitPathBundle",
@@ -99,10 +95,6 @@ def sample_sheet(s_levels, x_levels, rng: np.random.Generator,
     return SheetSample(s_levels=s, x_levels=x, cum=cum)
 
 
-def kiefer_eval(sheet: SheetSample, s_level: float, x_level: float) -> np.ndarray:
-    return sheet.kiefer(s_level, x_level)
-
-
 # -- evaluation plan ------------------------------------------------------------
 
 @dataclass
@@ -155,8 +147,7 @@ class _LimitEngine:
         self.s1 = part[1:]            # right endpoints
         self.ds = self.s1 - self.s0
         self.partition = part
-        abar_vals = np.asarray([inputs.abar_at(s) for s in part])
-        self.dabar = np.diff(abar_vals)
+        self.dabar = np.diff(inputs.abar(part))
 
         # r-pairs: grid product, an internal y=0 column, extras, probe pairs
         r_t = [np.repeat(grid.t, len(grid.y)), grid.t]
@@ -195,7 +186,6 @@ class _LimitEngine:
         J = len(self.s0)
         G = pairs.size
         w = np.zeros((J, G))
-        isf = np.vectorize(integrated_sf, otypes=[float])
         inside = self.s1[:, None] <= pairs.t[None, :] + _TOL
         if elapsed:
             inside &= self.s0[:, None] >= (pairs.t - pairs.y)[None, :] - _TOL
@@ -206,7 +196,7 @@ class _LimitEngine:
         if len(rows):
             a0 = shift[0, cols] - self.s0[rows]
             a1 = shift[0, cols] - self.s1[rows]
-            w[rows, cols] = (isf(a0) - isf(a1)) / self.ds[rows]
+            w[rows, cols] = (integrated_sf(a0) - integrated_sf(a1)) / self.ds[rows]
         return w
 
     # -- arrival-noise component -------------------------------------------
@@ -309,8 +299,7 @@ class _LimitEngine:
                 times.add(max(t1 - max(loc - y, 0.0), 0.0))
                 times.add(max(t2 - max(loc - y, 0.0), 0.0))
         tgrid = _dedupe(np.fromiter(times, dtype=float))
-        abar_vals = np.asarray([self.inputs.abar_at(u) for u in tgrid])
-        dab = np.diff(np.concatenate(([0.0], abar_vals)))
+        dab = np.diff(np.concatenate(([0.0], self.inputs.abar(tgrid))))
         root = self._split_cov_root()
         z = self._normals(rng, (P, len(tgrid), m + 1))
         z *= np.sqrt(np.maximum(dab, 0.0))[None, :, None]
@@ -356,42 +345,9 @@ class _LimitEngine:
         return {"X3r": x3r, "X3e": x3e, "Z3": z3}
 
 
-# -- public component samplers ---------------------------------------------------
-
-def _engine(inputs, grid, k, n_paths, **kw) -> _LimitEngine:
-    return _LimitEngine(inputs, grid, k, n_paths, **kw)
-
-
 def _reshape(engine: _LimitEngine, flat: np.ndarray) -> np.ndarray:
     T, Y = engine.grid.shape
     return flat[:, :T * Y].reshape(engine.n_paths, T, Y)
-
-
-def sample_x1(inputs: LimitInputs, grid: Grid, k: int, rng: np.random.Generator,
-              n_paths: int = 1) -> dict[str, np.ndarray]:
-    """Arrival-noise component paths on the grid (r- and e-versions)."""
-    eng = _engine(inputs, grid, k, n_paths)
-    out = eng.arrival_component(rng)
-    return {"X1r": _reshape(eng, out["X1r"]), "X1e": _reshape(eng, out["X1e"])}
-
-
-def sample_x2(inputs: LimitInputs, grid: Grid, k: int, rng: np.random.Generator,
-              n_paths: int = 1) -> dict[str, np.ndarray]:
-    """Service-sampling component paths (continuous service part only)."""
-    if inputs.decomposition.p_c == 0.0:
-        raise ValueError("service-sampling component undefined for a purely "
-                         "atomic service law (route atoms to the splitting component)")
-    eng = _engine(inputs, grid, k, n_paths)
-    out = eng.service_component(rng)
-    return {"X2r": _reshape(eng, out["X2r"]), "X2e": _reshape(eng, out["X2e"])}
-
-
-def sample_x3(inputs: LimitInputs, grid: Grid, k: int, rng: np.random.Generator,
-              n_paths: int = 1) -> dict[str, np.ndarray]:
-    """Splitting-noise component paths."""
-    eng = _engine(inputs, grid, k, n_paths)
-    out = eng.split_component(rng)
-    return {"X3r": _reshape(eng, out["X3r"]), "X3e": _reshape(eng, out["X3e"])}
 
 
 # -- full bundle -------------------------------------------------------------------
@@ -490,7 +446,7 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
         init = inputs.init
         y_evals = _dedupe(np.concatenate(
             (grid.y, (grid.t[:, None] + grid.y[None, :]).ravel())))
-        u_levels = np.asarray([float(init.residual.cdf(v)) for v in y_evals])
+        u_levels = np.asarray(init.residual.cdf(y_evals), dtype=float)
         uniq = np.unique(np.concatenate((u_levels, [1.0])))
         gaps = np.diff(np.concatenate(([0.0], uniq)))
         incr = eng._normals(r_i, (P, len(uniq))) * np.sqrt(gaps)[None, :]

@@ -201,21 +201,18 @@ def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, abar, rate) -> n
     tau = trace.arrivals
     sqrt_n = math.sqrt(trace.n)
     a_t = trace.count_arrivals(grid.t)
-    out = np.zeros(grid.shape)
-    breaks = model.breakpoints()
-    for i, t in enumerate(grid.t):
-        k = a_t[i]
-        ahat_t = (k - trace.n * abar(t)) / sqrt_n
-        for j, y in enumerate(grid.y):
-            fy = float(model.cdf(y))
-            # step-function part of int A_n(s-) dF(t+y-s): exact sum
-            step = float(np.sum(np.asarray(model.cdf(t + y - tau[:k]), dtype=float) - fy))
-            # drift part int abar(s) dF(t+y-s) reduces by parts to
-            # abar(t) F^c(y) - int_0^t F^c(t+y-s) dabar(s), one quadrature
-            cuts = [t + y - b for b in breaks]
-            qr_quad = integrate(
-                lambda s: (1.0 - float(model.cdf(t + y - s))) * float(rate(s)),
-                0.0, t, breakpoints=cuts)
-            drift = abar(t) * (1.0 - fy) - qr_quad
-            out[i, j] = (1.0 - fy) * ahat_t - (step / sqrt_n - sqrt_n * drift)
-    return out
+    fy = np.asarray(model.cdf(grid.y), dtype=float)
+    # step-function part of int A_n(s-) dF(t+y-s): exact sum, one row per t
+    step = np.array([np.sum(np.asarray(model.cdf(t + grid.y[:, None] - tau[None, :k]),
+                                       dtype=float) - fy[:, None], axis=1)
+                     for t, k in zip(grid.t, a_t)])
+    # drift part int abar(s) dF(t+y-s) reduces by parts to
+    # abar(t) F^c(y) - int_0^t F^c(t+y-s) dabar(s), one quadrature per point
+    t = grid.t[:, None]
+    u = (t + grid.y)[..., None]
+    qr_quad = integrate(lambda s: model.sf(u - s) * rate(s), 0.0, t,
+                        breakpoints=u - np.asarray(model.breakpoints(), dtype=float))
+    abar_t = np.asarray(abar(t), dtype=float)
+    ahat_t = (a_t[:, None] - trace.n * abar_t) / sqrt_n
+    drift = abar_t * (1.0 - fy) - qr_quad
+    return (1.0 - fy) * ahat_t - (step / sqrt_n - sqrt_n * drift)

@@ -12,11 +12,9 @@ F_e(x) = mu * int_0^x (1 - F(s)) ds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .quadrature import integrate
 
 __all__ = [
     "ServiceModel",
@@ -91,8 +89,8 @@ class ServiceModel:
     def decompose(self) -> MixtureDecomposition:
         raise NotImplementedError
 
-    def integrated_sf(self, x: float) -> float:
-        """int_0^x (1 - F(s)) ds, exact per kind."""
+    def integrated_sf(self, x):
+        """int_0^x (1 - F(s)) ds, exact per kind, elementwise (0 for x <= 0)."""
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -101,23 +99,19 @@ class ServiceModel:
 
     # -- derived quantities -------------------------------------------------
 
-    def stationary_excess_cdf(self, x: float) -> float:
-        """F_e(x) = mu * int_0^x (1-F(s)) ds, evaluated by quadrature."""
+    def _excess_fraction(self, x):
+        """mu * int_0^x (1-F(s)) ds."""
         mean = self.moments().mean
         if not math.isfinite(mean):
             raise ValueError("stationary-excess undefined: service mean is infinite")
-        if x <= 0.0:
-            return 0.0
-        val = integrate(self.sf, 0.0, x, breakpoints=self.breakpoints()) / mean
-        return min(val, 1.0)
+        return self.integrated_sf(x) / mean
 
-    def stationary_excess_sf(self, x: float) -> float:
-        mean = self.moments().mean
-        if not math.isfinite(mean):
-            raise ValueError("stationary-excess undefined: service mean is infinite")
-        if x <= 0.0:
-            return 1.0
-        return max(1.0 - self.integrated_sf(x) / mean, 0.0)
+    def stationary_excess_cdf(self, x):
+        """F_e(x) = mu * int_0^x (1-F(s)) ds, elementwise."""
+        return _as_array_or_scalar(x, lambda v: np.minimum(self._excess_fraction(v), 1.0))
+
+    def stationary_excess_sf(self, x):
+        return _as_array_or_scalar(x, lambda v: np.maximum(1.0 - self._excess_fraction(v), 0.0))
 
     def sf_quantile(self, eps: float) -> float:
         """Smallest x (up to bisection accuracy) with 1 - F(x) <= eps."""
@@ -165,9 +159,7 @@ class Exponential(ServiceModel):
         return MixtureDecomposition(1.0, 0.0, self, ())
 
     def integrated_sf(self, x):
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-self.rate * x) / self.rate
+        return _as_array_or_scalar(x, lambda v: -np.expm1(-self.rate * np.maximum(v, 0.0)) / self.rate)
 
 
 @dataclass(frozen=True)
@@ -193,7 +185,7 @@ class Deterministic(ServiceModel):
         return MixtureDecomposition(0.0, 1.0, None, ((self.point, 1.0),))
 
     def integrated_sf(self, x):
-        return min(max(x, 0.0), self.point)
+        return _as_array_or_scalar(x, lambda v: np.clip(v, 0.0, self.point))
 
     def breakpoints(self):
         return (self.point,)
@@ -223,21 +215,14 @@ class Uniform(ServiceModel):
         return MixtureDecomposition(1.0, 0.0, self, ())
 
     def integrated_sf(self, x):
-        x = max(x, 0.0)
-        if x <= self.a:
-            return x
-        if x >= self.b:
-            return 0.5 * (self.a + self.b)
-        return self.a + (x - self.a) * (2.0 * self.b - self.a - x) / (2.0 * (self.b - self.a))
+        def exact(v):
+            v = np.maximum(v, 0.0)
+            ramp = self.a + (v - self.a) * (2.0 * self.b - self.a - v) / (2.0 * (self.b - self.a))
+            return np.where(v <= self.a, v, np.where(v >= self.b, 0.5 * (self.a + self.b), ramp))
+        return _as_array_or_scalar(x, exact)
 
     def breakpoints(self):
         return (self.a, self.b)
-
-
-def _is_scalar(x) -> bool:
-    """A Python or numpy number, or a 0-d array; the isinstance test first
-    keeps the common Python-float call cheap."""
-    return isinstance(x, (int, float)) or np.ndim(x) == 0
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -328,19 +313,15 @@ def erfc_array(x) -> np.ndarray:
 class LogNormal(ServiceModel):
     logmean: float
     logsd: float
+    _mean: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.logsd <= 0:
             raise ValueError("logsd must be positive")
+        object.__setattr__(self, "_mean", math.exp(self.logmean + 0.5 * self.logsd**2))
 
     def cdf(self, x):
-        if _is_scalar(x):
-            x = float(x)
-            if x <= 0:
-                return 0.0
-            z = (math.log(x) - self.logmean) / self.logsd
-            return 0.5 * math.erfc(-z * _SQRT_HALF)
-        return _blockwise(self._cdf_block, x)
+        return _as_array_or_scalar(x, lambda v: _blockwise(self._cdf_block, v))
 
     def _cdf_block(self, v):
         z = (np.log(np.maximum(v, 1e-300)) - self.logmean) / self.logsd
@@ -350,9 +331,7 @@ class LogNormal(ServiceModel):
         return rng.lognormal(self.logmean, self.logsd, size=size)
 
     def moments(self):
-        s2 = self.logsd**2
-        mean = math.exp(self.logmean + 0.5 * s2)
-        return Moments(mean, math.expm1(s2))
+        return Moments(self._mean, math.expm1(self.logsd**2))
 
     def decompose(self):
         return MixtureDecomposition(1.0, 0.0, self, ())
@@ -360,12 +339,12 @@ class LogNormal(ServiceModel):
     def integrated_sf(self, x):
         # int_0^x sf = x*sf(x) + E[eta; eta <= x], with the lognormal
         # partial expectation E[eta; eta<=x] = mean * Phi((ln x - m)/s - s).
-        if x <= 0:
-            return 0.0
-        mean = self.moments().mean
-        z = (math.log(x) - self.logmean) / self.logsd
-        return (0.5 * x * math.erfc(z * _SQRT_HALF)
-                + 0.5 * mean * math.erfc((self.logsd - z) * _SQRT_HALF))
+        def exact(v):
+            z = (np.log(np.maximum(v, 1e-300)) - self.logmean) / self.logsd
+            val = (0.5 * v * erfc_array(z * _SQRT_HALF)
+                   + 0.5 * self._mean * erfc_array((self.logsd - z) * _SQRT_HALF))
+            return np.where(v <= 0, 0.0, val)
+        return _as_array_or_scalar(x, exact)
 
 
 @dataclass(frozen=True)
@@ -410,11 +389,10 @@ class HyperExponential(ServiceModel):
         return MixtureDecomposition(1.0, 0.0, self, ())
 
     def integrated_sf(self, x):
-        if x <= 0:
-            return 0.0
         w = np.asarray(self.weights)
         r = np.asarray(self.rates)
-        return float(np.sum(w * (-np.expm1(-r * x)) / r))
+        return _as_array_or_scalar(
+            x, lambda v: np.sum(w * (-np.expm1(-r * np.maximum(v, 0.0)[..., None])) / r, axis=-1))
 
 
 def _sorted_atoms(atoms: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
@@ -440,12 +418,9 @@ class FiniteAtoms(ServiceModel):
         object.__setattr__(self, "atoms", tuple((float(x), float(p)) for x, p in self.atoms))
 
     def cdf(self, x):
-        if _is_scalar(x):
-            x = float(x)
-            return float(sum(p for loc, p in self.atoms if loc <= x))
         locs = np.asarray([a[0] for a in self.atoms])
         masses = np.asarray([a[1] for a in self.atoms])
-        return (np.asarray(x, dtype=float)[..., None] >= locs) @ masses
+        return _as_array_or_scalar(x, lambda v: (v[..., None] >= locs) @ masses)
 
     def sample(self, rng, size=None):
         locs = np.asarray([a[0] for a in self.atoms])
@@ -465,9 +440,10 @@ class FiniteAtoms(ServiceModel):
         return MixtureDecomposition(0.0, 1.0, None, _sorted_atoms(self.atoms))
 
     def integrated_sf(self, x):
-        if x <= 0:
-            return 0.0
-        return float(sum(p * min(x, loc) for loc, p in self.atoms))
+        locs = np.asarray([a[0] for a in self.atoms])
+        masses = np.asarray([a[1] for a in self.atoms])
+        return _as_array_or_scalar(
+            x, lambda v: np.sum(masses * np.minimum(np.maximum(v, 0.0)[..., None], locs), axis=-1))
 
     def breakpoints(self):
         return tuple(sorted(a[0] for a in self.atoms))

@@ -18,6 +18,16 @@ def simpson(f, a, b, m=20001):
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
 
 
+def simpson_rule(a, b, m=20001):
+    """Nodes and weights of the same composite Simpson rule, for integrands
+    evaluated on the whole node array at once."""
+    xs = np.linspace(a, b, m)
+    w = np.full(m, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return xs, w * ((b - a) / (m - 1) / 3.0)
+
+
 def brute_queue_fields(tau, eta, t, y):
     """(Qr, Qe, Qt, Wr) at one (t, y) by direct loops."""
     qr = qe = qt = 0

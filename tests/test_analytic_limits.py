@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hqinflab import limits, quadrature
 from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
 from hqinflab.limits import (InitialLimits, LimitInputs, cov_x2_increment,
@@ -12,9 +13,9 @@ from hqinflab.limits import (InitialLimits, LimitInputs, cov_x2_increment,
                              surface, var_components, var_qe, var_qr,
                              var_workload)
 from hqinflab.service import (Deterministic, Exponential, FiniteAtoms,
-                              HyperExponential, Mixture)
+                              HyperExponential, LogNormal, Mixture)
 
-from oracles import simpson
+from oracles import simpson, simpson_rule
 
 EXP1 = Exponential(1.0)
 M_EXP = LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1)
@@ -22,6 +23,19 @@ M_DET = LimitInputs.from_models(ArrivalModel.poisson(1.0), Deterministic(1.0))
 MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
 M_MIX = LimitInputs.from_models(ArrivalModel.poisson(1.0), MIX)
 D_EXP = LimitInputs.from_models(ArrivalModel.renewal(Deterministic(1.0)), EXP1)
+
+# the models and grids of the three benchmark workloads
+H2 = HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
+LOGNORMAL = LogNormal(-0.5, 1.0)
+BENCH = {
+    "mc_small_n": (M_EXP, Grid([0.25, 0.5, 1.0, 1.5, 2.0], [0.0, 0.25, 0.5, 1.0, 2.0])),
+    "mc_large_n": (LimitInputs.from_models(
+        ArrivalModel(H2, RateFunction("sinusoidal", a=1.0, b=0.5)), LOGNORMAL),
+        Grid([0.5, 1.0, 1.5, 2.0, 3.0, 4.0], [0.0, 0.25, 0.5, 1.0, 2.0])),
+    "limit_paths": (LimitInputs.from_models(
+        ArrivalModel.renewal(H2), Mixture(0.5, LOGNORMAL, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))),
+        Grid([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], [0.0, 0.25, 0.5, 0.75, 1.0, 1.5])),
+}
 
 
 class TestFluidCounts:
@@ -162,16 +176,15 @@ class TestWorkloadVariance:
         assert var_workload(M_EXP, 1.0, 20.0) == pytest.approx(0.0, abs=1e-4)
 
     def test_small_t_against_direct_quadrature(self):
-        # independent nested Simpson on the symmetric triple integral
+        # independent nested Simpson on the symmetric triple integral, its
+        # integrand evaluated on the whole (x, z, s) node array at once
         t, y = 1.0, 0.0
         sf = EXP1.sf
-
-        def inner(x, z):
-            return simpson(lambda s: sf(t + x - s) * sf(t + z - s)
-                           + EXP1.cdf(t + min(x, z) - s) * sf(t + max(x, z) - s),
-                           0.0, t, m=101)
         xs = np.linspace(0.0, 14.0, 57)
-        vals = np.array([[inner(a, b) for b in xs] for a in xs])
+        s, ws = simpson_rule(0.0, t, m=101)
+        x, z = xs[:, None, None], xs[None, :, None]
+        vals = (sf(t + x - s) * sf(t + z - s)
+                + EXP1.cdf(t + np.minimum(x, z) - s) * sf(t + np.maximum(x, z) - s)) @ ws
         oracle = np.trapezoid(np.trapezoid(vals, xs, axis=1), xs)
         assert var_workload(M_EXP, t, y) == pytest.approx(oracle, rel=0.01)
 
@@ -230,7 +243,75 @@ class TestInitialAndTotal:
             initial_and_total_limits(M_EXP, 1.0, 0.0)
 
 
+class TestQuadratureAccuracy:
+    def test_var_qr_pinned_to_simpson_oracle(self):
+        # adaptive Simpson asked for 1e-8 missed this point by 2.6e-7
+        inputs, _ = BENCH["mc_large_n"]
+        t, y = 3.0, 1.0
+        s, ws = simpson_rule(0.0, t, m=200001)
+        fc = LOGNORMAL.sf(t + y - s)
+        oracle = ws @ ((fc + (inputs.ca2 - 1.0) * fc * fc) * inputs.rate(s))
+        assert oracle == pytest.approx(0.44231639614, abs=1e-11)
+        assert abs(var_qr(inputs, t, y) - oracle) <= 1e-9
+
+    @pytest.mark.parametrize("name", BENCH)
+    def test_benchmark_surfaces_against_refined_panels(self, name, monkeypatch):
+        inputs, grid = BENCH[name]
+        t, y = np.meshgrid(grid.t, grid.y, indexing="ij")
+        probe = (t[:, :-1], y[:, :-1], t[:, 1:], y[:, 1:])
+
+        def evaluate():
+            out = [surface(inputs, grid, which).values
+                   for which in ("fluid_qr", "fluid_qe", "var_qr", "var_qe")]
+            comp = var_components(inputs, t, y)
+            out += [comp.arrival, comp.service, comp.splitting,
+                    cov_x2_increment(inputs, *probe)]
+            if inputs.standard_rate is not None:
+                out.append(surface(inputs, grid, "fluid_wr").values)
+            return out
+
+        got = evaluate()
+        # reference: every interval also cut into 16 equal pieces
+        integrate = quadrature.integrate
+
+        def refined(f, a, b, breakpoints=()):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            extra = a[..., None] + (b - a)[..., None] * np.linspace(0.0, 1.0, 17)[1:-1]
+            cuts = np.asarray(breakpoints, dtype=float)
+            rows = np.broadcast_shapes(extra.shape[:-1], cuts.shape[:-1])
+            cuts = np.concatenate((np.broadcast_to(extra, rows + extra.shape[-1:]),
+                                   np.broadcast_to(cuts, rows + cuts.shape[-1:])), axis=-1)
+            return integrate(f, a, b, breakpoints=cuts)
+        monkeypatch.setattr(limits, "integrate", refined)
+        for value, reference in zip(got, evaluate(), strict=True):
+            assert np.max(np.abs(value - reference)) <= 1e-9
+
+
 class TestSurfaces:
+    POINTS = {
+        "fluid_qr": fluid_qr,
+        "fluid_qe": lambda inputs, t, y: fluid_qe(inputs, t, min(y, t)),
+        "fluid_wr": fluid_workload,
+        "var_qr": var_qr,
+        "var_qe": lambda inputs, t, y: var_qe(inputs, t, min(y, t)),
+        "var_w": var_workload,
+        "fluid_total": lambda inputs, t, y: initial_and_total_limits(inputs, t, y)[2],
+        "var_total": lambda inputs, t, y: initial_and_total_limits(inputs, t, y)[3],
+    }
+
+    @pytest.mark.parametrize("which", POINTS)
+    def test_surface_equals_point_calls(self, which):
+        inputs = LimitInputs.from_models(
+            ArrivalModel.renewal(H2), Mixture(0.5, LOGNORMAL, FiniteAtoms(((1.0, 0.6), (2.0, 0.4)))),
+            init=InitialLimits(qbar_it=1.0, var_qit=0.5, residual=EXP1))
+        grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+        field = surface(inputs, grid, which)
+        for i, t in enumerate(grid.t):
+            for j, y in enumerate(grid.y):
+                point = self.POINTS[which](inputs, float(t), float(y))
+                assert type(point) is float
+                assert field.values[i, j] == pytest.approx(point, abs=1e-9)
+
     def test_qe_clamps_above_diagonal(self):
         g = Grid([0.5, 1.0], [0.0, 2.0])
         field = surface(M_EXP, g, "fluid_qe")

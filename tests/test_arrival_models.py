@@ -102,12 +102,12 @@ def inversion_levels(rate_fn, horizon):
 
 def assert_round_trip(rate_fn, levels, t, horizon):
     assert t[0] == 0.0 and np.all((t >= 0.0) & (t <= horizon))
-    # 4 ulp of the largest term cumulative() adds: for the sinusoidal form
-    # a*t and (b/c)(cos d - cos(ct + d)), whose rounding near t = 0 is many
-    # ulp of a small level
+    # 4 ulp of L, or of a*t where the sinusoidal form adds a negative
+    # 2(b/c) sin(ct/2) sin(ct/2 + d) to it: that cancellation is in the
+    # function, not in the way it is written
     scale = levels.copy()
     if rate_fn.form == "sinusoidal":
-        scale = np.maximum(scale, abs(rate_fn.b / rate_fn.c) * (1.0 + abs(math.cos(rate_fn.d))))
+        scale = np.maximum(scale, rate_fn.a * t)
     assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(scale))
 
 
@@ -145,7 +145,7 @@ class TestInvertCumulative:
         # Newton converges quadratically: after three sweeps almost every
         # level is done, and the stragglers near a zero of the rate stop
         # long before the cap
-        assert sweeps[3] <= 0.02 * levels.size
+        assert len(sweeps) <= 3 or sweeps[3] <= 0.02 * levels.size
         assert len(sweeps) <= 20
 
     @pytest.mark.parametrize("case", ["sinusoidal", "sin_zero_rate", "sin_zero_rate_shifted"])
@@ -156,6 +156,13 @@ class TestInvertCumulative:
         # until it meets the same stopping rule
         monkeypatch.setattr(arrivals, "_NEWTON_MAX_ITER", 0)
         assert_round_trip(rate_fn, levels, rate_fn.invert_cumulative(levels, horizon), horizon)
+
+    def test_small_levels_round_trip(self):
+        # cumulative() near t = 0 rounds relative to the level, not to b/c
+        rate_fn = RateFunction("sinusoidal", a=2.0, b=2.0, c=3.0, d=1.0)
+        levels = np.concatenate(([0.0], np.geomspace(1e-15, 1e-3, 200)))
+        t = rate_fn.invert_cumulative(levels, 4.0)
+        assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(levels))
 
 
 class TestCumulativeRate:

@@ -21,7 +21,12 @@ INPUTS = LimitInputs.from_models(ARR, EXP1)
 # decompose_hatQr at n=200, horizon 2, H2 interarrivals under the sinusoidal
 # rate a=1, b=0.5, LogNormal(-0.5, 1) service, substream(2024, "pin",
 # "decompose"), recorded when the lognormal c.d.f. went through math.erf and
-# the rate was inverted by 80-sweep bisection
+# the rate was inverted by 80-sweep bisection, centered by the fluid_qr
+# surface of that time (adaptive Simpson), pinned here too so that X1 does
+# not move with the quadrature
+PINNED_CENTER = np.array([[0.4589934682178831, 0.24103105075415737, 0.08274468535862672],
+                          [0.7858203638993045, 0.4210252940131467, 0.1524098831310327],
+                          [1.1568894678208943, 0.6432324274976837, 0.24969267164202102]])
 PINNED_X1 = np.array([[1.3538101970906746, 0.7055330050184327, 0.24650318628221846],
                        [1.8558604041182765, 0.9994113471860251, 0.35822802051063274],
                        [-1.106386978062078, -0.5421407992682212, -0.15492650568256394]])
@@ -211,7 +216,7 @@ class TestDecomposition:
                                RateFunction("sinusoidal", a=1.0, b=0.5))
         service = LogNormal(-0.5, 1.0)
         g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
-        center = surface(LimitInputs.from_models(arrival, service), g, "fluid_qr")
+        center = TwoParamField(g, PINNED_CENTER, "fluid_qr")
         trace = simulate(arrival, service, n=200, horizon=2.0,
                          rng=substream(2024, "pin", "decompose"))
         assert len(trace.arrivals) == 548
