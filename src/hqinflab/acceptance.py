@@ -20,8 +20,7 @@ from .experiments import run_experiment
 from .fields import Grid
 from .rng import substream
 from .scaling import decompose_hatQr
-from .service import (Deterministic, Exponential, FiniteAtoms,
-                      HyperExponential, Mixture)
+from .service import Exponential, FiniteAtoms, HyperExponential, Mixture
 from .simulate import (CountLaw, InitialConditions, eval_initial_fields,
                        eval_queue_fields, eval_workload_fields, simulate)
 from .stats import sample_var
@@ -267,7 +266,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
         ("hyperexp, Poisson arrivals", ArrivalModel.poisson(1.0),
          HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))),
         ("mixture, deterministic renewal (c_a^2 = 0)",
-         ArrivalModel.renewal(Deterministic(1.0)),
+         ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))),
          Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))),
     ]
     for name, arrival, service in cases:
@@ -327,7 +326,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     passed &= _check(lines, mean_pt.passed,
                      f"mean Wt/n(8) = {mean_pt.estimate:.4f} vs fluid {mean_pt.target:.6f} (0.07)")
     for name, service, expect in (("exp", Exponential(1.0), 1.0),
-                                  ("det", Deterministic(1.0), 0.5)):
+                                  ("det", FiniteAtoms(((1.0, 1.0),)), 0.5)):
         inputs = lim.LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
         quad, exact = lim.fluid_workload_steady(inputs)
         ok = abs(exact - expect) <= 1e-12 and abs(quad - exact) <= 1e-6

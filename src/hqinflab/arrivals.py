@@ -224,8 +224,11 @@ def _rate_fn_from_spec(spec: dict, where: str) -> RateFunction:
     extra = set(spec) - allowed
     if extra:
         raise ValueError(f"{where}: unknown keys {sorted(extra)}")
-    kwargs = {k: float(v) for k, v in spec.items() if k != "form"}
-    return RateFunction(form=spec["form"], **kwargs)
+    try:
+        return RateFunction(form=spec["form"],
+                            **{k: float(v) for k, v in spec.items() if k != "form"})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def arrival_from_spec(spec: dict, where: str = "arrival") -> ArrivalModel:

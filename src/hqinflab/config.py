@@ -45,7 +45,6 @@ DEFAULT_TOLERANCES = {
     "corr_abs": 0.06,           # independence proxies
     "skew_abs": 0.10,           # marginal normality
     "kurt_abs": 0.20,
-    "poisson_collapse_abs": 1e-8,
     "markov_residual_grid_mult": 5.0,
 }
 
@@ -101,7 +100,10 @@ def _parse_init(spec: dict):
     cspec = spec["count"]
     if not isinstance(cspec, dict) or set(cspec) - {"kind", "level"}:
         _fail("init.count", "expected {kind: fixed|poisson, level: <float>}")
-    law = CountLaw(kind=cspec.get("kind", "fixed"), level=float(cspec.get("level", 0.0)))
+    try:
+        law = CountLaw(kind=cspec.get("kind", "fixed"), level=float(cspec.get("level", 0.0)))
+    except (TypeError, ValueError) as exc:
+        _fail("init.count", str(exc))
     residual = service_from_spec(spec["residual"], "init.residual")
     sim = InitialConditions(count=law, residual=residual)
     limits = InitialLimits(qbar_it=law.level, var_qit=law.clt_variance, residual=residual)

@@ -280,7 +280,7 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     lam = cfg.arrival.constant_rate
     if lam is None:
         raise ValueError("age-distribution experiment needs standard-case arrivals")
-    fe_targets = np.array([cfg.service.stationary_excess_cdf(float(y)) for y in cfg.grid.y])
+    fe_targets = cfg.service.stationary_excess_cdf(cfg.grid.y)
     n = cfg.n_list[-1]
     sups = _map_replications(partial(_age_rep, cfg, n, fe_targets),
                              cfg.replications, threads)

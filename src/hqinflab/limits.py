@@ -243,14 +243,13 @@ def var_components(inputs: LimitInputs, t, y) -> VarianceComponents:
 
     arrival   = c_a^2 int_0^t F^c(t+y-s)^2 dabar(s)
     service   = p_c int_0^t F_c(t+y-s) F_c^c(t+y-s) dabar(s)
-    splitting = p_d p_c int F_c^c(.)^2 dabar
-                + sum_i C_ii (abar(t) - abar(t - (x_i - y)^+))
-                + 2 sum_{i<j} C_ij (abar(t) - abar(t - (x_i ^ x_j - y)^+))
-                + 2 sum_i C_ci int_{t-(x_i-y)^+}^t F_c^c(t+y-s) dabar(s)
-    with the multinomial covariances C_ii = p_d p_i (1 - p_d p_i),
-    C_ij = -p_d^2 p_i p_j, C_ci = -p_c p_d p_i.  The sum of the three parts
-    equals var_qr identically (the additivity identity is the ground truth
-    for this split).
+    splitting = sum_ab C_ab K_ab over the categories (continuous, atom_1, ...,
+                atom_m), with C the multinomial splitting covariance and
+                K_cc = int_0^t F_c^c(t+y-s)^2 dabar(s),
+                K_ci = int_{s_i}^t F_c^c(t+y-s) dabar(s),
+                K_ij = abar(t) - abar(s_i v s_j),  s_i = (t - (x_i - y)^+)^+.
+    The sum of the three parts equals var_qr identically (the additivity
+    identity is the ground truth for this split).
     """
     t, y = _nonneg(t, y)
     u = t + y
@@ -258,28 +257,28 @@ def var_components(inputs: LimitInputs, t, y) -> VarianceComponents:
     sf = inputs.service.sf
     arrival = inputs.ca2 * inputs.int_abar(lambda v: sf(v) ** 2, 0.0, t, u)
 
-    p_c, p_d = dec.p_c, dec.p_d
     cont = dec.continuous_part
     service = np.zeros_like(t)
-    if p_c > 0.0:
-        service = p_c * inputs.int_abar(lambda v: cont.cdf(v) * cont.sf(v), 0.0, t, u)
+    if dec.p_c > 0.0:
+        service = dec.p_c * inputs.int_abar(lambda v: cont.cdf(v) * cont.sf(v), 0.0, t, u)
 
     splitting = np.zeros_like(t)
-    if p_d > 0.0:
-        atoms = dec.atoms
+    if dec.p_d > 0.0:
+        cov = dec.split_covariance()
+        # category a is live for s > s_a; the continuous one from s_c = 0
+        starts = [0.0] + [np.maximum(t - np.maximum(loc - y, 0.0), 0.0) for loc, _ in dec.atoms]
         abar_t = inputs.abar(t)
-        starts = [np.maximum(t - np.maximum(loc - y, 0.0), 0.0) for loc, _ in atoms]
-        if p_c > 0.0:
-            splitting += p_d * p_c * inputs.int_abar(lambda v: cont.sf(v) ** 2, 0.0, t, u)
-            for (loc, mass), s0 in zip(atoms, starts):
-                c_ci = -p_c * p_d * mass
-                splitting += 2.0 * c_ci * inputs.int_abar(cont.sf, s0, t, u)
-        for i, ((loc_i, m_i), s_i) in enumerate(zip(atoms, starts)):
-            pdi = p_d * m_i
-            splitting += pdi * (1.0 - pdi) * (abar_t - inputs.abar(s_i))
-            for (loc_j, m_j), s_j in zip(atoms[i + 1:], starts[i + 1:]):
-                later = np.maximum(s_i, s_j)
-                splitting += 2.0 * (-p_d * p_d * m_i * m_j) * (abar_t - inputs.abar(later))
+
+        def kernel(a, b):                        # K_ab for a <= b
+            if a > 0:
+                return abar_t - inputs.abar(np.maximum(starts[a], starts[b]))
+            g = (lambda v: cont.sf(v) ** 2) if b == 0 else cont.sf
+            return inputs.int_abar(g, starts[b], t, u)
+
+        first = 0 if dec.p_c > 0.0 else 1        # no continuous category
+        for a in range(first, len(starts)):
+            for b in range(a, len(starts)):
+                splitting += (1.0 if a == b else 2.0) * cov[a, b] * kernel(a, b)
     return VarianceComponents(arrival=_value(arrival), service=_value(service),
                               splitting=_value(splitting))
 

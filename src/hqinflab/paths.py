@@ -117,13 +117,12 @@ class _LimitEngine:
     """Shared partition, evaluation pairs, and per-component samplers."""
 
     def __init__(self, inputs: LimitInputs, grid: Grid, k: int, n_paths: int,
-                 extra_r_pairs=(), markov_probes=(), zero_noise: bool = False):
+                 extra_r_pairs=(), markov_probes=()):
         if k < 1:
             raise ValueError("refinement k must be >= 1")
         self.inputs = inputs
         self.grid = grid
         self.n_paths = int(n_paths)
-        self.zero = zero_noise
         self.dec = inputs.decomposition
         t_max = float(grid.t[-1])
         self.t_max = t_max
@@ -176,10 +175,7 @@ class _LimitEngine:
         return self._r_index[key]
 
     def _normals(self, rng, shape):
-        z = rng.standard_normal(shape)
-        if self.zero:
-            z *= 0.0
-        return z
+        return rng.standard_normal(shape)
 
     def _weights(self, integrated_sf, pairs: _Pairs, elapsed: bool) -> np.ndarray:
         """(J, G) interval-averaged integrand weights for Ito-style sums."""
@@ -267,10 +263,7 @@ class _LimitEngine:
     def _split_cov_root(self) -> np.ndarray:
         """Square root of the (m+1)-dim multinomial splitting covariance for
         categories (continuous, atom_1, ..., atom_m)."""
-        dec = self.dec
-        probs = np.array([dec.p_c] + [dec.p_d * m for _, m in dec.atoms])
-        cov = np.diag(probs) - np.outer(probs, probs)
-        evals, evecs = np.linalg.eigh(cov)
+        evals, evecs = np.linalg.eigh(self.dec.split_covariance())
         if evals.min() < -1e-10:
             raise ValueError(f"splitting covariance not PSD: min eigenvalue {evals.min()}")
         return evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
@@ -374,8 +367,7 @@ class MarkovCheckResult:
 
 def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
                           rng: np.random.Generator, n_paths: int = 1,
-                          workload: bool = False,
-                          markov_probes=(), zero_noise: bool = False,
+                          workload: bool = False, markov_probes=(),
                           seed_info: str = "") -> LimitPathBundle:
     """Simulate the joint limit: components, counts, departures, workload,
     and (when configured) the initial-condition and total fields.
@@ -394,8 +386,7 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
         if xgrid[0] > 0.0:
             xgrid = np.concatenate(([0.0], xgrid))
         extra = [(t, x) for t in grid.t for x in xgrid]
-    eng = _LimitEngine(inputs, grid, k, n_paths, extra_r_pairs=extra,
-                       markov_probes=markov_probes, zero_noise=zero_noise)
+    eng = _LimitEngine(inputs, grid, k, n_paths, extra_r_pairs=extra, markov_probes=markov_probes)
     r_a, r_s, r_sp, r_w, r_i = rng.spawn(5)
     a = eng.arrival_component(r_a)
     s = eng.service_component(r_s)

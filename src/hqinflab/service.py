@@ -6,7 +6,8 @@ service-time law.  It exposes the c.d.f. and its complement, exact first and
 second moments, an i.i.d. sampler driven by an explicit random stream, the
 mixture decomposition F = p_c F_c + p_d F_d into a purely continuous part and
 an ordered atom list, and the stationary-excess c.d.f.
-F_e(x) = mu * int_0^x (1 - F(s)) ds.
+F_e(x) = mu * int_0^x (1 - F(s)) ds.  A deterministic law is the one-atom
+:class:`FiniteAtoms`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "ServiceModel",
     "MixtureDecomposition",
     "Exponential",
-    "Deterministic",
     "Uniform",
     "LogNormal",
     "HyperExponential",
@@ -68,6 +68,12 @@ class MixtureDecomposition:
             return 0.0
         return sum(m for loc, m in self.atoms if loc <= x)
 
+    def split_covariance(self) -> np.ndarray:
+        """Multinomial splitting covariance diag(p) - p p^T over the categories
+        (continuous, atom_1, ..., atom_m), p = (p_c, p_d m_1, ..., p_d m_m)."""
+        probs = np.array([self.p_c] + [self.p_d * m for _, m in self.atoms])
+        return np.diag(probs) - np.outer(probs, probs)
+
 
 class ServiceModel:
     """Base class.  Subclasses implement cdf/sample/moments and the exact
@@ -80,14 +86,15 @@ class ServiceModel:
         """Complement 1 - F(x)."""
         return 1.0 - self.cdf(x)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         raise NotImplementedError
 
     def moments(self) -> Moments:
         raise NotImplementedError
 
     def decompose(self) -> MixtureDecomposition:
-        raise NotImplementedError
+        """The atom-free split F = F_c; laws with atoms override it."""
+        return MixtureDecomposition(1.0, 0.0, self, ())
 
     def integrated_sf(self, x):
         """int_0^x (1 - F(s)) ds, exact per kind, elementwise (0 for x <= 0)."""
@@ -114,19 +121,20 @@ class ServiceModel:
         return _as_array_or_scalar(x, lambda v: np.maximum(1.0 - self._excess_fraction(v), 0.0))
 
     def sf_quantile(self, eps: float) -> float:
-        """Smallest x (up to bisection accuracy) with 1 - F(x) <= eps."""
+        """Smallest float x with 1 - F(x) <= eps, by bisection down to
+        adjacent floats."""
         hi = 1.0
         while self.sf(hi) > eps:
             hi *= 2.0
             if hi > 1e12:
                 raise ValueError("survival function does not reach the target")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
+        lo, mid = 0.0, 0.5 * hi
+        while lo < mid < hi:
             if self.sf(mid) > eps:
                 lo = mid
             else:
                 hi = mid
+            mid = 0.5 * (lo + hi)
         return hi
 
 
@@ -149,46 +157,14 @@ class Exponential(ServiceModel):
     def cdf(self, x):
         return _as_array_or_scalar(x, lambda v: np.where(v < 0, 0.0, -np.expm1(-self.rate * np.maximum(v, 0.0))))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size=size)
 
     def moments(self):
         return Moments(1.0 / self.rate, 1.0)
 
-    def decompose(self):
-        return MixtureDecomposition(1.0, 0.0, self, ())
-
     def integrated_sf(self, x):
         return _as_array_or_scalar(x, lambda v: -np.expm1(-self.rate * np.maximum(v, 0.0)) / self.rate)
-
-
-@dataclass(frozen=True)
-class Deterministic(ServiceModel):
-    point: float
-
-    def __post_init__(self):
-        if self.point <= 0:
-            raise ValueError("point mass location must be positive")
-
-    def cdf(self, x):
-        return _as_array_or_scalar(x, lambda v: np.where(v >= self.point, 1.0, 0.0))
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.point
-        return np.full(size, self.point)
-
-    def moments(self):
-        return Moments(self.point, 0.0)
-
-    def decompose(self):
-        return MixtureDecomposition(0.0, 1.0, None, ((self.point, 1.0),))
-
-    def integrated_sf(self, x):
-        return _as_array_or_scalar(x, lambda v: np.clip(v, 0.0, self.point))
-
-    def breakpoints(self):
-        return (self.point,)
 
 
 @dataclass(frozen=True)
@@ -203,16 +179,13 @@ class Uniform(ServiceModel):
     def cdf(self, x):
         return _as_array_or_scalar(x, lambda v: np.clip((v - self.a) / (self.b - self.a), 0.0, 1.0))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.a, self.b, size=size)
 
     def moments(self):
         mean = 0.5 * (self.a + self.b)
         var = (self.b - self.a) ** 2 / 12.0
         return Moments(mean, var / mean**2)
-
-    def decompose(self):
-        return MixtureDecomposition(1.0, 0.0, self, ())
 
     def integrated_sf(self, x):
         def exact(v):
@@ -327,14 +300,11 @@ class LogNormal(ServiceModel):
         z = (np.log(np.maximum(v, 1e-300)) - self.logmean) / self.logsd
         return np.where(v <= 0, 0.0, 0.5 * _erfc_block(-z * _SQRT_HALF))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.lognormal(self.logmean, self.logsd, size=size)
 
     def moments(self):
         return Moments(self._mean, math.expm1(self.logsd**2))
-
-    def decompose(self):
-        return MixtureDecomposition(1.0, 0.0, self, ())
 
     def integrated_sf(self, x):
         # int_0^x sf = x*sf(x) + E[eta; eta <= x], with the lognormal
@@ -351,6 +321,8 @@ class LogNormal(ServiceModel):
 class HyperExponential(ServiceModel):
     weights: tuple[float, ...]
     rates: tuple[float, ...]
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _r: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -361,36 +333,25 @@ class HyperExponential(ServiceModel):
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.any(r <= 0):
             raise ValueError("rates must be positive")
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_r", r)
 
     def cdf(self, x):
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
-        x_arr = np.asarray(x, dtype=float)
-        out = -np.expm1(-np.maximum(x_arr, 0.0)[..., None] * r) @ w
-        out = np.where(x_arr < 0, 0.0, out)
-        return float(out) if x_arr.ndim == 0 else out
+        return _as_array_or_scalar(
+            x, lambda v: np.where(v < 0, 0.0, -np.expm1(-np.maximum(v, 0.0)[..., None] * self._r) @ self._w))
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(np.prod(size))
-        comp = rng.choice(len(self.weights), size=n, p=self.weights)
-        draws = rng.exponential(1.0, size=n) / np.asarray(self.rates)[comp]
-        if size is None:
-            return float(draws[0])
-        return draws.reshape(size)
+    def sample(self, rng, size):
+        n = int(np.prod(size))
+        comp = rng.choice(len(self._w), size=n, p=self._w)
+        return (rng.exponential(1.0, size=n) / self._r[comp]).reshape(size)
 
     def moments(self):
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
-        mean = float(np.sum(w / r))
-        m2 = float(np.sum(2.0 * w / r**2))
+        mean = float(np.sum(self._w / self._r))
+        m2 = float(np.sum(2.0 * self._w / self._r**2))
         return Moments(mean, m2 / mean**2 - 1.0)
 
-    def decompose(self):
-        return MixtureDecomposition(1.0, 0.0, self, ())
-
     def integrated_sf(self, x):
-        w = np.asarray(self.weights)
-        r = np.asarray(self.rates)
+        w, r = self._w, self._r
         return _as_array_or_scalar(
             x, lambda v: np.sum(w * (-np.expm1(-r * np.maximum(v, 0.0)[..., None])) / r, axis=-1))
 
@@ -402,7 +363,10 @@ def _sorted_atoms(atoms: tuple[tuple[float, float], ...]) -> tuple[tuple[float, 
 
 @dataclass(frozen=True)
 class FiniteAtoms(ServiceModel):
+    """A purely atomic law; one atom of mass 1 is a deterministic law."""
     atoms: tuple[tuple[float, float], ...]   # (location, probability)
+    _locs: np.ndarray = field(init=False, repr=False, compare=False)
+    _masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
@@ -416,34 +380,28 @@ class FiniteAtoms(ServiceModel):
         if abs(sum(masses) - 1.0) > 1e-9:
             raise ValueError(f"atom masses sum to {sum(masses)}, expected 1")
         object.__setattr__(self, "atoms", tuple((float(x), float(p)) for x, p in self.atoms))
+        object.__setattr__(self, "_locs", np.asarray(locs, dtype=float))
+        object.__setattr__(self, "_masses", np.asarray(masses, dtype=float))
 
     def cdf(self, x):
-        locs = np.asarray([a[0] for a in self.atoms])
-        masses = np.asarray([a[1] for a in self.atoms])
-        return _as_array_or_scalar(x, lambda v: (v[..., None] >= locs) @ masses)
+        return _as_array_or_scalar(x, lambda v: (v[..., None] >= self._locs) @ self._masses)
 
-    def sample(self, rng, size=None):
-        locs = np.asarray([a[0] for a in self.atoms])
-        masses = np.asarray([a[1] for a in self.atoms])
-        idx = rng.choice(len(locs), size=size if size is not None else 1, p=masses / masses.sum())
-        out = locs[idx]
-        return float(out[0]) if size is None else out
+    def sample(self, rng, size):
+        masses = self._masses
+        return self._locs[rng.choice(len(masses), size=size, p=masses / masses.sum())]
 
     def moments(self):
-        locs = np.asarray([a[0] for a in self.atoms])
-        masses = np.asarray([a[1] for a in self.atoms])
-        mean = float(masses @ locs)
-        m2 = float(masses @ locs**2)
+        mean = float(self._masses @ self._locs)
+        m2 = float(self._masses @ self._locs**2)
         return Moments(mean, m2 / mean**2 - 1.0)
 
     def decompose(self):
         return MixtureDecomposition(0.0, 1.0, None, _sorted_atoms(self.atoms))
 
     def integrated_sf(self, x):
-        locs = np.asarray([a[0] for a in self.atoms])
-        masses = np.asarray([a[1] for a in self.atoms])
         return _as_array_or_scalar(
-            x, lambda v: np.sum(masses * np.minimum(np.maximum(v, 0.0)[..., None], locs), axis=-1))
+            x, lambda v: np.sum(self._masses * np.minimum(np.maximum(v, 0.0)[..., None], self._locs),
+                                axis=-1))
 
     def breakpoints(self):
         return tuple(sorted(a[0] for a in self.atoms))
@@ -465,11 +423,7 @@ class Mixture(ServiceModel):
     def cdf(self, x):
         return self.weight * self.continuous.cdf(x) + (1.0 - self.weight) * self.atomic.cdf(x)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            if rng.random() < self.weight:
-                return float(self.continuous.sample(rng))
-            return float(self.atomic.sample(rng))
+    def sample(self, rng, size):
         n = int(np.prod(size))
         pick_cont = rng.random(n) < self.weight
         out = np.empty(n)
@@ -502,46 +456,48 @@ class Mixture(ServiceModel):
         return tuple(sorted(set(self.continuous.breakpoints()) | set(self.atomic.breakpoints())))
 
 
-_KINDS = {
-    "exponential": lambda p: Exponential(rate=float(p["rate"])),
-    "deterministic": lambda p: Deterministic(point=float(p["point"])),
-    "uniform": lambda p: Uniform(a=float(p["a"]), b=float(p["b"])),
-    "lognormal": lambda p: LogNormal(logmean=float(p["logmean"]), logsd=float(p["logsd"])),
-    "hyperexponential": lambda p: HyperExponential(weights=tuple(float(w) for w in p["weights"]),
-                                                   rates=tuple(float(r) for r in p["rates"])),
-    "finite_atoms": lambda p: FiniteAtoms(atoms=tuple((float(x), float(m)) for x, m in p["atoms"])),
-}
+def _atoms(pairs) -> FiniteAtoms:
+    return FiniteAtoms(atoms=tuple((float(x), float(m)) for x, m in pairs))
 
-_KIND_KEYS = {
-    "exponential": {"rate"},
-    "deterministic": {"point"},
-    "uniform": {"a", "b"},
-    "lognormal": {"logmean", "logsd"},
-    "hyperexponential": {"weights", "rates"},
-    "finite_atoms": {"atoms"},
-    "mixture": {"weight", "continuous", "atoms"},
+
+# kind -> (its parameter keys, builder); a mixture's ``continuous`` entry
+# arrives already built from its own spec
+_KINDS = {
+    "exponential": ({"rate"}, lambda p: Exponential(rate=float(p["rate"]))),
+    "deterministic": ({"point"}, lambda p: _atoms([(p["point"], 1.0)])),
+    "uniform": ({"a", "b"}, lambda p: Uniform(a=float(p["a"]), b=float(p["b"]))),
+    "lognormal": ({"logmean", "logsd"},
+                  lambda p: LogNormal(logmean=float(p["logmean"]), logsd=float(p["logsd"]))),
+    "hyperexponential": ({"weights", "rates"},
+                         lambda p: HyperExponential(weights=tuple(float(w) for w in p["weights"]),
+                                                    rates=tuple(float(r) for r in p["rates"]))),
+    "finite_atoms": ({"atoms"}, lambda p: _atoms(p["atoms"])),
+    "mixture": ({"weight", "continuous", "atoms"},
+                lambda p: Mixture(weight=float(p["weight"]), continuous=p["continuous"],
+                                  atomic=_atoms(p["atoms"]))),
 }
 
 
 def service_from_spec(spec: dict, where: str = "service") -> ServiceModel:
-    """Build a ServiceModel from a declarative config mapping."""
+    """Build a ServiceModel from a declarative config mapping; every error
+    names the key path ``where`` of the offending mapping."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"{where}: expected a mapping with a 'kind' key")
     kind = spec["kind"]
-    if kind not in _KIND_KEYS:
+    if kind not in _KINDS:
         raise ValueError(f"{where}: unknown distribution kind {kind!r} "
-                         f"(known: {sorted(_KIND_KEYS)})")
-    extra = set(spec) - _KIND_KEYS[kind] - {"kind"}
+                         f"(known: {sorted(_KINDS)})")
+    keys, build = _KINDS[kind]
+    extra = set(spec) - keys - {"kind"}
     if extra:
         raise ValueError(f"{where}: unknown keys {sorted(extra)} for kind {kind!r}")
-    missing = _KIND_KEYS[kind] - set(spec)
+    missing = keys - set(spec)
     if missing:
         raise ValueError(f"{where}: missing keys {sorted(missing)} for kind {kind!r}")
+    params = dict(spec)
+    if kind == "mixture":
+        params["continuous"] = service_from_spec(spec["continuous"], where + ".continuous")
     try:
-        if kind == "mixture":
-            return Mixture(weight=float(spec["weight"]),
-                           continuous=service_from_spec(spec["continuous"], where + ".continuous"),
-                           atomic=FiniteAtoms(atoms=tuple((float(x), float(m)) for x, m in spec["atoms"])))
-        return _KINDS[kind](spec)
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"{where}: malformed parameters for kind {kind!r}: {exc}") from exc
+        return build(params)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{where}: invalid parameters for kind {kind!r}: {exc}") from exc

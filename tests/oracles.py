@@ -2,7 +2,7 @@
 
 Deliberately naive implementations: fixed-grid composite Simpson quadrature
 and direct double loops over customers.  They share no code with the package
-paths they check.
+paths they check.  Also the test id of a service law.
 """
 
 import numpy as np
@@ -42,3 +42,12 @@ def brute_queue_fields(tau, eta, t, y):
                     qe += 1
             wr += max(a + s - t - y, 0.0)
     return qr, qe, qt, wr
+
+
+def law_id(law):
+    """Test id of a service law: its class name, with the one-atom
+    FiniteAtoms named as the deterministic law it is."""
+    name = type(law).__name__
+    if name == "FiniteAtoms" and len(law.atoms) == 1:
+        return "Deterministic"
+    return name

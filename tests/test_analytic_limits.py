@@ -12,17 +12,16 @@ from hqinflab.limits import (InitialLimits, LimitInputs, cov_x2_increment,
                              fluid_workload_steady, initial_and_total_limits,
                              surface, var_components, var_qe, var_qr,
                              var_workload)
-from hqinflab.service import (Deterministic, Exponential, FiniteAtoms,
-                              HyperExponential, LogNormal, Mixture)
+from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
 
 from oracles import simpson, simpson_rule
 
 EXP1 = Exponential(1.0)
 M_EXP = LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1)
-M_DET = LimitInputs.from_models(ArrivalModel.poisson(1.0), Deterministic(1.0))
+M_DET = LimitInputs.from_models(ArrivalModel.poisson(1.0), FiniteAtoms(((1.0, 1.0),)))
 MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
 M_MIX = LimitInputs.from_models(ArrivalModel.poisson(1.0), MIX)
-D_EXP = LimitInputs.from_models(ArrivalModel.renewal(Deterministic(1.0)), EXP1)
+D_EXP = LimitInputs.from_models(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), EXP1)
 
 # the models and grids of the three benchmark workloads
 H2 = HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))

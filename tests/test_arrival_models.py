@@ -6,7 +6,7 @@ import pytest
 from hqinflab import arrivals
 from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify, arrival_from_spec
 from hqinflab.rng import substream
-from hqinflab.service import Deterministic, Exponential, HyperExponential
+from hqinflab.service import FiniteAtoms, HyperExponential
 
 from oracles import simpson
 
@@ -203,7 +203,7 @@ class TestGeneration:
         assert hits >= 0.99 * runs - 1
 
     def test_deterministic_renewal_spacing(self):
-        eps = ArrivalModel.renewal(Deterministic(1.0)).generate(10, 1.0, substream(0, "d"))
+        eps = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))).generate(10, 1.0, substream(0, "d"))
         assert np.allclose(eps, np.arange(1, 11) / 10.0, atol=1e-12)
 
     def test_nhpp_quadratic_cumulative(self):
@@ -230,8 +230,8 @@ class TestPinnedEpochs:
     @pytest.mark.parametrize("name", PINNED)
     def test_matches_replaced_generator(self, name):
         # Same draws, rescaled once by the interarrival mean: equal counts,
-        # epochs equal up to roundoff (the largest, ~1e-13, is Deterministic(0.3),
-        # whose epochs the old generator summed as raw 0.3 steps).
+        # epochs equal up to roundoff (the largest, ~1e-13, is the deterministic
+        # law at 0.3, whose epochs the old generator summed as raw 0.3 steps).
         spec, count, idx, epochs = PINNED[name]
         eps = arrival_from_spec(spec).generate(50, 2.0, substream(2024, "pin", name))
         assert len(eps) == count
@@ -275,7 +275,7 @@ class TestAsymptoticParams:
         assert (model.constant_rate, model.ca2) == (3.0, 1.0)
 
     def test_deterministic_renewal(self):
-        model = ArrivalModel.renewal(Deterministic(1.0))
+        model = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
         assert (model.constant_rate, model.ca2) == (1.0, 0.0)
 
     def test_hyperexp_renewal(self):
@@ -312,7 +312,7 @@ class TestLimitBehaviour:
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
 
     def test_deterministic_renewal_is_noiseless(self):
-        model = ArrivalModel.renewal(Deterministic(1.0))
+        model = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
         eps = model.generate(400, 1.0, substream(1, "clt0"))
         assert abs(len(eps) / 400 - 1.0) <= 1.0 / 400
 
@@ -321,7 +321,7 @@ class TestSpecs:
     def test_roundtrip(self):
         model = arrival_from_spec({"kind": "renewal",
                                    "interarrival": {"kind": "deterministic", "point": 1.0}})
-        assert model == ArrivalModel.renewal(Deterministic(1.0))
+        assert model == ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
         assert (model.constant_rate, model.ca2) == (1.0, 0.0)
 
     def test_negative_rate(self):

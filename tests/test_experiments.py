@@ -51,6 +51,26 @@ class TestIntegerKeys:
         assert (cfg.k, cfg.master_seed, cfg.n_list) == (3, 0, (20, 40))
 
 
+class TestInvalidParameters:
+    @pytest.mark.parametrize("section,where", [
+        ({"service": {"kind": "exponential", "rate": -1}}, "service"),
+        ({"service": {"kind": "mixture", "weight": 0.5, "atoms": [[1.0, 1.0]],
+                      "continuous": {"kind": "lognormal", "logmean": 0.0, "logsd": -1}}},
+         "service.continuous"),
+        ({"arrival": {"kind": "renewal", "interarrival": {"kind": "deterministic", "point": 0}}},
+         "arrival.interarrival"),
+        ({"arrival": {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 2.0}}},
+         "arrival.rate_fn"),
+        ({"init": {"count": {"kind": "bogus", "level": 1.0},
+                   "residual": {"kind": "exponential", "rate": 1.0}}}, "init.count"),
+        ({"service": {"kind": "finite_atoms", "atoms": [[1.0, 0.25], [2.0, 0.25]]}}, "service"),
+        ({"service": {"kind": "uniform", "a": "x", "b": 2.0}}, "service"),
+    ], ids=["rate", "logsd", "point", "sinusoid", "count_kind", "atom_masses", "uniform_a"])
+    def test_error_names_the_key_path(self, section, where):
+        with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
+            config_from_dict({**TINY, **section})
+
+
 class TestCli:
     def test_run_summary_same_for_any_thread_count(self, tmp_path):
         config = write_config(tmp_path, TINY)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hqinflab.arrivals import ArrivalModel
 from hqinflab.fields import Grid, TwoParamField, write_fields_csv
 from hqinflab.rng import substream
-from hqinflab.service import Deterministic, Exponential
+from hqinflab.service import Exponential, FiniteAtoms
 from hqinflab.simulate import (CountLaw, InitialConditions, SimulationTrace,
                                eval_empirical_distributions,
                                eval_initial_fields, eval_queue_fields,
@@ -62,7 +62,7 @@ class TestSimulate:
         assert len(trace.services) == len(trace.arrivals)
 
     def test_deterministic_renewal_epochs(self):
-        trace = simulate(ArrivalModel.renewal(Deterministic(1.0)), EXP1, n=2,
+        trace = simulate(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), EXP1, n=2,
                          horizon=1.0, rng=substream(0, "t"))
         assert np.allclose(trace.arrivals, [0.5, 1.0])
 

@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqinflab.rng import substream
-from hqinflab.service import (Deterministic, Exponential, FiniteAtoms,
-                              HyperExponential, LogNormal, Mixture, Uniform,
-                              erfc_array, service_from_spec)
+from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential,
+                              LogNormal, Mixture, Uniform, erfc_array,
+                              service_from_spec)
 from hqinflab.stats import ks_critical_value, ks_distance
 
-from oracles import simpson, simpson_rule
+from oracles import law_id, simpson, simpson_rule
 
 MIX = Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 1.0),)))
 
 ALL_MODELS = [
     Exponential(1.0),
     Exponential(2.0),
-    Deterministic(1.0),
+    FiniteAtoms(((1.0, 1.0),)),
     Uniform(0.0, 2.0),
     LogNormal(0.0, 0.5),
     HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)),
@@ -32,7 +32,7 @@ class TestCdf:
         assert Exponential(1.0).cdf(0.0) == 0.0
 
     def test_deterministic_right_continuous(self):
-        d = Deterministic(1.0)
+        d = FiniteAtoms(((1.0, 1.0),))
         assert d.cdf(0.99) == 0.0
         assert d.cdf(1.0) == 1.0
 
@@ -53,7 +53,7 @@ class TestCdf:
         for m in ALL_MODELS:
             assert m.cdf(-0.5) == 0.0
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_monotone_and_limits(self, model):
         xs = np.linspace(0.0, 50.0, 400)
         vals = np.array([model.cdf(x) for x in xs])
@@ -123,7 +123,7 @@ class TestDecompose:
         assert dec.atoms == ((1.0, 1.0),)
         assert dec.continuous_part is MIX.continuous
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_reconstruction(self, model):
         dec = model.decompose()
         xs = np.linspace(0.0, 20.0, 1000)
@@ -158,15 +158,15 @@ class TestStationaryExcess:
             assert m.stationary_excess_cdf(x) == pytest.approx(m.cdf(x), abs=1e-7)
 
     def test_deterministic_excess_is_uniform(self):
-        m = Deterministic(1.0)
+        m = FiniteAtoms(((1.0, 1.0),))
         assert m.stationary_excess_cdf(0.5) == pytest.approx(0.5, abs=1e-9)
         assert m.stationary_excess_cdf(2.0) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_zero_at_origin(self, model):
         assert model.stationary_excess_cdf(0.0) == 0.0
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_excess_mean(self, model):
         # mean of the stationary-excess law is (scv + 1) / (2 mu)
         mom = model.moments()
@@ -175,7 +175,7 @@ class TestStationaryExcess:
         got = ws @ model.stationary_excess_sf(xs)
         assert got == pytest.approx(expected, abs=1e-6)
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_integrated_sf_matches_quadrature(self, model):
         breaks = set(model.breakpoints())
         for x in (0.3, 1.0, 2.5, 7.0):
@@ -190,13 +190,21 @@ class TestStationaryExcess:
             assert model.integrated_sf(x) == pytest.approx(oracle, abs=1e-6)
 
 
+class TestSfQuantile:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
+    @pytest.mark.parametrize("eps", [1e-6, 0.2])
+    def test_smallest_float_at_or_below_eps(self, model, eps):
+        q = model.sf_quantile(eps)
+        assert model.sf(q) <= eps < model.sf(np.nextafter(q, 0.0))
+
+
 class TestMoments:
     def test_exponential(self):
         assert Exponential(2.0).moments().mean == pytest.approx(0.5)
         assert Exponential(2.0).moments().scv == pytest.approx(1.0)
 
     def test_deterministic(self):
-        m = Deterministic(3.0).moments()
+        m = FiniteAtoms(((3.0, 1.0),)).moments()
         assert (m.mean, m.scv) == (3.0, 0.0)
 
     def test_hyperexponential_brute_force(self):
@@ -207,9 +215,9 @@ class TestMoments:
         assert mom.mean == pytest.approx(mean)
         assert mom.scv == pytest.approx(m2 / mean**2 - 1.0)
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_against_sample_moments(self, model):
-        rng = substream(5, "moments", type(model).__name__)
+        rng = substream(5, "moments", law_id(model))
         draws = np.asarray(model.sample(rng, size=200_000), dtype=float)
         mom = model.moments()
         assert draws.mean() == pytest.approx(mom.mean, abs=6.0 * draws.std() / math.sqrt(len(draws)))
@@ -220,7 +228,7 @@ class TestMoments:
 class TestSampling:
     def test_deterministic(self):
         rng = substream(1, "s")
-        assert Deterministic(1.0).sample(rng) == 1.0
+        assert FiniteAtoms(((1.0, 1.0),)).sample(rng, size=1).tolist() == [1.0]
 
     def test_exponential_mean(self):
         rng = substream(2, "s")
@@ -232,13 +240,13 @@ class TestSampling:
         draws = np.asarray(FiniteAtoms(((1.0, 0.3), (2.0, 0.7))).sample(rng, size=10**6))
         assert abs(np.mean(draws == 2.0) - 0.7) < 0.002
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_ks_consistency(self, model):
         # 1% critical value; >= 95% of seeded runs must pass
         passes = 0
         runs = 20
         for seed in range(runs):
-            rng = substream(seed, "ks", type(model).__name__)
+            rng = substream(seed, "ks", law_id(model))
             draws = np.asarray(model.sample(rng, size=100_000))
             passes += ks_distance(draws, model.cdf) < ks_critical_value(100_000)
         assert passes >= 0.95 * runs
