@@ -45,7 +45,6 @@ DEFAULT_TOLERANCES = {
     "corr_abs": 0.06,           # independence proxies
     "skew_abs": 0.10,           # marginal normality
     "kurt_abs": 0.20,
-    "markov_residual_grid_mult": 5.0,
 }
 
 _TOP_KEYS = {"arrival", "service", "init", "grid", "n_list", "replications",

@@ -343,8 +343,7 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     grid = cfg.grid
     bundle = lp.assemble_limit_bundle(
         inputs, grid, cfg.k, substream(cfg.master_seed, cfg.experiment, "bundle"),
-        n_paths=n_paths, workload=cfg.workload,
-        seed_info=f"seed={cfg.master_seed}")
+        n_paths=n_paths, workload=cfg.workload)
     qr = bundle.paths["Qr"]
     qe = bundle.paths["Qe"]
     v_r = lim.surface(inputs, grid, "var_qr").values
@@ -439,15 +438,13 @@ def run_markov_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepor
     bundle = lp.assemble_limit_bundle(
         inputs, cfg.grid, cfg.k,
         substream(cfg.master_seed, cfg.experiment, "bundle"),
-        n_paths=cfg.replications, markov_probes=probes,
-        seed_info=f"seed={cfg.master_seed}")
-    spacing = cfg.grid.t[-1] / cfg.k
-    res_tol = cfg.tolerances["markov_residual_grid_mult"] * spacing
+        n_paths=cfg.replications, markov_probes=probes)
     for probe in probes:
         t1, t2, y = probe
         chk = lp.markov_decomposition_check(bundle, t1, t2, y)
         rep_out.add(_abs_point(f"markov residual (t1={t1}, t2={t2})", t2, y,
-                               chk.residual_max, 0.0, res_tol))
+                               chk.residual_max, 0.0,
+                               cfg.tolerances["identity_abs"]))
         rep_out.add(_abs_point(f"corr shifted-state vs innovation (t1={t1}, t2={t2})",
                                t2, y, chk.correlation, 0.0,
                                cfg.tolerances["corr_abs"]))

@@ -388,6 +388,8 @@ class FiniteAtoms(ServiceModel):
 
     def sample(self, rng, size):
         masses = self._masses
+        if len(masses) == 1:
+            return np.full(size, self._locs[0])
         return self._locs[rng.choice(len(masses), size=size, p=masses / masses.sum())]
 
     def moments(self):

@@ -4,7 +4,8 @@ import pytest
 from hqinflab.arrivals import ArrivalModel
 from hqinflab.fields import Grid
 from hqinflab.limits import LimitInputs
-from hqinflab.paths import _TOL, _LimitEngine, assemble_limit_bundle
+from hqinflab.paths import (_TOL, _LimitEngine, assemble_limit_bundle,
+                            markov_decomposition_check)
 from hqinflab.rng import substream
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal,
                               Mixture, Uniform)
@@ -23,21 +24,33 @@ SERVICES = [
 
 
 class TestWeights:
+    GRID = Grid([0.5, 1.0, 1.5], [0.0, 0.4, 1.2])
+    PROBES = [(0.5, 1.5, 0.4), (0.2, 1.0, 0.0)]
+
+    def windows(self, kind):
+        """(lo, hi, shift) of each column of one kind, in engine order."""
+        grid = [(t, y) for t in self.GRID.t for y in self.GRID.y]
+        if kind == "residual":
+            return ([(0.0, t, t + y) for t, y in grid]
+                    + [(0.0, t2, t2 + y) for t1, t2, y in self.PROBES]
+                    + [(0.0, t1, t1 + (y + (t2 - t1))) for t1, t2, y in self.PROBES])
+        if kind == "elapsed":
+            return [(t - min(y, t), t, t) for t, y in grid]
+        return [(t1, t2, t2 + y) for t1, t2, y in self.PROBES]
+
     @pytest.mark.parametrize("service", SERVICES, ids=law_id)
-    @pytest.mark.parametrize("elapsed", [False, True], ids=["residual", "elapsed"])
-    def test_against_scalar_differences(self, service, elapsed):
+    @pytest.mark.parametrize("kind", ["residual", "elapsed", "innovation"])
+    def test_against_scalar_differences(self, service, kind):
         inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
-        eng = _LimitEngine(inputs, Grid([0.5, 1.0, 1.5], [0.0, 0.4, 1.2]), k=7, n_paths=1)
-        pairs = eng.ep if elapsed else eng.rp
-        w = eng._weights(service.integrated_sf, pairs, elapsed=elapsed)
+        eng = _LimitEngine(inputs, self.GRID, k=7, n_paths=1, markov_probes=self.PROBES)
+        cols = {"residual": eng.rp, "elapsed": eng.ep, "innovation": eng.zp}[kind]
+        w = eng._weights(service.integrated_sf)[:, cols]
         isf = service.integrated_sf
         want = np.zeros_like(w)
         for j, (s0, s1) in enumerate(zip(eng.s0, eng.s1)):
-            for g, (t, y) in enumerate(zip(pairs.t, pairs.y)):
-                if s1 > t + _TOL or (elapsed and s0 < t - y - _TOL):
-                    continue
-                shift = t if elapsed else t + y
-                want[j, g] = (isf(float(shift - s0)) - isf(float(shift - s1))) / (s1 - s0)
+            for g, (lo, hi, shift) in enumerate(self.windows(kind)):
+                if s1 <= hi + _TOL and s0 >= lo - _TOL:
+                    want[j, g] = (isf(float(shift - s0)) - isf(float(shift - s1))) / (s1 - s0)
         assert np.count_nonzero(want) > 0
         np.testing.assert_allclose(w, want, rtol=1e-14, atol=0.0)
 
@@ -78,3 +91,19 @@ class TestBundle:
         paths = self.paths(service)
         assert paths["Qr"].shape == (16,) + self.GRID.shape
         np.testing.assert_array_equal(paths["Qr"], paths["X1"] + paths["X2"] + paths["X3"])
+
+
+class TestMarkov:
+    GRID = Grid([0.5, 1.0, 2.0], [0.0, 0.5])
+    PROBES = [(0.5, 1.0, 0.0), (1.0, 2.0, 0.0), (0.5, 2.0, 0.5)]
+
+    @pytest.mark.parametrize("service", SERVICES, ids=law_id)
+    def test_decomposition_is_exact(self, service):
+        # Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y) on every path; atom
+        # laws carry the splitting term whose innovation window is clipped
+        inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        bundle = assemble_limit_bundle(inputs, self.GRID, k=20, n_paths=64,
+                                       rng=substream(5, "markov"),
+                                       markov_probes=self.PROBES)
+        for probe in self.PROBES:
+            assert markov_decomposition_check(bundle, *probe).residual_max <= 1e-12

@@ -230,6 +230,13 @@ class TestSampling:
         rng = substream(1, "s")
         assert FiniteAtoms(((1.0, 1.0),)).sample(rng, size=1).tolist() == [1.0]
 
+    def test_one_atom_draw_leaves_the_generator_alone(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        draws = FiniteAtoms(((0.7, 1.0),)).sample(rng, (3, 2))
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(draws, np.full((3, 2), 0.7))
+
     def test_exponential_mean(self):
         rng = substream(2, "s")
         draws = Exponential(1.0).sample(rng, size=10**6)
