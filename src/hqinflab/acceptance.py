@@ -338,8 +338,13 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- criterion 8: limit-path validation ---------------------------------------------------
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """4000 simulated limit paths at k=200: variances, Kiefer covariances,
-    increment mean-squares, component independence, marginal normality."""
+    """16000 simulated limit paths at k=200: variances, Kiefer covariances,
+    increment mean-squares, component independence, marginal normality.
+
+    The limit is exactly Gaussian, so the normality gates test only sampling
+    noise: at 16000 paths each |skew| and |kurt| bound sits at about 5
+    standard errors, and the gates hold at every seed, not only at
+    DEFAULT_SEED."""
     lines = []
     cfg = config_from_dict({
         "arrival": {"kind": "poisson", "rate": 1.0},
@@ -347,7 +352,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         "grid": {"t": [0.5, 1.0, 1.5, 2.0], "y": [0.0, 0.5, 1.0]},
         "experiment": "limit_path_validation",
         "n_list": [1],
-        "replications": 4000,
+        "replications": 16000,
         "k": 200,
         "master_seed": seed,
         "increment_probe": [1.0, 0.0, 1.0, 0.5],

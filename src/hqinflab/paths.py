@@ -30,9 +30,18 @@ holds pathwise, up to rounding:
 
   Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y).
 
-The sheet itself is simulated by independent rectangle increments of
-variance equal to the rectangle area; the Kiefer bridge is read off as
-U(s, x) = W(s, x) - x W(s, 1).
+The sheet is simulated by independent rectangle increments of variance
+equal to the rectangle area; the Kiefer bridge is read off as
+U(s, x) = W(s, x) - x W(s, 1).  Partition interval j is one strip of the
+sheet, cut at the levels F_c(v - s_j) of the windows covering it, one
+normal per cell.  X2 is linear in these normals, so the whole field is one
+matrix product
+
+  X2 = Z @ M,
+
+with Z the (P, cells) normals and M the fixed (cells, columns) weights of
+the Kiefer bridge (Krichagina & Puhalskii 1997, QUESTA 25); the engine forms
+it a block of strips at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+_BLOCK_NORMALS = 2**18   # normals per block of the service sheet (2 MB)
 
 
 # -- Brownian sheet / Kiefer process on explicit level grids -------------------
@@ -185,32 +195,71 @@ class _LimitEngine:
 
     # -- service-sampling component ------------------------------------------
 
-    def service_component(self, rng) -> np.ndarray:
-        """X2 on every column, accumulated interval by interval from one
-        shared sheet.
+    def _sheet_levels(self):
+        """The levels of the service sheet, one column of Z each: for each
+        interval j in turn, the distinct F_c(t + y - s_j) of the windows
+        covering it, and 1, ascending.
 
-        Interval j contributes -V_j(F_c(t+y-s_j)) to every window covering
-        it, where V_j is the Kiefer slice W_j(x) - x W_j(1) of the sheet
-        over (abar_c(s_{j-1}), abar_c(s_j)].
+        Returns ``start`` (interval j owns levels start[j]:start[j + 1]), each
+        level's interval, index within it and scale, and the (J, G) arrays
+        ``pos`` (pos_g, -1 off the window) and ``lev`` (u_{pos_g}, 0 off it).
         """
-        P = self.n_paths
-        x2 = np.zeros((P, len(self.t)))
+        J, G = self.covers.shape
+        rows, cols = np.nonzero(self.covers)
+        level = np.asarray(self.dec.continuous_part.cdf(
+            self.t[cols] + self.y[cols] - self.s1[rows]), dtype=float)
+        covered = np.unique(rows)                 # each gets the level 1 too
+        keys = np.concatenate((np.stack((rows, level)),
+                               np.stack((covered, np.ones(len(covered))))), axis=1)
+        (lev_row, u), inv = np.unique(keys, axis=1, return_inverse=True)
+        lev_row = lev_row.astype(int)
+        start = np.concatenate(([0], np.cumsum(np.bincount(lev_row, minlength=J))))
+        lev_idx = np.arange(len(u)) - start[lev_row]
+        below = np.concatenate(([0.0], u[:-1]))
+        below[lev_idx == 0] = 0.0
+        scale = np.sqrt(np.maximum((u - below) * (self.dec.p_c * self.dabar)[lev_row], 0.0))
+        pos = np.full((J, G), -1)
+        pos[rows, cols] = inv[:len(rows)] - start[rows]
+        lev = np.zeros((J, G))
+        lev[rows, cols] = level
+        return start, lev_row, lev_idx, scale, pos, lev
+
+    def service_component(self, rng) -> np.ndarray:
+        """X2 on every column, shape (P, G), as the blocked matmul Z @ M.
+
+        Interval j is the strip (abar_c(s_{j-1}), abar_c(s_j)] of one shared
+        sheet, cut at its levels u_0 < ... < u_{L-1} = 1; column g gets minus
+        the Kiefer slice W_j(x) - x W_j(1) at its level u_{pos_g}.  With one
+        normal Z_l per level and scale_l = sqrt((u_l - u_{l-1}) dabar_c[j]),
+
+          M[l, g] = -scale_l (1[l <= pos_g] - u_{pos_g})   (0 off the window).
+
+        The normals are drawn in interval order, (P, L_j) at a time.  Whole
+        intervals are grouped into blocks of about ``_BLOCK_NORMALS``
+        normals; a block adds Z_b @ M_b to the span of columns its windows
+        touch.
+        """
+        P, G = self.n_paths, len(self.t)
+        x2 = np.zeros((P, G))
         if self.dec.p_c == 0.0:
             return x2
-        cdf = self.dec.continuous_part.cdf
-        dabar_c = self.dec.p_c * self.dabar
-        for j, covered in enumerate(self.covers):
-            act = np.nonzero(covered)[0]
-            if len(act) == 0:
-                continue
-            levels = np.asarray(cdf(self.t[act] + self.y[act] - self.s1[j]), dtype=float)
-            uniq = np.unique(np.append(levels, 1.0))
-            gaps = np.diff(uniq, prepend=0.0)
-            incr = self._normals(rng, (P, len(uniq)))
-            incr *= np.sqrt(np.maximum(gaps * dabar_c[j], 0.0))[None, :]
-            w_path = np.cumsum(incr, axis=1)
-            v_path = w_path - uniq[None, :] * w_path[:, -1:]
-            x2[:, act] -= v_path[:, np.searchsorted(uniq, levels)]
+        start, lev_row, lev_idx, scale, pos, lev = self._sheet_levels()
+        budget = max(_BLOCK_NORMALS // P, 1)      # levels per block
+        j0 = 0
+        while j0 < len(self.ds):
+            j1 = max(int(np.searchsorted(start, start[j0] + budget, "right")) - 1, j0 + 1)
+            a, b = start[j0], start[j1]
+            # not empty: every interval lies in the window of Qr(t_max, y)
+            span = np.nonzero(self.covers[j0:j1].any(axis=0))[0]
+            lo, hi = span[0], span[-1] + 1
+            # interval j's (P, L_j) normals follow those of the intervals before it
+            draw = self._normals(rng, (P * (b - a),))
+            z = np.concatenate([cut.reshape(P, -1) for cut in
+                                np.split(draw, P * (start[j0 + 1:j1] - a))], axis=1)
+            jr, li = lev_row[a:b], lev_idx[a:b]
+            m = -scale[a:b, None] * ((li[:, None] <= pos[jr, lo:hi]) - lev[jr, lo:hi])
+            x2[:, lo:hi] += z @ m
+            j0 = j1
         return x2
 
     # -- splitting component ---------------------------------------------------
@@ -238,7 +287,9 @@ class _LimitEngine:
         root = self._split_cov_root()
         z = self._normals(rng, (P, len(tgrid), len(starts) + 1))
         z *= np.sqrt(np.maximum(dab, 0.0))[None, :, None]
-        paths = np.cumsum(z @ root.T, axis=1)     # (P, U, m+1); col 0 = S^c
+        paths = z @ root.T                        # (P, U, m+1); col 0 = S^c
+        del z
+        np.cumsum(paths, axis=1, out=paths)
 
         def at(times: np.ndarray, comp: int) -> np.ndarray:
             idx = np.clip(np.searchsorted(tgrid, times - _TOL), 0, len(tgrid) - 1)

@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values.
 
-Deliberately naive implementations: fixed-grid composite Simpson quadrature
-and direct double loops over customers.  They share no code with the package
-paths they check.  Also the test id of a service law.
+Deliberately naive implementations: fixed-grid composite Simpson quadrature,
+direct double loops over customers, and the limit engine's service sheet
+built interval by interval.  They share no code with the package paths they
+check.  Also the test id of a service law.
 """
 
 import numpy as np
@@ -51,3 +52,44 @@ def law_id(law):
     if name == "FiniteAtoms" and len(law.atoms) == 1:
         return "Deterministic"
     return name
+
+
+def service_component_loop(eng, rng):
+    """X2 of a ``paths._LimitEngine``, interval by interval: interval j draws
+    its (P, L_j) sheet increments, forms the Kiefer slice by a cumulative
+    sum and subtracts it from every covering column at that column's level."""
+    P = eng.n_paths
+    x2 = np.zeros((P, len(eng.t)))
+    if eng.dec.p_c == 0.0:
+        return x2
+    cdf = eng.dec.continuous_part.cdf
+    dabar_c = eng.dec.p_c * eng.dabar
+    for j, covered in enumerate(eng.covers):
+        act = np.nonzero(covered)[0]
+        if len(act) == 0:
+            continue
+        levels = np.asarray(cdf(eng.t[act] + eng.y[act] - eng.s1[j]), dtype=float)
+        uniq = np.unique(np.append(levels, 1.0))
+        gaps = np.diff(uniq, prepend=0.0)
+        incr = rng.standard_normal((P, len(uniq)))
+        incr *= np.sqrt(np.maximum(gaps * dabar_c[j], 0.0))[None, :]
+        w_path = np.cumsum(incr, axis=1)
+        v_path = w_path - uniq[None, :] * w_path[:, -1:]
+        x2[:, act] -= v_path[:, np.searchsorted(uniq, levels)]
+    return x2
+
+
+def sf_quantile_bisection(model, eps):
+    """Smallest float x with sf(x) <= eps, by doubling and then bisection
+    with one scalar ``sf`` call per step."""
+    hi = 1.0
+    while model.sf(hi) > eps:
+        hi *= 2.0
+    lo, mid = 0.0, 0.5 * hi
+    while lo < mid < hi:
+        if model.sf(mid) > eps:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hqinflab import paths as paths_module
 from hqinflab.arrivals import ArrivalModel
 from hqinflab.fields import Grid
 from hqinflab.limits import LimitInputs
@@ -10,7 +11,7 @@ from hqinflab.rng import substream
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal,
                               Mixture, Uniform)
 
-from oracles import law_id
+from oracles import law_id, service_component_loop
 
 SERVICES = [
     Exponential(1.5),
@@ -53,6 +54,47 @@ class TestWeights:
                     want[j, g] = (isf(float(shift - s0)) - isf(float(shift - s1))) / (s1 - s0)
         assert np.count_nonzero(want) > 0
         np.testing.assert_allclose(w, want, rtol=1e-14, atol=0.0)
+
+
+class TestServiceComponent:
+    # y grid without 0, workload (t, x) pairs and Markov probes: every kind
+    # of column, and spans that start past column 0
+    GRID = Grid([0.5, 1.0, 1.5], [0.3, 0.8, 1.2])
+    EXTRA = [(t, x) for t in (0.5, 1.0, 1.5) for x in (0.0, 0.25, 0.6)]
+    PROBES = [(0.5, 1.5, 0.4), (0.2, 1.0, 0.0)]
+    P = 16
+
+    def engine(self, service):
+        inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        return _LimitEngine(inputs, self.GRID, k=7, n_paths=self.P,
+                            extra_r_pairs=self.EXTRA, markov_probes=self.PROBES)
+
+    @pytest.mark.parametrize("service", SERVICES, ids=law_id)
+    @pytest.mark.parametrize("budget", ["default", "small"])
+    def test_matches_interval_loop(self, service, budget, monkeypatch):
+        # same normals in the same order: X2 equal up to summation order, and
+        # the generator left in the same state
+        if budget == "small":
+            # blocks of several intervals, and intervals larger than a block
+            monkeypatch.setattr(paths_module, "_BLOCK_NORMALS", 5 * self.P)
+        eng = self.engine(service)
+        sizes = []
+
+        def normals(rng, shape):
+            sizes.append(np.prod(shape))
+            return rng.standard_normal(shape)
+        eng._normals = normals
+        rng, rng_loop = substream(7, "x2"), substream(7, "x2")
+        x2 = eng.service_component(rng)
+        want = service_component_loop(eng, rng_loop)
+        np.testing.assert_allclose(x2, want, rtol=0.0, atol=1e-13)
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+        if eng.dec.p_c == 0.0:
+            assert not sizes and not x2.any()
+        else:
+            assert np.abs(want).max() > 0.1
+            if budget == "small":
+                assert len(sizes) > 1 and max(sizes) > 5 * self.P
 
 
 class TestSplitCovariance:
