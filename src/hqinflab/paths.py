@@ -40,8 +40,10 @@ matrix product
   X2 = Z @ M,
 
 with Z the (P, cells) normals and M the fixed (cells, columns) weights of
-the Kiefer bridge (Krichagina & Puhalskii 1997, QUESTA 25); the engine forms
-it a block of strips at a time.
+the Kiefer bridge (Krichagina & Puhalskii 1997, QUESTA 25).  The engine
+forms it a block of strips at a time: a block of few cells as a dense
+product, a strip of many cells as a cumulative sum and a gather, so the work
+stays linear in the cells and the covered (strip, column) pairs.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
 
 _TOL = 1e-9
 _BLOCK_NORMALS = 2**18   # normals per block of the service sheet (2 MB)
+_DENSE_LEVELS = 32       # levels per path up to which a block is one matmul
 
 
 # -- Brownian sheet / Kiefer process on explicit level grids -------------------
@@ -196,13 +199,14 @@ class _LimitEngine:
     # -- service-sampling component ------------------------------------------
 
     def _sheet_levels(self):
-        """The levels of the service sheet, one column of Z each: for each
+        """The levels of the service sheet, one normal per path each: for each
         interval j in turn, the distinct F_c(t + y - s_j) of the windows
         covering it, and 1, ascending.
 
         Returns ``start`` (interval j owns levels start[j]:start[j + 1]), each
-        level's interval, index within it and scale, and the (J, G) arrays
-        ``pos`` (pos_g, -1 off the window) and ``lev`` (u_{pos_g}, 0 off it).
+        level's interval, index within it, value and scale, and the (J, G)
+        arrays ``pos`` (pos_g, -1 off the window) and ``lev`` (u_{pos_g}, 0
+        off it).
         """
         J, G = self.covers.shape
         rows, cols = np.nonzero(self.covers)
@@ -222,45 +226,58 @@ class _LimitEngine:
         pos[rows, cols] = inv[:len(rows)] - start[rows]
         lev = np.zeros((J, G))
         lev[rows, cols] = level
-        return start, lev_row, lev_idx, scale, pos, lev
+        return start, lev_row, lev_idx, u, scale, pos, lev
 
     def service_component(self, rng) -> np.ndarray:
-        """X2 on every column, shape (P, G), as the blocked matmul Z @ M.
+        """X2 on every column, shape (P, G): the matrix product Z @ M.
 
         Interval j is the strip (abar_c(s_{j-1}), abar_c(s_j)] of one shared
         sheet, cut at its levels u_0 < ... < u_{L-1} = 1; column g gets minus
-        the Kiefer slice W_j(x) - x W_j(1) at its level u_{pos_g}.  With one
-        normal Z_l per level and scale_l = sqrt((u_l - u_{l-1}) dabar_c[j]),
+        the Kiefer slice V_j(x) = W_j(x) - x W_j(1) at its level u_{pos_g}.
+        With one normal Z_l per level and scale_l = sqrt((u_l - u_{l-1})
+        dabar_c[j]),
 
           M[l, g] = -scale_l (1[l <= pos_g] - u_{pos_g})   (0 off the window).
 
         The normals are drawn in interval order, (P, L_j) at a time.  Whole
-        intervals are grouped into blocks of about ``_BLOCK_NORMALS``
-        normals; a block adds Z_b @ M_b to the span of columns its windows
-        touch.
+        intervals are grouped into blocks of at most ``_BLOCK_NORMALS``
+        normals and ``_DENSE_LEVELS`` levels per path; such a block adds
+        Z_b @ M_b to the span of columns its windows touch.  An interval with
+        more levels is a block of its own and applies M without forming it:
+        W_j is the cumulative sum of scale * Z, and each covering column
+        gathers -V_j at its level.  A dense block costs P L_b per column of
+        its span, the gather P (L_j + A_j) for A_j covering columns.
         """
         P, G = self.n_paths, len(self.t)
-        x2 = np.zeros((P, G))
         if self.dec.p_c == 0.0:
-            return x2
-        start, lev_row, lev_idx, scale, pos, lev = self._sheet_levels()
-        budget = max(_BLOCK_NORMALS // P, 1)      # levels per block
+            return np.zeros((P, G))
+        x2 = np.zeros((G, P))                     # one row per column
+        start, lev_row, lev_idx, u, scale, pos, lev = self._sheet_levels()
+        budget = min(max(_BLOCK_NORMALS // P, 1), _DENSE_LEVELS)   # levels per block
         j0 = 0
         while j0 < len(self.ds):
             j1 = max(int(np.searchsorted(start, start[j0] + budget, "right")) - 1, j0 + 1)
             a, b = start[j0], start[j1]
-            # not empty: every interval lies in the window of Qr(t_max, y)
-            span = np.nonzero(self.covers[j0:j1].any(axis=0))[0]
-            lo, hi = span[0], span[-1] + 1
             # interval j's (P, L_j) normals follow those of the intervals before it
             draw = self._normals(rng, (P * (b - a),))
-            z = np.concatenate([cut.reshape(P, -1) for cut in
-                                np.split(draw, P * (start[j0 + 1:j1] - a))], axis=1)
-            jr, li = lev_row[a:b], lev_idx[a:b]
-            m = -scale[a:b, None] * ((li[:, None] <= pos[jr, lo:hi]) - lev[jr, lo:hi])
-            x2[:, lo:hi] += z @ m
+            if b - a > _DENSE_LEVELS:             # one interval, L_j levels
+                w = np.ascontiguousarray(draw.reshape(P, -1).T)    # (L_j, P)
+                w *= scale[a:b, None]
+                np.cumsum(w, axis=0, out=w)
+                w -= u[a:b, None] * w[-1]
+                act = np.flatnonzero(pos[j0] >= 0)
+                x2[act] -= w[pos[j0, act]]
+            else:
+                z = np.concatenate([cut.reshape(P, -1) for cut in
+                                    np.split(draw, P * (start[j0 + 1:j1] - a))], axis=1)
+                # not empty: every interval lies in the window of Qr(t_max, y)
+                span = np.nonzero(self.covers[j0:j1].any(axis=0))[0]
+                lo, hi = span[0], span[-1] + 1
+                jr, li = lev_row[a:b], lev_idx[a:b]
+                m = -scale[a:b, None] * ((li[:, None] <= pos[jr, lo:hi]) - lev[jr, lo:hi])
+                x2[lo:hi] += m.T @ z.T
             j0 = j1
-        return x2
+        return np.ascontiguousarray(x2.T)
 
     # -- splitting component ---------------------------------------------------
 

@@ -121,25 +121,21 @@ class ServiceModel:
         return _as_array_or_scalar(x, lambda v: np.maximum(1.0 - self._excess_fraction(v), 0.0))
 
     def sf_quantile(self, eps: float) -> float:
-        """Smallest float x with 1 - F(x) <= eps: the first power of two
-        that reaches eps, then a 64-ary search down to adjacent floats, one
-        array ``sf`` call per round."""
-        powers = 2.0 ** np.arange(40)             # 1, 2, ..., 2**39 < 1e12
-        reached = np.flatnonzero(np.asarray(self.sf(powers)) <= eps)
-        if len(reached) == 0:
-            raise ValueError("survival function does not reach the target")
-        hi = powers[reached[0]]
-        lo = 0.5 * hi if reached[0] else 0.0
-        while True:
-            cand = np.unique(np.linspace(lo, hi, 65)[1:-1])
-            cand = cand[(lo < cand) & (cand < hi)]
-            if len(cand) == 0:
-                return float(hi)
-            # first point at or below eps, and the point before it
-            ok = np.append(np.asarray(self.sf(cand)) <= eps, True)
-            i = int(np.argmax(ok))
-            pts = np.concatenate(([lo], cand, [hi]))
-            lo, hi = pts[i], pts[i + 1]
+        """Smallest float x with 1 - F(x) <= eps, by bisection down to
+        adjacent floats."""
+        hi = 1.0
+        while self.sf(hi) > eps:
+            hi *= 2.0
+            if hi > 1e12:
+                raise ValueError("survival function does not reach the target")
+        lo, mid = 0.0, 0.5 * hi
+        while lo < mid < hi:
+            if self.sf(mid) > eps:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        return hi
 
 
 def _as_array_or_scalar(x, fn):

@@ -78,18 +78,3 @@ def service_component_loop(eng, rng):
         x2[:, act] -= v_path[:, np.searchsorted(uniq, levels)]
     return x2
 
-
-def sf_quantile_bisection(model, eps):
-    """Smallest float x with sf(x) <= eps, by doubling and then bisection
-    with one scalar ``sf`` call per step."""
-    hi = 1.0
-    while model.sf(hi) > eps:
-        hi *= 2.0
-    lo, mid = 0.0, 0.5 * hi
-    while lo < mid < hi:
-        if model.sf(mid) > eps:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return hi

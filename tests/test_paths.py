@@ -70,13 +70,16 @@ class TestServiceComponent:
                             extra_r_pairs=self.EXTRA, markov_probes=self.PROBES)
 
     @pytest.mark.parametrize("service", SERVICES, ids=law_id)
-    @pytest.mark.parametrize("budget", ["default", "small"])
+    @pytest.mark.parametrize("budget", ["default", "small", "gather"])
     def test_matches_interval_loop(self, service, budget, monkeypatch):
         # same normals in the same order: X2 equal up to summation order, and
         # the generator left in the same state
         if budget == "small":
-            # blocks of several intervals, and intervals larger than a block
+            # blocks of a few levels, and intervals larger than a block
             monkeypatch.setattr(paths_module, "_BLOCK_NORMALS", 5 * self.P)
+        if budget == "gather":
+            # every interval of more than two levels by the cumulative sum
+            monkeypatch.setattr(paths_module, "_DENSE_LEVELS", 2)
         eng = self.engine(service)
         sizes = []
 
@@ -91,10 +94,15 @@ class TestServiceComponent:
         assert rng.bit_generator.state == rng_loop.bit_generator.state
         if eng.dec.p_c == 0.0:
             assert not sizes and not x2.any()
-        else:
-            assert np.abs(want).max() > 0.1
-            if budget == "small":
-                assert len(sizes) > 1 and max(sizes) > 5 * self.P
+            return
+        assert np.abs(want).max() > 0.1
+        if budget == "default":
+            # several blocks, each of several intervals
+            assert 1 < len(sizes) < len(eng.ds)
+        if budget == "small":
+            assert max(sizes) > 5 * self.P
+        if budget == "gather":
+            assert max(sizes) > 2 * self.P
 
 
 class TestSplitCovariance:

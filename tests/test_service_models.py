@@ -11,7 +11,7 @@ from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential,
                               service_from_spec)
 from hqinflab.stats import ks_critical_value, ks_distance
 
-from oracles import law_id, sf_quantile_bisection, simpson, simpson_rule
+from oracles import law_id, simpson, simpson_rule
 
 MIX = Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 1.0),)))
 
@@ -196,7 +196,6 @@ class TestSfQuantile:
     def test_smallest_float_at_or_below_eps(self, model, eps):
         q = model.sf_quantile(eps)
         assert model.sf(q) <= eps < model.sf(np.nextafter(q, 0.0))
-        assert q == sf_quantile_bisection(model, eps)
 
 
 class TestMoments:
