@@ -436,7 +436,6 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         trace = simulate(arrival, service, n=100, horizon=2.0,
                          rng=substream(seed, "criterion10", "total", r), init=init)
         fields = eval_initial_fields(trace, grid)
-        qr = eval_queue_fields(trace, grid)["Qr"].values
         ends = trace.arrivals + trace.services
         for i, t in enumerate(grid.t):
             for j, yv in enumerate(grid.y):

@@ -132,15 +132,23 @@ class RateFunction:
         return t
 
 
-def _strictify(epochs: np.ndarray) -> np.ndarray:
-    """Perturb exact ties so epochs are strictly increasing (jitter < 1e-12)."""
+def _strictify(epochs: np.ndarray, bounds=None) -> np.ndarray:
+    """Perturb exact ties so epochs are strictly increasing (jitter < 1e-12).
+
+    ``bounds`` splits ``epochs`` into replications, replication r holding
+    epochs[bounds[r]:bounds[r + 1]]; each is fixed up on its own, and a drop
+    onto a replication's first epoch is no tie.  None means one replication.
+    """
+    bounds = np.array([0, len(epochs)]) if bounds is None else np.asarray(bounds)
     ties = np.flatnonzero(np.diff(epochs) <= 0) + 1
-    if ties.size == 0:
+    k = np.searchsorted(bounds, ties, side="right")
+    inner = bounds[k - 1] != ties
+    if not inner.any():
         return epochs
     out = epochs.copy()
-    for i in ties:
+    for i, stop in zip(ties[inner], bounds[k[inner]]):
         # a fix-up can tie with the next epoch, so carry it forward
-        while i < len(out) and out[i] <= out[i - 1]:
+        while i < stop and out[i] <= out[i - 1]:
             out[i] = out[i - 1] + 1e-13 * (1.0 + out[i - 1])
             i += 1
     return out
@@ -197,6 +205,11 @@ class ArrivalModel:
 
     def generate(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
         """Arrival epochs of the n-th system on [0, horizon], strictly increasing."""
+        return _strictify(self.draw_epochs(n, horizon, rng))
+
+    def draw_epochs(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
+        """The epochs of :meth:`generate` before exact ties are broken: an
+        atom of the interarrival law, or roundoff, can repeat an epoch."""
         if n < 1:
             raise ValueError("scale n must be >= 1")
         if horizon <= 0:
@@ -214,7 +227,7 @@ class ArrivalModel:
             pos = cum[-1]
         levels = np.concatenate(chunks)
         levels = levels[levels <= total]
-        return _strictify(self.rate_fn.invert_cumulative(levels / n, horizon))
+        return self.rate_fn.invert_cumulative(levels / n, horizon)
 
 
 def _rate_fn_from_spec(spec: dict, where: str) -> RateFunction:

@@ -4,7 +4,13 @@ Each runner simulates (or samples limit paths), compares against the analytic
 surfaces, and returns an :class:`ExperimentReport` whose verdict is the AND of
 its per-point pass flags.  Replications use one substream each, keyed by
 (master_seed, experiment, n, replication, component), so reports are
-reproducible bit-for-bit and replication order cannot matter.
+reproducible bit-for-bit and replication order cannot matter.  Traces are
+simulated and evaluated in blocks of replications (see
+:func:`simulate.block_size`); the block sizes, the thread count and the
+process pool change no replication's values.  Each Monte Carlo report records
+in ``extras["simulation"]``, per n, the replications, blocks and arrivals
+simulated and the seconds spent drawing and evaluating them, summed over the
+blocks.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ import numpy as np
 from . import limits as lim
 from . import paths as lp
 from .config import EXPERIMENTS, ExperimentConfig
-from .fields import Grid, write_csv
-from .rng import substream
+from .fields import Grid, TwoParamField, write_csv
+from .rng import substream, substream_children
 from .scaling import decompose_hatQr
 from .service import Exponential
-from .simulate import (eval_empirical_distributions, eval_queue_fields,
+from .simulate import (block_size, eval_empirical_distributions, eval_queue_fields,
                        eval_workload_fields, simulate)
 from .stats import correlation, sample_var, skew_kurtosis
 
@@ -88,69 +94,103 @@ class ExperimentReport:
                              "value": float(values[i, j])})
 
 
-def _map_replications(worker, n_reps: int, threads: int):
+def _map_replications(worker, n_reps: int, threads: int, block: int):
+    """Run ``worker`` on blocks of ``block`` consecutive replications.
+
+    A worker returns (rows, stats): a dict of arrays with one row per
+    replication, and its block's simulation stats.  Returns the rows of all
+    blocks joined in replication order, and the summed stats.
+    """
+    blocks = [range(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
     if threads <= 1:
-        return [worker(r) for r in range(n_reps)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, n_reps // (8 * threads))
-        return list(pool.map(worker, range(n_reps), chunksize=chunk))
+        parts = [worker(b) for b in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunk = max(1, len(blocks) // (8 * threads))
+            parts = list(pool.map(worker, blocks, chunksize=chunk))
+    rows = {k: np.concatenate([p[0][k] for p in parts]) for k in parts[0][0]}
+    stats = {"replications": n_reps, "blocks": len(blocks),
+             **{k: sum(p[1][k] for p in parts) for k in parts[0][1]}}
+    return rows, stats
+
+
+def _replications(worker, cfg: ExperimentConfig, n: int, threads: int,
+                  init=None):
+    """``_map_replications`` over cfg.replications traces at scale n, in
+    blocks sized by :func:`block_size`."""
+    block = block_size(cfg.arrival, n, cfg.horizon, cfg.grid, init)
+    return _map_replications(worker, cfg.replications, threads, block)
 
 
 # -- replication workers (module level so they pickle for the process pool) ----
 
-def _fwlln_rep(cfg: ExperimentConfig, n: int, want_workload: bool, rep: int):
-    rng = substream(cfg.master_seed, cfg.experiment, n, rep, "trace")
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng, init=cfg.init_sim)
-    q = eval_queue_fields(trace, cfg.grid)
+class _Block:
+    """One block of replications at scale n, drawn from the replications'
+    own "trace" substreams, with the time spent drawing and evaluating."""
+
+    def __init__(self, cfg: ExperimentConfig, n: int, reps: range, init=None):
+        start = time.perf_counter()
+        streams = [substream_children(cfg.master_seed, cfg.experiment, n, r, "trace",
+                                      count=2 if init is None else 3) for r in reps]
+        self.trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, streams, init=init)
+        self.drawn = time.perf_counter()
+        self.draw_s = self.drawn - start
+
+    def stats(self) -> dict:
+        """Arrivals simulated, and seconds spent drawing and evaluating."""
+        return {"customers": len(self.trace.arrivals), "draw_s": self.draw_s,
+                "eval_s": time.perf_counter() - self.drawn}
+
+
+def _fwlln_block(cfg: ExperimentConfig, n: int, want_workload: bool, reps: range):
+    blk = _Block(cfg, n, reps, cfg.init_sim)
+    q = eval_queue_fields(blk.trace, cfg.grid)
     out = {"Qr": q["Qr"].values / n, "Qe": q["Qe"].values / n}
     if want_workload:
-        w = eval_workload_fields(trace, cfg.grid)
+        w = eval_workload_fields(blk.trace, cfg.grid)
         out["Wt"] = w["Wt"].values / n
-    return out
+    return out, blk.stats()
 
 
-def _fclt_rep(cfg: ExperimentConfig, n: int, fluid_qr_vals, fluid_qe_vals,
-              decomposable: bool, rep: int):
-    rng = substream(cfg.master_seed, cfg.experiment, n, rep, "trace")
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng)
-    q = eval_queue_fields(trace, cfg.grid)
+def _fclt_block(cfg: ExperimentConfig, n: int, fluid_qr_vals, fluid_qe_vals,
+                decomposable: bool, reps: range):
+    blk = _Block(cfg, n, reps)
+    q = eval_queue_fields(blk.trace, cfg.grid)
     sq = math.sqrt(n)
     qhat_r = sq * (q["Qr"].values / n - fluid_qr_vals)
     qhat_e = sq * (q["Qe"].values / n - fluid_qe_vals)
     out = {"Qr": qhat_r, "Qe": qhat_e}
     if decomposable:
-        from .fields import TwoParamField
         centering = TwoParamField(cfg.grid, fluid_qr_vals, "fluid_qr")
-        x1, x2 = decompose_hatQr(trace, cfg.grid, centering)
-        out["X1"] = x1.values
-        out["X2"] = x2.values
-        out["addl"] = float(np.max(np.abs(x1.values + x2.values - qhat_r)))
-    return out
+        parts = [decompose_hatQr(blk.trace.replication(r), cfg.grid, centering)
+                 for r in range(len(reps))]
+        out["X1"] = np.stack([x1.values for x1, _ in parts])
+        out["X2"] = np.stack([x2.values for _, x2 in parts])
+        out["addl"] = np.max(np.abs(out["X1"] + out["X2"] - qhat_r), axis=(1, 2))
+    return out, blk.stats()
 
 
-def _age_rep(cfg: ExperimentConfig, n: int, fe_targets, rep: int):
-    rng = substream(cfg.master_seed, cfg.experiment, n, rep, "trace")
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng)
-    emp = eval_empirical_distributions(trace, cfg.grid)
-    fe_last = emp["Fe"].values[-1]          # at t = t_max
-    return float(np.max(np.abs(fe_last - fe_targets)))
+def _age_block(cfg: ExperimentConfig, n: int, fe_targets, reps: range):
+    blk = _Block(cfg, n, reps)
+    emp = eval_empirical_distributions(blk.trace, cfg.grid)
+    fe_last = emp["Fe"].values[:, -1]          # at t = t_max
+    return {"sup": np.max(np.abs(fe_last - fe_targets), axis=1)}, blk.stats()
 
 
-def _poisson_rep(cfg: ExperimentConfig, n: int, frc_vals, rep: int):
-    rng = substream(cfg.master_seed, cfg.experiment, n, rep, "trace")
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng)
-    q = eval_queue_fields(trace, cfg.grid)
+def _poisson_block(cfg: ExperimentConfig, n: int, frc_vals, reps: range):
+    blk = _Block(cfg, n, reps)
+    q = eval_queue_fields(blk.trace, cfg.grid)
     qt = q["Qt"].values.astype(int)
-    resample_rng = substream(cfg.master_seed, cfg.experiment, n, rep, "bernoulli")
-    qtilde = resample_rng.binomial(qt[:, None], np.clip(frc_vals, 0.0, 1.0))
-    return {"Qr": q["Qr"].values, "Qtilde": qtilde.astype(float)}
+    p = np.clip(frc_vals, 0.0, 1.0)
+    qtilde = [substream(cfg.master_seed, cfg.experiment, n, r, "bernoulli")
+              .binomial(qt[i][:, None], p) for i, r in enumerate(reps)]
+    return {"Qr": q["Qr"].values, "Qtilde": np.asarray(qtilde, dtype=float)}, blk.stats()
 
 
-def _workload_rep(cfg: ExperimentConfig, n: int, rep: int):
-    rng = substream(cfg.master_seed, cfg.experiment, n, rep, "trace")
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, rng)
-    w = eval_workload_fields(trace, cfg.grid)
-    return w["Wt"].values / n
+def _workload_block(cfg: ExperimentConfig, n: int, reps: range):
+    blk = _Block(cfg, n, reps)
+    w = eval_workload_fields(blk.trace, cfg.grid)
+    return {"Wt": w["Wt"].values / n}, blk.stats()
 
 
 # -- runners --------------------------------------------------------------------
@@ -177,11 +217,12 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     rep_out.surface_rows("fluid", cfg.grid, fq_e.values, "fluid_qe")
 
     sup_errors = {}
+    simulation = rep_out.extras.setdefault("simulation", {})
     for n in cfg.n_list:
-        results = _map_replications(
-            partial(_fwlln_rep, cfg, n, want_workload), cfg.replications, threads)
-        mean_qr = np.mean([r["Qr"] for r in results], axis=0)
-        mean_qe = np.mean([r["Qe"] for r in results], axis=0)
+        results, simulation[str(n)] = _replications(
+            partial(_fwlln_block, cfg, n, want_workload), cfg, n, threads, cfg.init_sim)
+        mean_qr = np.mean(results["Qr"], axis=0)
+        mean_qe = np.mean(results["Qe"], axis=0)
         err_qr = np.abs(mean_qr - fq_r.values)
         err_qe = np.abs(mean_qe - fq_e.values)
         sup_errors[n] = float(max(err_qr.max(), err_qe.max()))
@@ -195,7 +236,7 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
                                mean_qe[j_sup], fq_e.values[j_sup], tol))
         rep_out.surface_rows(f"mean_n{n}", cfg.grid, mean_qr, f"mean_Qr_n{n}")
         if want_workload:
-            mean_wt = np.mean([r["Wt"] for r in results], axis=0)
+            mean_wt = np.mean(results["Wt"], axis=0)
             werr = np.abs(mean_wt - wt_fluid)
             jw = int(np.argmax(werr))
             rep_out.add(_abs_point(f"sup|mean Wt/n - fluid| n={n}",
@@ -228,12 +269,12 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     if decomposable:
         comp = lim.var_components(inputs, *np.meshgrid(cfg.grid.t, cfg.grid.y, indexing="ij"))
 
+    simulation = rep_out.extras.setdefault("simulation", {})
     for n in cfg.n_list:
-        results = _map_replications(
-            partial(_fclt_rep, cfg, n, fq_r, fq_e, decomposable),
-            cfg.replications, threads)
-        qr = np.stack([r["Qr"] for r in results])
-        qe = np.stack([r["Qe"] for r in results])
+        results, simulation[str(n)] = _replications(
+            partial(_fclt_block, cfg, n, fq_r, fq_e, decomposable), cfg, n, threads)
+        qr = results["Qr"]
+        qe = results["Qe"]
         var_qr_mc = sample_var(qr, axis=0)
         var_qe_mc = sample_var(qe, axis=0)
         for i, t in enumerate(cfg.grid.t):
@@ -247,11 +288,11 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                                            var_qe_mc[i, j], v_e[i, j],
                                            tols["variance_rel_loose"]))
         if decomposable:
-            addl = max(r["addl"] for r in results)
+            addl = float(np.max(results["addl"]))
             rep_out.add(_abs_point(f"max|X1+X2-Qr-hat| n={n}", 0.0, 0.0,
                                    addl, 0.0, tols["identity_abs"]))
-            x1 = np.stack([r["X1"] for r in results])
-            x2 = np.stack([r["X2"] for r in results])
+            x1 = results["X1"]
+            x2 = results["X2"]
             vx1 = sample_var(x1, axis=0)
             vx2 = sample_var(x2, axis=0)
             for i, t in enumerate(cfg.grid.t):
@@ -282,8 +323,9 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
         raise ValueError("age-distribution experiment needs standard-case arrivals")
     fe_targets = cfg.service.stationary_excess_cdf(cfg.grid.y)
     n = cfg.n_list[-1]
-    sups = _map_replications(partial(_age_rep, cfg, n, fe_targets),
-                             cfg.replications, threads)
+    results, stats = _replications(partial(_age_block, cfg, n, fe_targets), cfg, n, threads)
+    rep_out.extras["simulation"] = {str(n): stats}
+    sups = results["sup"]
     tol = cfg.tolerances["ks_abs"]
     frac = float(np.mean([s < tol for s in sups]))
     rep_out.extras["per_seed_sup"] = [float(s) for s in sups]
@@ -311,10 +353,10 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     with np.errstate(invalid="ignore", divide="ignore"):
         frc = np.where(qt_fluid[:, None] > 0, fq_r / qt_fluid[:, None], 0.0)
     n = cfg.n_list[-1]
-    results = _map_replications(partial(_poisson_rep, cfg, n, frc),
-                                cfg.replications, threads)
-    qr = np.stack([r["Qr"] for r in results])
-    qtilde = np.stack([r["Qtilde"] for r in results])
+    results, stats = _replications(partial(_poisson_block, cfg, n, frc), cfg, n, threads)
+    rep_out.extras["simulation"] = {str(n): stats}
+    qr = results["Qr"]
+    qtilde = results["Qtilde"]
     mean_qr = qr.mean(axis=0)
     var_qr_mc = sample_var(qr, axis=0)
     var_qtilde = sample_var(qtilde, axis=0)
@@ -458,9 +500,9 @@ def run_workload(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
                                config_echo=cfg.echo)
     inputs = _inputs(cfg)
     n = cfg.n_list[-1]
-    results = _map_replications(partial(_workload_rep, cfg, n),
-                                cfg.replications, threads)
-    mean_wt = np.mean(results, axis=0)
+    results, stats = _replications(partial(_workload_block, cfg, n), cfg, n, threads)
+    rep_out.extras["simulation"] = {str(n): stats}
+    mean_wt = np.mean(results["Wt"], axis=0)
     t_last = float(cfg.grid.t[-1])
     fluid = lim.fluid_workload(inputs, t_last, 0.0)
     rep_out.add(_abs_point(f"mean Wt/n at t={t_last} n={n}", t_last, 0.0,
@@ -509,7 +551,7 @@ def emit(report: ExperimentReport, out_dir) -> list[Path]:
 
     summary.csv and plotdata are byte-deterministic for a fixed
     (config, master_seed); report.json additionally records the wall-clock
-    runtime.
+    runtime and the simulation timings.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

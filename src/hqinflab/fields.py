@@ -42,14 +42,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class TwoParamField:
-    """Values of one process over grid.t x grid.y."""
+    """Values of one process over grid.t x grid.y, with a leading
+    replication axis when evaluated on a block of replications."""
     grid: Grid
     values: np.ndarray
     label: str
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
+        if vals.shape[-2:] != self.grid.shape or vals.ndim > 3:
             raise ValueError(f"field {self.label!r}: values shape {vals.shape} != grid {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"field {self.label!r}: non-finite entries")
@@ -63,14 +64,15 @@ class TwoParamField:
 
 @dataclass(frozen=True)
 class TimeField:
-    """Values of a process constant in (or without) the second argument."""
+    """Values of a process constant in (or without) the second argument,
+    with a leading replication axis when evaluated on a block."""
     t: np.ndarray
     values: np.ndarray
     label: str
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != np.asarray(self.t).shape:
+        if vals.shape[-1:] != np.asarray(self.t).shape or vals.ndim > 2:
             raise ValueError(f"field {self.label!r}: values shape mismatch")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"field {self.label!r}: non-finite entries")

@@ -4,6 +4,8 @@ Every stochastic component draws from its own substream keyed by
 (master_seed, experiment, n, replication, component, ...).  Streams are
 PCG64 generators seeded through numpy's SeedSequence so that substreams are
 independent and the whole run is reproducible from the master seed alone.
+A substream's spawned children can also be built directly, without the
+parent generator, which is what a simulated replication draws from.
 """
 
 from __future__ import annotations
@@ -31,3 +33,11 @@ def substream(master_seed: int, *keys) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(master_seed),
                                 spawn_key=tuple(_key_words(keys)))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def substream_children(master_seed: int, *keys, count: int) -> list[np.random.Generator]:
+    """The first ``count`` children of ``substream(master_seed, *keys)``,
+    bit for bit those of its ``spawn(count)``, built without the parent."""
+    words = tuple(_key_words(keys))
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=int(master_seed), spawn_key=words + (i,)))) for i in range(count)]

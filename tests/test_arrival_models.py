@@ -268,6 +268,15 @@ class TestStrictify:
         _strictify(epochs)
         assert np.array_equal(epochs, [0.3, 0.3, 0.6])
 
+    def test_bounds_fix_each_replication_alone(self):
+        reps = [[0.1, 0.2, 0.2], [0.2, 0.2, 0.3], [], [0.05], [1.0, 1.0, 1.0], [1.0, 1.5]]
+        bounds = np.cumsum([0] + [len(r) for r in reps])
+        out = _strictify(np.concatenate(reps), bounds)
+        expected = np.concatenate([strictify_reference(r) for r in reps])
+        assert np.array_equal(out, expected)
+        # a drop or a tie onto a replication's first epoch is left alone
+        assert out[3] == 0.2 and out[6] == 0.05 and out[10] == 1.0
+
 
 class TestAsymptoticParams:
     def test_poisson(self):

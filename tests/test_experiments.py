@@ -3,7 +3,7 @@ import re
 import pytest
 import yaml
 
-from hqinflab import cli, experiments
+from hqinflab import cli, experiments, simulate
 from hqinflab.config import EXPERIMENTS, config_from_dict
 from hqinflab.experiments import run_experiment
 
@@ -119,3 +119,62 @@ class TestPoissonProperty:
         cfg = self.poisson_property({"kind": "renewal", "interarrival": H2})
         with pytest.raises(ValueError, match="poisson_property requires"):
             run_experiment(cfg)
+
+
+FCLT = {
+    "experiment": "fclt_variance",
+    "arrival": {"kind": "poisson", "rate": 1.0},
+    "service": {"kind": "exponential", "rate": 1.0},
+    "grid": {"t": [0.5, 1.0], "y": [0.0, 0.5]},
+    "n_list": [30],
+    "replications": 10,
+}
+
+
+def _points(report):
+    return [(p.label, p.t, p.y, p.estimate) for p in report.points]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("raw,label", [(TINY, "Wt"), (FCLT, "Var X2")],
+                             ids=["fwlln", "fclt_variance"])
+    def test_block_size_and_thread_count_change_nothing(self, raw, label, monkeypatch):
+        cfg = config_from_dict(raw)
+        runs = {}
+        for budget in (1, 10**9):          # one replication per block; all in one
+            monkeypatch.setattr(simulate, "_BLOCK_BUDGET", budget)
+            for threads in (1, 2):
+                report = run_experiment(cfg, threads=threads)
+                blocks = {s["blocks"] for s in report.extras["simulation"].values()}
+                assert blocks == ({cfg.replications} if budget == 1 else {1})
+                runs[budget, threads] = report
+        reference = runs[1, 1]
+        assert any(label in p.label for p in reference.points)
+        for report in runs.values():
+            for (name, t, y, est), (_, t0, y0, est0) in zip(_points(report), _points(reference)):
+                assert (t, y) == (t0, y0)
+                if "Wt" in name:
+                    assert est == pytest.approx(est0, rel=1e-13)
+                else:
+                    assert est == est0, name
+            assert report.plotdata == reference.plotdata
+
+    def test_simulation_diagnostics(self, monkeypatch):
+        cfg = config_from_dict(TINY)
+        customers = []
+        original = experiments.simulate
+
+        def counting(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            customers.append(len(trace.arrivals))
+            return trace
+        monkeypatch.setattr(experiments, "simulate", counting)
+        report = run_experiment(cfg)
+        stats = report.extras["simulation"]
+        assert sorted(stats) == ["20", "40"]
+        for n in cfg.n_list:
+            size = simulate.block_size(cfg.arrival, n, cfg.horizon, cfg.grid, cfg.init_sim)
+            assert stats[str(n)]["replications"] == cfg.replications
+            assert stats[str(n)]["blocks"] == -(-cfg.replications // size)
+            assert stats[str(n)]["draw_s"] >= 0.0 and stats[str(n)]["eval_s"] >= 0.0
+        assert sum(s["customers"] for s in stats.values()) == sum(customers)

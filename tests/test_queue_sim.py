@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqinflab.arrivals import ArrivalModel
+from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid, TwoParamField, write_fields_csv
-from hqinflab.rng import substream
-from hqinflab.service import Exponential, FiniteAtoms
+from hqinflab.rng import substream, substream_children
+from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
 from hqinflab.simulate import (CountLaw, InitialConditions, SimulationTrace,
                                eval_empirical_distributions,
                                eval_initial_fields, eval_queue_fields,
@@ -38,6 +38,66 @@ def random_traces(draw):
     etas = draw(st.lists(st.floats(0.0, 5.0), min_size=n_cust, max_size=n_cust))
     return SimulationTrace(n=1, arrivals=np.array(taus), services=np.array(etas),
                            horizon=4.0, service_model=EXP1)
+
+
+HORIZON = 2.0
+# t - y and t + y are often inexact in floats on this grid (1.1 - 0.4 is not
+# 0.7), so boundary customers test that every comparison uses the same float
+# threshold as the brute force
+ODD_GRID = Grid([0.3, 0.7, 1.1, 2.0], [0.0, 0.4, 0.7, 1.3])
+# every t - y on this grid is exact and on the grid or 0, for the identities
+DYADIC_GRID = Grid([0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0])
+
+
+def _service_ending_at(tau: float, end: float) -> float:
+    """A service time with tau + eta == end in floats, where one is near
+    end - tau."""
+    eta = end - tau
+    for _ in range(4):
+        if tau + eta == end:
+            break
+        eta = float(np.nextafter(eta, np.inf if tau + eta < end else -np.inf))
+    return max(eta, 0.0)
+
+
+@st.composite
+def boundary_replication(draw, grid):
+    """(taus, etas, residuals) of one replication, possibly empty, whose
+    epochs sit on t and t - y, ends on t + y, and services may be 0."""
+    t = grid.t[:, None]
+    starts = [float(v) for v in np.unique(np.concatenate((grid.t, (t - grid.y).ravel())))
+              if 0.0 < v <= HORIZON]
+    ends = [float(v) for v in np.unique(t + grid.y)]
+    taus = sorted(set(draw(st.lists(st.one_of(st.sampled_from(starts),
+                                              st.floats(1e-3, HORIZON)), max_size=10))))
+    etas = []
+    for tau in taus:
+        kind = draw(st.sampled_from(("zero", "on_boundary", "free")))
+        if kind == "zero":
+            etas.append(0.0)
+        elif kind == "on_boundary":
+            etas.append(_service_ending_at(tau, draw(st.sampled_from([e for e in ends if e >= tau]))))
+        else:
+            etas.append(draw(st.floats(0.0, 3.0)))
+    on_grid = [float(v) for v in np.unique(np.concatenate((grid.y, ends))) if v > 0.0]
+    residuals = draw(st.lists(st.one_of(st.sampled_from(on_grid), st.floats(1e-3, 4.0)),
+                              max_size=4))
+    return taus, etas, residuals
+
+
+def block_trace(reps) -> SimulationTrace:
+    """One block of the (taus, etas, residuals) replications."""
+    def flat(k):
+        return np.array([v for rep in reps for v in rep[k]], dtype=float)
+    return SimulationTrace(n=1, arrivals=flat(0), services=flat(1), horizon=HORIZON,
+                           service_model=EXP1,
+                           initial_count=np.array([len(rep[2]) for rep in reps]),
+                           initial_residuals=flat(2),
+                           bounds=np.cumsum([0] + [len(rep[0]) for rep in reps]))
+
+
+def blocks(grid):
+    return st.lists(boundary_replication(grid), min_size=1, max_size=5)
 
 
 class TestGridAndFields:
@@ -84,6 +144,164 @@ class TestSimulate:
                             service_model=EXP1)
 
 
+ARRIVALS = {
+    "poisson": ArrivalModel.poisson(2.0),
+    "h2_renewal": ArrivalModel.renewal(HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))),
+    "sinusoidal_nhpp": ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)),
+}
+INIT = InitialConditions(CountLaw("poisson", 1.5), Exponential(2.0))
+
+# simulate(ARRIVALS[name], LogNormal(-0.5, 1), n=4, horizon=3,
+# substream(2024, "pin", name), init) as recorded before blocks existed:
+# (customers, first and last epoch, first and last service, initial count
+# and first residual with INIT).
+PINNED_TRACES = {
+    "poisson": (17, [0.11284108116027242, 2.7991559067445877],
+                [1.625407727838294, 0.34173418249967297], 2, 0.23036804122714802),
+    "h2_renewal": (14, [0.0502887128256734, 2.892254642526341],
+                   [0.2090198437237073, 1.6259616806813226], 4, 0.19769328085673119),
+    "sinusoidal_nhpp": (10, [0.49014675308467787, 2.698762414330837],
+                        [0.44448042885736666, 2.547732999495028], 6, 0.6007773376895593),
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("keys", [("fwlln", 100, 3, "trace"), (7,), ("x", 2**40 + 5)])
+    def test_children_are_the_spawned_ones(self, keys):
+        spawned = substream(11, *keys).spawn(3)
+        direct = substream_children(11, *keys, count=3)
+        for a, b in zip(spawned, direct):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.random(8), b.random(8))
+
+    @pytest.mark.parametrize("name", sorted(ARRIVALS))
+    @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
+    def test_single_trace_draws_as_before(self, name, init):
+        trace = simulate(ARRIVALS[name], LogNormal(-0.5, 1.0), 4, 3.0,
+                         substream(2024, "pin", name), init=init)
+        count, epochs, services, n_init, first_resid = PINNED_TRACES[name]
+        assert len(trace.arrivals) == count
+        assert trace.arrivals[[0, -1]].tolist() == epochs
+        assert trace.services[[0, -1]].tolist() == services
+        if init is None:
+            assert trace.initial_count == 0 and len(trace.initial_residuals) == 0
+        else:
+            assert trace.initial_count == n_init
+            assert trace.initial_residuals[0] == first_resid
+        # the same draws as from the generator's spawned children
+        arr_rng, svc_rng, init_rng = substream(2024, "pin", name).spawn(3)
+        epochs = ARRIVALS[name].generate(4, 3.0, arr_rng)
+        assert np.array_equal(trace.arrivals, epochs)
+        assert np.array_equal(trace.services, LogNormal(-0.5, 1.0).sample(svc_rng, len(epochs)))
+
+    @pytest.mark.parametrize("name", sorted(ARRIVALS))
+    @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
+    def test_block_replications_are_the_single_traces(self, name, init):
+        service = LogNormal(-0.5, 1.0)
+        streams = [substream_children(5, "blk", r, count=2 if init is None else 3)
+                   for r in range(4)]
+        block = simulate(ARRIVALS[name], service, 3, 2.0, streams, init=init)
+        assert block.replications == 4 and block.batch_shape == (4,)
+        for r in range(4):
+            alone = simulate(ARRIVALS[name], service, 3, 2.0, substream(5, "blk", r), init=init)
+            part = block.replication(r)
+            assert np.array_equal(part.arrivals, alone.arrivals)
+            assert np.array_equal(part.services, alone.services)
+            assert part.initial_count == alone.initial_count
+            assert np.array_equal(part.initial_residuals, alone.initial_residuals)
+
+    def test_ties_broken_within_each_replication(self):
+        # a phase of rate 1e20 adds nothing to the running sum: exact ties
+        arrival = ArrivalModel.renewal(HyperExponential((0.5, 0.5), (1e20, 1.0)))
+        streams = [substream_children(3, "ties", r, count=2) for r in range(3)]
+        block = simulate(arrival, EXP1, 20, 2.0, streams)
+        for r in range(3):
+            raw = arrival.draw_epochs(20, 2.0, substream_children(3, "ties", r, count=1)[0])
+            assert np.any(np.diff(raw) <= 0)
+            epochs = block.replication(r).arrivals
+            assert np.all(np.diff(epochs) > 0)
+            assert np.array_equal(epochs, arrival.generate(
+                20, 2.0, substream_children(3, "ties", r, count=1)[0]))
+
+
+class TestBlockFields:
+    @given(blocks(ODD_GRID))
+    @settings(max_examples=60, deadline=None)
+    def test_each_replication_against_brute_force(self, reps):
+        g = ODD_GRID
+        trace = block_trace(reps)
+        q = eval_queue_fields(trace, g)
+        w = eval_workload_fields(trace, g)
+        init = eval_initial_fields(trace, g)
+        for r, (taus, etas, resid) in enumerate(reps):
+            for i, t in enumerate(g.t):
+                for j, y in enumerate(g.y):
+                    qr, qe, qt, wr = brute_queue_fields(taus, etas, float(t), float(y))
+                    assert q["Qr"].values[r, i, j] == qr
+                    assert q["Qe"].values[r, i, j] == qe
+                    assert q["Qt"].values[r, i] == qt
+                    assert w["Wr"].values[r, i, j] == pytest.approx(wr, abs=1e-9)
+                    assert init["QTr"].values[r, i, j] == qr + sum(x > t + y for x in resid)
+            for j, y in enumerate(g.y):
+                assert init["Qir"].values[r, j] == sum(x > y for x in resid)
+
+    @given(blocks(DYADIC_GRID))
+    @settings(max_examples=40, deadline=None)
+    def test_counting_identities_per_replication(self, reps):
+        g = DYADIC_GRID
+        trace = block_trace(reps)
+        q = eval_queue_fields(trace, g)
+        qr, qe, qt = q["Qr"].values, q["Qe"].values, q["Qt"].values
+        assert np.array_equal(qt, qr[:, :, 0])
+        for i, t in enumerate(g.t):
+            qe_tt = eval_queue_fields(trace, Grid([t], [float(t)]))["Qe"].values[:, 0, 0]
+            assert np.array_equal(qe_tt, qt[:, i])
+            for j, y in enumerate(g.y):
+                if y <= t:
+                    prev = eval_queue_fields(trace, Grid([t - y], [y]))["Qr"].values[:, 0, 0]
+                    assert np.array_equal(qe[:, i, j], qt[:, i] - prev)
+
+    @given(blocks(ODD_GRID))
+    @settings(max_examples=30, deadline=None)
+    def test_block_equals_its_replications_alone(self, reps):
+        trace = block_trace(reps)
+        evals = (eval_queue_fields, eval_workload_fields, eval_initial_fields,
+                 eval_empirical_distributions)
+        for ev in evals:
+            fields = ev(trace, ODD_GRID)
+            for r in range(trace.replications):
+                alone = ev(trace.replication(r), ODD_GRID)
+                for name, f in fields.items():
+                    assert np.array_equal(f.values[r], alone[name].values)
+
+    def test_validation_per_replication(self):
+        def trace(arrivals, bounds, services=None, counts=0, resid=None):
+            arrivals = np.asarray(arrivals, dtype=float)
+            return SimulationTrace(n=1, arrivals=arrivals,
+                                   services=np.ones(len(arrivals)) if services is None else services,
+                                   horizon=4.0, service_model=EXP1, initial_count=counts,
+                                   initial_residuals=resid, bounds=np.asarray(bounds))
+        trace([1.0, 2.0, 0.5, 0.5], [0, 2, 3, 3, 4])        # drops across bounds are fine
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trace([1.0, 2.0, 0.5, 0.5], [0, 2, 4])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trace([1.0, -0.5], [0, 1, 2])
+        with pytest.raises(ValueError, match="bounds"):
+            trace([1.0, 2.0], [0, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            trace([1.0, 2.0], [0, 1, 2], services=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="count"):
+            trace([1.0, 2.0], [0, 1, 2], counts=np.array([1, 1]), resid=np.array([0.5]))
+        with pytest.raises(ValueError, match="positive"):
+            trace([1.0, 2.0], [0, 1, 2], counts=np.array([0, 1]), resid=np.array([0.0]))
+        with pytest.raises(ValueError, match="horizon"):
+            eval_queue_fields(trace([1.0, 2.0], [0, 1, 2]), Grid([5.0], [0.0]))
+
+    def test_finite_values_checked(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoParamField(Grid([1.0], [0.0]), np.array([[[np.nan]], [[1.0]]]), "bad")
+
+
 class TestQueueFields:
     def test_empty_trace_is_zero(self):
         g = Grid([1.0, 2.0], [0.0, 1.0])
@@ -101,6 +319,25 @@ class TestQueueFields:
         q = eval_queue_fields(one_customer_trace(), Grid([2.0], [0.5, 1.5]))
         assert q["Qe"].values[0, 0] == 0.0   # arrived at 1, elapsed 1 > 0.5
         assert q["Qe"].values[0, 1] == 1.0
+
+    def test_boundaries_are_exact(self):
+        # arrivals at t - y = 1.5 and at t = 2; ends at t + y = 2.5 and at t = 2
+        trace = SimulationTrace(n=1, arrivals=np.array([1.5, 2.0]),
+                                services=np.array([0.5, 0.5]), horizon=4.0,
+                                service_model=EXP1)
+        q = eval_queue_fields(trace, Grid([2.0], [0.0, 0.5]))
+        assert q["Qr"].values.tolist() == [[1.0, 0.0]]   # end 2.5 > 2.5 is false
+        assert q["Qe"].values.tolist() == [[0.0, 1.0]]   # 1.5 is outside (1.5, 2]
+        assert q["Qt"].values.tolist() == [1.0]          # the end at 2 has left
+        w = eval_workload_fields(trace, Grid([2.0], [0.0, 0.5]))
+        assert w["Wr"].values.tolist() == [[0.5, 0.0]]
+
+    def test_bins_match_searchsorted(self):
+        from hqinflab.simulate import _bin
+        for thresholds in (np.array([0.5]), np.linspace(0.1, 3.3, 13), np.linspace(0, 1, 300)):
+            x = np.concatenate((thresholds, np.nextafter(thresholds, -np.inf),
+                                np.nextafter(thresholds, np.inf), [-1.0, 9.0, np.inf]))
+            assert np.array_equal(_bin(thresholds, x), np.searchsorted(thresholds, x, side="left"))
 
     def test_grid_beyond_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
