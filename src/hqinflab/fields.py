@@ -57,9 +57,9 @@ class TwoParamField:
         object.__setattr__(self, "values", vals)
 
     def rows(self):
-        for i, t in enumerate(self.grid.t):
-            for j, y in enumerate(self.grid.y):
-                yield (self.label, float(t), float(y), float(self.values[i, j]))
+        _check_single(self.values, 2, self.label)
+        return ((self.label, float(t), float(y), float(self.values[i, j]))
+                for i, t in enumerate(self.grid.t) for j, y in enumerate(self.grid.y))
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,16 @@ class TimeField:
         object.__setattr__(self, "values", vals)
 
     def rows(self):
-        for t, v in zip(self.t, self.values):
-            yield (self.label, float(t), 0.0, float(v))
+        _check_single(self.values, 1, self.label)
+        return ((self.label, float(t), 0.0, float(v)) for t, v in zip(self.t, self.values))
+
+
+def _check_single(values: np.ndarray, ndim: int, label: str) -> None:
+    """Rows exist for one replication only; a block's field has an extra
+    leading axis."""
+    if values.ndim != ndim:
+        raise ValueError(f"field {label!r} holds a block of replications; "
+                         "write one replication's field")
 
 
 def _fmt(v) -> str:
@@ -106,5 +114,6 @@ def write_csv(path, header, rows) -> Path:
 
 def write_fields_csv(path, fields) -> Path:
     """Common export schema: one row per (label, t, y, value)."""
+    rows = [f.rows() for f in fields]      # checks every field before writing
     return write_csv(path, ("label", "t", "y", "value"),
-                     (row for f in fields for row in f.rows()))
+                     (row for field_rows in rows for row in field_rows))

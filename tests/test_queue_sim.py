@@ -296,6 +296,9 @@ class TestBlockFields:
             trace([1.0, 2.0], [0, 1, 2], counts=np.array([0, 1]), resid=np.array([0.0]))
         with pytest.raises(ValueError, match="horizon"):
             eval_queue_fields(trace([1.0, 2.0], [0, 1, 2]), Grid([5.0], [0.0]))
+        with pytest.raises(ValueError, match="single trace"):
+            trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5])
+        assert trace([1.0, 2.0], [0, 1, 2]).replication(1).count_arrivals([1.5, 2.0]).tolist() == [0, 1]
 
     def test_finite_values_checked(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -471,6 +474,17 @@ class TestExports:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "label,t,y,value"
         assert len(lines) == 1 + 2 + 1   # header + Qr grid + Qt row
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_block_fields_are_not_written(self, tmp_path, reps):
+        block = block_trace([(np.array([1.0]), np.array([2.0]), np.array([]))] * reps)
+        g = Grid([1.0], [0.0, 0.5])
+        q = eval_queue_fields(block, g)
+        out = tmp_path / "fields.csv"
+        for field in (q["Qr"], q["Qt"]):
+            with pytest.raises(ValueError, match="block of replications"):
+                write_fields_csv(out, [eval_queue_fields(one_customer_trace(), g)["Qr"], field])
+        assert not out.exists()
 
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
