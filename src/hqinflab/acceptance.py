@@ -2,8 +2,11 @@
 self-contained check returning a pass/fail verdict with detail lines.
 
 These are the library's exit criteria.  ``hqinflab selftest`` runs them all,
-as does tests/test_acceptance.py.  Every tolerance is pinned here; the
-Monte-Carlo checks use fixed substreams so runs are reproducible.
+as does tests/test_acceptance.py.  The criteria that run an experiment gate
+with the bounds of ``config.DEFAULT_TOLERANCES``, overridden per criterion
+where a case needs its own (criterion 4's renewal and mixture cases); the
+analytic and exact checks state their bounds here.  The Monte-Carlo checks use
+fixed substreams so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -48,6 +51,23 @@ def _check(lines, ok, text):
 
 def _mix_service():
     return Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 1.0),)))
+
+
+def _run(seed: int, experiment: str, t, y, **keys):
+    """Run ``experiment`` on the grid t x y, with Poisson(1) arrivals and
+    Exp(1) service unless ``keys`` sets them (or any other config key)."""
+    return run_experiment(config_from_dict({
+        "arrival": {"kind": "poisson", "rate": 1.0},
+        "service": {"kind": "exponential", "rate": 1.0},
+        "grid": {"t": t, "y": y}, "experiment": experiment, "master_seed": seed,
+        **keys}))
+
+
+def _points(report, prefix: str, **at):
+    """The report's points whose label starts with ``prefix``, at the t and y
+    given in ``at``."""
+    return [p for p in report.points if p.label.startswith(prefix)
+            and all(getattr(p, key) == value for key, value in at.items())]
 
 
 # -- criterion 1: exact identities ------------------------------------------------
@@ -122,36 +142,20 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 # -- criterion 2: FWLLN -----------------------------------------------------------
 
-_FWLLN_GRID = {"t": [0.25, 0.5, 1.0, 1.5, 2.0], "y": [0.0, 0.25, 0.5, 1.0, 2.0]}
-
-
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Fluid convergence: sup-grid error < 0.05 at n=400 for three models,
     and strictly smaller error at n=1600 than at n=100."""
     lines = []
     passed = True
     cases = {
-        "M/exp": {"kind": "poisson", "rate": 1.0},
-        "M/det": {"kind": "poisson", "rate": 1.0},
-        "nhpp/exp": {"kind": "nhpp",
-                     "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}},
+        "M/exp": {},
+        "M/det": {"service": {"kind": "deterministic", "point": 1.0}},
+        "nhpp/exp": {"arrival": {"kind": "nhpp",
+                                 "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}}},
     }
-    services = {
-        "M/exp": {"kind": "exponential", "rate": 1.0},
-        "M/det": {"kind": "deterministic", "point": 1.0},
-        "nhpp/exp": {"kind": "exponential", "rate": 1.0},
-    }
-    for name in cases:
-        cfg = config_from_dict({
-            "arrival": cases[name],
-            "service": services[name],
-            "grid": _FWLLN_GRID,
-            "experiment": "fwlln",
-            "n_list": [100, 400, 1600],
-            "replications": 200,
-            "master_seed": seed,
-        })
-        report = run_experiment(cfg)
+    for name, keys in cases.items():
+        report = _run(seed, "fwlln", [0.25, 0.5, 1.0, 1.5, 2.0], [0.0, 0.25, 0.5, 1.0, 2.0],
+                      n_list=[100, 400, 1600], replications=200, **keys)
         passed &= _check(lines, report.verdict,
                          f"{name}: sup errors {report.extras['sup_errors']}")
     return CriterionResult(2, "FWLLN fluid convergence", passed, lines)
@@ -170,17 +174,9 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
         worst = float(np.max(np.abs(lim.var_qr(inputs, t, y) - lim.fluid_qr(inputs, t, y))))
         passed &= _check(lines, worst <= 1e-8,
                          f"analytic collapse ({name}): sup |var - fluid| = {worst:.2e}")
-    cfg = config_from_dict({
-        "arrival": {"kind": "poisson", "rate": 1.0},
-        "service": {"kind": "exponential", "rate": 1.0},
-        "grid": {"t": [1.0], "y": [0.0, 0.5]},
-        "experiment": "poisson_property",
-        "n_list": [100],
-        "replications": 2000,
-        "master_seed": seed,
-    })
-    report = run_experiment(cfg)
-    disp = [p for p in report.points if p.label.startswith("dispersion")]
+    report = _run(seed, "poisson_property", [1.0], [0.0, 0.5], n_list=[100],
+                  replications=2000)
+    disp = _points(report, "dispersion")
     passed &= _check(lines, all(p.passed for p in disp),
                      "dispersion |var/mean - 1| < 0.1: "
                      + ", ".join(f"{p.estimate - 1:+.3f}" for p in disp))
@@ -196,55 +192,31 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     lines = []
     passed = True
 
-    cfg = config_from_dict({
-        "arrival": {"kind": "poisson", "rate": 1.0},
-        "service": {"kind": "exponential", "rate": 1.0},
-        "grid": {"t": [1.0, 2.0], "y": [0.0, 0.5]},
-        "experiment": "fclt_variance",
-        "n_list": [100],
-        "replications": 2000,
-        "master_seed": seed,
-    })
-    report = run_experiment(cfg)
-    qt2 = [p for p in report.points
-           if p.label == "Var Qr-hat n=100" and p.t == 2.0 and p.y == 0.0]
+    report = _run(seed, "fclt_variance", [1.0, 2.0], [0.0, 0.5], n_list=[100],
+                  replications=2000)
+    (qt2,) = _points(report, "Var Qr-hat n=100", t=2.0, y=0.0)
     target = 1.0 - math.exp(-2.0)
-    passed &= _check(lines, qt2 and qt2[0].passed and abs(qt2[0].target - target) < 1e-9,
-                     f"M/exp: Var Qt-hat(2) = {qt2[0].estimate:.4f} vs {target:.6f} (10%)")
-    ident = [p for p in report.points if p.label.startswith("max|X1+X2")]
+    passed &= _check(lines, qt2.passed and abs(qt2.target - target) < 1e-9,
+                     f"M/exp: Var Qt-hat(2) = {qt2.estimate:.4f} vs {target:.6f} (10%)")
+    ident = _points(report, "max|X1+X2")
     passed &= _check(lines, all(p.passed for p in ident),
                      f"per-replication X1+X2 identity <= 1e-9 (worst {max(p.estimate for p in ident):.1e})")
     passed &= _check(lines, report.verdict, "all M/exp variance points within tolerance")
 
-    cfg_d = config_from_dict({
-        "arrival": {"kind": "renewal", "interarrival": {"kind": "deterministic", "point": 1.0}},
-        "service": {"kind": "exponential", "rate": 1.0},
-        "grid": {"t": [8.0], "y": [0.0]},
-        "experiment": "fclt_variance",
-        "n_list": [400],
-        "replications": 2000,
-        "master_seed": seed,
-        "tolerances": {"variance_rel": 0.15, "variance_rel_loose": 0.15},
-    })
-    report_d = run_experiment(cfg_d)
-    pt = [p for p in report_d.points if p.label == "Var Qr-hat n=400"][0]
+    report_d = _run(seed, "fclt_variance", [8.0], [0.0], n_list=[400], replications=2000,
+                    arrival={"kind": "renewal",
+                             "interarrival": {"kind": "deterministic", "point": 1.0}},
+                    tolerances={"variance_rel": 0.15, "variance_rel_loose": 0.15})
+    (pt,) = _points(report_d, "Var Qr-hat n=400")
     passed &= _check(lines, report_d.verdict and abs(pt.target - 0.5) < 1e-3,
                      f"D-renewal/exp: Var Qt-hat(8) = {pt.estimate:.4f} vs {pt.target:.4f} (15%)")
 
-    cfg_m = config_from_dict({
-        "arrival": {"kind": "poisson", "rate": 1.0},
-        "service": {"kind": "mixture", "weight": 0.5,
-                    "continuous": {"kind": "exponential", "rate": 1.0},
-                    "atoms": [[1.0, 1.0]]},
-        "grid": {"t": [2.0], "y": [0.0, 0.25]},
-        "experiment": "fclt_variance",
-        "n_list": [400],
-        "replications": 2000,
-        "master_seed": seed,
-        "tolerances": {"variance_rel": 0.15},
-    })
-    report_m = run_experiment(cfg_m)
-    pts = [p for p in report_m.points if p.label == "Var Qr-hat n=400"]
+    report_m = _run(seed, "fclt_variance", [2.0], [0.0, 0.25], n_list=[400], replications=2000,
+                    service={"kind": "mixture", "weight": 0.5,
+                             "continuous": {"kind": "exponential", "rate": 1.0},
+                             "atoms": [[1.0, 1.0]]},
+                    tolerances={"variance_rel": 0.15})
+    pts = _points(report_m, "Var Qr-hat n=400")
     passed &= _check(lines, report_m.verdict,
                      "mixture service: " + ", ".join(
                          f"({p.t},{p.y}): {p.estimate:.3f}/{p.target:.3f}" for p in pts))
@@ -289,16 +261,8 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         ("M/det", {"kind": "deterministic", "point": 1.0}, [0.2, 0.4, 0.6, 0.8]),
     ]
     for name, service, ygrid in cases:
-        cfg = config_from_dict({
-            "arrival": {"kind": "poisson", "rate": 1.0},
-            "service": service,
-            "grid": {"t": [8.0], "y": ygrid},
-            "experiment": "age_distribution",
-            "n_list": [400],
-            "replications": 20,
-            "master_seed": seed,
-        })
-        report = run_experiment(cfg)
+        report = _run(seed, "age_distribution", [8.0], ygrid, service=service,
+                      n_list=[400], replications=20)
         frac = report.points[0].estimate
         passed &= _check(lines, report.verdict,
                          f"{name}: pass fraction {frac:.2f} (need >= 0.90)")
@@ -312,16 +276,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     steady-state fluid workload reproduced to 1e-6 by quadrature."""
     lines = []
     passed = True
-    cfg = config_from_dict({
-        "arrival": {"kind": "poisson", "rate": 1.0},
-        "service": {"kind": "exponential", "rate": 1.0},
-        "grid": {"t": [8.0], "y": [0.0]},
-        "experiment": "workload",
-        "n_list": [400],
-        "replications": 200,
-        "master_seed": seed,
-    })
-    report = run_experiment(cfg)
+    report = _run(seed, "workload", [8.0], [0.0], n_list=[400], replications=200)
     mean_pt = report.points[0]
     passed &= _check(lines, mean_pt.passed,
                      f"mean Wt/n(8) = {mean_pt.estimate:.4f} vs fluid {mean_pt.target:.6f} (0.07)")
@@ -346,33 +301,23 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     standard errors, and the gates hold at every seed, not only at
     DEFAULT_SEED."""
     lines = []
-    cfg = config_from_dict({
-        "arrival": {"kind": "poisson", "rate": 1.0},
-        "service": {"kind": "exponential", "rate": 1.0},
-        "grid": {"t": [0.5, 1.0, 1.5, 2.0], "y": [0.0, 0.5, 1.0]},
-        "experiment": "limit_path_validation",
-        "n_list": [1],
-        "replications": 16000,
-        "k": 200,
-        "master_seed": seed,
-        "increment_probe": [1.0, 0.0, 1.0, 0.5],
-    })
-    report = run_experiment(cfg)
+    report = _run(seed, "limit_path_validation", [0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0],
+                  n_list=[1], replications=16000, k=200,
+                  increment_probe=[1.0, 0.0, 1.0, 0.5])
     passed = True
-    var10 = [p for p in report.points
-             if p.label == "Var limit Qr" and p.t == 1.0 and p.y == 0.0][0]
+    (var10,) = _points(report, "Var limit Qr", t=1.0, y=0.0)
     passed &= _check(lines, var10.passed,
                      f"Var Qr(1,0) = {var10.estimate:.4f} vs {var10.target:.6f} (10%)")
     for label in ("Var Kiefer U(1,0.5)", "Cov Kiefer U(1,0.3),U(1,0.6)",
                   "X2 increment mean-square"):
-        pt = [p for p in report.points if p.label == label][0]
+        (pt,) = _points(report, label)
         passed &= _check(lines, pt.passed, f"{label}: {pt.estimate:.4f} vs {pt.target:.4f}")
-    corr = [p for p in report.points if p.label.startswith("corr")]
+    corr = _points(report, "corr")
     worst_corr = max(abs(p.estimate) for p in corr)
     passed &= _check(lines, all(p.passed for p in corr),
                      f"component correlations: worst |rho| = {worst_corr:.4f} (< 0.06)")
-    skews = [p for p in report.points if p.label.startswith("skew")]
-    kurts = [p for p in report.points if p.label.startswith("kurtosis")]
+    skews = _points(report, "skew")
+    kurts = _points(report, "kurtosis")
     passed &= _check(lines, all(p.passed for p in skews + kurts),
                      f"normality: worst |skew| = {max(abs(p.estimate) for p in skews):.3f}, "
                      f"worst |kurt| = {max(abs(p.estimate) for p in kurts):.3f}")
@@ -386,19 +331,10 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Pathwise residual of the Markov decomposition at the exact-identity
     bound, and independence of the shifted state from the innovation."""
     lines = []
-    cfg = config_from_dict({
-        "arrival": {"kind": "poisson", "rate": 1.0},
-        "service": {"kind": "exponential", "rate": 1.0},
-        "grid": {"t": [0.5, 1.0], "y": [0.0, 0.5]},
-        "experiment": "markov_check",
-        "replications": 4000,
-        "k": 200,
-        "master_seed": seed,
-        "markov": [[0.5, 1.0, 0.0]],
-    })
-    report = run_experiment(cfg)
-    res = [p for p in report.points if p.label.startswith("markov residual")][0]
-    corr = [p for p in report.points if p.label.startswith("corr")][0]
+    report = _run(seed, "markov_check", [0.5, 1.0], [0.0, 0.5], replications=4000, k=200,
+                  markov=[[0.5, 1.0, 0.0]])
+    (res,) = _points(report, "markov residual")
+    (corr,) = _points(report, "corr")
     passed = _check(lines, res.passed,
                     f"residual {res.estimate:.2e} <= {res.tol:.0e} (exact identity)")
     passed &= _check(lines, corr.passed,

@@ -8,6 +8,7 @@ experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,15 +144,30 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if not isinstance(n_list, (list, tuple)) or not n_list:
         _fail("n_list", "must be a nonempty list of integers >= 1")
     n_list = tuple(_int_key(f"n_list[{i}]", n, 1) for i, n in enumerate(n_list))
+    if len(set(n_list)) != len(n_list):
+        _fail("n_list", f"duplicate n in {list(n_list)}")
     replications = _int_key("replications", raw.get("replications", 200), 1)
     k = _int_key("k", raw.get("k", 200), 1)
     master_seed = _int_key("master_seed", raw.get("master_seed", 20100709), 0)
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
+    overrides = raw.get("tolerances")
+    if overrides is not None and not isinstance(overrides, dict):
+        _fail("tolerances", f"expected a mapping of tolerance names to numbers, got {overrides!r}")
+    for key, val in (overrides or {}).items():
         if key not in DEFAULT_TOLERANCES:
             _fail("tolerances", f"unknown tolerance {key!r}")
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not math.isfinite(val) or val < 0):
+            _fail(f"tolerances.{key}", f"expected a finite number >= 0, got {val!r}")
         tolerances[key] = float(val)
+
+    workload = raw.get("workload", False)
+    if not isinstance(workload, bool):
+        _fail("workload", f"expected true or false, got {workload!r}")
+    if workload and (arrival.constant_rate is None
+                     or not math.isfinite(service.moments().mean)):
+        _fail("workload", "workload fields need a constant arrival rate and a finite service mean")
 
     init_sim = init_limits = None
     if raw.get("init") is not None:
@@ -170,13 +186,19 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if inc is not None:
         if not isinstance(inc, (list, tuple)) or len(inc) != 4:
             _fail("increment_probe", "expected [t, y, t2, y2]")
-        inc = tuple(float(v) for v in inc)
+        try:
+            t, y, t2, y2 = inc = tuple(float(v) for v in inc)
+            grid.index(t, y), grid.index(t2, y2)
+        except (TypeError, ValueError) as exc:
+            _fail("increment_probe", str(exc))
+        if t > t2 or y > y2:
+            _fail("increment_probe", f"needs t <= t2 and y <= y2, got {list(inc)}")
 
     return ExperimentConfig(
         arrival=arrival, service=service, grid=grid, experiment=experiment,
         n_list=n_list, replications=replications, k=k, master_seed=master_seed,
         tolerances=tolerances, init_sim=init_sim, init_limits=init_limits,
-        markov_probes=tuple(probes), workload=bool(raw.get("workload", False)),
+        markov_probes=tuple(probes), workload=workload,
         increment_probe=inc, echo=raw)
 
 

@@ -51,6 +51,32 @@ class TestIntegerKeys:
         assert (cfg.k, cfg.master_seed, cfg.n_list) == (3, 0, (20, 40))
 
 
+class TestKeyChecks:
+    @pytest.mark.parametrize("key,value,where", [
+        ("n_list", [20, 20], "n_list"),
+        ("increment_probe", [0.7, 0.0, 1.0, 0.5], "increment_probe"),
+        ("increment_probe", [1.0, 0.5, 1.0, 0.0], "increment_probe"),
+        ("tolerances", [1, 2], "tolerances"),
+        ("tolerances", {"variance_rel": "abc"}, "tolerances.variance_rel"),
+        ("tolerances", {"variance_rel": -1}, "tolerances.variance_rel"),
+        ("tolerances", {"variance_rel": float("nan")}, "tolerances.variance_rel"),
+        ("workload", "false", "workload"),
+        ("arrival", {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}},
+         "workload"),
+    ], ids=["repeated_n", "probe_off_grid", "probe_reversed", "tolerances_list",
+            "tolerance_string", "tolerance_negative", "tolerance_nan", "workload_string",
+            "workload_nhpp"])
+    def test_rejected_at_parse_time(self, key, value, where):
+        with pytest.raises(ValueError, match="config error at " + re.escape(where) + ":"):
+            config_from_dict({**TINY, key: value})
+
+    def test_valid_values_accepted(self):
+        cfg = config_from_dict({**TINY, "increment_probe": [0.5, 0.0, 1.0, 0.5],
+                                "tolerances": {"variance_rel": 0, "fluid_abs": 0.1}})
+        assert cfg.increment_probe == (0.5, 0.0, 1.0, 0.5)
+        assert (cfg.tolerances["variance_rel"], cfg.tolerances["fluid_abs"]) == (0.0, 0.1)
+
+
 class TestInvalidParameters:
     @pytest.mark.parametrize("section,where", [
         ({"service": {"kind": "exponential", "rate": -1}}, "service"),
@@ -178,3 +204,114 @@ class TestBlocks:
             assert stats[str(n)]["blocks"] == -(-cfg.replications // size)
             assert stats[str(n)]["draw_s"] >= 0.0 and stats[str(n)]["eval_s"] >= 0.0
         assert sum(s["customers"] for s in stats.values()) == sum(customers)
+
+
+MIX = {"kind": "mixture", "weight": 0.5, "continuous": {"kind": "exponential", "rate": 1.0},
+       "atoms": [[1.0, 1.0]]}
+GATES = {
+    "arrival": {"kind": "poisson", "rate": 1.0},
+    "service": {"kind": "exponential", "rate": 1.0},
+    "grid": {"t": [0.5, 1.0], "y": [0.0, 2.0]},
+    "n_list": [20],
+    "replications": 8,
+    "k": 20,
+}
+GATE_KEYS = {
+    "fwlln": {"n_list": [20, 40], "workload": True},
+    "poisson_property": {"n_list": [40]},
+    "limit_path_validation": {"service": MIX, "workload": True},
+    "markov_check": {"markov": [[0.5, 1.0, 0.0], [0.5, 1.0, 0.5]]},
+}
+# (label, t, y, tol_kind, tol) of every point, in summary.csv order; the sup
+# points of fwlln sit where this seed's error peaks
+PINNED_GATES = {
+    "fwlln": [
+        ("sup|mean Qr/n - fluid| n=20", 1.0, 0.0, "abs", 0.05),
+        ("sup|mean Qe/n - fluid| n=20", 1.0, 2.0, "abs", 0.05),
+        ("sup|mean Wt/n - fluid| n=20", 1.0, 0.0, "abs", 0.07),
+        ("sup|mean Qr/n - fluid| n=40", 0.5, 0.0, "abs", 0.05),
+        ("sup|mean Qe/n - fluid| n=40", 0.5, 2.0, "abs", 0.05),
+        ("sup|mean Wt/n - fluid| n=40", 1.0, 0.0, "abs", 0.07),
+        ("sup-error decreasing: n=40 vs n=20", 0.0, 0.0, "abs", 0.0),
+    ],
+    "fclt_variance": [
+        ("Var Qr-hat n=20", 0.5, 0.0, "rel", 0.1),
+        ("Var Qr-hat n=20", 0.5, 2.0, "rel", 0.1),
+        ("Var Qe-hat n=20", 0.5, 2.0, "rel", 0.15),
+        ("Var Qr-hat n=20", 1.0, 0.0, "rel", 0.1),
+        ("Var Qr-hat n=20", 1.0, 2.0, "rel", 0.1),
+        ("Var Qe-hat n=20", 1.0, 2.0, "rel", 0.15),
+        ("max|X1+X2-Qr-hat| n=20", 0.0, 0.0, "abs", 1e-09),
+        ("Var X1 n=20", 0.5, 0.0, "rel", 0.15),
+        ("Var X2 n=20", 0.5, 0.0, "rel", 0.15),
+        ("Var X1 n=20", 0.5, 2.0, "rel", 0.15),
+        ("Var X2 n=20", 0.5, 2.0, "rel", 0.15),
+        ("Var X1 n=20", 1.0, 0.0, "rel", 0.15),
+        ("Var X2 n=20", 1.0, 0.0, "rel", 0.15),
+        ("Var X1 n=20", 1.0, 2.0, "rel", 0.15),
+        ("Var X2 n=20", 1.0, 2.0, "rel", 0.15),
+    ],
+    "age_distribution": [
+        ("fraction of seeds with sup|Fe_n - Fe| < 0.05", 1.0, 0.0, "abs", 0.0),
+    ],
+    "poisson_property": [
+        ("dispersion |var/mean - 1|", 0.5, 0.0, "abs", 0.1),
+        ("Var resampled vs Var Qr", 0.5, 0.0, "rel", 0.15),
+        ("dispersion |var/mean - 1|", 1.0, 0.0, "abs", 0.1),
+        ("Var resampled vs Var Qr", 1.0, 0.0, "rel", 0.15),
+    ],
+    "limit_path_validation": [
+        ("Var limit Qr", 0.5, 0.0, "rel", 0.1),
+        ("skew limit Qr", 0.5, 0.0, "abs", 0.1),
+        ("kurtosis limit Qr", 0.5, 0.0, "abs", 0.2),
+        ("corr X1-X2", 0.5, 0.0, "abs", 0.06),
+        ("corr X1-X3", 0.5, 0.0, "abs", 0.06),
+        ("corr X2-X3", 0.5, 0.0, "abs", 0.06),
+        ("Var limit Qr", 0.5, 2.0, "rel", 0.1),
+        ("skew limit Qr", 0.5, 2.0, "abs", 0.1),
+        ("kurtosis limit Qr", 0.5, 2.0, "abs", 0.2),
+        ("Var limit Qe", 0.5, 2.0, "rel", 0.15),
+        ("corr X1-X2", 0.5, 2.0, "abs", 0.06),
+        ("corr X1-X3", 0.5, 2.0, "abs", 0.06),
+        ("corr X2-X3", 0.5, 2.0, "abs", 0.06),
+        ("Var limit Qr", 1.0, 0.0, "rel", 0.1),
+        ("skew limit Qr", 1.0, 0.0, "abs", 0.1),
+        ("kurtosis limit Qr", 1.0, 0.0, "abs", 0.2),
+        ("corr X1-X2", 1.0, 0.0, "abs", 0.06),
+        ("corr X1-X3", 1.0, 0.0, "abs", 0.06),
+        ("corr X2-X3", 1.0, 0.0, "abs", 0.06),
+        ("Var limit Qr", 1.0, 2.0, "rel", 0.1),
+        ("skew limit Qr", 1.0, 2.0, "abs", 0.1),
+        ("kurtosis limit Qr", 1.0, 2.0, "abs", 0.2),
+        ("Var limit Qe", 1.0, 2.0, "rel", 0.15),
+        ("corr X1-X2", 1.0, 2.0, "abs", 0.06),
+        ("corr X1-X3", 1.0, 2.0, "abs", 0.06),
+        ("corr X2-X3", 1.0, 2.0, "abs", 0.06),
+        ("Var limit Wr", 0.5, 0.0, "rel", 0.15),
+        ("Var limit Wr", 0.5, 2.0, "rel", 0.15),
+        ("Var limit Wr", 1.0, 0.0, "rel", 0.15),
+        ("Var limit Wr", 1.0, 2.0, "rel", 0.15),
+        ("Var Kiefer U(1,0.5)", 1.0, 0.5, "rel", 0.1),
+        ("Cov Kiefer U(1,0.3),U(1,0.6)", 1.0, 0.3, "rel", 0.15),
+        ("X2 increment mean-square", 1.0, 2.0, "rel", 0.15),
+    ],
+    "markov_check": [
+        ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.0, "abs", 1e-09),
+        ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.0, "abs", 0.06),
+        ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 1e-09),
+        ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 0.06),
+    ],
+    "workload": [
+        ("mean Wt/n at t=1.0 n=20", 1.0, 0.0, "abs", 0.07),
+        ("steady-state workload quadrature vs closed form", 0.0, 0.0, "abs", 1e-06),
+    ],
+}
+
+
+class TestGateOrder:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_points_keep_their_gates_and_order(self, name):
+        cfg = config_from_dict({**GATES, "experiment": name, **GATE_KEYS.get(name, {})})
+        report = run_experiment(cfg)
+        assert [(p.label, p.t, p.y, p.tol_kind, p.tol) for p in report.points] \
+            == PINNED_GATES[name]
