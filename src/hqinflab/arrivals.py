@@ -263,10 +263,11 @@ def arrival_from_spec(spec: dict, where: str = "arrival") -> ArrivalModel:
     if missing:
         raise ValueError(f"{where}: missing keys {sorted(missing)} for kind {kind!r}")
     if kind == "poisson":
-        rate = float(spec["rate"])
-        if rate <= 0:
-            raise ValueError(f"{where}: rate must be positive")
-        return ArrivalModel.poisson(rate)
+        rate = spec["rate"]
+        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                or not 0 < rate < math.inf):
+            raise ValueError(f"{where}.rate: rate must be positive and finite, got {rate!r}")
+        return ArrivalModel.poisson(float(rate))
     if kind == "nhpp":
         return ArrivalModel.nhpp(_rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))
     if kind == "renewal":

@@ -90,7 +90,24 @@ def _int_key(where: str, value, lo: int) -> int:
     return int(value)
 
 
+def _float_key(where: str, value) -> float:
+    """A finite number; bools, strings and None are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        _fail(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _float_list(where: str, values, size: int | None = None) -> list[float]:
+    """A list of finite numbers, of ``size`` of them if given."""
+    if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
+        _fail(where, f"expected a list of {size or 'finite'} numbers, got {values!r}")
+    return [_float_key(f"{where}[{i}]", v) for i, v in enumerate(values)]
+
+
 def _parse_init(spec: dict):
+    if not isinstance(spec, dict):
+        _fail("init", f"expected {{count: ..., residual: ...}}, got {spec!r}")
     allowed = {"count", "residual"}
     extra = set(spec) - allowed
     if extra:
@@ -126,13 +143,13 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     gspec = raw["grid"]
     if not isinstance(gspec, dict) or set(gspec) - {"t", "y"}:
         _fail("grid", "expected {t: [...], y: [...]}")
-    t_pts = list(gspec.get("t", ()))
-    y_pts = list(gspec.get("y", ()))
+    t_pts = _float_list("grid.t", gspec.get("t", ()))
+    y_pts = _float_list("grid.y", gspec.get("y", ()))
     for name, pts in (("t", t_pts), ("y", y_pts)):
         if len(set(pts)) != len(pts):
             _fail(f"grid.{name}", "duplicate grid points")
     try:
-        grid = Grid(sorted(float(v) for v in t_pts), sorted(float(v) for v in y_pts))
+        grid = Grid(sorted(t_pts), sorted(y_pts))
     except ValueError as exc:
         _fail("grid", str(exc))
 
@@ -157,10 +174,9 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     for key, val in (overrides or {}).items():
         if key not in DEFAULT_TOLERANCES:
             _fail("tolerances", f"unknown tolerance {key!r}")
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not math.isfinite(val) or val < 0):
+        tolerances[key] = _float_key(f"tolerances.{key}", val)
+        if val < 0:
             _fail(f"tolerances.{key}", f"expected a finite number >= 0, got {val!r}")
-        tolerances[key] = float(val)
 
     workload = raw.get("workload", False)
     if not isinstance(workload, bool):
@@ -174,22 +190,21 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         init_sim, init_limits = _parse_init(raw["init"])
 
     probes = []
-    for probe in (raw.get("markov") or ()):
-        if not isinstance(probe, (list, tuple)) or len(probe) != 3:
-            _fail("markov", "each probe must be [t1, t2, y]")
-        t1, t2, y = (float(v) for v in probe)
+    markov = raw.get("markov")
+    if markov is not None and not isinstance(markov, (list, tuple)):
+        _fail("markov", f"expected a list of [t1, t2, y] probes, got {markov!r}")
+    for i, probe in enumerate(markov or ()):
+        t1, t2, y = _float_list(f"markov[{i}]", probe, 3)
         if not (0.0 <= t1 <= t2 <= grid.t[-1]) or y < 0:
             _fail("markov", f"probe ({t1}, {t2}, {y}) out of range")
         probes.append((t1, t2, y))
 
     inc = raw.get("increment_probe")
     if inc is not None:
-        if not isinstance(inc, (list, tuple)) or len(inc) != 4:
-            _fail("increment_probe", "expected [t, y, t2, y2]")
+        t, y, t2, y2 = inc = tuple(_float_list("increment_probe", inc, 4))
         try:
-            t, y, t2, y2 = inc = tuple(float(v) for v in inc)
             grid.index(t, y), grid.index(t2, y2)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             _fail("increment_probe", str(exc))
         if t > t2 or y > y2:
             _fail("increment_probe", f"needs t <= t2 and y <= y2, got {list(inc)}")

@@ -131,14 +131,6 @@ def _grid_points(report: ExperimentReport, grid: Grid, *gates):
                     report.add(make(label, t, y, est[i, j], target[i, j], tol))
 
 
-def _per_point(stat, *paths: np.ndarray) -> np.ndarray:
-    """``stat`` of the 1-D slices x[:, i, j] of the path arrays at every grid
-    point (i, j), stacked over the grid."""
-    _, n_t, n_y = paths[0].shape
-    return np.array([[stat(*(x[:, i, j] for x in paths)) for j in range(n_y)]
-                     for i in range(n_t)])
-
-
 def _map_replications(worker, n_reps: int, threads: int, block: int):
     """Run ``worker`` on blocks of ``block`` consecutive replications.
 
@@ -195,21 +187,17 @@ def _fwlln_fields(cfg: ExperimentConfig, trace, reps: range):
     return out
 
 
-def _fclt_fields(cfg: ExperimentConfig, fluid_qr_vals, fluid_qe_vals,
+def _fclt_fields(cfg: ExperimentConfig, fluid_qr: TwoParamField, fluid_qe: TwoParamField,
                  decomposable: bool, trace, reps: range):
     q = eval_queue_fields(trace, cfg.grid)
     n = trace.n
     sq = math.sqrt(n)
-    qhat_r = sq * (q["Qr"].values / n - fluid_qr_vals)
-    qhat_e = sq * (q["Qe"].values / n - fluid_qe_vals)
+    qhat_r = sq * (q["Qr"].values / n - fluid_qr.values)
+    qhat_e = sq * (q["Qe"].values / n - fluid_qe.values)
     out = {"Qr": qhat_r, "Qe": qhat_e}
     if decomposable:
-        centering = TwoParamField(cfg.grid, fluid_qr_vals, "fluid_qr")
-        parts = [decompose_hatQr(trace.replication(r), cfg.grid, centering)
-                 for r in range(len(reps))]
-        out["X1"] = np.stack([x1.values for x1, _ in parts])
-        out["X2"] = np.stack([x2.values for _, x2 in parts])
-        out["addl"] = np.max(np.abs(out["X1"] + out["X2"] - qhat_r), axis=(1, 2))
+        x1, x2 = decompose_hatQr(trace, cfg.grid, fluid_qr)
+        out["X1"], out["X2"] = x1.values, x2.values
     return out
 
 
@@ -284,8 +272,8 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     report = _report(cfg)
     inputs = _inputs(cfg)
     tols = cfg.tolerances
-    fq_r = lim.surface(inputs, cfg.grid, "fluid_qr").values
-    fq_e = lim.surface(inputs, cfg.grid, "fluid_qe").values
+    fq_r = lim.surface(inputs, cfg.grid, "fluid_qr")
+    fq_e = lim.surface(inputs, cfg.grid, "fluid_qe")
     v_r = lim.surface(inputs, cfg.grid, "var_qr").values
     v_e = lim.surface(inputs, cfg.grid, "var_qe").values
     report.surface_rows("analytic_var", cfg.grid, v_r, "var_qr")
@@ -298,26 +286,25 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         results = _replications(report, partial(_fclt_fields, cfg, fq_r, fq_e, decomposable),
                                 cfg, n, threads)
         qr = results["Qr"]
-        var_qr_mc = sample_var(qr, axis=0)
+        var_qr_mc = sample_var(qr)
         _grid_points(report, cfg.grid,
                      (_rel_point, f"Var Qr-hat n={n}", var_qr_mc, v_r,
                       tols["variance_rel"], v_r > 1e-10),
-                     (_rel_point, f"Var Qe-hat n={n}", sample_var(results["Qe"], axis=0), v_e,
+                     (_rel_point, f"Var Qe-hat n={n}", sample_var(results["Qe"]), v_e,
                       tols["variance_rel_loose"], v_e > 1e-10))
         if decomposable:
             report.add(_abs_point(f"max|X1+X2-Qr-hat| n={n}", 0.0, 0.0,
-                                  float(np.max(results["addl"])), 0.0, tols["identity_abs"]))
+                                  np.max(np.abs(results["X1"] + results["X2"] - qr)), 0.0,
+                                  tols["identity_abs"]))
             _grid_points(report, cfg.grid,
-                         (_rel_point, f"Var X1 n={n}", sample_var(results["X1"], axis=0),
+                         (_rel_point, f"Var X1 n={n}", sample_var(results["X1"]),
                           comp.arrival, tols["variance_rel_loose"], comp.arrival > 1e-10),
-                         (_rel_point, f"Var X2 n={n}", sample_var(results["X2"], axis=0),
+                         (_rel_point, f"Var X2 n={n}", sample_var(results["X2"]),
                           comp.service, tols["variance_rel_loose"], comp.service > 1e-10))
         if cfg.grid.y[0] == 0.0:
-            qt = qr[:, :, 0]
-            moments = [skew_kurtosis(qt[:, i]) for i in range(len(cfg.grid.t))]
             report.extras[f"qt_skew_kurt_n{n}"] = [
-                {"t": float(t), "skew": s, "excess_kurtosis": k}
-                for t, (s, k) in zip(cfg.grid.t, moments)]
+                {"t": float(t), "skew": float(s), "excess_kurtosis": float(k)}
+                for t, s, k in zip(cfg.grid.t, *skew_kurtosis(qr[:, :, 0]))]
         report.surface_rows(f"mc_var_n{n}", cfg.grid, var_qr_mc, f"mc_var_qr_n{n}")
     return report
 
@@ -358,14 +345,14 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     n = cfg.n_list[-1]
     results = _replications(report, partial(_poisson_fields, cfg, frc), cfg, n, threads)
     qr = results["Qr"]
-    var_qr_mc = sample_var(qr, axis=0)
+    var_qr_mc = sample_var(qr)
     with np.errstate(invalid="ignore", divide="ignore"):
         dispersion = var_qr_mc / qr.mean(axis=0)
     live = n * fq_r >= 5.0      # skip near-empty points (t=0 etc.)
     _grid_points(report, cfg.grid,
                  (_abs_point, "dispersion |var/mean - 1|", dispersion, 1.0,
                   cfg.tolerances["dispersion_abs"], live),
-                 (_rel_point, "Var resampled vs Var Qr", sample_var(results["Qtilde"], axis=0),
+                 (_rel_point, "Var resampled vs Var Qr", sample_var(results["Qtilde"]),
                   var_qr_mc, cfg.tolerances["variance_rel_loose"], live))
     return report
 
@@ -385,39 +372,38 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     qr = bundle.paths["Qr"]
     v_r = lim.surface(inputs, grid, "var_qr").values
     v_e = lim.surface(inputs, grid, "var_qe").values
-    var_qr = _per_point(sample_var, qr)
-    mean_qr = _per_point(np.mean, qr)
+    var_qr = sample_var(qr)
+    mean_qr = qr.mean(axis=0)
     report.plotdata["limit_summary"] = [
         {"label": "Qr", "t": float(t), "y": float(y), "mc_mean": float(mean_qr[i, j]),
          "mc_var": float(var_qr[i, j]), "analytic_var": float(v_r[i, j])}
         for i, t in enumerate(grid.t) for j, y in enumerate(grid.y)]
     live_r = v_r > 1e-10
-    skew, kurt = np.moveaxis(_per_point(skew_kurtosis, qr), -1, 0)
+    skew, kurt = skew_kurtosis(qr)
     # a component whose paths do not vary at a point has no correlation to gate
-    comps = [(name, bundle.paths[name], _per_point(np.std, bundle.paths[name]) > 1e-12)
+    comps = [(name, bundle.paths[name], np.std(bundle.paths[name], axis=0) > 1e-12)
              for name in ("X1", "X2", "X3")]
-    corrs = [(_abs_point, f"corr {a}-{b}", _per_point(correlation, xa, xb), 0.0,
+    corrs = [(_abs_point, f"corr {a}-{b}", correlation(xa, xb), 0.0,
               tols["corr_abs"], live_a & live_b)
              for (a, xa, live_a), (b, xb, live_b) in itertools.combinations(comps, 2)]
     _grid_points(report, grid,
                  (_rel_point, "Var limit Qr", var_qr, v_r, tols["variance_rel"], live_r),
                  (_abs_point, "skew limit Qr", skew, 0.0, tols["skew_abs"], live_r),
                  (_abs_point, "kurtosis limit Qr", kurt, 0.0, tols["kurt_abs"], live_r),
-                 (_rel_point, "Var limit Qe", _per_point(sample_var, bundle.paths["Qe"]), v_e,
+                 (_rel_point, "Var limit Qe", sample_var(bundle.paths["Qe"]), v_e,
                   tols["variance_rel_loose"], v_e > 1e-10),
                  *corrs)
     if cfg.workload:
         v_w = lim.surface(inputs, grid, "var_w").values
         _grid_points(report, grid,
-                     (_rel_point, "Var limit Wr", _per_point(sample_var, bundle.paths["Wr"]),
+                     (_rel_point, "Var limit Wr", sample_var(bundle.paths["Wr"]),
                       v_w, tols["variance_rel_loose"], v_w > 1e-8))
-    # Kiefer process checks on a dedicated sheet
-    sheet = lp.sample_sheet([1.0], [0.3, 0.5, 0.6, 1.0],
-                            substream(cfg.master_seed, cfg.experiment, "sheet"),
-                            n_paths=n_paths)
-    u5 = sheet.kiefer(1.0, 0.5)
-    u3 = sheet.kiefer(1.0, 0.3)
-    u6 = sheet.kiefer(1.0, 0.6)
+    # the Kiefer process U(1, x) = W(1, x) - x W(1, 1), with the Brownian
+    # sheet's W(1, .) drawn by independent increments at the levels x
+    levels = np.array([0.3, 0.5, 0.6, 1.0])
+    z = substream(cfg.master_seed, cfg.experiment, "sheet").standard_normal((n_paths, 4))
+    w = np.cumsum(z * np.sqrt(np.diff(levels, prepend=0.0)), axis=1)
+    u3, u5, u6, _ = (w - levels * w[:, -1:]).T
     report.add(_rel_point("Var Kiefer U(1,0.5)", 1.0, 0.5,
                           float(sample_var(u5)), 0.25, tols["variance_rel"]))
     report.add(_rel_point("Cov Kiefer U(1,0.3),U(1,0.6)", 1.0, 0.3,

@@ -30,12 +30,12 @@ holds pathwise, up to rounding:
 
   Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y).
 
-The sheet is simulated by independent rectangle increments of variance
-equal to the rectangle area; the Kiefer bridge is read off as
-U(s, x) = W(s, x) - x W(s, 1).  Partition interval j is one strip of the
-sheet, cut at the levels F_c(v - s_j) of the windows covering it, one
-normal per cell.  X2 is linear in these normals, so the whole field is one
-matrix product
+This service sheet is the package's only Brownian sheet.  It is simulated
+by independent rectangle increments of variance equal to the rectangle
+area; the Kiefer bridge is read off as U(s, x) = W(s, x) - x W(s, 1).
+Partition interval j is one strip of the sheet, cut at the levels
+F_c(v - s_j) of the windows covering it, one normal per cell.  X2 is linear
+in these normals, so the whole field is one matrix product
 
   X2 = Z @ M,
 
@@ -54,10 +54,9 @@ import numpy as np
 
 from .fields import Grid
 from .limits import LimitInputs
+from .stats import correlation
 
 __all__ = [
-    "SheetSample",
-    "sample_sheet",
     "assemble_limit_bundle",
     "markov_decomposition_check",
     "LimitPathBundle",
@@ -67,54 +66,6 @@ __all__ = [
 _TOL = 1e-9
 _BLOCK_NORMALS = 2**18   # normals per block of the service sheet (2 MB)
 _DENSE_LEVELS = 32       # levels per path up to which a block is one matmul
-
-
-# -- Brownian sheet / Kiefer process on explicit level grids -------------------
-
-@dataclass(frozen=True)
-class SheetSample:
-    """Brownian-sheet values on a product grid of levels.
-
-    ``cum[p, i, j]`` is W at (s_levels[i], x_levels[j]) for path p, built as
-    the cumulative sum of independent cell increments with variance equal to
-    the cell area (cells anchored at the implicit zero levels).
-    """
-    s_levels: np.ndarray
-    x_levels: np.ndarray
-    cum: np.ndarray
-
-    def kiefer(self, s_level: float, x_level: float) -> np.ndarray:
-        """U(s, x) = W(s, x) - x W(s, 1) at grid levels (per path)."""
-        i = _level_index(self.s_levels, s_level, "s")
-        j = _level_index(self.x_levels, x_level, "x")
-        return self.cum[:, i, j] - x_level * self.cum[:, i, -1]
-
-
-def _level_index(levels: np.ndarray, value: float, name: str) -> int:
-    idx = int(np.searchsorted(levels, value))
-    for cand in (idx - 1, idx, idx + 1):
-        if 0 <= cand < len(levels) and abs(levels[cand] - value) <= _TOL:
-            return cand
-    raise ValueError(f"{name}-level {value} is not on the sampled grid")
-
-
-def sample_sheet(s_levels, x_levels, rng: np.random.Generator,
-                 n_paths: int = 1) -> SheetSample:
-    """Sample ``n_paths`` independent Brownian sheets on the level grid."""
-    s = np.asarray(s_levels, dtype=float)
-    x = np.asarray(x_levels, dtype=float)
-    if np.any(np.diff(s) <= 0) or np.any(s <= 0):
-        raise ValueError("s-levels must be positive and strictly increasing")
-    if np.any(np.diff(x) <= 0) or np.any(x <= 0) or np.any(x > 1.0):
-        raise ValueError("x-levels must lie in (0, 1] and be strictly increasing")
-    if x[-1] != 1.0:
-        x = np.append(x, 1.0)
-    ds = np.diff(np.concatenate(([0.0], s)))
-    dx = np.diff(np.concatenate(([0.0], x)))
-    cells = rng.standard_normal((n_paths, len(s), len(x)))
-    cells *= np.sqrt(ds[:, None] * dx[None, :])
-    cum = np.cumsum(np.cumsum(cells, axis=1), axis=2)
-    return SheetSample(s_levels=s, x_levels=x, cum=cum)
 
 
 # -- evaluation plan ------------------------------------------------------------
@@ -398,8 +349,5 @@ def markov_decomposition_check(bundle: LimitPathBundle, t1: float, t2: float,
             "assembled (off-grid evaluation would require interpolation)")
     lhs, shifted, z = bundle.markov[probe]
     residual = np.max(np.abs(lhs - shifted - z))
-    if np.std(shifted) > 0 and np.std(z) > 0:
-        corr = float(np.corrcoef(shifted, z)[0, 1])
-    else:
-        corr = 0.0
-    return MarkovCheckResult(residual_max=float(residual), correlation=corr)
+    return MarkovCheckResult(residual_max=float(residual),
+                             correlation=float(correlation(shifted, z)))

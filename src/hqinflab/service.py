@@ -287,11 +287,16 @@ class LogNormal(ServiceModel):
     logmean: float
     logsd: float
     _mean: float = field(init=False, repr=False, compare=False)
+    _scv: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.logsd <= 0:
             raise ValueError("logsd must be positive")
-        object.__setattr__(self, "_mean", math.exp(self.logmean + 0.5 * self.logsd**2))
+        try:
+            object.__setattr__(self, "_mean", math.exp(self.logmean + 0.5 * self.logsd**2))
+            object.__setattr__(self, "_scv", math.expm1(self.logsd**2))
+        except OverflowError:
+            raise ValueError("the mean or the variance overflows a float") from None
 
     def cdf(self, x):
         return _as_array_or_scalar(x, lambda v: _blockwise(self._cdf_block, v))
@@ -304,7 +309,7 @@ class LogNormal(ServiceModel):
         return rng.lognormal(self.logmean, self.logsd, size=size)
 
     def moments(self):
-        return Moments(self._mean, math.expm1(self.logsd**2))
+        return Moments(self._mean, self._scv)
 
     def integrated_sf(self, x):
         # int_0^x sf = x*sf(x) + E[eta; eta <= x], with the lognormal

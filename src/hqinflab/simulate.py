@@ -164,20 +164,10 @@ class SimulationTrace:
         counts = np.asarray(self.initial_count, dtype=np.intp)
         return np.full(self.replications, counts) if counts.ndim == 0 else counts
 
-    def replication(self, r: int) -> "SimulationTrace":
-        """Replication r on its own, as a single trace."""
-        lo, hi = self.offsets[r], self.offsets[r + 1]
-        skip = int(np.sum(self.initial_counts[:r]))
-        count = int(self.initial_counts[r])
-        return SimulationTrace(n=self.n, arrivals=self.arrivals[lo:hi],
-                               services=self.services[lo:hi], horizon=self.horizon,
-                               service_model=self.service_model, initial_count=count,
-                               initial_residuals=self.initial_residuals[skip:skip + count])
-
     def count_arrivals(self, t) -> np.ndarray:
         """A_n(t) = #{i : tau_i <= t}, on a single trace."""
         if self.bounds is not None:
-            raise ValueError("count_arrivals needs a single trace; take a block's replication(r)")
+            raise ValueError("count_arrivals needs a single trace, not a block")
         return np.searchsorted(self.arrivals, np.asarray(t, dtype=float), side="right")
 
 

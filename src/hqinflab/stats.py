@@ -10,30 +10,37 @@ __all__ = ["sample_var", "skew_kurtosis", "correlation", "ks_distance",
            "ks_critical_value"]
 
 
+def _points_last(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``values`` with the replication ``axis`` last and contiguous, so that
+    each point's sums run over its own sample as over a 1-D one (pairwise)."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(values, dtype=float), axis, -1))
+
+
 def sample_var(values: np.ndarray, axis=0) -> np.ndarray:
-    """Unbiased sample variance (numpy pairwise summation underneath)."""
-    return np.var(np.asarray(values, dtype=float), axis=axis, ddof=1)
+    """Unbiased sample variance over the replication ``axis``, per point."""
+    return np.var(_points_last(values, axis), axis=-1, ddof=1)
 
 
-def skew_kurtosis(values: np.ndarray) -> tuple[float, float]:
-    """(sample skewness, excess kurtosis) of a 1-D sample."""
-    v = np.asarray(values, dtype=float)
-    c = v - v.mean()
-    m2 = np.mean(c**2)
-    if m2 == 0:
-        return 0.0, 0.0
-    skew = float(np.mean(c**3) / m2**1.5)
-    kurt = float(np.mean(c**4) / m2**2 - 3.0)
-    return skew, kurt
+def skew_kurtosis(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sample skewness, excess kurtosis) over the replication axis 0, per
+    point; (0, 0) where the sample does not vary."""
+    v = _points_last(values)
+    c = v - v.mean(axis=-1, keepdims=True)
+    m2 = np.mean(c**2, axis=-1)
+    flat = m2 == 0
+    m2 = np.where(flat, 1.0, m2)
+    return (np.where(flat, 0.0, np.mean(c**3, axis=-1) / m2**1.5),
+            np.where(flat, 0.0, np.mean(c**4, axis=-1) / m2**2 - 3.0))
 
 
-def correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation; 0 when either side is degenerate."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.std() == 0.0 or b.std() == 0.0:
-        return 0.0
-    return float(np.corrcoef(a, b)[0, 1])
+def correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation over the replication axis 0, per point; 0 where
+    either side does not vary."""
+    ca, cb = (v - v.mean(axis=-1, keepdims=True) for v in (_points_last(a), _points_last(b)))
+    saa, sbb = np.sum(ca * ca, axis=-1), np.sum(cb * cb, axis=-1)
+    flat = (saa == 0) | (sbb == 0)
+    scale = np.sqrt(np.where(flat, 1.0, saa)) * np.sqrt(np.where(flat, 1.0, sbb))
+    return np.where(flat, 0.0, np.clip(np.sum(ca * cb, axis=-1) / scale, -1.0, 1.0))
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

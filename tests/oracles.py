@@ -1,10 +1,12 @@
 """Independent oracles used to freeze expected values.
 
 Deliberately naive implementations: fixed-grid composite Simpson quadrature,
-direct double loops over customers, and the limit engine's service sheet
+direct loops over customers, and the limit engine's service sheet
 built interval by interval.  They share no code with the package paths they
 check.  Also the test id of a service law.
 """
+
+import math
 
 import numpy as np
 
@@ -43,6 +45,19 @@ def brute_queue_fields(tau, eta, t, y):
                     qe += 1
             wr += max(a + s - t - y, 0.0)
     return qr, qe, qt, wr
+
+
+def brute_x1_x2(tau, eta, n, t, y, sf, center):
+    """(X1, X2) of hat(Qr)_n at one (t, y) by a loop over customers: X2 sums
+    1(tau + eta > t + y) - sf(t + y - tau) over the arrivals by t, X1 is the
+    sum of sf(t + y - tau) less n * center, both over sqrt(n)."""
+    x2 = sum_sf = 0.0
+    for a, s in zip(tau, eta):
+        if a <= t:
+            f = sf(t + y - a)
+            x2 += (a + s > t + y) - f
+            sum_sf += f
+    return (sum_sf - n * center) / math.sqrt(n), x2 / math.sqrt(n)
 
 
 def law_id(law):

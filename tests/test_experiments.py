@@ -70,6 +70,26 @@ class TestKeyChecks:
         with pytest.raises(ValueError, match="config error at " + re.escape(where) + ":"):
             config_from_dict({**TINY, key: value})
 
+    @pytest.mark.parametrize("key,value,where", [
+        ("service", {"kind": "lognormal", "logmean": 0, "logsd": 40}, "service"),
+        ("service", {"kind": "lognormal", "logmean": 0, "logsd": 27}, "service"),
+        ("markov", [[0.5, "x", 0.0]], "markov[0][1]"),
+        ("markov", [[0.5, None, 0.0]], "markov[0][1]"),
+        ("markov", 5, "markov"),
+        ("markov", 0, "markov"),
+        ("init", 5, "init"),
+        ("arrival", {"kind": "poisson", "rate": "x"}, "arrival.rate"),
+        ("arrival", {"kind": "poisson", "rate": None}, "arrival.rate"),
+        ("grid", {"t": [1.0, None], "y": [0.0]}, "grid.t[1]"),
+        ("grid", {"t": 5, "y": [0.0]}, "grid.t"),
+    ], ids=["lognormal_mean_overflow", "lognormal_scv_overflow_with_workload",
+            "markov_string", "markov_null", "markov_scalar", "markov_zero", "init_scalar",
+            "rate_string", "rate_null",
+            "grid_null", "grid_scalar"])
+    def test_malformed_value_names_its_key(self, key, value, where):
+        with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
+            config_from_dict({**TINY, key: value})
+
     def test_valid_values_accepted(self):
         cfg = config_from_dict({**TINY, "increment_probe": [0.5, 0.0, 1.0, 0.5],
                                 "tolerances": {"variance_rel": 0, "fluid_abs": 0.1}})

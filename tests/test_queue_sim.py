@@ -96,6 +96,14 @@ def block_trace(reps) -> SimulationTrace:
                            bounds=np.cumsum([0] + [len(rep[0]) for rep in reps]))
 
 
+def single_trace(rep) -> SimulationTrace:
+    """The (taus, etas, residuals) replication as a single trace."""
+    taus, etas, resid = (np.array(v, dtype=float) for v in rep)
+    return SimulationTrace(n=1, arrivals=taus, services=etas, horizon=HORIZON,
+                           service_model=EXP1, initial_count=len(resid),
+                           initial_residuals=resid)
+
+
 def blocks(grid):
     return st.lists(boundary_replication(grid), min_size=1, max_size=5)
 
@@ -202,13 +210,15 @@ class TestStreams:
                    for r in range(4)]
         block = simulate(ARRIVALS[name], service, 3, 2.0, streams, init=init)
         assert block.replications == 4 and block.batch_shape == (4,)
+        skips = np.cumsum(np.concatenate(([0], block.initial_counts)))
         for r in range(4):
             alone = simulate(ARRIVALS[name], service, 3, 2.0, substream(5, "blk", r), init=init)
-            part = block.replication(r)
-            assert np.array_equal(part.arrivals, alone.arrivals)
-            assert np.array_equal(part.services, alone.services)
-            assert part.initial_count == alone.initial_count
-            assert np.array_equal(part.initial_residuals, alone.initial_residuals)
+            own = slice(block.offsets[r], block.offsets[r + 1])
+            assert np.array_equal(block.arrivals[own], alone.arrivals)
+            assert np.array_equal(block.services[own], alone.services)
+            assert block.initial_counts[r] == alone.initial_count
+            assert np.array_equal(block.initial_residuals[skips[r]:skips[r + 1]],
+                                  alone.initial_residuals)
 
     def test_ties_broken_within_each_replication(self):
         # a phase of rate 1e20 adds nothing to the running sum: exact ties
@@ -218,7 +228,7 @@ class TestStreams:
         for r in range(3):
             raw = arrival.draw_epochs(20, 2.0, substream_children(3, "ties", r, count=1)[0])
             assert np.any(np.diff(raw) <= 0)
-            epochs = block.replication(r).arrivals
+            epochs = block.arrivals[block.offsets[r]:block.offsets[r + 1]]
             assert np.all(np.diff(epochs) > 0)
             assert np.array_equal(epochs, arrival.generate(
                 20, 2.0, substream_children(3, "ties", r, count=1)[0]))
@@ -269,8 +279,8 @@ class TestBlockFields:
                  eval_empirical_distributions)
         for ev in evals:
             fields = ev(trace, ODD_GRID)
-            for r in range(trace.replications):
-                alone = ev(trace.replication(r), ODD_GRID)
+            for r, rep in enumerate(reps):
+                alone = ev(single_trace(rep), ODD_GRID)
                 for name, f in fields.items():
                     assert np.array_equal(f.values[r], alone[name].values)
 
@@ -298,7 +308,7 @@ class TestBlockFields:
             eval_queue_fields(trace([1.0, 2.0], [0, 1, 2]), Grid([5.0], [0.0]))
         with pytest.raises(ValueError, match="single trace"):
             trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5])
-        assert trace([1.0, 2.0], [0, 1, 2]).replication(1).count_arrivals([1.5, 2.0]).tolist() == [0, 1]
+        assert single_trace(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [0, 1]
 
     def test_finite_values_checked(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -13,6 +13,8 @@ from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
 from hqinflab.simulate import SimulationTrace, eval_queue_fields, simulate
 
+from oracles import brute_x1_x2
+
 EXP1 = Exponential(1.0)
 ARR = ArrivalModel.poisson(1.0)
 INPUTS = LimitInputs.from_models(ARR, EXP1)
@@ -193,6 +195,41 @@ class TestDecomposition:
             x1, x2 = decompose_hatQr(trace, g, center)
             qhat = clt_scale(eval_queue_fields(trace, g)["Qr"], trace.n, center)
             assert np.max(np.abs(x1.values + x2.values - qhat.values)) < 1e-9
+
+    def test_block_against_customer_loop(self):
+        # a full replication, an empty one, one with no arrival before the
+        # first grid time, a full one and an empty last one: reduceat would
+        # give an empty segment the next replication's first value
+        g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+        center = surface(INPUTS, g, "fluid_qr")
+        n = 40
+        full = [_trace(n, 2.0, seed) for seed in range(3)]
+        late = full[1].arrivals > 0.5
+        reps = [(full[0].arrivals, full[0].services), ([], []),
+                (full[1].arrivals[late], full[1].services[late]),
+                (full[2].arrivals, full[2].services), ([], [])]
+        block = SimulationTrace(n=n, arrivals=np.concatenate([r[0] for r in reps]),
+                                services=np.concatenate([r[1] for r in reps]), horizon=2.0,
+                                service_model=EXP1,
+                                bounds=np.cumsum([0] + [len(r[0]) for r in reps]))
+        x1, x2 = decompose_hatQr(block, g, center)
+        assert x1.values.shape == x2.values.shape == (len(reps), *g.shape)
+        qhat = clt_scale(eval_queue_fields(block, g)["Qr"], n, center).values
+        assert np.max(np.abs(x1.values + x2.values - qhat)) < 1e-9
+        for r, (tau, eta) in enumerate(reps):
+            for i, t in enumerate(g.t):
+                for j, y in enumerate(g.y):
+                    want = brute_x1_x2(tau, eta, n, t, y, lambda x: math.exp(-x),
+                                       center.values[i, j])
+                    assert abs(x1.values[r, i, j] - want[0]) <= 1e-12
+                    assert abs(x2.values[r, i, j] - want[1]) <= 1e-12
+            # a replication's terms are its own, whatever block it is in
+            alone = SimulationTrace(n=n, arrivals=np.asarray(tau, dtype=float),
+                                    services=np.asarray(eta, dtype=float), horizon=2.0,
+                                    service_model=EXP1)
+            a1, a2 = decompose_hatQr(alone, g, center)
+            assert np.array_equal(a1.values, x1.values[r])
+            assert np.array_equal(a2.values, x2.values[r])
 
     def test_refused_for_atomic_service(self):
         mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))
