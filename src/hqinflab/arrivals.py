@@ -203,13 +203,10 @@ class ArrivalModel:
         """lambda when abar(t) = lambda * t, else None."""
         return self.rate_fn.constant_rate
 
-    def generate(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
-        """Arrival epochs of the n-th system on [0, horizon], strictly increasing."""
-        return _strictify(self.draw_epochs(n, horizon, rng))
-
     def draw_epochs(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
-        """The epochs of :meth:`generate` before exact ties are broken: an
-        atom of the interarrival law, or roundoff, can repeat an epoch."""
+        """Arrival epochs of the n-th system on [0, horizon], nondecreasing:
+        an atom of the interarrival law, or roundoff, can repeat an epoch.
+        :func:`_strictify` breaks such ties."""
         if n < 1:
             raise ValueError("scale n must be >= 1")
         if horizon <= 0:

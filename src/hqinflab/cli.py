@@ -11,22 +11,21 @@ Exit code 0 iff every verdict passes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from . import acceptance
-from .config import parse_config
+from .config import config_from_dict, parse_config
 from .experiments import analytic_surfaces, emit, run_experiment
 from .fields import TwoParamField, write_fields_csv
 
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=int(args.seed))
-    if args.reps is not None:
-        cfg = dataclasses.replace(cfg, replications=int(args.reps))
+    # the overrides go through the config's own checks
+    overrides = {"master_seed": args.seed, "replications": args.reps}
+    cfg = config_from_dict({**cfg.echo, **{k: v for k, v in overrides.items() if v is not None}},
+                           source=args.config)
     report = run_experiment(cfg, threads=args.threads)
     written = emit(report, args.out)
     for p in report.points:
@@ -48,12 +47,19 @@ def _cmd_surfaces(args) -> int:
     return 0
 
 
+def _criteria(text: str) -> set[int]:
+    """A comma-separated subset of the criterion indices, e.g. 1,3,8."""
+    known = {str(index): index for index in acceptance.CRITERIA}
+    items = [item.strip() for item in text.split(",")]
+    unknown = [item for item in items if item not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown criteria {unknown} (known: {', '.join(known)})")
+    return {known[item] for item in items}
+
+
 def _cmd_selftest(args) -> int:
-    only = None
-    if args.criteria:
-        only = {int(c) for c in args.criteria.split(",")}
-    seed = acceptance.DEFAULT_SEED if args.seed is None else int(args.seed)
-    results = acceptance.run_all(seed=seed, only=only)
+    seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
+    results = acceptance.run_all(seed=seed, only=args.criteria)
     all_ok = True
     for res in results:
         print(res.summary())
@@ -89,7 +95,7 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
     p_self.add_argument("--seed", type=int, default=None)
-    p_self.add_argument("--criteria", default=None,
+    p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated subset, e.g. 1,3,8")
     p_self.set_defaults(fn=_cmd_selftest)
 

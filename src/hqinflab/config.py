@@ -16,7 +16,6 @@ import yaml
 
 from .arrivals import ArrivalModel, arrival_from_spec
 from .fields import Grid
-from .limits import InitialLimits
 from .service import ServiceModel, service_from_spec
 from .simulate import CountLaw, InitialConditions
 
@@ -64,8 +63,7 @@ class ExperimentConfig:
     k: int
     master_seed: int
     tolerances: dict
-    init_sim: InitialConditions | None
-    init_limits: InitialLimits | None
+    init: InitialConditions | None
     markov_probes: tuple[tuple[float, float, float], ...]
     workload: bool
     increment_probe: tuple[float, float, float, float] | None
@@ -105,7 +103,7 @@ def _float_list(where: str, values, size: int | None = None) -> list[float]:
     return [_float_key(f"{where}[{i}]", v) for i, v in enumerate(values)]
 
 
-def _parse_init(spec: dict):
+def _parse_init(spec: dict) -> InitialConditions:
     if not isinstance(spec, dict):
         _fail("init", f"expected {{count: ..., residual: ...}}, got {spec!r}")
     allowed = {"count", "residual"}
@@ -121,10 +119,7 @@ def _parse_init(spec: dict):
         law = CountLaw(kind=cspec.get("kind", "fixed"), level=float(cspec.get("level", 0.0)))
     except (TypeError, ValueError) as exc:
         _fail("init.count", str(exc))
-    residual = service_from_spec(spec["residual"], "init.residual")
-    sim = InitialConditions(count=law, residual=residual)
-    limits = InitialLimits(qbar_it=law.level, var_qit=law.clt_variance, residual=residual)
-    return sim, limits
+    return InitialConditions(law, service_from_spec(spec["residual"], "init.residual"))
 
 
 def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -185,9 +180,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
                      or not math.isfinite(service.moments().mean)):
         _fail("workload", "workload fields need a constant arrival rate and a finite service mean")
 
-    init_sim = init_limits = None
-    if raw.get("init") is not None:
-        init_sim, init_limits = _parse_init(raw["init"])
+    init = None if raw.get("init") is None else _parse_init(raw["init"])
 
     probes = []
     markov = raw.get("markov")
@@ -212,7 +205,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     return ExperimentConfig(
         arrival=arrival, service=service, grid=grid, experiment=experiment,
         n_list=n_list, replications=replications, k=k, master_seed=master_seed,
-        tolerances=tolerances, init_sim=init_sim, init_limits=init_limits,
+        tolerances=tolerances, init=init,
         markov_probes=tuple(probes), workload=workload,
         increment_probe=inc, echo=raw)
 

@@ -222,7 +222,7 @@ def _workload_fields(cfg: ExperimentConfig, trace, reps: range):
 # -- runners --------------------------------------------------------------------
 
 def _inputs(cfg: ExperimentConfig) -> lim.LimitInputs:
-    return lim.LimitInputs.from_models(cfg.arrival, cfg.service, init=cfg.init_limits)
+    return lim.LimitInputs.from_models(cfg.arrival, cfg.service, init=cfg.init)
 
 
 def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -241,8 +241,7 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
 
     sup_errors = {}
     for n in cfg.n_list:
-        results = _replications(report, partial(_fwlln_fields, cfg), cfg, n, threads,
-                                cfg.init_sim)
+        results = _replications(report, partial(_fwlln_fields, cfg), cfg, n, threads, cfg.init)
         means = {name: np.mean(results[name], axis=0) for name in fluid}
         sup_errors[n] = 0.0
         for name, mean in means.items():
@@ -494,7 +493,7 @@ def analytic_surfaces(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
         out["fluid_wr"] = lim.surface(inputs, cfg.grid, "fluid_wr").values
     if cfg.workload:
         out["var_w"] = lim.surface(inputs, cfg.grid, "var_w").values
-    if cfg.init_limits is not None:
+    if cfg.init is not None:
         out["var_total"] = lim.surface(inputs, cfg.grid, "var_total").values
         out["fluid_total"] = lim.surface(inputs, cfg.grid, "fluid_total").values
     return out

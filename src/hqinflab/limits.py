@@ -26,9 +26,9 @@ from .arrivals import ArrivalModel
 from .fields import Grid, TwoParamField
 from .quadrature import integrate
 from .service import MixtureDecomposition, ServiceModel
+from .simulate import InitialConditions
 
 __all__ = [
-    "InitialLimits",
     "LimitInputs",
     "VarianceComponents",
     "fluid_qr",
@@ -53,19 +53,6 @@ WORKLOAD_NODES = 24  # Gauss-Legendre nodes per axis of the workload (x, z) squa
 
 
 @dataclass(frozen=True)
-class InitialLimits:
-    """Initial-condition block: scaled count level, its CLT variance, and the
-    residual-time c.d.f. of the customers present at time zero."""
-    qbar_it: float
-    var_qit: float
-    residual: ServiceModel
-
-    def __post_init__(self):
-        if self.qbar_it < 0 or self.var_qit < 0:
-            raise ValueError("initial level and variance must be nonnegative")
-
-
-@dataclass(frozen=True)
 class VarianceComponents:
     arrival: float      # carried by the arrival limit (Ito isometry)
     service: float      # service sampling noise (continuous part)
@@ -85,7 +72,7 @@ class LimitInputs:
 
     def __init__(self, abar, rate, ca2: float, service: ServiceModel,
                  standard_rate: float | None = None,
-                 init: InitialLimits | None = None):
+                 init: InitialConditions | None = None):
         self.abar = abar
         self.rate = rate
         self.ca2 = float(ca2)
@@ -98,7 +85,7 @@ class LimitInputs:
 
     @classmethod
     def from_models(cls, arrival: ArrivalModel, service: ServiceModel,
-                    init: InitialLimits | None = None) -> "LimitInputs":
+                    init: InitialConditions | None = None) -> "LimitInputs":
         return cls(abar=arrival.cumulative_rate,
                    rate=arrival.rate,
                    ca2=arrival.ca2,
@@ -334,24 +321,26 @@ def cov_x2_increment(inputs: LimitInputs, t, y, t2, y2):
 def initial_and_total_limits(inputs: LimitInputs, t, y):
     """(qir(y), Var Qir-hat(y), qTr(t,y), Var QTr-hat(t,y)).
 
-    qir(y) = F_i^c(y) q^{i,t};  the CLT variance adds the Brownian-bridge
-    term q^{i,t} F_i(y) F_i^c(y) to the count-noise term
-    F_i^c(y)^2 Var(Q^{i,t}-hat).  Totals add the independent new-arrival
-    surface with the initial part evaluated at t + y.
+    qir(y) = F_i^c(y) q^{i,t}, with q^{i,t} the count law's level;  the CLT
+    variance adds the Brownian-bridge term q^{i,t} F_i(y) F_i^c(y) to the
+    count-noise term F_i^c(y)^2 Var(Q^{i,t}-hat), the count law's CLT
+    variance.  Totals add the independent new-arrival surface with the
+    initial part evaluated at t + y.
     """
     if inputs.init is None:
         raise ValueError("no initial-condition block configured")
-    init = inputs.init
+    level, count_var = inputs.init.count.level, inputs.init.count.clt_variance
+    residual = inputs.init.residual
     t, y = _nonneg(t, y)
-    fi = init.residual.cdf(y)
+    fi = residual.cdf(y)
     fic = 1.0 - fi
-    qir = fic * init.qbar_it
-    var_qir = fic * fic * init.var_qit + init.qbar_it * fi * fic
-    fi_shift = init.residual.cdf(t + y)
+    qir = fic * level
+    var_qir = fic * fic * count_var + level * fi * fic
+    fi_shift = residual.cdf(t + y)
     fic_shift = 1.0 - fi_shift
-    qtr = fic_shift * init.qbar_it + fluid_qr(inputs, t, y)
-    var_qtr = (fic_shift * fic_shift * init.var_qit
-               + init.qbar_it * fi_shift * fic_shift
+    qtr = fic_shift * level + fluid_qr(inputs, t, y)
+    var_qtr = (fic_shift * fic_shift * count_var
+               + level * fi_shift * fic_shift
                + var_qr(inputs, t, y))
     return qir, var_qir, qtr, var_qtr
 

@@ -117,9 +117,6 @@ class ServiceModel:
         """F_e(x) = mu * int_0^x (1-F(s)) ds, elementwise."""
         return _as_array_or_scalar(x, lambda v: np.minimum(self._excess_fraction(v), 1.0))
 
-    def stationary_excess_sf(self, x):
-        return _as_array_or_scalar(x, lambda v: np.maximum(1.0 - self._excess_fraction(v), 0.0))
-
     def sf_quantile(self, eps: float) -> float:
         """Smallest float x with 1 - F(x) <= eps, by bisection down to
         adjacent floats."""

@@ -90,6 +90,8 @@ class CountLaw:
 
 @dataclass(frozen=True)
 class InitialConditions:
+    """The customers present at time zero: their count law and the law of
+    their residual service times, for the simulator and for the limits."""
     count: CountLaw
     residual: ServiceModel
 

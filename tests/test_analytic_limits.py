@@ -6,13 +6,14 @@ import pytest
 from hqinflab import limits, quadrature
 from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
-from hqinflab.limits import (InitialLimits, LimitInputs, cov_x2_increment,
+from hqinflab.limits import (LimitInputs, cov_x2_increment,
                              fluid_age_residual, fluid_qe, fluid_qr, fluid_qt,
                              fluid_totals, fluid_workload,
                              fluid_workload_steady, initial_and_total_limits,
                              surface, var_components, var_qe, var_qr,
                              var_workload)
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
+from hqinflab.simulate import CountLaw, InitialConditions
 
 from oracles import simpson, simpson_rule
 
@@ -77,7 +78,7 @@ class TestAgeResidual:
     def test_converges_to_stationary_excess(self):
         fe, frc = fluid_age_residual(M_EXP, 20.0, 0.5)
         assert fe == pytest.approx(EXP1.stationary_excess_cdf(0.5), abs=1e-6)
-        assert frc == pytest.approx(EXP1.stationary_excess_sf(0.5), abs=1e-6)
+        assert frc == pytest.approx(1.0 - EXP1.stationary_excess_cdf(0.5), abs=1e-6)
 
     def test_edges(self):
         fe, _ = fluid_age_residual(M_EXP, 1.0, 1.0)
@@ -208,7 +209,7 @@ class TestIncrementCovariance:
 
 
 class TestInitialAndTotal:
-    INIT = InitialLimits(qbar_it=1.0, var_qit=0.0, residual=EXP1)
+    INIT = InitialConditions(CountLaw("fixed", 1.0), EXP1)
 
     def _inputs(self):
         return LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1, init=self.INIT)
@@ -302,7 +303,7 @@ class TestSurfaces:
     def test_surface_equals_point_calls(self, which):
         inputs = LimitInputs.from_models(
             ArrivalModel.renewal(H2), Mixture(0.5, LOGNORMAL, FiniteAtoms(((1.0, 0.6), (2.0, 0.4)))),
-            init=InitialLimits(qbar_it=1.0, var_qit=0.5, residual=EXP1))
+            init=InitialConditions(CountLaw("poisson", 1.0), EXP1))
         grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
         field = surface(inputs, grid, which)
         for i, t in enumerate(grid.t):

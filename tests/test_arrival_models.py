@@ -198,32 +198,34 @@ class TestGeneration:
         hits = 0
         runs = 50
         for seed in range(runs):
-            eps = ArrivalModel.poisson(lam).generate(n, h, substream(seed, "pc"))
+            eps = _strictify(ArrivalModel.poisson(lam).draw_epochs(n, h, substream(seed, "pc")))
             hits += abs(len(eps) - n * lam * h) <= bound
         assert hits >= 0.99 * runs - 1
 
     def test_deterministic_renewal_spacing(self):
-        eps = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))).generate(10, 1.0, substream(0, "d"))
+        eps = _strictify(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))).draw_epochs(
+            10, 1.0, substream(0, "d")))
         assert np.allclose(eps, np.arange(1, 11) / 10.0, atol=1e-12)
 
     def test_nhpp_quadratic_cumulative(self):
         # rate 2s, abar(t) = t^2: expected count n * abar(1) = 100
         model = ArrivalModel.nhpp(RateFunction("linear", a=0.0, b=2.0))
-        counts = [len(model.generate(100, 1.0, substream(s, "quad"))) for s in range(30)]
+        counts = [len(_strictify(model.draw_epochs(100, 1.0, substream(s, "quad"))))
+                  for s in range(30)]
         assert np.all(np.abs(np.asarray(counts) - 100.0) <= 3.0 * 10.0 + 1)
 
     @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
     def test_epochs_strictly_increasing(self, model):
         for seed in range(5):
-            eps = model.generate(200, 2.0, substream(seed, "mono"))
+            eps = _strictify(model.draw_epochs(200, 2.0, substream(seed, "mono")))
             assert np.all(np.diff(eps) > 0.0)
             assert np.all(eps >= 0.0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            ArrivalModel.poisson(1.0).generate(0, 1.0, substream(0, "x"))
+            ArrivalModel.poisson(1.0).draw_epochs(0, 1.0, substream(0, "x"))
         with pytest.raises(ValueError):
-            ArrivalModel.poisson(1.0).generate(10, 0.0, substream(0, "x"))
+            ArrivalModel.poisson(1.0).draw_epochs(10, 0.0, substream(0, "x"))
 
 
 class TestPinnedEpochs:
@@ -233,7 +235,7 @@ class TestPinnedEpochs:
         # epochs equal up to roundoff (the largest, ~1e-13, is the deterministic
         # law at 0.3, whose epochs the old generator summed as raw 0.3 steps).
         spec, count, idx, epochs = PINNED[name]
-        eps = arrival_from_spec(spec).generate(50, 2.0, substream(2024, "pin", name))
+        eps = _strictify(arrival_from_spec(spec).draw_epochs(50, 2.0, substream(2024, "pin", name)))
         assert len(eps) == count
         np.testing.assert_allclose(eps[idx], epochs, rtol=1e-12, atol=0.0)
 
@@ -305,7 +307,7 @@ class TestLimitBehaviour:
         passes = 0
         runs = 20
         for seed in range(runs):
-            eps = model.generate(n, h, substream(seed, "lln", name))
+            eps = _strictify(model.draw_epochs(n, h, substream(seed, "lln", name)))
             passes += abs(len(eps) / n - target) < 0.05
         assert passes >= 0.95 * runs
 
@@ -316,13 +318,13 @@ class TestLimitBehaviour:
         n, reps = 400, 2000
         vals = np.empty(reps)
         for r in range(reps):
-            eps = model.generate(n, 1.0, substream(r, "clt", name))
+            eps = _strictify(model.draw_epochs(n, 1.0, substream(r, "clt", name)))
             vals[r] = math.sqrt(n) * (len(eps) / n - model.cumulative_rate(1.0))
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
 
     def test_deterministic_renewal_is_noiseless(self):
         model = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
-        eps = model.generate(400, 1.0, substream(1, "clt0"))
+        eps = _strictify(model.draw_epochs(400, 1.0, substream(1, "clt0")))
         assert abs(len(eps) / 400 - 1.0) <= 1.0 / 400
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -133,6 +134,37 @@ class TestCli:
         assert lines[0] == "label,t,y,estimate,target,abs_err,tol,tol_kind,passed"
         assert len(lines) == 1 + 2 * 3 + 1    # per n: sup Qr, Qe, Wt; then the n check
 
+    @pytest.mark.parametrize("flag,value,key", [("--reps", "0", "replications"),
+                                                ("--seed", "-1", "master_seed")])
+    def test_run_overrides_meet_the_config_checks(self, tmp_path, flag, value, key):
+        config = write_config(tmp_path, TINY)
+        with pytest.raises(ValueError, match="config error at " + key):
+            cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                      flag, value])
+
+    def test_run_overrides_reach_the_report(self, tmp_path):
+        config = write_config(tmp_path, TINY)
+        out = tmp_path / "out"
+        cli.main(["run", "--config", str(config), "--out", str(out),
+                  "--seed", "7", "--reps", "3"])
+        report = json.loads((out / "report.json").read_text())
+        assert report["seed"] == 7
+        assert (report["config"]["master_seed"], report["config"]["replications"]) == (7, 3)
+        assert report["extras"]["simulation"]["20"]["replications"] == 3
+
+    def test_selftest_subset(self, capsys):
+        assert cli.main(["selftest", "--criteria", "1,5"]) == 0
+        out = capsys.readouterr().out
+        assert "criterion 1:" in out and "criterion 5:" in out
+        assert out.rstrip().endswith("selftest: PASS (2/2 criteria)")
+
+    @pytest.mark.parametrize("criteria,bad", [("11", "'11'"), ("1,x", "'x'")])
+    def test_selftest_rejects_unknown_criteria(self, capsys, criteria, bad):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["selftest", "--criteria", criteria])
+        assert stop.value.code == 2
+        assert f"unknown criteria [{bad}]" in capsys.readouterr().err
+
     def test_surfaces_schema(self, tmp_path):
         config = write_config(tmp_path, TINY)
         out = tmp_path / "surfaces"
@@ -219,7 +251,7 @@ class TestBlocks:
         stats = report.extras["simulation"]
         assert sorted(stats) == ["20", "40"]
         for n in cfg.n_list:
-            size = simulate.block_size(cfg.arrival, n, cfg.horizon, cfg.grid, cfg.init_sim)
+            size = simulate.block_size(cfg.arrival, n, cfg.horizon, cfg.grid, cfg.init)
             assert stats[str(n)]["replications"] == cfg.replications
             assert stats[str(n)]["blocks"] == -(-cfg.replications // size)
             assert stats[str(n)]["draw_s"] >= 0.0 and stats[str(n)]["eval_s"] >= 0.0

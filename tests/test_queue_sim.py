@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqinflab.arrivals import ArrivalModel, RateFunction
+from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
 from hqinflab.fields import Grid, TwoParamField, write_fields_csv
 from hqinflab.rng import substream, substream_children
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
@@ -198,7 +198,7 @@ class TestStreams:
             assert trace.initial_residuals[0] == first_resid
         # the same draws as from the generator's spawned children
         arr_rng, svc_rng, init_rng = substream(2024, "pin", name).spawn(3)
-        epochs = ARRIVALS[name].generate(4, 3.0, arr_rng)
+        epochs = _strictify(ARRIVALS[name].draw_epochs(4, 3.0, arr_rng))
         assert np.array_equal(trace.arrivals, epochs)
         assert np.array_equal(trace.services, LogNormal(-0.5, 1.0).sample(svc_rng, len(epochs)))
 
@@ -230,8 +230,7 @@ class TestStreams:
             assert np.any(np.diff(raw) <= 0)
             epochs = block.arrivals[block.offsets[r]:block.offsets[r + 1]]
             assert np.all(np.diff(epochs) > 0)
-            assert np.array_equal(epochs, arrival.generate(
-                20, 2.0, substream_children(3, "ties", r, count=1)[0]))
+            assert np.array_equal(epochs, _strictify(raw))
 
 
 class TestBlockFields:

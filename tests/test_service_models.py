@@ -172,7 +172,7 @@ class TestStationaryExcess:
         mom = model.moments()
         expected = (mom.scv + 1.0) * mom.mean / 2.0
         xs, ws = simpson_rule(0.0, 80.0, m=8001)
-        got = ws @ model.stationary_excess_sf(xs)
+        got = ws @ (1.0 - model.stationary_excess_cdf(xs))
         assert got == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
