@@ -15,6 +15,7 @@ substreams, so runs are reproducible.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .arrivals import ArrivalModel
 from .config import config_from_dict
 from .experiments import ExperimentReport, PointStat, run_experiment
 from .fields import Grid
-from .rng import substream, substream_children
+from .rng import seed_words
 from .scaling import decompose_hatQr
 from .service import Exponential, FiniteAtoms, HyperExponential, Mixture
 from .simulate import (CountLaw, InitialConditions, eval_initial_fields,
@@ -42,9 +43,11 @@ class CriterionResult:
     name: str
     passed: bool
     lines: list[str] = field(default_factory=list)
+    seconds: float | None = None     # wall time, as run_all measures it
 
     def summary(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.index}: {self.name}"
+        timed = "" if self.seconds is None else f" ({self.seconds:.2f} s)"
+        return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.index}: {self.name}{timed}"
 
 
 def _check(lines, ok, text):
@@ -124,7 +127,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for name, arrival, service in cases:
         block = simulate(arrival, service, n=50, horizon=2.0,
-                         rng=[substream(seed, "criterion1", rep, name).spawn(3) for rep in range(5)])
+                         rng=seed_words(seed, [("criterion1", rep, name) for rep in range(5)], 3))
         q = eval_queue_fields(block, grid)
         w = eval_workload_fields(block, grid)
         qr, qe, qt = q["Qr"].values, q["Qe"].values, q["Qt"].values
@@ -146,7 +149,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     inputs = lim.LimitInputs.from_models(arrival, service)
     fluid = lim.surface(inputs, grid, "fluid_qr")
     block = simulate(arrival, service, n=100, horizon=2.0,
-                     rng=[substream(seed, "criterion1", "x12", rep).spawn(3) for rep in range(5)])
+                     rng=seed_words(seed, [("criterion1", "x12", rep) for rep in range(5)], 3))
     x1, x2 = decompose_hatQr(block, grid, fluid)
     qhat = math.sqrt(block.n) * (eval_queue_fields(block, grid)["Qr"].values / block.n
                                  - fluid.values)
@@ -342,18 +345,18 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         init = InitialConditions(CountLaw(kind, 1.0), Exponential(1.0))
         qir, target, _, _ = lim.initial_and_total_limits(
             lim.LimitInputs.from_models(arrival, service, init=init), 0.0, y)
-        block = simulate(arrival, service, n, y, [
-            substream_children(seed, "criterion10", kind, r, count=3) for r in range(2000)],
-            init=init)
+        block = simulate(arrival, service, n, y,
+                         seed_words(seed, [("criterion10", kind, r) for r in range(2000)], 3),
+                         init=init)
         counts = eval_initial_fields(block, Grid([y], [y]))["Qir"].values[:, 0]
         est = float(sample_var((counts - n * qir) / math.sqrt(n)))
         passed &= _check(lines, abs(est - target) <= 0.1 * target,
                          f"{kind} count: Var Qir-hat(ln 2) = {est:.4f} vs {target:.4f} (10%)")
 
     grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.0])
-    block = simulate(arrival, service, n, 2.0, [
-        substream_children(seed, "criterion10", "total", r, count=3) for r in range(5)],
-        init=InitialConditions(CountLaw("fixed", 1.0), Exponential(1.0)))
+    block = simulate(arrival, service, n, 2.0,
+                     seed_words(seed, [("criterion10", "total", r) for r in range(5)], 3),
+                     init=InitialConditions(CountLaw("fixed", 1.0), Exponential(1.0)))
     qir_shift = _per_replication(
         block.initial_residuals[:, None, None] > grid.t[:, None] + grid.y,
         np.concatenate(([0], np.cumsum(block.initial_counts))))
@@ -367,4 +370,11 @@ CRITERIA = {index: globals()[f"criterion_{index}"] for index in range(1, 11)}
 
 
 def run_all(seed: int = DEFAULT_SEED, only=None) -> list[CriterionResult]:
-    return [CRITERIA[index](seed) for index in sorted(CRITERIA) if not only or index in only]
+    """The criteria at ``seed``, all or those in ``only``, each timed."""
+    results = []
+    for index in sorted(CRITERIA):
+        if not only or index in only:
+            start = time.perf_counter()
+            results.append(CRITERIA[index](seed))
+            results[-1].seconds = time.perf_counter() - start
+    return results

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import reseat
 from .service import Exponential, Moments, ServiceModel, _as_array_or_scalar, service_from_spec
 
 __all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
@@ -203,19 +204,24 @@ class ArrivalModel:
         """lambda when abar(t) = lambda * t, else None."""
         return self.rate_fn.constant_rate
 
-    def draw_epochs(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
-        """Arrival epochs of the n-th system on [0, horizon], nondecreasing:
-        an atom of the interarrival law, or roundoff, can repeat an epoch.
-        :func:`_strictify` breaks such ties."""
+    def _first_batch(self, n: int, horizon: float) -> tuple[float, int]:
+        """n abar(horizon), the level the epochs fill, and the size of the
+        first batch of interarrivals, which almost always passes it."""
         if n < 1:
             raise ValueError("scale n must be >= 1")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
+        total = int(n) * self.rate_fn.cumulative(float(horizon))
+        return total, max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
+
+    def draw_epochs(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
+        """Arrival epochs of the n-th system on [0, horizon], nondecreasing:
+        an atom of the interarrival law, or roundoff, can repeat an epoch.
+        :func:`_strictify` breaks such ties."""
+        total, batch = self._first_batch(n, horizon)
         n, horizon = int(n), float(horizon)
-        total = n * self.rate_fn.cumulative(horizon)
         chunks = []
         pos = 0.0
-        batch = max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
         while pos <= total:
             # normalized to mean 1: the driving stream must have rate 1
             draws = np.asarray(self.interarrival.sample(rng, size=batch), dtype=float) / self._mean
@@ -225,6 +231,32 @@ class ArrivalModel:
         levels = np.concatenate(chunks)
         levels = levels[levels <= total]
         return self.rate_fn.invert_cumulative(levels / n, horizon)
+
+    def draw_block_epochs(self, n: int, horizon: float, words,
+                          gen: np.random.Generator) -> list[np.ndarray]:
+        """Arrival epochs of a block of replications of the n-th system, one
+        array per row of seed words (shape (R, 4)): those that
+        :meth:`draw_epochs` draws from ``gen`` re-seated on the row's words.
+
+        The first batches of all rows are drawn into one array, scaled and
+        summed in place.  A row whose batch ends short of the horizon's level
+        is drawn again on its own; its levels, like every row's, are
+        inverted on their own, since the sinusoidal inverse sizes its table
+        by the level count.
+        """
+        total, batch = self._first_batch(n, horizon)
+        n, horizon = int(n), float(horizon)
+        levels = np.empty((len(words), batch))
+        for row, w in zip(levels, words):
+            row[:] = self.interarrival.sample(reseat(gen, w), size=batch)
+        levels /= self._mean
+        np.cumsum(levels, axis=1, out=levels)
+        # the levels of a row rise, so those <= total are a prefix of it
+        kept = np.count_nonzero(levels <= total, axis=1)
+        levels /= n
+        return [self.draw_epochs(n, horizon, reseat(gen, w)) if m == batch
+                else self.rate_fn.invert_cumulative(row[:m], horizon)
+                for row, m, w in zip(levels, kept.tolist(), words)]
 
 
 def _rate_fn_from_spec(spec: dict, where: str) -> RateFunction:

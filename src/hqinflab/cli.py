@@ -57,6 +57,17 @@ def _criteria(text: str) -> set[int]:
     return {known[item] for item in items}
 
 
+def _seed(text: str) -> int:
+    """A master seed: a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _cmd_selftest(args) -> int:
     seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
     results = acceptance.run_all(seed=seed, only=args.criteria)
@@ -94,7 +105,7 @@ def main(argv=None) -> int:
     p_surf.set_defaults(fn=_cmd_surfaces)
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
-    p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--seed", type=_seed, default=None)
     p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated subset, e.g. 1,3,8")
     p_self.set_defaults(fn=_cmd_selftest)

@@ -4,7 +4,8 @@ Each runner simulates (or samples limit paths), compares against the analytic
 surfaces, and returns an :class:`ExperimentReport` whose verdict is the AND of
 its per-point pass flags.  Replications use one substream each, keyed by
 (master_seed, experiment, n, replication, component), so reports are
-reproducible bit-for-bit and replication order cannot matter.  Traces are
+reproducible bit-for-bit and replication order cannot matter; the seed words
+of every replication's streams at scale n are derived in one call.  Traces are
 simulated and evaluated in blocks of replications (see
 :func:`simulate.block_size`); the block sizes, the thread count and the
 process pool change no replication's values.
@@ -47,7 +48,7 @@ from . import limits as lim
 from . import paths as lp
 from .config import EXPERIMENTS, ExperimentConfig
 from .fields import Grid, TwoParamField, write_csv
-from .rng import substream, substream_children
+from .rng import reseat, seed_words, substream
 from .scaling import decompose_hatQr
 from .service import Exponential
 from .simulate import (block_size, eval_empirical_distributions, eval_queue_fields,
@@ -157,7 +158,10 @@ def _replications(report: ExperimentReport, evaluate, cfg: ExperimentConfig,
     sized by :func:`block_size`; their simulation stats go to
     ``report.extras["simulation"][str(n)]``."""
     block = block_size(cfg.arrival, n, cfg.horizon, cfg.grid, init)
-    rows, stats = _map_replications(partial(_block, evaluate, cfg, n, init),
+    words = seed_words(cfg.master_seed,
+                       [(cfg.experiment, n, r, "trace") for r in range(cfg.replications)],
+                       count=2 if init is None else 3)
+    rows, stats = _map_replications(partial(_block, evaluate, cfg, n, init, words),
                                     cfg.replications, threads, block)
     report.extras.setdefault("simulation", {})[str(n)] = stats
     return rows
@@ -165,14 +169,14 @@ def _replications(report: ExperimentReport, evaluate, cfg: ExperimentConfig,
 
 # -- replication workers (module level so they pickle for the process pool) ----
 
-def _block(evaluate, cfg: ExperimentConfig, n: int, init, reps: range):
+def _block(evaluate, cfg: ExperimentConfig, n: int, init, words: np.ndarray, reps: range):
     """Draw one block of replications at scale n from the replications' own
-    "trace" substreams and return ``evaluate(trace, reps)`` with the arrivals
-    simulated and the seconds spent drawing and evaluating."""
+    "trace" substreams, whose seed words are ``words[reps]``, and return
+    ``evaluate(trace, reps)`` with the arrivals simulated and the seconds
+    spent drawing and evaluating."""
     start = time.perf_counter()
-    streams = [substream_children(cfg.master_seed, cfg.experiment, n, r, "trace",
-                                  count=2 if init is None else 3) for r in reps]
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, streams, init=init)
+    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon,
+                     words[reps.start:reps.stop], init=init)
     drawn = time.perf_counter()
     rows = evaluate(trace, reps)
     return rows, {"customers": len(trace.arrivals), "draw_s": drawn - start,
@@ -210,8 +214,9 @@ def _poisson_fields(cfg: ExperimentConfig, frc_vals, trace, reps: range):
     q = eval_queue_fields(trace, cfg.grid)
     qt = q["Qt"].values.astype(int)
     p = np.clip(frc_vals, 0.0, 1.0)
-    qtilde = [substream(cfg.master_seed, cfg.experiment, trace.n, r, "bernoulli")
-              .binomial(qt[i][:, None], p) for i, r in enumerate(reps)]
+    words = seed_words(cfg.master_seed, [(cfg.experiment, trace.n, r, "bernoulli") for r in reps])
+    gen = np.random.Generator(np.random.PCG64())
+    qtilde = [reseat(gen, w).binomial(q[:, None], p) for q, w in zip(qt, words.tolist())]
     return {"Qr": q["Qr"].values, "Qtilde": np.asarray(qtilde, dtype=float)}
 
 

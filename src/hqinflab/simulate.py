@@ -11,12 +11,15 @@ is then a direct sum of per-customer indicators evaluated on a grid:
   Wr(t, y) = sum_{tau_i <= t} (tau_i + eta_i - t - y)^+    (remaining work)
 
 Monte Carlo runs many small independent replications, so :func:`simulate`
-draws a block of them at once: each replication from its own arrival,
-service and initial-state generators, drawing exactly what it would draw on
-its own.  The block is one :class:`SimulationTrace` that stores its
-replications one after another; a single trace is a block of one, whose
-fields carry no replication axis.  Ties are broken and the trace is checked
-once per block.
+draws a block of them at once.  A block is given by the seed words of its
+replications' arrival, service and initial-state streams (see :mod:`rng`):
+one generator is re-seated on each stream in turn, the first batches of
+interarrivals of all replications are drawn into one array
+(:meth:`ArrivalModel.draw_block_epochs`), and each replication draws exactly
+what it would draw on its own.  The block is one :class:`SimulationTrace`
+that stores its replications one after another; a single trace is a block
+of one, whose fields carry no replication axis.  Ties are broken and the
+trace is checked once per block.
 
 The evaluators bin every customer once.  With a sorted threshold set c and
 bin(x) = #{c_k < x} (``searchsorted(c, x, side="left")``), x <= c_m holds
@@ -47,6 +50,7 @@ import numpy as np
 
 from .arrivals import ArrivalModel, _strictify
 from .fields import Grid, TimeField, TwoParamField, write_csv
+from .rng import reseat
 from .service import ServiceModel
 
 __all__ = [
@@ -179,31 +183,33 @@ def simulate(arrival: ArrivalModel, service: ServiceModel,
     """Draw one realization of the n-th system, or a block of them.
 
     ``rng`` is one Generator, whose first three spawned children drive the
-    arrivals, the services and the initial state of a single trace; or a
-    sequence with one (arrival, service[, initial-state]) tuple of
-    generators per replication of a block, the third needed only with
-    ``init``.  Services are i.i.d. from the service law, independent of the
-    arrival process; the initial state is independent of both.
+    arrivals, the services and the initial state of a single trace; or the
+    seed words of a block (see :mod:`rng`), shape (R, k, 4): per replication
+    those of its arrival, service[ and initial-state] streams, the third
+    needed only with ``init``.  Services are i.i.d. from the service law,
+    independent of the arrival process; the initial state is independent of
+    both.
     """
     single = isinstance(rng, np.random.Generator)
-    streams = [rng.spawn(3)] if single else rng
-    epochs, services, counts, residuals = [], [], [], []
-    for gens in streams:
-        tau = arrival.draw_epochs(n, horizon, gens[0])
-        epochs.append(tau)
-        services.append(np.asarray(service.sample(gens[1], size=len(tau)), dtype=float))
-        if init is not None:
-            counts.append(init.count.draw(n, gens[2]))
-            residuals.append(np.asarray(init.residual.sample(gens[2], size=counts[-1]),
-                                        dtype=float))
+    words = (np.array([[child.generate_state(4, np.uint64)
+                        for child in rng.bit_generator.seed_seq.spawn(3)]])
+             if single else np.asarray(rng, dtype=np.uint64))
+    gen = np.random.Generator(np.random.PCG64())    # re-seated for every stream
+    words = words.tolist()
+    epochs = arrival.draw_block_epochs(n, horizon, [w[0] for w in words], gen)
     bounds = np.zeros(len(epochs) + 1, dtype=np.intp)
     np.cumsum([len(tau) for tau in epochs], out=bounds[1:])
-    if init is None:
-        counts = [0] * len(epochs)
+    services = np.empty(bounds[-1])
+    counts, residuals = np.zeros(len(epochs), dtype=np.intp), []
+    for r, (w, lo, hi) in enumerate(zip(words, bounds.tolist(), bounds[1:].tolist())):
+        services[lo:hi] = service.sample(reseat(gen, w[1]), size=hi - lo)
+        if init is not None:
+            counts[r] = init.count.draw(n, reseat(gen, w[2]))
+            residuals.append(np.asarray(init.residual.sample(gen, size=counts[r]), dtype=float))
     return SimulationTrace(
         n=n, arrivals=_strictify(np.concatenate(epochs), bounds),
-        services=np.concatenate(services), horizon=horizon, service_model=service,
-        initial_count=counts[0] if single else np.asarray(counts, dtype=np.intp),
+        services=services, horizon=horizon, service_model=service,
+        initial_count=int(counts[0]) if single else counts,
         initial_residuals=np.concatenate(residuals) if residuals else None,
         bounds=None if single else bounds)
 

@@ -156,6 +156,8 @@ class TestCli:
         assert cli.main(["selftest", "--criteria", "1,5"]) == 0
         out = capsys.readouterr().out
         assert "criterion 1:" in out and "criterion 5:" in out
+        # each summary line ends in the criterion's wall time
+        assert re.search(r"\] criterion 1: .* \(\d+\.\d\d s\)\n", out)
         assert out.rstrip().endswith("selftest: PASS (2/2 criteria)")
 
     @pytest.mark.parametrize("criteria,bad", [("11", "'11'"), ("1,x", "'x'")])
@@ -164,6 +166,13 @@ class TestCli:
             cli.main(["selftest", "--criteria", criteria])
         assert stop.value.code == 2
         assert f"unknown criteria [{bad}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_selftest_rejects_a_bad_seed(self, capsys, seed):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["selftest", "--seed", seed])
+        assert stop.value.code == 2
+        assert f"seed must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
 
     def test_surfaces_schema(self, tmp_path):
         config = write_config(tmp_path, TINY)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
 from hqinflab.fields import Grid, TwoParamField, write_fields_csv
-from hqinflab.rng import substream, substream_children
+from hqinflab.rng import reseat, seed_words, substream, substream_children
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
 from hqinflab.simulate import (CountLaw, InitialConditions, SimulationTrace,
                                eval_empirical_distributions,
@@ -178,9 +178,31 @@ class TestStreams:
     def test_children_are_the_spawned_ones(self, keys):
         spawned = substream(11, *keys).spawn(3)
         direct = substream_children(11, *keys, count=3)
-        for a, b in zip(spawned, direct):
-            assert a.bit_generator.state == b.bit_generator.state
-            assert np.array_equal(a.random(8), b.random(8))
+        gen = np.random.default_rng()
+        for a, words in zip(spawned, direct):
+            assert a.bit_generator.state == reseat(gen, words).bit_generator.state
+            assert np.array_equal(a.random(8), gen.random(8))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**130 + 7])
+    @pytest.mark.parametrize("count", [None, 1, 2, 3])
+    def test_seed_words_are_numpys(self, seed, count):
+        # 2**130 + 7 has five entropy words, more than the pool: it is not padded
+        rows = [("fwlln", 100, 3, "trace"), ("x", 2**40 + 5, "y"), (2**33, "z", 0)]
+        for keys in rows:
+            (words,) = seed_words(seed, [keys], count)
+            seq = substream(seed, *keys).bit_generator.seed_seq
+            seqs = [seq] if count is None else seq.spawn(count)
+            words = [words] if count is None else words
+            gen = np.random.default_rng()
+            for child, w in zip(seqs, words):
+                assert np.array_equal(w, child.generate_state(4, np.uint64))
+                ref = np.random.Generator(np.random.PCG64(child))
+                assert reseat(gen, w).bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(gen.random(8), ref.random(8))
+        # many rows at once: each row's words are its own
+        block = [("fwlln", 100, r, "trace") for r in range(3)]
+        assert np.array_equal(seed_words(seed, block, count),
+                              np.stack([seed_words(seed, [keys], count)[0] for keys in block]))
 
     @pytest.mark.parametrize("name", sorted(ARRIVALS))
     @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
@@ -226,11 +248,36 @@ class TestStreams:
         streams = [substream_children(3, "ties", r, count=2) for r in range(3)]
         block = simulate(arrival, EXP1, 20, 2.0, streams)
         for r in range(3):
-            raw = arrival.draw_epochs(20, 2.0, substream_children(3, "ties", r, count=1)[0])
+            raw = arrival.draw_epochs(20, 2.0, substream(3, "ties", r).spawn(1)[0])
             assert np.any(np.diff(raw) <= 0)
             epochs = block.arrivals[block.offsets[r]:block.offsets[r + 1]]
             assert np.all(np.diff(epochs) > 0)
             assert np.array_equal(epochs, _strictify(raw))
+
+    def test_block_redraws_a_short_first_batch(self, monkeypatch):
+        # the phase of mean 100 makes the first batch of interarrivals often
+        # end before the horizon's level: such a row is drawn again alone
+        arrival = ArrivalModel.renewal(HyperExponential((0.99, 0.01), (1e3, 1e-2)))
+        redrawn = []
+        draw = ArrivalModel.draw_epochs
+
+        def counted(self, *args):
+            redrawn.append(args)
+            return draw(self, *args)
+        monkeypatch.setattr(ArrivalModel, "draw_epochs", counted)
+        streams = [substream_children(8, "short", r, count=2) for r in range(20)]
+        block = simulate(arrival, EXP1, 20, 2.0, streams)
+        assert redrawn
+        monkeypatch.undo()
+        for r in range(20):
+            alone = simulate(arrival, EXP1, 20, 2.0, substream(8, "short", r))
+            arr_rng, svc_rng = substream(8, "short", r).spawn(2)
+            epochs = _strictify(arrival.draw_epochs(20, 2.0, arr_rng))
+            own = slice(block.offsets[r], block.offsets[r + 1])
+            assert np.array_equal(block.arrivals[own], alone.arrivals)
+            assert np.array_equal(block.arrivals[own], epochs)
+            assert np.array_equal(block.services[own], alone.services)
+            assert np.array_equal(block.services[own], EXP1.sample(svc_rng, len(epochs)))
 
 
 class TestBlockFields:
