@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import reseat
+from .rng import seated
 from .service import Exponential, Moments, ServiceModel, _as_array_or_scalar, service_from_spec
 
 __all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
@@ -232,11 +232,10 @@ class ArrivalModel:
         levels = levels[levels <= total]
         return self.rate_fn.invert_cumulative(levels / n, horizon)
 
-    def draw_block_epochs(self, n: int, horizon: float, words,
-                          gen: np.random.Generator) -> list[np.ndarray]:
+    def draw_block_epochs(self, n: int, horizon: float, words) -> list[np.ndarray]:
         """Arrival epochs of a block of replications of the n-th system, one
         array per row of seed words (shape (R, 4)): those that
-        :meth:`draw_epochs` draws from ``gen`` re-seated on the row's words.
+        :meth:`draw_epochs` draws from a generator seated on the row's words.
 
         The first batches of all rows are drawn into one array, scaled and
         summed in place.  A row whose batch ends short of the horizon's level
@@ -248,13 +247,13 @@ class ArrivalModel:
         n, horizon = int(n), float(horizon)
         levels = np.empty((len(words), batch))
         for row, w in zip(levels, words):
-            row[:] = self.interarrival.sample(reseat(gen, w), size=batch)
+            row[:] = self.interarrival.sample(seated(w), size=batch)
         levels /= self._mean
         np.cumsum(levels, axis=1, out=levels)
         # the levels of a row rise, so those <= total are a prefix of it
         kept = np.count_nonzero(levels <= total, axis=1)
         levels /= n
-        return [self.draw_epochs(n, horizon, reseat(gen, w)) if m == batch
+        return [self.draw_epochs(n, horizon, seated(w)) if m == batch
                 else self.rate_fn.invert_cumulative(row[:m], horizon)
                 for row, m, w in zip(levels, kept.tolist(), words)]
 

@@ -37,7 +37,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -48,11 +47,10 @@ from . import limits as lim
 from . import paths as lp
 from .config import EXPERIMENTS, ExperimentConfig
 from .fields import Grid, TwoParamField, write_csv
-from .rng import reseat, seed_words, substream
+from .rng import seated, seed_words, substream
 from .scaling import decompose_hatQr
 from .service import Exponential
-from .simulate import (block_size, eval_empirical_distributions, eval_queue_fields,
-                       eval_workload_fields, simulate)
+from .simulate import block_size, eval_empirical_distributions, eval_fields, simulate
 from .stats import correlation, sample_var, skew_kurtosis
 
 __all__ = ["PointStat", "ExperimentReport", "run_experiment", "emit",
@@ -143,6 +141,9 @@ def _map_replications(worker, n_reps: int, threads: int, block: int):
     if threads <= 1:
         parts = [worker(b) for b in blocks]
     else:
+        # imported here: it pulls in multiprocessing and logging, which a
+        # single-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, len(blocks) // (8 * threads))
             parts = list(pool.map(worker, blocks, chunksize=chunk))
@@ -184,16 +185,13 @@ def _block(evaluate, cfg: ExperimentConfig, n: int, init, words: np.ndarray, rep
 
 
 def _fwlln_fields(cfg: ExperimentConfig, trace, reps: range):
-    q = eval_queue_fields(trace, cfg.grid)
-    out = {"Qr": q["Qr"].values / trace.n, "Qe": q["Qe"].values / trace.n}
-    if cfg.workload:
-        out["Wt"] = eval_workload_fields(trace, cfg.grid)["Wt"].values / trace.n
-    return out
+    names = ("Qr", "Qe", "Wt") if cfg.workload else ("Qr", "Qe")
+    return {name: f.values / trace.n for name, f in eval_fields(trace, cfg.grid, names).items()}
 
 
 def _fclt_fields(cfg: ExperimentConfig, fluid_qr: TwoParamField, fluid_qe: TwoParamField,
                  decomposable: bool, trace, reps: range):
-    q = eval_queue_fields(trace, cfg.grid)
+    q = eval_fields(trace, cfg.grid, ("Qr", "Qe"))
     n = trace.n
     sq = math.sqrt(n)
     qhat_r = sq * (q["Qr"].values / n - fluid_qr.values)
@@ -211,17 +209,16 @@ def _age_fields(cfg: ExperimentConfig, fe_targets, trace, reps: range):
 
 
 def _poisson_fields(cfg: ExperimentConfig, frc_vals, trace, reps: range):
-    q = eval_queue_fields(trace, cfg.grid)
+    q = eval_fields(trace, cfg.grid, ("Qr", "Qt"))
     qt = q["Qt"].values.astype(int)
     p = np.clip(frc_vals, 0.0, 1.0)
     words = seed_words(cfg.master_seed, [(cfg.experiment, trace.n, r, "bernoulli") for r in reps])
-    gen = np.random.Generator(np.random.PCG64())
-    qtilde = [reseat(gen, w).binomial(q[:, None], p) for q, w in zip(qt, words.tolist())]
+    qtilde = [seated(w).binomial(q[:, None], p) for q, w in zip(qt, words.tolist())]
     return {"Qr": q["Qr"].values, "Qtilde": np.asarray(qtilde, dtype=float)}
 
 
 def _workload_fields(cfg: ExperimentConfig, trace, reps: range):
-    return {"Wt": eval_workload_fields(trace, cfg.grid)["Wt"].values / trace.n}
+    return {"Wt": eval_fields(trace, cfg.grid, ("Wt",))["Wt"].values / trace.n}
 
 
 # -- runners --------------------------------------------------------------------

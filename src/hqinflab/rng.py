@@ -10,14 +10,16 @@ SeedSequence's ``generate_state(4, np.uint64)`` returns and that PCG64 seeds
 itself from.  :func:`seed_words` derives the words of many substreams, or of
 their spawned children, in one vectorized pass of SeedSequence's hash, and
 :func:`reseat` puts an existing generator into the fresh state that a
-stream's words give.  A block of simulated replications so draws every
-stream from one generator, re-seated per stream, and never builds a
-SeedSequence, a PCG64 or a Generator per stream; every draw is bit for bit
-the one that ``substream(...).spawn(k)`` would make.
+stream's words give.  A process keeps one scratch generator, which
+:func:`seated` re-seats before every draw, so simulated replications draw
+every stream from it and never build a SeedSequence, a PCG64 or a Generator
+per stream or per block; every draw is bit for bit the one that
+``substream(...).spawn(k)`` would make.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -146,3 +148,17 @@ def reseat(gen: np.random.Generator, words) -> np.random.Generator:
     gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
     return gen
+
+
+@functools.cache
+def _scratch() -> np.random.Generator:
+    """The process's scratch generator, made on first use: ``numpy.random``
+    takes about 25 ms to import.  Seeded from a constant, it reads no OS
+    entropy; every user re-seats it, so no state carries between draws."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def seated(words) -> np.random.Generator:
+    """The process's scratch generator, re-seated on a stream's seed words
+    (see :func:`reseat`).  It stays valid until the next call."""
+    return reseat(_scratch(), words)

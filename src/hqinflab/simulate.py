@@ -21,18 +21,24 @@ that stores its replications one after another; a single trace is a block
 of one, whose fields carry no replication axis.  Ties are broken and the
 trace is checked once per block.
 
-The evaluators bin every customer once.  With a sorted threshold set c and
-bin(x) = #{c_k < x} (``searchsorted(c, x, side="left")``), x <= c_m holds
-exactly when bin(x) <= m, and x > c_m exactly when bin(x) > m.  So one
-histogram of customers over (replication, tau-bin, end-bin) cells, with
-tau-bins over the grid times and end-bins over the values t + y, gives every
-Qr(t, y) as a sum over a corner of cells; another, with tau-bins over the
-values t and t - y and end-bins over the grid times, gives every Qe(t, y).
-Cumulative sums over the bins read all grid points off at once, and the same
-histogram weighted by the ends gives Wr(t, y) = sum(end) - (t + y) * Qr(t, y).
-Each customer is binned once per trace and grid, whichever fields are asked
-for; the thresholds and the cell layout are set up once per grid; and the
-cells of a block are kept within the block budget, down to one replication.
+:func:`eval_fields` evaluates the fields that it is asked for in one pass.
+With a sorted threshold set c and bin(x) = #{c_k < x}
+(``searchsorted(c, x, side="left")``), x <= c_m holds exactly when
+bin(x) <= m, and x > c_m exactly when bin(x) > m.  So one histogram of
+customers over (replication, tau-bin, end-bin) cells, with tau-bins over the
+grid times and end-bins over the values t + y, gives every Qr(t, y) as a sum
+over a corner of cells; another, with tau-bins over the values t and t - y
+and end-bins over the grid times, gives every Qe(t, y).  Cumulative sums over
+the bins read all grid points off at once, and the same residual histogram
+weighted by the ends gives Wr(t, y) = sum(end) - (t + y) * Qr(t, y).
+
+One call bins each customer once and builds the residual histogram once per
+weight that its fields read: the count for Qr, Qt and D; the ends as well
+for Wr and Wt; the services as well for I and C (C = I - Wt).  It builds the
+elapsed histogram only when Qe is named.  Bins are not kept between calls, so
+a caller names every field it needs of a trace and grid in one call.  The
+thresholds and the cell layout are set up once per grid, and the cells of a
+block are kept within the block budget, down to one replication.
 
 Boundary conventions are exact: the residual comparison is strict and the
 elapsed window is open on the left, which makes the counting identities
@@ -44,13 +50,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrivals import ArrivalModel, _strictify
 from .fields import Grid, TimeField, TwoParamField, write_csv
-from .rng import reseat
+from .rng import seated
 from .service import ServiceModel
 
 __all__ = [
@@ -59,8 +65,8 @@ __all__ = [
     "SimulationTrace",
     "simulate",
     "block_size",
-    "eval_queue_fields",
-    "eval_workload_fields",
+    "FIELDS",
+    "eval_fields",
     "eval_empirical_distributions",
     "eval_initial_fields",
     "export_trace_csv",
@@ -68,6 +74,10 @@ __all__ = [
 
 # Customers, and histogram cells, that one block of replications aims to hold.
 _BLOCK_BUDGET = 2**14
+# The fields that eval_fields evaluates.
+FIELDS = ("Qr", "Qe", "Qt", "D", "Wr", "Wt", "I", "C")
+
+
 @dataclass(frozen=True)
 class CountLaw:
     """Law of the initial customer count at scale n: floor(level*n) or
@@ -117,8 +127,6 @@ class SimulationTrace:
     initial_count: int | np.ndarray = 0
     initial_residuals: np.ndarray = None
     bounds: np.ndarray | None = None
-    # the customers' bins per grid, made by the first evaluator that needs them
-    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.arrivals, dtype=float)
@@ -194,17 +202,17 @@ def simulate(arrival: ArrivalModel, service: ServiceModel,
     words = (np.array([[child.generate_state(4, np.uint64)
                         for child in rng.bit_generator.seed_seq.spawn(3)]])
              if single else np.asarray(rng, dtype=np.uint64))
-    gen = np.random.Generator(np.random.PCG64())    # re-seated for every stream
     words = words.tolist()
-    epochs = arrival.draw_block_epochs(n, horizon, [w[0] for w in words], gen)
+    epochs = arrival.draw_block_epochs(n, horizon, [w[0] for w in words])
     bounds = np.zeros(len(epochs) + 1, dtype=np.intp)
     np.cumsum([len(tau) for tau in epochs], out=bounds[1:])
     services = np.empty(bounds[-1])
     counts, residuals = np.zeros(len(epochs), dtype=np.intp), []
     for r, (w, lo, hi) in enumerate(zip(words, bounds.tolist(), bounds[1:].tolist())):
-        services[lo:hi] = service.sample(reseat(gen, w[1]), size=hi - lo)
+        services[lo:hi] = service.sample(seated(w[1]), size=hi - lo)
         if init is not None:
-            counts[r] = init.count.draw(n, reseat(gen, w[2]))
+            gen = seated(w[2])
+            counts[r] = init.count.draw(n, gen)
             residuals.append(np.asarray(init.residual.sample(gen, size=counts[r]), dtype=float))
     return SimulationTrace(
         n=n, arrivals=_strictify(np.concatenate(epochs), bounds),
@@ -346,55 +354,51 @@ def _layout(grid: Grid) -> _Layout:
     return _layout_of(grid.t.tobytes(), grid.y.tobytes())
 
 
-def _trace_bins(trace: SimulationTrace, grid: Grid) -> tuple[_Layout, tuple]:
-    """The grid's layout and the bins of the trace's customers on it, made
-    once per trace and grid."""
-    key = (grid.t.tobytes(), grid.y.tobytes())
-    layout = _layout_of(*key)
-    if key not in trace._bins:
-        trace._bins[key] = layout.bin(trace.arrivals, trace.arrivals + trace.services)
-    return layout, trace._bins[key]
-
-
-def eval_queue_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoParamField | TimeField]:
-    """Qr, Qe (two-parameter), Qt and departures D (time-only)."""
+def eval_fields(trace: SimulationTrace, grid: Grid,
+                names=FIELDS) -> dict[str, TwoParamField | TimeField]:
+    """The named fields of a trace on a grid, in the order named: the counts
+    Qr, Qe (two-parameter), Qt and departures D (time-only); the remaining
+    work Wr (two-parameter), total workload Wt, input I and completed work C
+    (time-only).  It builds only the histograms that these fields read (see
+    the module docstring); an unknown name raises KeyError.
+    """
+    wanted = set(names)
     _check_grid(trace, grid)
-    (layout, bins), rep = _trace_bins(trace, grid), _replication_index(trace)
-    R, shape = trace.replications, trace.batch_shape
-    (counts,) = layout.residual(bins, rep, R, None)
-    counts = counts.astype(float)
-    qt = counts[:, :, 1]
-    return {
-        "Qr": TwoParamField(grid, counts[:, :, 2:].reshape(shape + grid.shape), "Qr"),
-        "Qe": TwoParamField(grid, layout.elapsed(bins, rep, R).astype(float).reshape(shape + grid.shape), "Qe"),
-        "Qt": TimeField(grid.t, qt.reshape(shape + grid.t.shape), "Qt"),
-        "D": TimeField(grid.t, (counts[:, :, 0] - qt).reshape(shape + grid.t.shape), "D"),
-    }
-
-
-def eval_workload_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoParamField | TimeField]:
-    """Remaining work Wr(t,y), input I, total workload Wt, completed work C."""
-    _check_grid(trace, grid)
-    layout, bins = _trace_bins(trace, grid)
-    counts, end_sums, input_work = layout.residual(
-        bins, _replication_index(trace), trace.replications,
-        None, trace.arrivals + trace.services, trace.services)
-    work = end_sums[:, :, 1:] - layout.shifts * counts[:, :, 1:]
-    shape = trace.batch_shape
-    wt = work[:, :, 0].reshape(shape + grid.t.shape)
-    input_work = input_work[:, :, 0].reshape(shape + grid.t.shape)
-    return {
-        "Wr": TwoParamField(grid, work[:, :, 1:].reshape(shape + grid.shape), "Wr"),
-        "I": TimeField(grid.t, input_work, "I"),
-        "Wt": TimeField(grid.t, wt, "Wt"),
-        "C": TimeField(grid.t, input_work - wt, "C"),
-    }
+    layout, ends = _layout(grid), trace.arrivals + trace.services
+    bins, rep, R = layout.bin(trace.arrivals, ends), _replication_index(trace), trace.replications
+    weights = {}
+    if wanted & {"Qr", "Qt", "D", "Wr", "Wt", "C"}:
+        weights["count"] = None
+    if wanted & {"Wr", "Wt", "C"}:
+        weights["ends"] = ends
+    if wanted & {"I", "C"}:
+        weights["services"] = trace.services
+    sums = dict(zip(weights, layout.residual(bins, rep, R, *weights.values())))
+    shape2, shape1 = trace.batch_shape + grid.shape, trace.batch_shape + grid.t.shape
+    out = {}
+    if "count" in sums:
+        counts = sums["count"].astype(float)
+        qt = counts[:, :, 1]
+        out["Qr"] = TwoParamField(grid, counts[:, :, 2:].reshape(shape2), "Qr")
+        out["Qt"] = TimeField(grid.t, qt.reshape(shape1), "Qt")
+        out["D"] = TimeField(grid.t, (counts[:, :, 0] - qt).reshape(shape1), "D")
+    if "Qe" in wanted:
+        out["Qe"] = TwoParamField(grid, layout.elapsed(bins, rep, R).astype(float).reshape(shape2), "Qe")
+    if "ends" in sums:
+        work = sums["ends"][:, :, 1:] - layout.shifts * sums["count"][:, :, 1:]
+        out["Wr"] = TwoParamField(grid, work[:, :, 1:].reshape(shape2), "Wr")
+        out["Wt"] = TimeField(grid.t, work[:, :, 0].reshape(shape1), "Wt")
+    if "services" in sums:
+        out["I"] = TimeField(grid.t, sums["services"][:, :, 0].reshape(shape1), "I")
+        if "C" in wanted:
+            out["C"] = TimeField(grid.t, out["I"].values - out["Wt"].values, "C")
+    return {name: out[name] for name in names}
 
 
 def eval_empirical_distributions(trace: SimulationTrace, grid: Grid) -> dict[str, TwoParamField]:
     """Empirical age c.d.f. Fe(t,y) and residual complement Frc(t,y),
     both 0 by convention when the system is empty."""
-    q = eval_queue_fields(trace, grid)
+    q = eval_fields(trace, grid, ("Qr", "Qe", "Qt"))
     qt = q["Qt"].values[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
         fe = np.where(qt > 0, q["Qe"].values / qt, 0.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hqinflab import limits
+from hqinflab import acceptance, limits
 from hqinflab.acceptance import CRITERIA, DEFAULT_SEED, _gates
 from hqinflab.experiments import ExperimentReport, PointStat
 from hqinflab.simulate import CountLaw, InitialConditions
@@ -62,3 +62,20 @@ def test_initial_conditions_miss_a_dropped_count_noise(monkeypatch):
     assert fixed.startswith("  ok   fixed count")
     assert poisson.startswith("  FAIL poisson count")
     assert identity.startswith("  ok ")
+
+
+def test_identities_catch_an_evaluator_that_miscounts_qr(monkeypatch):
+    # power: decompose_hatQr recounts Qr on its own, so X1 + X2 = Qr-hat
+    # fails when the evaluator's Qr is off by one customer
+    full = acceptance.eval_fields
+
+    def one_too_many(trace, grid, names):
+        fields = full(trace, grid, names)
+        fields["Qr"].values[...] += 1.0
+        return fields
+
+    monkeypatch.setattr(acceptance, "eval_fields", one_too_many)
+    result = CRITERIA[1](DEFAULT_SEED)
+    assert result.passed is False
+    (line,) = [line for line in result.lines if "X1 + X2 = Qr-hat" in line]
+    assert line.startswith("  FAIL")

@@ -1,12 +1,18 @@
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import hqinflab
 from hqinflab import cli, experiments, simulate
 from hqinflab.config import EXPERIMENTS, config_from_dict
 from hqinflab.experiments import run_experiment
+from hqinflab.rng import seed_words
 
 H2 = {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
 
@@ -207,6 +213,17 @@ class TestPoissonProperty:
         with pytest.raises(ValueError, match="poisson_property requires"):
             run_experiment(cfg)
 
+    def test_resampling_draws_the_same_rows_twice(self):
+        # the scratch generator is re-seated before every draw
+        cfg = self.poisson_property({"kind": "poisson", "rate": 1.0})
+        trace = simulate.simulate(cfg.arrival, cfg.service, 40, cfg.horizon,
+                                  seed_words(3, [("resample", r) for r in range(4)], 2))
+        frc = np.full(cfg.grid.shape, 0.5)
+        first, second = (experiments._poisson_fields(cfg, frc, trace, range(4)) for _ in range(2))
+        assert first["Qtilde"].any()
+        for name in first:
+            assert np.array_equal(first[name], second[name])
+
 
 FCLT = {
     "experiment": "fclt_variance",
@@ -245,6 +262,45 @@ class TestBlocks:
                 else:
                     assert est == est0, name
             assert report.plotdata == reference.plotdata
+
+    def test_one_fwlln_block_builds_each_histogram_once(self, monkeypatch):
+        # the residual histogram is counted once and weighted by the ends
+        # once; the elapsed one is counted once; nothing is weighted by the
+        # services, which no fwlln field reads.  On this grid the two
+        # histograms differ in size, so the sizes tell them apart.
+        cfg = config_from_dict({**TINY, "grid": {"t": [0.5, 1.0, 2.0], "y": [0.0, 0.5, 1.5]}})
+        reps = 3
+        trace = simulate.simulate(cfg.arrival, cfg.service, 20, cfg.horizon,
+                                  seed_words(1, [("spy", r) for r in range(reps)], 2))
+        ends = trace.arrivals + trace.services
+        layout = simulate._layout(cfg.grid)
+        residual_cells = reps * np.prod(layout.residual_shape)
+        elapsed_cells = reps * np.prod(layout.elapsed_shape)
+        assert residual_cells != elapsed_cells
+        calls = []
+        original = np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            if weights is None:
+                kind = "count"
+            else:
+                kind = "ends" if np.array_equal(weights, ends) else "other"
+                assert not np.array_equal(weights, trace.services)
+            calls.append((kind, minlength))
+            return original(x, weights=weights, minlength=minlength)
+        monkeypatch.setattr(np, "bincount", spy)
+        experiments._fwlln_fields(cfg, trace, range(reps))
+        assert sorted(calls) == sorted([("count", residual_cells), ("ends", residual_cells),
+                                        ("count", elapsed_cells)])
+
+    def test_importing_experiments_leaves_out_the_pool_and_numpy_random(self):
+        # both load on first use; importing them costs every run's set-up
+        src = str(Path(hqinflab.__file__).resolve().parents[1])
+        code = ("import sys, hqinflab.experiments; "
+                "print([m in sys.modules for m in ('concurrent.futures', 'numpy.random')])")
+        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[False, False]"
 
     def test_simulation_diagnostics(self, monkeypatch):
         cfg = config_from_dict(TINY)

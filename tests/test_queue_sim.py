@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,9 @@ from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
 from hqinflab.fields import Grid, TwoParamField, write_fields_csv
 from hqinflab.rng import reseat, seed_words, substream, substream_children
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
-from hqinflab.simulate import (CountLaw, InitialConditions, SimulationTrace,
-                               eval_empirical_distributions,
-                               eval_initial_fields, eval_queue_fields,
-                               eval_workload_fields, export_trace_csv,
-                               simulate)
+from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace,
+                               eval_empirical_distributions, eval_fields,
+                               eval_initial_fields, export_trace_csv, simulate)
 
 from oracles import brute_queue_fields
 
@@ -224,6 +223,15 @@ class TestStreams:
         assert np.array_equal(trace.arrivals, epochs)
         assert np.array_equal(trace.services, LogNormal(-0.5, 1.0).sample(svc_rng, len(epochs)))
 
+    @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
+    def test_same_words_draw_the_same_block_twice(self, init):
+        # the scratch generator is re-seated before every draw
+        words = seed_words(8, [("twice", r) for r in range(3)], 3)
+        first, second = (simulate(ARRIVALS["h2_renewal"], EXP1, 5, 2.0, words, init=init)
+                         for _ in range(2))
+        for name in ("arrivals", "services", "initial_count", "initial_residuals", "bounds"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
     @pytest.mark.parametrize("name", sorted(ARRIVALS))
     @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
     def test_block_replications_are_the_single_traces(self, name, init):
@@ -286,8 +294,7 @@ class TestBlockFields:
     def test_each_replication_against_brute_force(self, reps):
         g = ODD_GRID
         trace = block_trace(reps)
-        q = eval_queue_fields(trace, g)
-        w = eval_workload_fields(trace, g)
+        q = eval_fields(trace, g)
         init = eval_initial_fields(trace, g)
         for r, (taus, etas, resid) in enumerate(reps):
             for i, t in enumerate(g.t):
@@ -296,7 +303,7 @@ class TestBlockFields:
                     assert q["Qr"].values[r, i, j] == qr
                     assert q["Qe"].values[r, i, j] == qe
                     assert q["Qt"].values[r, i] == qt
-                    assert w["Wr"].values[r, i, j] == pytest.approx(wr, abs=1e-9)
+                    assert q["Wr"].values[r, i, j] == pytest.approx(wr, abs=1e-9)
                     assert init["QTr"].values[r, i, j] == qr + sum(x > t + y for x in resid)
             for j, y in enumerate(g.y):
                 assert init["Qir"].values[r, j] == sum(x > y for x in resid)
@@ -306,29 +313,49 @@ class TestBlockFields:
     def test_counting_identities_per_replication(self, reps):
         g = DYADIC_GRID
         trace = block_trace(reps)
-        q = eval_queue_fields(trace, g)
+        q = eval_fields(trace, g)
         qr, qe, qt = q["Qr"].values, q["Qe"].values, q["Qt"].values
         assert np.array_equal(qt, qr[:, :, 0])
         for i, t in enumerate(g.t):
-            qe_tt = eval_queue_fields(trace, Grid([t], [float(t)]))["Qe"].values[:, 0, 0]
+            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"].values[:, 0, 0]
             assert np.array_equal(qe_tt, qt[:, i])
             for j, y in enumerate(g.y):
                 if y <= t:
-                    prev = eval_queue_fields(trace, Grid([t - y], [y]))["Qr"].values[:, 0, 0]
+                    prev = eval_fields(trace, Grid([t - y], [y]))["Qr"].values[:, 0, 0]
                     assert np.array_equal(qe[:, i, j], qt[:, i] - prev)
 
     @given(blocks(ODD_GRID))
     @settings(max_examples=30, deadline=None)
     def test_block_equals_its_replications_alone(self, reps):
         trace = block_trace(reps)
-        evals = (eval_queue_fields, eval_workload_fields, eval_initial_fields,
-                 eval_empirical_distributions)
+        evals = (eval_fields, eval_initial_fields, eval_empirical_distributions)
         for ev in evals:
             fields = ev(trace, ODD_GRID)
             for r, rep in enumerate(reps):
                 alone = ev(single_trace(rep), ODD_GRID)
                 for name, f in fields.items():
                     assert np.array_equal(f.values[r], alone[name].values)
+
+    @pytest.mark.parametrize("kind", ["block", "single", "empty_replication"])
+    def test_every_subset_of_names_matches_the_full_evaluation(self, kind):
+        block = simulate(ARRIVALS["poisson"], LogNormal(-0.5, 1.0), 3, HORIZON,
+                         seed_words(5, [("subsets", r) for r in range(2)], 2))
+        reps = [(block.arrivals[lo:hi], block.services[lo:hi], [])
+                for lo, hi in zip(block.offsets[:-1], block.offsets[1:])]
+        trace = {"block": block, "single": single_trace(reps[0]),
+                 "empty_replication": block_trace([reps[0], ([], [], []), reps[1]])}[kind]
+        full = eval_fields(trace, ODD_GRID)
+        assert list(full) == list(FIELDS)
+        for k in range(1, len(FIELDS) + 1):
+            for names in itertools.combinations(FIELDS, k):
+                part = eval_fields(trace, ODD_GRID, names[::-1])
+                assert list(part) == list(names[::-1])
+                for name in names:
+                    assert np.array_equal(part[name].values, full[name].values), (names, name)
+
+    def test_unknown_field_names_are_refused(self):
+        with pytest.raises(KeyError, match="Wq"):
+            eval_fields(one_customer_trace(), Grid([2.0], [0.0]), ("Qr", "Wq"))
 
     def test_validation_per_replication(self):
         def trace(arrivals, bounds, services=None, counts=0, resid=None):
@@ -351,7 +378,7 @@ class TestBlockFields:
         with pytest.raises(ValueError, match="positive"):
             trace([1.0, 2.0], [0, 1, 2], counts=np.array([0, 1]), resid=np.array([0.0]))
         with pytest.raises(ValueError, match="horizon"):
-            eval_queue_fields(trace([1.0, 2.0], [0, 1, 2]), Grid([5.0], [0.0]))
+            eval_fields(trace([1.0, 2.0], [0, 1, 2]), Grid([5.0], [0.0]))
         with pytest.raises(ValueError, match="single trace"):
             trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5])
         assert single_trace(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [0, 1]
@@ -364,18 +391,18 @@ class TestBlockFields:
 class TestQueueFields:
     def test_empty_trace_is_zero(self):
         g = Grid([1.0, 2.0], [0.0, 1.0])
-        q = eval_queue_fields(empty_trace(), g)
+        q = eval_fields(empty_trace(), g)
         assert not q["Qr"].values.any()
         assert not q["Qe"].values.any()
         assert not q["Qt"].values.any()
 
     def test_single_customer_residual(self):
-        q = eval_queue_fields(one_customer_trace(), Grid([2.0], [0.5, 1.1]))
+        q = eval_fields(one_customer_trace(), Grid([2.0], [0.5, 1.1]))
         assert q["Qr"].values[0, 0] == 1.0   # 1(3 > 2.5)
         assert q["Qr"].values[0, 1] == 0.0   # 1(3 > 3.1)
 
     def test_single_customer_elapsed(self):
-        q = eval_queue_fields(one_customer_trace(), Grid([2.0], [0.5, 1.5]))
+        q = eval_fields(one_customer_trace(), Grid([2.0], [0.5, 1.5]))
         assert q["Qe"].values[0, 0] == 0.0   # arrived at 1, elapsed 1 > 0.5
         assert q["Qe"].values[0, 1] == 1.0
 
@@ -384,12 +411,11 @@ class TestQueueFields:
         trace = SimulationTrace(n=1, arrivals=np.array([1.5, 2.0]),
                                 services=np.array([0.5, 0.5]), horizon=4.0,
                                 service_model=EXP1)
-        q = eval_queue_fields(trace, Grid([2.0], [0.0, 0.5]))
+        q = eval_fields(trace, Grid([2.0], [0.0, 0.5]))
         assert q["Qr"].values.tolist() == [[1.0, 0.0]]   # end 2.5 > 2.5 is false
         assert q["Qe"].values.tolist() == [[0.0, 1.0]]   # 1.5 is outside (1.5, 2]
         assert q["Qt"].values.tolist() == [1.0]          # the end at 2 has left
-        w = eval_workload_fields(trace, Grid([2.0], [0.0, 0.5]))
-        assert w["Wr"].values.tolist() == [[0.5, 0.0]]
+        assert q["Wr"].values.tolist() == [[0.5, 0.0]]
 
     def test_bins_match_searchsorted(self):
         from hqinflab.simulate import _bin
@@ -400,14 +426,13 @@ class TestQueueFields:
 
     def test_grid_beyond_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
-            eval_queue_fields(one_customer_trace(), Grid([5.0], [0.0]))
+            eval_fields(one_customer_trace(), Grid([5.0], [0.0]))
 
     @given(random_traces())
     @settings(max_examples=40, deadline=None)
     def test_against_brute_force(self, trace):
         g = Grid([0.5, 1.5, 3.0], [0.0, 0.7, 2.0])
-        q = eval_queue_fields(trace, g)
-        w = eval_workload_fields(trace, g)
+        q = eval_fields(trace, g)
         for i, t in enumerate(g.t):
             for j, y in enumerate(g.y):
                 qr, qe, qt, wr = brute_queue_fields(trace.arrivals, trace.services,
@@ -415,13 +440,13 @@ class TestQueueFields:
                 assert q["Qr"].values[i, j] == qr
                 assert q["Qe"].values[i, j] == qe
                 assert q["Qt"].values[i] == qt
-                assert w["Wr"].values[i, j] == pytest.approx(wr, abs=1e-9)
+                assert q["Wr"].values[i, j] == pytest.approx(wr, abs=1e-9)
 
     @given(random_traces())
     @settings(max_examples=40, deadline=None)
     def test_counting_identities(self, trace):
         g = Grid([0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0])
-        q = eval_queue_fields(trace, g)
+        q = eval_fields(trace, g)
         a_t = trace.count_arrivals(g.t)
         # flow conservation and nonnegativity
         assert np.array_equal(a_t, q["Qt"].values + q["D"].values)
@@ -433,7 +458,7 @@ class TestQueueFields:
         # Qt(t) = Qr(t, 0) = Qe(t, t); the latter via a y=t grid
         assert np.array_equal(q["Qt"].values, q["Qr"].values[:, 0])
         for i, t in enumerate(g.t):
-            qe_tt = eval_queue_fields(trace, Grid([t], [float(t)]))["Qe"].values[0, 0]
+            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"].values[0, 0]
             assert qe_tt == q["Qt"].values[i]
         # Qe(t,y) = Qt(t) - Qr(t-y, y) on aligned points
         for i, t in enumerate(g.t):
@@ -453,21 +478,21 @@ class TestQueueFields:
 
 class TestWorkloadFields:
     def test_single_customer(self):
-        w = eval_workload_fields(one_customer_trace(), Grid([2.0], [0.0, 0.5]))
+        w = eval_fields(one_customer_trace(), Grid([2.0], [0.0, 0.5]))
         assert w["Wr"].values[0, 1] == pytest.approx(0.5)
         assert w["I"].values[0] == 2.0
         assert w["Wt"].values[0] == pytest.approx(1.0)
         assert w["C"].values[0] == pytest.approx(1.0)
 
     def test_empty(self):
-        w = eval_workload_fields(empty_trace(), Grid([2.0], [0.0]))
+        w = eval_fields(empty_trace(), Grid([2.0], [0.0]))
         assert not w["I"].values.any() and not w["Wr"].values.any()
 
     @given(random_traces())
     @settings(max_examples=40, deadline=None)
     def test_work_conservation_and_convexity(self, trace):
         g = Grid([1.0, 2.0, 3.5], [0.0, 0.5, 1.0, 1.5])
-        w = eval_workload_fields(trace, g)
+        w = eval_fields(trace, g)
         assert np.allclose(w["I"].values, w["Wt"].values + w["C"].values, atol=1e-9)
         assert (np.diff(w["I"].values) >= -1e-12).all()
         assert (np.diff(w["C"].values) >= -1e-9).all()
@@ -489,7 +514,7 @@ class TestEmpiricalDistributions:
                          rng=substream(4, "emp"))
         t = 2.0
         emp = eval_empirical_distributions(trace, Grid([t], [t]))
-        if eval_queue_fields(trace, Grid([t], [0.0]))["Qt"].values[0] > 0:
+        if eval_fields(trace, Grid([t], [0.0]))["Qt"].values[0] > 0:
             assert emp["Fe"].values[0, 0] == 1.0
 
     def test_single_customer_residual_ratio(self):
@@ -518,13 +543,13 @@ class TestInitialFields:
         g = Grid([1.0, 2.0], [0.0, 0.5])
         fields = eval_initial_fields(trace, g)
         assert np.array_equal(fields["QTr"].values,
-                              eval_queue_fields(trace, g)["Qr"].values)
+                              eval_fields(trace, g)["Qr"].values)
 
 
 class TestExports:
     def test_fields_csv(self, tmp_path):
         g = Grid([1.0], [0.0, 0.5])
-        q = eval_queue_fields(one_customer_trace(), g)
+        q = eval_fields(one_customer_trace(), g)
         out = tmp_path / "fields.csv"
         write_fields_csv(out, [q["Qr"], q["Qt"]])
         lines = out.read_text().strip().splitlines()
@@ -535,11 +560,11 @@ class TestExports:
     def test_block_fields_are_not_written(self, tmp_path, reps):
         block = block_trace([(np.array([1.0]), np.array([2.0]), np.array([]))] * reps)
         g = Grid([1.0], [0.0, 0.5])
-        q = eval_queue_fields(block, g)
+        q = eval_fields(block, g)
         out = tmp_path / "fields.csv"
         for field in (q["Qr"], q["Qt"]):
             with pytest.raises(ValueError, match="block of replications"):
-                write_fields_csv(out, [eval_queue_fields(one_customer_trace(), g)["Qr"], field])
+                write_fields_csv(out, [eval_fields(one_customer_trace(), g)["Qr"], field])
         assert not out.exists()
 
     def test_trace_csv(self, tmp_path):

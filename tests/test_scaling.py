@@ -11,7 +11,7 @@ from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
                               decompose_hatQr, lln_scale, sequential_empirical,
                               split_arrivals, x1_integration_by_parts)
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
-from hqinflab.simulate import SimulationTrace, eval_queue_fields, simulate
+from hqinflab.simulate import SimulationTrace, eval_fields, simulate
 
 from oracles import brute_x1_x2
 
@@ -69,7 +69,7 @@ class TestScalings:
         vals = np.empty(reps)
         for r in range(reps):
             trace = simulate(ARR, EXP1, 400, 1.0, substream(r, "cltvar"))
-            f = eval_queue_fields(trace, g)["Qr"]
+            f = eval_fields(trace, g)["Qr"]
             vals[r] = clt_scale(f, 400, center).values[0, 0]
         assert np.var(vals, ddof=1) == pytest.approx(fluid_qr(INPUTS, 1.0, 0.0), rel=0.10)
 
@@ -193,7 +193,7 @@ class TestDecomposition:
         for seed in range(3):
             trace = _trace(300, 2.0, seed)
             x1, x2 = decompose_hatQr(trace, g, center)
-            qhat = clt_scale(eval_queue_fields(trace, g)["Qr"], trace.n, center)
+            qhat = clt_scale(eval_fields(trace, g)["Qr"], trace.n, center)
             assert np.max(np.abs(x1.values + x2.values - qhat.values)) < 1e-9
 
     def test_block_against_customer_loop(self):
@@ -214,7 +214,7 @@ class TestDecomposition:
                                 bounds=np.cumsum([0] + [len(r[0]) for r in reps]))
         x1, x2 = decompose_hatQr(block, g, center)
         assert x1.values.shape == x2.values.shape == (len(reps), *g.shape)
-        qhat = clt_scale(eval_queue_fields(block, g)["Qr"], n, center).values
+        qhat = clt_scale(eval_fields(block, g)["Qr"], n, center).values
         assert np.max(np.abs(x1.values + x2.values - qhat)) < 1e-9
         for r, (tau, eta) in enumerate(reps):
             for i, t in enumerate(g.t):
