@@ -126,12 +126,12 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for name, arrival, service in cases:
         block = simulate(arrival, service, n=50, horizon=2.0,
-                         rng=seed_words(seed, [("criterion1", rep, name) for rep in range(5)], 3))
+                         words=seed_words(seed, [("criterion1", rep, name) for rep in range(5)], 3))
         f = eval_fields(block, grid, ("Qr", "Qe", "Qt", "D", "Wt", "C"))
         qr, qe, qt = f["Qr"].values, f["Qe"].values, f["Qt"].values
         arrived = block.arrivals[:, None] <= grid.t
-        a_t = _per_replication(arrived, block.offsets)
-        i_t = _per_replication(arrived * block.services[:, None], block.offsets)
+        a_t = _per_replication(arrived, block.bounds)
+        i_t = _per_replication(arrived * block.services[:, None], block.bounds)
         qr_prev = np.concatenate((np.zeros_like(qr[:, :1]), qr), axis=1)[:, prev_t, cols]
         residuals = (a_t - qt - f["D"].values,
                      i_t - f["Wt"].values - f["C"].values,
@@ -147,7 +147,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     inputs = lim.LimitInputs.from_models(arrival, service)
     fluid = lim.surface(inputs, grid, "fluid_qr")
     block = simulate(arrival, service, n=100, horizon=2.0,
-                     rng=seed_words(seed, [("criterion1", "x12", rep) for rep in range(5)], 3))
+                     words=seed_words(seed, [("criterion1", "x12", rep) for rep in range(5)], 3))
     # decompose_hatQr recounts Qr on its own (ends > t + y), so this checks
     # the evaluator's counts against an independent count
     x1, x2 = decompose_hatQr(block, grid, fluid)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import seated
-from .service import Exponential, Moments, ServiceModel, _as_array_or_scalar, service_from_spec
+from .service import (Exponential, Moments, ServiceModel, _as_array_or_scalar, _spec_number,
+                      service_from_spec)
 
 __all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
 
@@ -54,6 +55,8 @@ class RateFunction:
             raise ValueError("linear rate must be nonnegative and nondegenerate")
         if self.form == "sinusoidal" and (self.a <= 0 or self.a < abs(self.b)):
             raise ValueError("sinusoidal rate requires a >= |b| > 0 to stay nonnegative")
+        if self.form == "sinusoidal" and self.c == 0:
+            raise ValueError("sinusoidal rate requires a frequency c != 0")
 
     def rate(self, t):
         if self.form == "sinusoidal":
@@ -265,9 +268,9 @@ def _rate_fn_from_spec(spec: dict, where: str) -> RateFunction:
     extra = set(spec) - allowed
     if extra:
         raise ValueError(f"{where}: unknown keys {sorted(extra)}")
+    params = {k: _spec_number(f"{where}.{k}", v) for k, v in spec.items() if k != "form"}
     try:
-        return RateFunction(form=spec["form"],
-                            **{k: float(v) for k, v in spec.items() if k != "form"})
+        return RateFunction(form=spec["form"], **params)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -291,11 +294,10 @@ def arrival_from_spec(spec: dict, where: str = "arrival") -> ArrivalModel:
     if missing:
         raise ValueError(f"{where}: missing keys {sorted(missing)} for kind {kind!r}")
     if kind == "poisson":
-        rate = spec["rate"]
-        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                or not 0 < rate < math.inf):
-            raise ValueError(f"{where}.rate: rate must be positive and finite, got {rate!r}")
-        return ArrivalModel.poisson(float(rate))
+        rate = _spec_number(f"{where}.rate", spec["rate"])
+        if rate <= 0:
+            raise ValueError(f"{where}.rate: rate must be positive, got {rate!r}")
+        return ArrivalModel.poisson(rate)
     if kind == "nhpp":
         return ArrivalModel.nhpp(_rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))
     if kind == "renewal":

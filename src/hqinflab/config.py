@@ -1,9 +1,11 @@
 """Experiment configuration: YAML parsing with strict validation.
 
 A config is a nested mapping with sections ``arrival``, ``service``,
-optional ``init``, ``grid``, experiment selection and knobs.  Unknown keys
+optional ``init`` (read by the analytic surfaces only), ``grid``,
+experiment selection and knobs.  Unknown keys
 are rejected with the offending path so typos cannot silently change an
-experiment.
+experiment, and every number must be finite.  Every error reads
+``config error at <key path>: ...``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import yaml
 
 from .arrivals import ArrivalModel, arrival_from_spec
 from .fields import Grid
-from .service import ServiceModel, service_from_spec
+from .service import ServiceModel, _spec_number, service_from_spec
 from .simulate import CountLaw, InitialConditions
 
 __all__ = ["ExperimentConfig", "parse_config", "config_from_dict",
@@ -75,7 +77,7 @@ class ExperimentConfig:
 
 
 def _fail(where: str, msg: str):
-    raise ValueError(f"config error at {where}: {msg}")
+    raise ValueError(f"{where}: {msg}")
 
 
 def _int_key(where: str, value, lo: int) -> int:
@@ -88,19 +90,11 @@ def _int_key(where: str, value, lo: int) -> int:
     return int(value)
 
 
-def _float_key(where: str, value) -> float:
-    """A finite number; bools, strings and None are rejected."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        _fail(where, f"expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _float_list(where: str, values, size: int | None = None) -> list[float]:
     """A list of finite numbers, of ``size`` of them if given."""
     if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
         _fail(where, f"expected a list of {size or 'finite'} numbers, got {values!r}")
-    return [_float_key(f"{where}[{i}]", v) for i, v in enumerate(values)]
+    return [_spec_number(f"{where}[{i}]", v) for i, v in enumerate(values)]
 
 
 def _parse_init(spec: dict) -> InitialConditions:
@@ -115,14 +109,24 @@ def _parse_init(spec: dict) -> InitialConditions:
     cspec = spec["count"]
     if not isinstance(cspec, dict) or set(cspec) - {"kind", "level"}:
         _fail("init.count", "expected {kind: fixed|poisson, level: <float>}")
+    level = _spec_number("init.count.level", cspec.get("level", 0.0))
     try:
-        law = CountLaw(kind=cspec.get("kind", "fixed"), level=float(cspec.get("level", 0.0)))
+        law = CountLaw(kind=cspec.get("kind", "fixed"), level=level)
     except (TypeError, ValueError) as exc:
         _fail("init.count", str(exc))
     return InitialConditions(law, service_from_spec(spec["residual"], "init.residual"))
 
 
 def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
+    """The checked config of a raw mapping; ``source`` names the mapping in
+    errors about its top level."""
+    try:
+        return _config(raw, source)
+    except ValueError as exc:
+        raise ValueError(f"config error at {exc}") from exc
+
+
+def _config(raw: dict, source: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         _fail(source, "top level must be a mapping")
     extra = set(raw) - _TOP_KEYS
@@ -169,7 +173,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     for key, val in (overrides or {}).items():
         if key not in DEFAULT_TOLERANCES:
             _fail("tolerances", f"unknown tolerance {key!r}")
-        tolerances[key] = _float_key(f"tolerances.{key}", val)
+        tolerances[key] = _spec_number(f"tolerances.{key}", val)
         if val < 0:
             _fail(f"tolerances.{key}", f"expected a finite number >= 0, got {val!r}")
 

@@ -8,7 +8,8 @@ reproducible bit-for-bit and replication order cannot matter; the seed words
 of every replication's streams at scale n are derived in one call.  Traces are
 simulated and evaluated in blocks of replications (see
 :func:`simulate.block_size`); the block sizes, the thread count and the
-process pool change no replication's values.
+process pool change no replication's values.  No runner simulates initial
+customers, so :func:`run_experiment` refuses a config with ``init``.
 
 Every report starts in :func:`_report` (experiment, seed, config echo), and
 :func:`_replications` records in ``extras["simulation"]``, per n, the
@@ -154,15 +155,14 @@ def _map_replications(worker, n_reps: int, threads: int, block: int):
 
 
 def _replications(report: ExperimentReport, evaluate, cfg: ExperimentConfig,
-                  n: int, threads: int, init=None) -> dict:
+                  n: int, threads: int) -> dict:
     """Rows of ``evaluate`` over cfg.replications traces at scale n, in blocks
     sized by :func:`block_size`; their simulation stats go to
     ``report.extras["simulation"][str(n)]``."""
-    block = block_size(cfg.arrival, n, cfg.horizon, cfg.grid, init)
+    block = block_size(cfg.arrival, n, cfg.horizon, cfg.grid)
     words = seed_words(cfg.master_seed,
-                       [(cfg.experiment, n, r, "trace") for r in range(cfg.replications)],
-                       count=2 if init is None else 3)
-    rows, stats = _map_replications(partial(_block, evaluate, cfg, n, init, words),
+                       [(cfg.experiment, n, r, "trace") for r in range(cfg.replications)], 2)
+    rows, stats = _map_replications(partial(_block, evaluate, cfg, n, words),
                                     cfg.replications, threads, block)
     report.extras.setdefault("simulation", {})[str(n)] = stats
     return rows
@@ -170,14 +170,13 @@ def _replications(report: ExperimentReport, evaluate, cfg: ExperimentConfig,
 
 # -- replication workers (module level so they pickle for the process pool) ----
 
-def _block(evaluate, cfg: ExperimentConfig, n: int, init, words: np.ndarray, reps: range):
+def _block(evaluate, cfg: ExperimentConfig, n: int, words: np.ndarray, reps: range):
     """Draw one block of replications at scale n from the replications' own
     "trace" substreams, whose seed words are ``words[reps]``, and return
     ``evaluate(trace, reps)`` with the arrivals simulated and the seconds
     spent drawing and evaluating."""
     start = time.perf_counter()
-    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon,
-                     words[reps.start:reps.stop], init=init)
+    trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, words[reps.start:reps.stop])
     drawn = time.perf_counter()
     rows = evaluate(trace, reps)
     return rows, {"customers": len(trace.arrivals), "draw_s": drawn - start,
@@ -243,7 +242,7 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
 
     sup_errors = {}
     for n in cfg.n_list:
-        results = _replications(report, partial(_fwlln_fields, cfg), cfg, n, threads, cfg.init)
+        results = _replications(report, partial(_fwlln_fields, cfg), cfg, n, threads)
         means = {name: np.mean(results[name], axis=0) for name in fluid}
         sup_errors[n] = 0.0
         for name, mean in means.items():
@@ -476,6 +475,9 @@ _RUNNERS = {name: globals()[f"run_{name}"] for name in EXPERIMENTS}
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+    if cfg.init is not None:
+        raise ValueError("config error at init: no experiment simulates initial customers; "
+                         "only 'hqinflab surfaces' reads init")
     start = time.perf_counter()
     report = _RUNNERS[cfg.experiment](cfg, threads=threads)
     report.runtime_s = time.perf_counter() - start

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = ["integrate", "TOL", "MAX_PANELS"]
+
 TOL = 1e-8
 MAX_PANELS = 256            # per piece; a jump not listed as a breakpoint hits it
 # the 8-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(8)

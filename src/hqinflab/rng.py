@@ -24,6 +24,8 @@ import zlib
 
 import numpy as np
 
+__all__ = ["substream", "seed_words", "reseat", "seated"]
+
 # numpy's SeedSequence: pool size and the constants of hashmix, mix and
 # generate_state (numpy/random/bit_generator.pyx)
 _POOL = 4
@@ -125,12 +127,6 @@ def _mix_entropy(entropy: list[np.ndarray], size: int) -> list[np.ndarray]:
         for dst in range(_POOL):
             pool[dst] = mix(pool[dst], hashmix(word))
     return pool
-
-
-def substream_children(master_seed: int, *keys, count: int) -> np.ndarray:
-    """Seed words, shape (count, 4), of the first ``count`` children of
-    ``substream(master_seed, *keys)``."""
-    return seed_words(master_seed, [keys], count)[0]
 
 
 def reseat(gen: np.random.Generator, words) -> np.random.Generator:

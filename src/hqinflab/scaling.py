@@ -9,11 +9,11 @@ The CLT-scaled field hat(Qr)_n = sqrt(n) (Qr_n / n - qr) splits exactly into
 
 the first carrying the service-sampling noise, the second the arrival noise;
 the sum telescopes customer-wise, so additivity holds to float roundoff on
-every trace.  Like the field evaluators, the split takes a single trace or a
-block, whose terms get a leading replication axis; each replication's sums
-run over its own customers alone.  hat(X)_{n,1} also equals the
-integration-by-parts form F^c(y) hat(A)_n(t) - int hat(A)_n(s-) dF(t+y-s),
-exposed here for cross-checks.
+every trace.  hat(X)_{n,1} also equals the integration-by-parts form
+F^c(y) hat(A)_n(t) - int hat(A)_n(s-) dF(t+y-s), exposed here for
+cross-checks.  Like the field evaluators, everything here is evaluated per
+replication of a trace's block, with a leading replication axis; a
+replication's arrivals by t are its first A_n(t) customers.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def clt_scale(field: TwoParamField, n: int, centering: TwoParamField) -> ScaledF
 
 
 def clt_scale_arrivals(trace: SimulationTrace, t_points: np.ndarray, abar) -> np.ndarray:
-    """hat(A)_n(t) = (A_n(t) - n abar(t)) / sqrt(n) on the given times."""
+    """hat(A)_n(t) = (A_n(t) - n abar(t)) / sqrt(n) on the given times, per
+    replication, shape (R, len(t_points))."""
     t_points = np.asarray(t_points, dtype=float)
     counts = trace.count_arrivals(t_points)
     return (counts - trace.n * np.asarray(abar(t_points), dtype=float)) / math.sqrt(trace.n)
@@ -104,25 +105,31 @@ def sequential_empirical(services: np.ndarray, n: int, grid: Grid,
     return EmpiricalProcessField(grid=grid, kbar=kbar, khat=khat)
 
 
+def _arrived_sums(trace: SimulationTrace, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per replication r and time i, rows[:, i] summed over r's first
+    a[r, i] customers, read off one cumulative sum over the block: shape
+    (R, T, ...) for ``a`` of shape (R, T) and ``rows`` of shape (N, T or 1,
+    ...)."""
+    rows = np.broadcast_to(rows, (len(rows), a.shape[1], *rows.shape[2:]))
+    total = np.cumsum(rows, axis=0)
+    total = np.concatenate((np.zeros((1, *total.shape[1:]), total.dtype), total))
+    start, times = trace.bounds[:-1, None], np.arange(a.shape[1])
+    return total[start + a, times] - total[start, times]
+
+
 def composed_empirical(trace: SimulationTrace, grid: Grid) -> TwoParamField:
     """R-hat_n(t,x) = n^{-1/2} sum_{i <= A_n(t)} (1(eta_i <= x) - F(x)):
     the sequential empirical process run through the arrival clock."""
     fx = np.asarray(trace.service_model.cdf(grid.y), dtype=float)
     a_t = trace.count_arrivals(grid.t)
-    out = np.zeros(grid.shape)
-    for i, k in enumerate(a_t):
-        if k == 0:
-            continue
-        prefix = np.sort(trace.services[:k])
-        counts = np.searchsorted(prefix, grid.y, side="right")
-        out[i] = (counts - k * fx) / math.sqrt(trace.n)
-    return TwoParamField(grid, out, "Rhat")
+    counts = _arrived_sums(trace, a_t, trace.services[:, None, None] <= grid.y)
+    return TwoParamField(grid, (counts - a_t[..., None] * fx) / math.sqrt(trace.n), "Rhat")
 
 
 def split_arrivals(trace: SimulationTrace, decomposition: MixtureDecomposition,
                    t_points: np.ndarray) -> dict[str, TimeField | list[TimeField]]:
     """Split the arrival counting path by the service-time component of each
-    customer: continuous part vs each atom.
+    customer: continuous part vs each atom, per replication.
 
     Labels are read off the realized service values (a value equal to an atom
     location belongs to that atom; anything else is continuous, which is
@@ -130,29 +137,18 @@ def split_arrivals(trace: SimulationTrace, decomposition: MixtureDecomposition,
     """
     t_points = np.asarray(t_points, dtype=float)
     svc = trace.services
-    atom_locs = np.asarray([loc for loc, _ in decomposition.atoms])
-    is_atom = np.zeros(len(svc), dtype=bool)
-    atom_idx = np.full(len(svc), -1)
-    for j, loc in enumerate(atom_locs):
-        hit = svc == loc
-        is_atom |= hit
-        atom_idx[hit] = j
-    if decomposition.p_c == 0.0 and not np.all(is_atom):
-        bad = svc[~is_atom][:3]
+    hits = svc[:, None] == np.asarray([loc for loc, _ in decomposition.atoms], dtype=float)
+    if decomposition.p_c == 0.0 and not hits.any(axis=1).all():
+        bad = svc[~hits.any(axis=1)][:3]
         raise ValueError(f"service values {bad} match no atom of a purely atomic law")
-    order = np.searchsorted(trace.arrivals, t_points, side="right")
-    cum_cont = np.concatenate(([0], np.cumsum(~is_atom)))
-    a_c = cum_cont[order].astype(float)
-    a_total = order.astype(float)
-    per_atom = []
-    for j in range(len(atom_locs)):
-        cum_j = np.concatenate(([0], np.cumsum(atom_idx == j)))
-        per_atom.append(TimeField(t_points, cum_j[order].astype(float), f"Ad{j + 1}"))
-    a_d = a_total - a_c
+    a_total = trace.count_arrivals(t_points)
+    per_atom = _arrived_sums(trace, a_total, hits[:, None])
+    a_d = per_atom.sum(axis=2)
     return {
-        "Ac": TimeField(t_points, a_c, "Ac"),
-        "Ad": TimeField(t_points, a_d, "Ad"),
-        "Adi": per_atom,
+        "Ac": TimeField(t_points, (a_total - a_d).astype(float), "Ac"),
+        "Ad": TimeField(t_points, a_d.astype(float), "Ad"),
+        "Adi": [TimeField(t_points, per_atom[..., j].astype(float), f"Ad{j + 1}")
+                for j in range(hits.shape[1])],
     }
 
 
@@ -182,7 +178,7 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
         # replication r's arrivals by t are came[starts[r]:starts[r + 1]];
         # reduceat would give an empty one the next one's first value
         came = np.flatnonzero(tau <= t)
-        starts = np.searchsorted(came, trace.offsets)
+        starts = np.searchsorted(came, trace.bounds)
         live = np.flatnonzero(np.diff(starts))
         if len(live) == 0:
             continue
@@ -195,34 +191,31 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
         count = np.add.reduceat(ends[came] > shift, starts[live], axis=1, dtype=np.intp)
         x2[live, i] = ((count - sf) / sqrt_n).T
         sum_sf[live, i] = (sf / sqrt_n).T
-    shape = trace.batch_shape + grid.shape
-    x1 = (sum_sf - sqrt_n * fluid_centering.values).reshape(shape)
-    return (TwoParamField(grid, x1, "X1n"), TwoParamField(grid, x2.reshape(shape), "X2n"))
+    x1 = sum_sf - sqrt_n * fluid_centering.values
+    return TwoParamField(grid, x1, "X1n"), TwoParamField(grid, x2, "X2n")
 
 
 def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, abar, rate) -> np.ndarray:
-    """Independent evaluation of the arrival-noise term:
+    """Independent evaluation of the arrival-noise term, per replication:
     F^c(y) hat(A)_n(t) - int_0^t hat(A)_n(s-) dF(t+y-s), with the Stieltjes
     integral taken exactly over the arrival step function and by quadrature
     against the drift n*abar.
     """
     _require_continuous(trace.service_model)
     model = trace.service_model
-    tau = trace.arrivals
     sqrt_n = math.sqrt(trace.n)
     a_t = trace.count_arrivals(grid.t)
     fy = np.asarray(model.cdf(grid.y), dtype=float)
-    # step-function part of int A_n(s-) dF(t+y-s): exact sum, one row per t
-    step = np.array([np.sum(np.asarray(model.cdf(t + grid.y[:, None] - tau[None, :k]),
-                                       dtype=float) - fy[:, None], axis=1)
-                     for t, k in zip(grid.t, a_t)])
+    t = grid.t[:, None]
+    # step-function part of int A_n(s-) dF(t+y-s): exact sum over the arrivals by t
+    shifts = t + grid.y - trace.arrivals[:, None, None]
+    step = _arrived_sums(trace, a_t, np.asarray(model.cdf(shifts), dtype=float) - fy)
     # drift part int abar(s) dF(t+y-s) reduces by parts to
     # abar(t) F^c(y) - int_0^t F^c(t+y-s) dabar(s), one quadrature per point
-    t = grid.t[:, None]
     u = (t + grid.y)[..., None]
     qr_quad = integrate(lambda s: model.sf(u - s) * rate(s), 0.0, t,
                         breakpoints=u - np.asarray(model.breakpoints(), dtype=float))
     abar_t = np.asarray(abar(t), dtype=float)
-    ahat_t = (a_t[:, None] - trace.n * abar_t) / sqrt_n
+    ahat_t = (a_t[..., None] - trace.n * abar_t) / sqrt_n
     drift = abar_t * (1.0 - fy) - qr_quad
     return (1.0 - fy) * ahat_t - (step / sqrt_n - sqrt_n * drift)

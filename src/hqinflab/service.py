@@ -13,6 +13,7 @@ F_e(x) = mu * int_0^x (1 - F(s)) ds.  A deterministic law is the one-atom
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -460,24 +461,41 @@ class Mixture(ServiceModel):
         return tuple(sorted(set(self.continuous.breakpoints()) | set(self.atomic.breakpoints())))
 
 
+def _spec_number(where: str, value) -> float:
+    """A numeric leaf of a spec, as a float: a finite number, not a bool, a
+    string or None.  The error names the leaf's key path ``where``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _spec_numbers(where: str, value):
+    """A numeric leaf, or a list of them (nested), each checked by
+    :func:`_spec_number`; list entries are named ``where[i]``."""
+    if isinstance(value, (list, tuple)):
+        return [_spec_numbers(f"{where}[{i}]", v) for i, v in enumerate(value)]
+    return _spec_number(where, value)
+
+
 def _atoms(pairs) -> FiniteAtoms:
-    return FiniteAtoms(atoms=tuple((float(x), float(m)) for x, m in pairs))
+    return FiniteAtoms(atoms=tuple((x, m) for x, m in pairs))
 
 
-# kind -> (its parameter keys, builder); a mixture's ``continuous`` entry
-# arrives already built from its own spec
+# kind -> (its parameter keys, builder); the numbers arrive checked, and a
+# mixture's ``continuous`` entry already built from its own spec
 _KINDS = {
-    "exponential": ({"rate"}, lambda p: Exponential(rate=float(p["rate"]))),
+    "exponential": ({"rate"}, lambda p: Exponential(rate=p["rate"])),
     "deterministic": ({"point"}, lambda p: _atoms([(p["point"], 1.0)])),
-    "uniform": ({"a", "b"}, lambda p: Uniform(a=float(p["a"]), b=float(p["b"]))),
+    "uniform": ({"a", "b"}, lambda p: Uniform(a=p["a"], b=p["b"])),
     "lognormal": ({"logmean", "logsd"},
-                  lambda p: LogNormal(logmean=float(p["logmean"]), logsd=float(p["logsd"]))),
+                  lambda p: LogNormal(logmean=p["logmean"], logsd=p["logsd"])),
     "hyperexponential": ({"weights", "rates"},
-                         lambda p: HyperExponential(weights=tuple(float(w) for w in p["weights"]),
-                                                    rates=tuple(float(r) for r in p["rates"]))),
+                         lambda p: HyperExponential(weights=tuple(p["weights"]),
+                                                    rates=tuple(p["rates"]))),
     "finite_atoms": ({"atoms"}, lambda p: _atoms(p["atoms"])),
     "mixture": ({"weight", "continuous", "atoms"},
-                lambda p: Mixture(weight=float(p["weight"]), continuous=p["continuous"],
+                lambda p: Mixture(weight=p["weight"], continuous=p["continuous"],
                                   atomic=_atoms(p["atoms"]))),
 }
 
@@ -498,7 +516,7 @@ def service_from_spec(spec: dict, where: str = "service") -> ServiceModel:
     missing = keys - set(spec)
     if missing:
         raise ValueError(f"{where}: missing keys {sorted(missing)} for kind {kind!r}")
-    params = dict(spec)
+    params = {key: _spec_numbers(f"{where}.{key}", spec[key]) for key in keys - {"continuous"}}
     if kind == "mixture":
         params["continuous"] = service_from_spec(spec["continuous"], where + ".continuous")
     try:

@@ -17,9 +17,9 @@ one generator is re-seated on each stream in turn, the first batches of
 interarrivals of all replications are drawn into one array
 (:meth:`ArrivalModel.draw_block_epochs`), and each replication draws exactly
 what it would draw on its own.  The block is one :class:`SimulationTrace`
-that stores its replications one after another; a single trace is a block
-of one, whose fields carry no replication axis.  Ties are broken and the
-trace is checked once per block.
+that stores its replications one after another, and every field evaluated
+on it has a leading replication axis.  Ties are broken and the trace is
+checked once per block.
 
 :func:`eval_fields` evaluates the fields that it is asked for in one pass.
 With a sorted threshold set c and bin(x) = #{c_k < x}
@@ -112,35 +112,33 @@ class InitialConditions:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """One realization of the n-th system, or a block of independent ones.
+    """A block of independent realizations of the n-th system.
 
-    A block stores its replications one after another: replication r owns
+    The replications are stored one after another: replication r owns
     customers bounds[r]:bounds[r + 1] of ``arrivals`` and ``services``, and
-    the next initial_count[r] of ``initial_residuals``.  A single trace has
-    ``bounds`` None and a scalar ``initial_count``.
+    the next initial_counts[r] of ``initial_residuals``.  ``bounds`` None
+    means one replication, [0, N]; ``initial_counts`` None means none.
     """
     n: int
     arrivals: np.ndarray           # epochs tau_i, strictly increasing per replication
     services: np.ndarray           # eta_i aligned with arrivals
     horizon: float
     service_model: ServiceModel
-    initial_count: int | np.ndarray = 0
+    initial_counts: np.ndarray = None
     initial_residuals: np.ndarray = None
-    bounds: np.ndarray | None = None
+    bounds: np.ndarray = None
 
     def __post_init__(self):
         arr = np.asarray(self.arrivals, dtype=float)
         svc = np.asarray(self.services, dtype=float)
         if arr.ndim != 1 or svc.shape != arr.shape:
             raise ValueError("arrivals and services must be aligned 1-D arrays")
-        if self.bounds is not None:
-            bounds = np.asarray(self.bounds, dtype=np.intp)
-            if (bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0
-                    or bounds[-1] != len(arr) or np.any(np.diff(bounds) < 0)):
-                raise ValueError("replication bounds must rise from 0 to the customer count")
-            object.__setattr__(self, "bounds", bounds)
+        bounds = np.asarray([0, len(arr)] if self.bounds is None else self.bounds, dtype=np.intp)
+        if (bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0
+                or bounds[-1] != len(arr) or np.any(np.diff(bounds) < 0)):
+            raise ValueError("replication bounds must rise from 0 to the customer count")
         rising = np.diff(arr) > 0
-        firsts = self.offsets[1:-1]          # a drop onto these epochs is no fault
+        firsts = bounds[1:-1]                # a drop onto these epochs is no fault
         rising[firsts[(firsts > 0) & (firsts < len(arr))] - 1] = True
         if not rising.all() or np.any(arr < 0):
             raise ValueError("arrival epochs must be nonnegative and strictly increasing")
@@ -149,60 +147,39 @@ class SimulationTrace:
         resid = self.initial_residuals
         resid = np.asarray([] if resid is None else resid, dtype=float)
         counts = self.initial_counts
-        if (counts.shape != (self.replications,) or counts.sum() != len(resid)
+        counts = np.asarray(np.zeros(len(bounds) - 1) if counts is None else counts, dtype=np.intp)
+        if (counts.shape != (len(bounds) - 1,) or counts.sum() != len(resid)
                 or np.any(counts < 0)):
             raise ValueError("initial residual count mismatch")
         if np.any(resid <= 0):
             raise ValueError("initial residuals must be positive")
-        object.__setattr__(self, "arrivals", arr)
-        object.__setattr__(self, "services", svc)
-        object.__setattr__(self, "initial_residuals", resid)
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Customer offsets of the replications: ``bounds``, or [0, N]."""
-        return np.array([0, len(self.arrivals)]) if self.bounds is None else self.bounds
+        for name, value in (("arrivals", arr), ("services", svc), ("bounds", bounds),
+                            ("initial_counts", counts), ("initial_residuals", resid)):
+            object.__setattr__(self, name, value)
 
     @property
     def replications(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def batch_shape(self) -> tuple:
-        """Leading shape of every evaluated field: () or (replications,)."""
-        return () if self.bounds is None else (self.replications,)
-
-    @property
-    def initial_counts(self) -> np.ndarray:
-        """Initial customers per replication, shape (replications,)."""
-        counts = np.asarray(self.initial_count, dtype=np.intp)
-        return np.full(self.replications, counts) if counts.ndim == 0 else counts
+        return len(self.bounds) - 1
 
     def count_arrivals(self, t) -> np.ndarray:
-        """A_n(t) = #{i : tau_i <= t}, on a single trace."""
-        if self.bounds is not None:
-            raise ValueError("count_arrivals needs a single trace, not a block")
-        return np.searchsorted(self.arrivals, np.asarray(t, dtype=float), side="right")
+        """A_n(t) = #{i : tau_i <= t} per replication, shape (R, len(t))."""
+        came = np.cumsum(self.arrivals[:, None] <= np.asarray(t, dtype=float), axis=0)
+        came = np.concatenate((np.zeros((1, came.shape[1]), came.dtype), came))
+        return came[self.bounds[1:]] - came[self.bounds[:-1]]
 
 
 def simulate(arrival: ArrivalModel, service: ServiceModel,
-             n: int, horizon: float, rng,
+             n: int, horizon: float, words,
              init: InitialConditions | None = None) -> SimulationTrace:
-    """Draw one realization of the n-th system, or a block of them.
+    """Draw a block of realizations of the n-th system.
 
-    ``rng`` is one Generator, whose first three spawned children drive the
-    arrivals, the services and the initial state of a single trace; or the
-    seed words of a block (see :mod:`rng`), shape (R, k, 4): per replication
-    those of its arrival, service[ and initial-state] streams, the third
-    needed only with ``init``.  Services are i.i.d. from the service law,
-    independent of the arrival process; the initial state is independent of
-    both.
+    ``words`` are the seed words of the block's replications (see
+    :mod:`rng`), shape (R, k, 4): per replication those of its arrival,
+    service[ and initial-state] streams, the third needed only with
+    ``init``.  Services are i.i.d. from the service law, independent of the
+    arrival process; the initial state is independent of both.
     """
-    single = isinstance(rng, np.random.Generator)
-    words = (np.array([[child.generate_state(4, np.uint64)
-                        for child in rng.bit_generator.seed_seq.spawn(3)]])
-             if single else np.asarray(rng, dtype=np.uint64))
-    words = words.tolist()
+    words = np.asarray(words, dtype=np.uint64).tolist()
     epochs = arrival.draw_block_epochs(n, horizon, [w[0] for w in words])
     bounds = np.zeros(len(epochs) + 1, dtype=np.intp)
     np.cumsum([len(tau) for tau in epochs], out=bounds[1:])
@@ -217,13 +194,12 @@ def simulate(arrival: ArrivalModel, service: ServiceModel,
     return SimulationTrace(
         n=n, arrivals=_strictify(np.concatenate(epochs), bounds),
         services=services, horizon=horizon, service_model=service,
-        initial_count=int(counts[0]) if single else counts,
+        initial_counts=counts,
         initial_residuals=np.concatenate(residuals) if residuals else None,
-        bounds=None if single else bounds)
+        bounds=bounds)
 
 
-def block_size(arrival: ArrivalModel, n: int, horizon: float, grid: Grid,
-               init: InitialConditions | None = None) -> int:
+def block_size(arrival: ArrivalModel, n: int, horizon: float, grid: Grid) -> int:
     """Replications per block: as many as keep a block's expected customers
     and its histogram cells within the block budget, and at least one.
 
@@ -233,8 +209,6 @@ def block_size(arrival: ArrivalModel, n: int, horizon: float, grid: Grid,
     T, Y = grid.shape
     cells = 2 * (T + 1) * (T * (Y + 1) + 1)
     customers = n * float(arrival.cumulative_rate(horizon))
-    if init is not None:
-        customers += n * init.count.level
     return max(1, int(_BLOCK_BUDGET // max(customers, cells)))
 
 
@@ -280,7 +254,7 @@ def _sorted_set(values: np.ndarray) -> np.ndarray:
 
 def _replication_index(trace: SimulationTrace) -> np.ndarray:
     """The replication of every customer."""
-    return np.repeat(np.arange(trace.replications), np.diff(trace.offsets))
+    return np.repeat(np.arange(trace.replications), np.diff(trace.bounds))
 
 
 class _Layout:
@@ -374,22 +348,21 @@ def eval_fields(trace: SimulationTrace, grid: Grid,
     if wanted & {"I", "C"}:
         weights["services"] = trace.services
     sums = dict(zip(weights, layout.residual(bins, rep, R, *weights.values())))
-    shape2, shape1 = trace.batch_shape + grid.shape, trace.batch_shape + grid.t.shape
     out = {}
     if "count" in sums:
         counts = sums["count"].astype(float)
         qt = counts[:, :, 1]
-        out["Qr"] = TwoParamField(grid, counts[:, :, 2:].reshape(shape2), "Qr")
-        out["Qt"] = TimeField(grid.t, qt.reshape(shape1), "Qt")
-        out["D"] = TimeField(grid.t, (counts[:, :, 0] - qt).reshape(shape1), "D")
+        out["Qr"] = TwoParamField(grid, counts[:, :, 2:], "Qr")
+        out["Qt"] = TimeField(grid.t, qt, "Qt")
+        out["D"] = TimeField(grid.t, counts[:, :, 0] - qt, "D")
     if "Qe" in wanted:
-        out["Qe"] = TwoParamField(grid, layout.elapsed(bins, rep, R).astype(float).reshape(shape2), "Qe")
+        out["Qe"] = TwoParamField(grid, layout.elapsed(bins, rep, R).astype(float), "Qe")
     if "ends" in sums:
         work = sums["ends"][:, :, 1:] - layout.shifts * sums["count"][:, :, 1:]
-        out["Wr"] = TwoParamField(grid, work[:, :, 1:].reshape(shape2), "Wr")
-        out["Wt"] = TimeField(grid.t, work[:, :, 0].reshape(shape1), "Wt")
+        out["Wr"] = TwoParamField(grid, work[:, :, 1:], "Wr")
+        out["Wt"] = TimeField(grid.t, work[:, :, 0], "Wt")
     if "services" in sums:
-        out["I"] = TimeField(grid.t, sums["services"][:, :, 0].reshape(shape1), "I")
+        out["I"] = TimeField(grid.t, sums["services"][:, :, 0], "I")
         if "C" in wanted:
             out["C"] = TimeField(grid.t, out["I"].values - out["Wt"].values, "C")
     return {name: out[name] for name in names}
@@ -418,7 +391,7 @@ def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoPara
     t = 0 of the initial customers alone.
     """
     _check_grid(trace, grid)
-    R, shape = trace.replications, trace.batch_shape
+    R = trace.replications
     rep0 = np.repeat(np.arange(R), trace.initial_counts)
     at_zero = np.zeros(len(rep0))
     resid = trace.initial_residuals
@@ -430,12 +403,15 @@ def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoPara
                    np.concatenate((trace.arrivals + trace.services, resid))),
         np.concatenate((_replication_index(trace), rep0)), R, None)
     return {
-        "Qir": TimeField(grid.y, qir[:, 0, 2:].astype(float).reshape(shape + grid.y.shape), "Qir"),
-        "QTr": TwoParamField(grid, qtr[:, :, 2:].astype(float).reshape(shape + grid.shape), "QTr"),
+        "Qir": TimeField(grid.y, qir[:, 0, 2:].astype(float), "Qir"),
+        "QTr": TwoParamField(grid, qtr[:, :, 2:].astype(float), "QTr"),
     }
 
 
 def export_trace_csv(trace: SimulationTrace, path) -> None:
-    """Audit dump: one row (i, tau, eta) per customer."""
-    write_csv(path, ("i", "tau", "eta"),
-              zip(range(1, len(trace.arrivals) + 1), trace.arrivals, trace.services))
+    """Audit dump: one row (replication, i, tau, eta) per customer, with
+    replications counted from 0 and customers from 1 within each."""
+    rep = _replication_index(trace)
+    i = np.arange(1, len(rep) + 1) - trace.bounds[rep]
+    write_csv(path, ("replication", "i", "tau", "eta"),
+              zip(rep.tolist(), i.tolist(), trace.arrivals, trace.services))

@@ -47,6 +47,21 @@ def brute_queue_fields(tau, eta, t, y):
     return qr, qe, qt, wr
 
 
+def brute_arrivals(tau, eta, t, x, atoms=()):
+    """At one (t, x), by a loop over customers: the arrivals by t, how many
+    of them have a service <= x, and how many a service at each atom
+    location."""
+    arrived = below = 0
+    at = [0] * len(atoms)
+    for a, s in zip(tau, eta):
+        if a <= t:
+            arrived += 1
+            below += s <= x
+            for j, loc in enumerate(atoms):
+                at[j] += s == loc
+    return arrived, below, at
+
+
 def brute_x1_x2(tau, eta, n, t, y, sf, center):
     """(X1, X2) of hat(Qr)_n at one (t, y) by a loop over customers: X2 sums
     1(tau + eta > t + y) - sf(t + y - tau) over the arrivals by t, X1 is the

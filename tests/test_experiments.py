@@ -25,6 +25,7 @@ TINY = {
     "replications": 12,
     "workload": True,
 }
+INIT = {"count": {"kind": "fixed", "level": 1.0}, "residual": {"kind": "exponential", "rate": 1.0}}
 
 
 def write_config(tmp_path, raw):
@@ -40,6 +41,13 @@ class TestRunners:
 
     def test_no_runner_without_a_config_name(self):
         assert list(experiments._RUNNERS) == list(EXPERIMENTS)
+
+    def test_init_is_refused_before_any_work(self, monkeypatch):
+        # no runner simulates initial customers; none is reached
+        cfg = config_from_dict({**TINY, "init": INIT})
+        monkeypatch.setattr(experiments, "_RUNNERS", {})
+        with pytest.raises(ValueError, match="^config error at init: "):
+            run_experiment(cfg)
 
 
 class TestIntegerKeys:
@@ -117,8 +125,32 @@ class TestInvalidParameters:
         ({"init": {"count": {"kind": "bogus", "level": 1.0},
                    "residual": {"kind": "exponential", "rate": 1.0}}}, "init.count"),
         ({"service": {"kind": "finite_atoms", "atoms": [[1.0, 0.25], [2.0, 0.25]]}}, "service"),
-        ({"service": {"kind": "uniform", "a": "x", "b": 2.0}}, "service"),
-    ], ids=["rate", "logsd", "point", "sinusoid", "count_kind", "atom_masses", "uniform_a"])
+        ({"service": {"kind": "uniform", "a": "x", "b": 2.0}}, "service.a"),
+        ({"service": {"kind": "exponential", "rate": float("nan")}}, "service.rate"),
+        ({"service": {"kind": "exponential", "rate": True}}, "service.rate"),
+        ({"service": {"kind": "exponential", "rate": "2"}}, "service.rate"),
+        ({"service": {"kind": "uniform", "a": 0.0, "b": float("inf")}}, "service.b"),
+        ({"service": {"kind": "finite_atoms", "atoms": [[float("nan"), 1.0]]}},
+         "service.atoms[0][0]"),
+        ({"service": {"kind": "hyperexponential", "weights": [0.5, float("nan")],
+                      "rates": [1.0, 2.0]}}, "service.weights[1]"),
+        ({"service": {"kind": "mixture", "weight": 0.5, "atoms": [[1.0, 1.0]],
+                      "continuous": {"kind": "exponential", "rate": float("inf")}}},
+         "service.continuous.rate"),
+        ({"arrival": {"kind": "poisson", "rate": True}}, "arrival.rate"),
+        ({"arrival": {"kind": "nhpp", "rate_fn": {"form": "constant", "a": float("nan")}}},
+         "arrival.rate_fn.a"),
+        ({"arrival": {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5,
+                                                   "c": 0}}}, "arrival.rate_fn"),
+        ({"arrival": {"kind": "renewal",
+                      "interarrival": {"kind": "deterministic", "point": float("inf")}}},
+         "arrival.interarrival.point"),
+        ({"init": {"count": {"kind": "fixed", "level": float("inf")},
+                   "residual": {"kind": "exponential", "rate": 1.0}}}, "init.count.level"),
+    ], ids=["rate", "logsd", "point", "sinusoid", "count_kind", "atom_masses", "uniform_a",
+            "rate_nan", "rate_bool", "rate_string", "uniform_b_inf", "atom_nan",
+            "weight_nan", "continuous_rate_inf", "poisson_rate_bool", "rate_fn_nan",
+            "sinusoid_c_zero", "point_inf", "init_level_inf"])
     def test_error_names_the_key_path(self, section, where):
         with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
             config_from_dict({**TINY, **section})
@@ -179,6 +211,12 @@ class TestCli:
             cli.main(["selftest", "--seed", seed])
         assert stop.value.code == 2
         assert f"seed must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
+
+    def test_surfaces_read_init(self, tmp_path):
+        config = write_config(tmp_path, {**TINY, "init": INIT})
+        out = tmp_path / "surfaces"
+        assert cli.main(["surfaces", "--config", str(config), "--out", str(out)]) == 0
+        assert {"fluid_total.csv", "var_total.csv"} <= {p.name for p in out.iterdir()}
 
     def test_surfaces_schema(self, tmp_path):
         config = write_config(tmp_path, TINY)
@@ -316,7 +354,7 @@ class TestBlocks:
         stats = report.extras["simulation"]
         assert sorted(stats) == ["20", "40"]
         for n in cfg.n_list:
-            size = simulate.block_size(cfg.arrival, n, cfg.horizon, cfg.grid, cfg.init)
+            size = simulate.block_size(cfg.arrival, n, cfg.horizon, cfg.grid)
             assert stats[str(n)]["replications"] == cfg.replications
             assert stats[str(n)]["blocks"] == -(-cfg.replications // size)
             assert stats[str(n)]["draw_s"] >= 0.0 and stats[str(n)]["eval_s"] >= 0.0

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
-from hqinflab.fields import Grid, TwoParamField, write_fields_csv
-from hqinflab.rng import reseat, seed_words, substream, substream_children
+from hqinflab.fields import Grid, TimeField, TwoParamField, write_fields_csv
+from hqinflab.rng import reseat, seed_words, substream
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
 from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace,
                                eval_empirical_distributions, eval_fields,
@@ -17,6 +17,12 @@ from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTr
 from oracles import brute_queue_fields
 
 EXP1 = Exponential(1.0)
+
+
+def stream_words(seed, *keys, count=3):
+    """Seed words of a block of one replication, drawn from the children of
+    substream(seed, *keys)."""
+    return seed_words(seed, [keys], count)
 
 
 def one_customer_trace():
@@ -90,17 +96,14 @@ def block_trace(reps) -> SimulationTrace:
         return np.array([v for rep in reps for v in rep[k]], dtype=float)
     return SimulationTrace(n=1, arrivals=flat(0), services=flat(1), horizon=HORIZON,
                            service_model=EXP1,
-                           initial_count=np.array([len(rep[2]) for rep in reps]),
+                           initial_counts=[len(rep[2]) for rep in reps],
                            initial_residuals=flat(2),
                            bounds=np.cumsum([0] + [len(rep[0]) for rep in reps]))
 
 
-def single_trace(rep) -> SimulationTrace:
-    """The (taus, etas, residuals) replication as a single trace."""
-    taus, etas, resid = (np.array(v, dtype=float) for v in rep)
-    return SimulationTrace(n=1, arrivals=taus, services=etas, horizon=HORIZON,
-                           service_model=EXP1, initial_count=len(resid),
-                           initial_residuals=resid)
+def alone(rep) -> SimulationTrace:
+    """The (taus, etas, residuals) replication as a block of its own."""
+    return block_trace([rep])
 
 
 def blocks(grid):
@@ -125,19 +128,19 @@ class TestGridAndFields:
 class TestSimulate:
     def test_alignment(self):
         trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=1, horizon=10.0,
-                         rng=substream(0, "t"))
+                         words=stream_words(0, "t"))
         assert len(trace.services) == len(trace.arrivals)
 
     def test_deterministic_renewal_epochs(self):
         trace = simulate(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), EXP1, n=2,
-                         horizon=1.0, rng=substream(0, "t"))
+                         horizon=1.0, words=stream_words(0, "t"))
         assert np.allclose(trace.arrivals, [0.5, 1.0])
 
     def test_initial_state(self):
         init = InitialConditions(CountLaw("fixed", 5.0), EXP1)
         trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=100, horizon=1.0,
-                         rng=substream(0, "t"), init=init)
-        assert trace.initial_count == 500
+                         words=stream_words(0, "t"), init=init)
+        assert trace.initial_counts.tolist() == [500]
         assert len(trace.initial_residuals) == 500
 
     def test_trace_validation(self):
@@ -158,8 +161,8 @@ ARRIVALS = {
 }
 INIT = InitialConditions(CountLaw("poisson", 1.5), Exponential(2.0))
 
-# simulate(ARRIVALS[name], LogNormal(-0.5, 1), n=4, horizon=3,
-# substream(2024, "pin", name), init) as recorded before blocks existed:
+# simulate(ARRIVALS[name], LogNormal(-0.5, 1), n=4, horizon=3, init) on the
+# children of substream(2024, "pin", name), as recorded before blocks existed:
 # (customers, first and last epoch, first and last service, initial count
 # and first residual with INIT).
 PINNED_TRACES = {
@@ -176,7 +179,7 @@ class TestStreams:
     @pytest.mark.parametrize("keys", [("fwlln", 100, 3, "trace"), (7,), ("x", 2**40 + 5)])
     def test_children_are_the_spawned_ones(self, keys):
         spawned = substream(11, *keys).spawn(3)
-        direct = substream_children(11, *keys, count=3)
+        (direct,) = stream_words(11, *keys)
         gen = np.random.default_rng()
         for a, words in zip(spawned, direct):
             assert a.bit_generator.state == reseat(gen, words).bit_generator.state
@@ -207,15 +210,15 @@ class TestStreams:
     @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
     def test_single_trace_draws_as_before(self, name, init):
         trace = simulate(ARRIVALS[name], LogNormal(-0.5, 1.0), 4, 3.0,
-                         substream(2024, "pin", name), init=init)
+                         stream_words(2024, "pin", name), init=init)
         count, epochs, services, n_init, first_resid = PINNED_TRACES[name]
         assert len(trace.arrivals) == count
         assert trace.arrivals[[0, -1]].tolist() == epochs
         assert trace.services[[0, -1]].tolist() == services
         if init is None:
-            assert trace.initial_count == 0 and len(trace.initial_residuals) == 0
+            assert trace.initial_counts.tolist() == [0] and len(trace.initial_residuals) == 0
         else:
-            assert trace.initial_count == n_init
+            assert trace.initial_counts.tolist() == [n_init]
             assert trace.initial_residuals[0] == first_resid
         # the same draws as from the generator's spawned children
         arr_rng, svc_rng, init_rng = substream(2024, "pin", name).spawn(3)
@@ -229,36 +232,36 @@ class TestStreams:
         words = seed_words(8, [("twice", r) for r in range(3)], 3)
         first, second = (simulate(ARRIVALS["h2_renewal"], EXP1, 5, 2.0, words, init=init)
                          for _ in range(2))
-        for name in ("arrivals", "services", "initial_count", "initial_residuals", "bounds"):
+        for name in ("arrivals", "services", "initial_counts", "initial_residuals", "bounds"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     @pytest.mark.parametrize("name", sorted(ARRIVALS))
     @pytest.mark.parametrize("init", [None, INIT], ids=["no_init", "init"])
     def test_block_replications_are_the_single_traces(self, name, init):
         service = LogNormal(-0.5, 1.0)
-        streams = [substream_children(5, "blk", r, count=2 if init is None else 3)
-                   for r in range(4)]
-        block = simulate(ARRIVALS[name], service, 3, 2.0, streams, init=init)
-        assert block.replications == 4 and block.batch_shape == (4,)
+        count = 2 if init is None else 3
+        block = simulate(ARRIVALS[name], service, 3, 2.0,
+                         seed_words(5, [("blk", r) for r in range(4)], count), init=init)
+        assert block.replications == 4
         skips = np.cumsum(np.concatenate(([0], block.initial_counts)))
         for r in range(4):
-            alone = simulate(ARRIVALS[name], service, 3, 2.0, substream(5, "blk", r), init=init)
-            own = slice(block.offsets[r], block.offsets[r + 1])
-            assert np.array_equal(block.arrivals[own], alone.arrivals)
-            assert np.array_equal(block.services[own], alone.services)
-            assert block.initial_counts[r] == alone.initial_count
+            one = simulate(ARRIVALS[name], service, 3, 2.0, stream_words(5, "blk", r, count=count),
+                           init=init)
+            own = slice(block.bounds[r], block.bounds[r + 1])
+            assert np.array_equal(block.arrivals[own], one.arrivals)
+            assert np.array_equal(block.services[own], one.services)
+            assert [block.initial_counts[r]] == one.initial_counts.tolist()
             assert np.array_equal(block.initial_residuals[skips[r]:skips[r + 1]],
-                                  alone.initial_residuals)
+                                  one.initial_residuals)
 
     def test_ties_broken_within_each_replication(self):
         # a phase of rate 1e20 adds nothing to the running sum: exact ties
         arrival = ArrivalModel.renewal(HyperExponential((0.5, 0.5), (1e20, 1.0)))
-        streams = [substream_children(3, "ties", r, count=2) for r in range(3)]
-        block = simulate(arrival, EXP1, 20, 2.0, streams)
+        block = simulate(arrival, EXP1, 20, 2.0, seed_words(3, [("ties", r) for r in range(3)], 2))
         for r in range(3):
             raw = arrival.draw_epochs(20, 2.0, substream(3, "ties", r).spawn(1)[0])
             assert np.any(np.diff(raw) <= 0)
-            epochs = block.arrivals[block.offsets[r]:block.offsets[r + 1]]
+            epochs = block.arrivals[block.bounds[r]:block.bounds[r + 1]]
             assert np.all(np.diff(epochs) > 0)
             assert np.array_equal(epochs, _strictify(raw))
 
@@ -273,18 +276,18 @@ class TestStreams:
             redrawn.append(args)
             return draw(self, *args)
         monkeypatch.setattr(ArrivalModel, "draw_epochs", counted)
-        streams = [substream_children(8, "short", r, count=2) for r in range(20)]
-        block = simulate(arrival, EXP1, 20, 2.0, streams)
+        block = simulate(arrival, EXP1, 20, 2.0,
+                         seed_words(8, [("short", r) for r in range(20)], 2))
         assert redrawn
         monkeypatch.undo()
         for r in range(20):
-            alone = simulate(arrival, EXP1, 20, 2.0, substream(8, "short", r))
+            one = simulate(arrival, EXP1, 20, 2.0, stream_words(8, "short", r, count=2))
             arr_rng, svc_rng = substream(8, "short", r).spawn(2)
             epochs = _strictify(arrival.draw_epochs(20, 2.0, arr_rng))
-            own = slice(block.offsets[r], block.offsets[r + 1])
-            assert np.array_equal(block.arrivals[own], alone.arrivals)
+            own = slice(block.bounds[r], block.bounds[r + 1])
+            assert np.array_equal(block.arrivals[own], one.arrivals)
             assert np.array_equal(block.arrivals[own], epochs)
-            assert np.array_equal(block.services[own], alone.services)
+            assert np.array_equal(block.services[own], one.services)
             assert np.array_equal(block.services[own], EXP1.sample(svc_rng, len(epochs)))
 
 
@@ -332,17 +335,17 @@ class TestBlockFields:
         for ev in evals:
             fields = ev(trace, ODD_GRID)
             for r, rep in enumerate(reps):
-                alone = ev(single_trace(rep), ODD_GRID)
+                own = ev(alone(rep), ODD_GRID)
                 for name, f in fields.items():
-                    assert np.array_equal(f.values[r], alone[name].values)
+                    assert np.array_equal(f.values[r:r + 1], own[name].values)
 
     @pytest.mark.parametrize("kind", ["block", "single", "empty_replication"])
     def test_every_subset_of_names_matches_the_full_evaluation(self, kind):
         block = simulate(ARRIVALS["poisson"], LogNormal(-0.5, 1.0), 3, HORIZON,
                          seed_words(5, [("subsets", r) for r in range(2)], 2))
         reps = [(block.arrivals[lo:hi], block.services[lo:hi], [])
-                for lo, hi in zip(block.offsets[:-1], block.offsets[1:])]
-        trace = {"block": block, "single": single_trace(reps[0]),
+                for lo, hi in zip(block.bounds[:-1], block.bounds[1:])]
+        trace = {"block": block, "single": alone(reps[0]),
                  "empty_replication": block_trace([reps[0], ([], [], []), reps[1]])}[kind]
         full = eval_fields(trace, ODD_GRID)
         assert list(full) == list(FIELDS)
@@ -358,11 +361,11 @@ class TestBlockFields:
             eval_fields(one_customer_trace(), Grid([2.0], [0.0]), ("Qr", "Wq"))
 
     def test_validation_per_replication(self):
-        def trace(arrivals, bounds, services=None, counts=0, resid=None):
+        def trace(arrivals, bounds, services=None, counts=None, resid=None):
             arrivals = np.asarray(arrivals, dtype=float)
             return SimulationTrace(n=1, arrivals=arrivals,
                                    services=np.ones(len(arrivals)) if services is None else services,
-                                   horizon=4.0, service_model=EXP1, initial_count=counts,
+                                   horizon=4.0, service_model=EXP1, initial_counts=counts,
                                    initial_residuals=resid, bounds=np.asarray(bounds))
         trace([1.0, 2.0, 0.5, 0.5], [0, 2, 3, 3, 4])        # drops across bounds are fine
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -379,9 +382,10 @@ class TestBlockFields:
             trace([1.0, 2.0], [0, 1, 2], counts=np.array([0, 1]), resid=np.array([0.0]))
         with pytest.raises(ValueError, match="horizon"):
             eval_fields(trace([1.0, 2.0], [0, 1, 2]), Grid([5.0], [0.0]))
-        with pytest.raises(ValueError, match="single trace"):
-            trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5])
-        assert single_trace(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [0, 1]
+        with pytest.raises(ValueError, match="count"):
+            trace([1.0, 2.0], [0, 1, 2], counts=np.array([1]), resid=np.array([0.5]))
+        assert trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5]).tolist() == [[1], [0]]
+        assert alone(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [[0, 1]]
 
     def test_finite_values_checked(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -398,13 +402,13 @@ class TestQueueFields:
 
     def test_single_customer_residual(self):
         q = eval_fields(one_customer_trace(), Grid([2.0], [0.5, 1.1]))
-        assert q["Qr"].values[0, 0] == 1.0   # 1(3 > 2.5)
-        assert q["Qr"].values[0, 1] == 0.0   # 1(3 > 3.1)
+        assert q["Qr"].values[0, 0, 0] == 1.0   # 1(3 > 2.5)
+        assert q["Qr"].values[0, 0, 1] == 0.0   # 1(3 > 3.1)
 
     def test_single_customer_elapsed(self):
         q = eval_fields(one_customer_trace(), Grid([2.0], [0.5, 1.5]))
-        assert q["Qe"].values[0, 0] == 0.0   # arrived at 1, elapsed 1 > 0.5
-        assert q["Qe"].values[0, 1] == 1.0
+        assert q["Qe"].values[0, 0, 0] == 0.0   # arrived at 1, elapsed 1 > 0.5
+        assert q["Qe"].values[0, 0, 1] == 1.0
 
     def test_boundaries_are_exact(self):
         # arrivals at t - y = 1.5 and at t = 2; ends at t + y = 2.5 and at t = 2
@@ -412,10 +416,10 @@ class TestQueueFields:
                                 services=np.array([0.5, 0.5]), horizon=4.0,
                                 service_model=EXP1)
         q = eval_fields(trace, Grid([2.0], [0.0, 0.5]))
-        assert q["Qr"].values.tolist() == [[1.0, 0.0]]   # end 2.5 > 2.5 is false
-        assert q["Qe"].values.tolist() == [[0.0, 1.0]]   # 1.5 is outside (1.5, 2]
-        assert q["Qt"].values.tolist() == [1.0]          # the end at 2 has left
-        assert q["Wr"].values.tolist() == [[0.5, 0.0]]
+        assert q["Qr"].values.tolist() == [[[1.0, 0.0]]]   # end 2.5 > 2.5 is false
+        assert q["Qe"].values.tolist() == [[[0.0, 1.0]]]   # 1.5 is outside (1.5, 2]
+        assert q["Qt"].values.tolist() == [[1.0]]          # the end at 2 has left
+        assert q["Wr"].values.tolist() == [[[0.5, 0.0]]]
 
     def test_bins_match_searchsorted(self):
         from hqinflab.simulate import _bin
@@ -437,29 +441,29 @@ class TestQueueFields:
             for j, y in enumerate(g.y):
                 qr, qe, qt, wr = brute_queue_fields(trace.arrivals, trace.services,
                                                     float(t), float(y))
-                assert q["Qr"].values[i, j] == qr
-                assert q["Qe"].values[i, j] == qe
-                assert q["Qt"].values[i] == qt
-                assert q["Wr"].values[i, j] == pytest.approx(wr, abs=1e-9)
+                assert q["Qr"].values[0, i, j] == qr
+                assert q["Qe"].values[0, i, j] == qe
+                assert q["Qt"].values[0, i] == qt
+                assert q["Wr"].values[0, i, j] == pytest.approx(wr, abs=1e-9)
 
     @given(random_traces())
     @settings(max_examples=40, deadline=None)
     def test_counting_identities(self, trace):
         g = Grid([0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0])
-        q = eval_fields(trace, g)
-        a_t = trace.count_arrivals(g.t)
+        q = {name: f.values[0] for name, f in eval_fields(trace, g).items()}
+        a_t = trace.count_arrivals(g.t)[0]
         # flow conservation and nonnegativity
-        assert np.array_equal(a_t, q["Qt"].values + q["D"].values)
-        assert (q["Qr"].values >= 0).all() and (q["Qe"].values >= 0).all()
+        assert np.array_equal(a_t, q["Qt"] + q["D"])
+        assert (q["Qr"] >= 0).all() and (q["Qe"] >= 0).all()
         # monotonicity in y and t
-        assert (np.diff(q["Qr"].values, axis=1) <= 0).all()
-        assert (np.diff(q["Qe"].values, axis=1) >= 0).all()
-        assert (np.diff(q["D"].values) >= 0).all()
+        assert (np.diff(q["Qr"], axis=1) <= 0).all()
+        assert (np.diff(q["Qe"], axis=1) >= 0).all()
+        assert (np.diff(q["D"]) >= 0).all()
         # Qt(t) = Qr(t, 0) = Qe(t, t); the latter via a y=t grid
-        assert np.array_equal(q["Qt"].values, q["Qr"].values[:, 0])
+        assert np.array_equal(q["Qt"], q["Qr"][:, 0])
         for i, t in enumerate(g.t):
-            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"].values[0, 0]
-            assert qe_tt == q["Qt"].values[i]
+            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"].values[0, 0, 0]
+            assert qe_tt == q["Qt"][i]
         # Qe(t,y) = Qt(t) - Qr(t-y, y) on aligned points
         for i, t in enumerate(g.t):
             for j, y in enumerate(g.y):
@@ -472,17 +476,17 @@ class TestQueueFields:
                     hits = np.isclose(g.t, prev)
                     if not hits.any():
                         continue
-                    qr_prev = q["Qr"].values[int(np.argmax(hits)), j]
-                assert q["Qe"].values[i, j] == q["Qt"].values[i] - qr_prev
+                    qr_prev = q["Qr"][int(np.argmax(hits)), j]
+                assert q["Qe"][i, j] == q["Qt"][i] - qr_prev
 
 
 class TestWorkloadFields:
     def test_single_customer(self):
         w = eval_fields(one_customer_trace(), Grid([2.0], [0.0, 0.5]))
-        assert w["Wr"].values[0, 1] == pytest.approx(0.5)
-        assert w["I"].values[0] == 2.0
-        assert w["Wt"].values[0] == pytest.approx(1.0)
-        assert w["C"].values[0] == pytest.approx(1.0)
+        assert w["Wr"].values[0, 0, 1] == pytest.approx(0.5)
+        assert w["I"].values[0, 0] == 2.0
+        assert w["Wt"].values[0, 0] == pytest.approx(1.0)
+        assert w["C"].values[0, 0] == pytest.approx(1.0)
 
     def test_empty(self):
         w = eval_fields(empty_trace(), Grid([2.0], [0.0]))
@@ -497,7 +501,7 @@ class TestWorkloadFields:
         assert (np.diff(w["I"].values) >= -1e-12).all()
         assert (np.diff(w["C"].values) >= -1e-9).all()
         # Wr nonincreasing and convex in y (uniform spacing on [0.5, 1.5])
-        vals = w["Wr"].values
+        vals = w["Wr"].values[0]
         assert (np.diff(vals, axis=1) <= 1e-12).all()
         second = vals[:, 3] - 2.0 * vals[:, 2] + vals[:, 1]
         assert (second >= -1e-9).all()
@@ -511,32 +515,32 @@ class TestEmpiricalDistributions:
 
     def test_age_cdf_reaches_one(self):
         trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=50, horizon=2.0,
-                         rng=substream(4, "emp"))
+                         words=stream_words(4, "emp"))
         t = 2.0
         emp = eval_empirical_distributions(trace, Grid([t], [t]))
-        if eval_fields(trace, Grid([t], [0.0]))["Qt"].values[0] > 0:
-            assert emp["Fe"].values[0, 0] == 1.0
+        if eval_fields(trace, Grid([t], [0.0]))["Qt"].values[0, 0] > 0:
+            assert emp["Fe"].values[0, 0, 0] == 1.0
 
     def test_single_customer_residual_ratio(self):
         emp = eval_empirical_distributions(one_customer_trace(), Grid([2.0], [0.5]))
-        assert emp["Frc"].values[0, 0] == 1.0
+        assert emp["Frc"].values[0, 0, 0] == 1.0
 
 
 class TestInitialFields:
     def test_residual_counts(self):
         trace = SimulationTrace(n=1, arrivals=np.array([]), services=np.array([]),
-                                horizon=4.0, service_model=EXP1, initial_count=2,
+                                horizon=4.0, service_model=EXP1, initial_counts=[2],
                                 initial_residuals=np.array([0.5, 2.0]))
         fields = eval_initial_fields(trace, Grid([1.0], [1.0]))
-        assert fields["Qir"].values[0] == 1.0
+        assert fields["Qir"].values[0, 0] == 1.0
 
     def test_total_field_combines_populations(self):
         trace = SimulationTrace(n=1, arrivals=np.array([1.0]), services=np.array([2.0]),
-                                horizon=4.0, service_model=EXP1, initial_count=2,
+                                horizon=4.0, service_model=EXP1, initial_counts=[2],
                                 initial_residuals=np.array([0.5, 2.0]))
         fields = eval_initial_fields(trace, Grid([2.0], [0.5]))
         # initial residual 2.0 <= t+y = 2.5 has departed; the new arrival survives
-        assert fields["QTr"].values[0, 0] == 1.0
+        assert fields["QTr"].values[0, 0, 0] == 1.0
 
     def test_no_initials_means_qtr_equals_qr(self):
         trace = one_customer_trace()
@@ -551,7 +555,9 @@ class TestExports:
         g = Grid([1.0], [0.0, 0.5])
         q = eval_fields(one_customer_trace(), g)
         out = tmp_path / "fields.csv"
-        write_fields_csv(out, [q["Qr"], q["Qt"]])
+        # a block's fields are written one replication at a time
+        write_fields_csv(out, [TwoParamField(g, q["Qr"].values[0], "Qr"),
+                               TimeField(g.t, q["Qt"].values[0], "Qt")])
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "label,t,y,value"
         assert len(lines) == 1 + 2 + 1   # header + Qr grid + Qt row
@@ -564,12 +570,12 @@ class TestExports:
         out = tmp_path / "fields.csv"
         for field in (q["Qr"], q["Qt"]):
             with pytest.raises(ValueError, match="block of replications"):
-                write_fields_csv(out, [eval_fields(one_customer_trace(), g)["Qr"], field])
+                write_fields_csv(out, [TwoParamField(g, q["Qr"].values[0], "Qr"), field])
         assert not out.exists()
 
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
-        export_trace_csv(one_customer_trace(), out)
+        export_trace_csv(block_trace([([1.0], [2.0], []), ([], [], []),
+                                      ([0.5, 1.5], [0.25, 1.0], [])]), out)
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "i,tau,eta"
-        assert lines[1] == "1,1,2"
+        assert lines == ["replication,i,tau,eta", "0,1,1,2", "2,1,0.5,0.25", "2,2,1.5,1"]

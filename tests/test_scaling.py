@@ -6,14 +6,14 @@ import pytest
 from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid, TwoParamField
 from hqinflab.limits import LimitInputs, fluid_qr, surface, var_components
-from hqinflab.rng import substream
+from hqinflab.rng import seed_words, substream
 from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
                               decompose_hatQr, lln_scale, sequential_empirical,
                               split_arrivals, x1_integration_by_parts)
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
 from hqinflab.simulate import SimulationTrace, eval_fields, simulate
 
-from oracles import brute_x1_x2
+from oracles import brute_arrivals, brute_x1_x2
 
 EXP1 = Exponential(1.0)
 ARR = ArrivalModel.poisson(1.0)
@@ -39,7 +39,17 @@ PINNED_X2 = np.array([[0.1453485523733671, 0.6233886196357633, 0.421787882318161
 
 def _trace(n, horizon, seed, service=EXP1, arrival=ARR):
     return simulate(arrival, service, n=n, horizon=horizon,
-                    rng=substream(seed, "scaling"))
+                    words=seed_words(seed, [("scaling",)], 2))
+
+
+def _replications(key, reps=2000, n=400, horizon=1.0):
+    """One block of M/exp replications whose row r draws from the children
+    of substream(r, key), as seed_words(r, [(key,)], 2) gives them (numpy
+    spawns them 6x faster for one row at a time)."""
+    words = [[child.generate_state(4, np.uint64)
+              for child in substream(r, key).bit_generator.seed_seq.spawn(2)]
+             for r in range(reps)]
+    return simulate(ARR, EXP1, n, horizon, words)
 
 
 class TestScalings:
@@ -65,12 +75,8 @@ class TestScalings:
         # M/exp at n=400: Var Qr-hat(1, 0) ~= 0.632121 over 2000 replications
         g = Grid([1.0], [0.0])
         center = surface(INPUTS, g, "fluid_qr")
-        reps = 2000
-        vals = np.empty(reps)
-        for r in range(reps):
-            trace = simulate(ARR, EXP1, 400, 1.0, substream(r, "cltvar"))
-            f = eval_fields(trace, g)["Qr"]
-            vals[r] = clt_scale(f, 400, center).values[0, 0]
+        f = eval_fields(_replications("cltvar"), g)["Qr"]
+        vals = clt_scale(f, 400, center).values[:, 0, 0]
         assert np.var(vals, ddof=1) == pytest.approx(fluid_qr(INPUTS, 1.0, 0.0), rel=0.10)
 
 
@@ -122,31 +128,20 @@ class TestComposedEmpirical:
     def test_zero_at_origin_for_continuous_service(self):
         trace = _trace(100, 1.0, 1)
         field = composed_empirical(trace, Grid([1.0], [0.0, 1e9]))
-        assert field.values[0, 0] == 0.0          # F(0) = 0, no zero services
-        assert field.values[0, 1] == pytest.approx(0.0, abs=1e-12)   # R(t, inf) = 0
+        assert field.values[0, 0, 0] == 0.0          # F(0) = 0, no zero services
+        assert field.values[0, 0, 1] == pytest.approx(0.0, abs=1e-12)   # R(t, inf) = 0
 
     def test_variance_matches_limit(self):
         # Var R(1, x) -> abar(1) F(x) (1 - F(x))
-        x = math.log(2.0)
-        reps = 2000
-        vals = np.empty(reps)
-        g = Grid([1.0], [x])
-        for r in range(reps):
-            trace = simulate(ARR, EXP1, 400, 1.0, substream(r, "rhat"))
-            vals[r] = composed_empirical(trace, g).values[0, 0]
+        vals = composed_empirical(_replications("rhat"), Grid([1.0], [math.log(2.0)])).values[:, 0, 0]
         target = 1.0 * 0.5 * 0.5
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
 
     def test_asymptotically_independent_of_arrivals(self):
         # |corr(A-hat_n(1), R-hat_n(1, median))| < 0.08 at n=400
-        reps = 2000
-        a_vals = np.empty(reps)
-        r_vals = np.empty(reps)
-        g = Grid([1.0], [math.log(2.0)])
-        for r in range(reps):
-            trace = simulate(ARR, EXP1, 400, 1.0, substream(r, "indep"))
-            a_vals[r] = clt_scale_arrivals(trace, np.array([1.0]), INPUTS.abar)[0]
-            r_vals[r] = composed_empirical(trace, g).values[0, 0]
+        block = _replications("indep")
+        a_vals = clt_scale_arrivals(block, np.array([1.0]), INPUTS.abar)[:, 0]
+        r_vals = composed_empirical(block, Grid([1.0], [math.log(2.0)])).values[:, 0, 0]
         rho = np.corrcoef(a_vals, r_vals)[0, 1]
         assert abs(rho) < 0.08
 
@@ -161,15 +156,15 @@ class TestSplitArrivals:
     def test_atom_fractions(self):
         service = FiniteAtoms(((1.0, 0.3), (2.0, 0.7)))
         trace = simulate(ArrivalModel.poisson(1.0), service, 100_000, 1.0,
-                         substream(3, "split"))
+                         seed_words(3, [("split",)], 2))
         out = split_arrivals(trace, service.decompose(), np.array([1.0]))
-        total = trace.count_arrivals([1.0])[0]
+        total = trace.count_arrivals([1.0])[0, 0]
         # first atom in mass order is the one at 2.0 with mass 0.7
-        assert out["Adi"][0].values[0] / total == pytest.approx(0.7, abs=0.01)
+        assert out["Adi"][0].values[0, 0] / total == pytest.approx(0.7, abs=0.01)
 
     def test_partition(self):
         mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))
-        trace = simulate(ARR, mix, 500, 2.0, substream(5, "split"))
+        trace = simulate(ARR, mix, 500, 2.0, seed_words(5, [("split",)], 2))
         ts = np.array([0.5, 1.0, 2.0])
         out = split_arrivals(trace, mix.decompose(), ts)
         assert np.array_equal(out["Ac"].values + out["Ad"].values,
@@ -184,6 +179,73 @@ class TestSplitArrivals:
                                 service_model=service)
         with pytest.raises(ValueError, match="match no atom"):
             split_arrivals(trace, service.decompose(), np.array([1.0]))
+
+
+class TestBlockAgainstCustomerLoop:
+    """Each replication of a block holding a full replication, an empty one
+    and one with no arrival before the first grid time, against loops over
+    its own customers."""
+
+    GRID = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+    MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
+    N = 40
+
+    def block(self, service):
+        drawn = simulate(ARR, service, self.N, 2.0, seed_words(9, [("odd", r) for r in range(2)], 2))
+        full = slice(drawn.bounds[0], drawn.bounds[1])
+        second = np.arange(drawn.bounds[1], drawn.bounds[2])
+        late = second[drawn.arrivals[second] > self.GRID.t[0]]
+        reps = [(drawn.arrivals[full], drawn.services[full]), ([], []),
+                (drawn.arrivals[late], drawn.services[late])]
+        assert len(reps[0][0]) and len(reps[2][0]) and reps[0][0][0] <= self.GRID.t[0]
+        return SimulationTrace(n=self.N, arrivals=np.concatenate([r[0] for r in reps]),
+                               services=np.concatenate([r[1] for r in reps]), horizon=2.0,
+                               service_model=service,
+                               bounds=np.cumsum([0] + [len(r[0]) for r in reps])), reps
+
+    def test_arrival_counts_and_composed_empirical(self):
+        block, reps = self.block(EXP1)
+        g, n = self.GRID, self.N
+        counts = block.count_arrivals(g.t)
+        ahat = clt_scale_arrivals(block, g.t, INPUTS.abar)
+        rhat = composed_empirical(block, g).values
+        assert counts.shape == ahat.shape == (3, len(g.t)) and rhat.shape == (3, *g.shape)
+        for r, (tau, eta) in enumerate(reps):
+            for i, t in enumerate(g.t):
+                arrived = brute_arrivals(tau, eta, t, 0.0)[0]
+                assert counts[r, i] == arrived
+                assert ahat[r, i] == pytest.approx((arrived - n * t) / math.sqrt(n), abs=1e-12)
+                for j, x in enumerate(g.y):
+                    arrived, below, _ = brute_arrivals(tau, eta, t, x)
+                    want = (below - arrived * EXP1.cdf(x)) / math.sqrt(n)
+                    assert rhat[r, i, j] == pytest.approx(want, abs=1e-12)
+
+    def test_split_arrivals(self):
+        block, reps = self.block(self.MIX)
+        decomposition = self.MIX.decompose()
+        locs = [loc for loc, _ in decomposition.atoms]
+        out = split_arrivals(block, decomposition, self.GRID.t)
+        assert len(out["Adi"]) == len(locs)
+        for r, (tau, eta) in enumerate(reps):
+            for i, t in enumerate(self.GRID.t):
+                arrived, _, at = brute_arrivals(tau, eta, t, 0.0, locs)
+                assert out["Ac"].values[r, i] == arrived - sum(at)
+                assert out["Ad"].values[r, i] == sum(at)
+                for j, field in enumerate(out["Adi"]):
+                    assert field.values[r, i] == at[j]
+
+    def test_x1_integration_by_parts(self):
+        block, reps = self.block(EXP1)
+        g, n = self.GRID, self.N
+        center = surface(INPUTS, g, "fluid_qr")
+        parts = x1_integration_by_parts(block, g, INPUTS.abar, INPUTS.rate)
+        assert parts.shape == (3, *g.shape)
+        for r, (tau, eta) in enumerate(reps):
+            for i, t in enumerate(g.t):
+                for j, y in enumerate(g.y):
+                    want = brute_x1_x2(tau, eta, n, t, y, lambda x: math.exp(-x),
+                                       center.values[i, j])[0]
+                    assert abs(parts[r, i, j] - want) < 1e-6
 
 
 class TestDecomposition:
@@ -228,12 +290,12 @@ class TestDecomposition:
                                     services=np.asarray(eta, dtype=float), horizon=2.0,
                                     service_model=EXP1)
             a1, a2 = decompose_hatQr(alone, g, center)
-            assert np.array_equal(a1.values, x1.values[r])
-            assert np.array_equal(a2.values, x2.values[r])
+            assert np.array_equal(a1.values, x1.values[r:r + 1])
+            assert np.array_equal(a2.values, x2.values[r:r + 1])
 
     def test_refused_for_atomic_service(self):
         mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))
-        trace = simulate(ARR, mix, 50, 1.0, substream(0, "dec"))
+        trace = simulate(ARR, mix, 50, 1.0, seed_words(0, [("dec",)], 2))
         g = Grid([1.0], [0.0])
         center = TwoParamField(g, np.zeros((1, 1)), "fluid_qr")
         with pytest.raises(ValueError, match="refused"):
@@ -255,11 +317,11 @@ class TestDecomposition:
         g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
         center = TwoParamField(g, PINNED_CENTER, "fluid_qr")
         trace = simulate(arrival, service, n=200, horizon=2.0,
-                         rng=substream(2024, "pin", "decompose"))
+                         words=seed_words(2024, [("pin", "decompose")], 2))
         assert len(trace.arrivals) == 548
         x1, x2 = decompose_hatQr(trace, g, center)
-        np.testing.assert_allclose(x1.values, PINNED_X1, rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(x2.values, PINNED_X2, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(x1.values[0], PINNED_X1, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(x2.values[0], PINNED_X2, rtol=1e-10, atol=0.0)
 
     def test_x2_variance(self):
         # Var X2(1, 0) -> int_0^1 F(1-s) F^c(1-s) ds = 0.199789
@@ -269,10 +331,6 @@ class TestDecomposition:
         # closed form 1/2 - e^-1 + e^-2/2
         assert target == pytest.approx(0.5 - math.exp(-1.0) + 0.5 * math.exp(-2.0),
                                        abs=1e-9)
-        reps = 2000
-        vals = np.empty(reps)
-        for r in range(reps):
-            trace = simulate(ARR, EXP1, 400, 1.0, substream(r, "x2var"))
-            _, x2 = decompose_hatQr(trace, g, center)
-            vals[r] = x2.values[0, 0]
+        _, x2 = decompose_hatQr(_replications("x2var"), g, center)
+        vals = x2.values[:, 0, 0]
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
