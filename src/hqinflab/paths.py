@@ -163,11 +163,18 @@ class _LimitEngine:
         rows, cols = np.nonzero(self.covers)
         level = np.asarray(self.dec.continuous_part.cdf(
             self.t[cols] + self.y[cols] - self.s1[rows]), dtype=float)
-        covered = np.unique(rows)                 # each gets the level 1 too
-        keys = np.concatenate((np.stack((rows, level)),
-                               np.stack((covered, np.ones(len(covered))))), axis=1)
-        (lev_row, u), inv = np.unique(keys, axis=1, return_inverse=True)
-        lev_row = lev_row.astype(int)
+        # the distinct (row, level) pairs, sorted, by sort and compare
+        # (np.unique imports numpy.ma on first use); nonzero sorts the rows
+        covered = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]   # each gets level 1
+        key_row = np.concatenate((rows, covered))
+        key_lev = np.concatenate((level, np.ones(len(covered))))
+        order = np.lexsort((key_lev, key_row))
+        key_row, key_lev = key_row[order], key_lev[order]
+        new = np.concatenate(([True], (key_row[1:] != key_row[:-1])
+                              | (key_lev[1:] != key_lev[:-1])))
+        lev_row, u = key_row[new], key_lev[new]
+        inv = np.empty(len(order), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1        # each pair's index in (lev_row, u)
         start = np.concatenate(([0], np.cumsum(np.bincount(lev_row, minlength=J))))
         lev_idx = np.arange(len(u)) - start[lev_row]
         below = np.concatenate(([0.0], u[:-1]))

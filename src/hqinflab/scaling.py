@@ -165,34 +165,65 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
                     fluid_centering: TwoParamField) -> tuple[TwoParamField, TwoParamField]:
     """Split hat(Qr)_n into the arrival-noise term X1 and the
     service-sampling term X2 (continuous service c.d.f. only), per
-    replication of a block."""
+    replication of a block.
+
+    F(s - tau) is evaluated once per distinct shift s = t + y (floats equal
+    exactly), at the last grid time t_i that uses it, on the arrivals by
+    t_i; the shifts t_i owns, at most Y since it uses them all, form one
+    (k, A(t_i)) array, no larger than the (Y, A(t_i)) array of evaluating
+    every point of t_i on its own arrivals.  An earlier point
+    (t_k, y) with the same shift sums, per replication, the first A_r(t_k)
+    entries of that replication's segment of the row, since epochs rise
+    within a replication: the same terms in the same order as on its own
+    arrivals, so the sums do not depend on which time owns the shift.
+    """
     _require_continuous(trace.service_model)
     if not grid.same_as(fluid_centering.grid):
         raise ValueError("centering surface lives on a different grid")
     tau = trace.arrivals
     ends = tau + trace.services
     sqrt_n = math.sqrt(trace.n)
-    x2 = np.zeros((trace.replications, *grid.shape))
-    sum_sf = np.zeros(x2.shape)
-    for i, t in enumerate(grid.t):
-        # replication r's arrivals by t are came[starts[r]:starts[r + 1]];
-        # reduceat would give an empty one the next one's first value
-        came = np.flatnonzero(tau <= t)
-        starts = np.searchsorted(came, trace.bounds)
-        live = np.flatnonzero(np.diff(starts))
-        if len(live) == 0:
+    a_t = trace.count_arrivals(grid.t)
+    lives = [np.flatnonzero(a) for a in a_t.T]
+    segs = np.stack((np.zeros_like(a_t), a_t), axis=2)    # r's arrivals by t_k, from 0
+    sf = np.zeros((trace.replications, *grid.shape))
+    count = np.zeros(sf.shape, dtype=np.intp)
+    shifts = (grid.t[:, None] + grid.y).tolist()
+    owner = {s: i for i, row in enumerate(shifts) for s in row}   # the last use wins
+    owned = [[] for _ in shifts]          # per grid time, in order of first use
+    for s, i in owner.items():
+        owned[i].append(s)
+    for i, group in enumerate(owned):
+        if not group or len(lives[i]) == 0:
             continue
-        shift = t + grid.y[:, None]
+        # replication r's arrivals by t_i are came[lo[r]:lo[r] + a_t[r, i]]
+        came = np.flatnonzero(tau <= grid.t[i])
+        lo = np.concatenate(([0], np.cumsum(a_t[:-1, i])))[:, None]
+        shift = np.asarray(group)[:, None]
         sf_vals = np.asarray(trace.service_model.cdf(shift - tau[came]), dtype=float)
-        # 1 - F in place: a third (Y, k) array per t took a cold mc_large_n
-        # run from 40k to 72k page faults
+        # 1 - F in place: a third array of this size per t took a cold
+        # mc_large_n run from 40k to 72k page faults
         np.subtract(1.0, sf_vals, out=sf_vals)
-        sf = np.add.reduceat(sf_vals, starts[live], axis=1)
-        count = np.add.reduceat(ends[came] > shift, starts[live], axis=1, dtype=np.intp)
-        x2[live, i] = ((count - sf) / sqrt_n).T
-        sum_sf[live, i] = (sf / sqrt_n).T
-    x1 = sum_sf - sqrt_n * fluid_centering.values
-    return TwoParamField(grid, x1, "X1n"), TwoParamField(grid, x2, "X2n")
+        beats = ends[came] > shift
+        for k, row in enumerate(shifts[:i + 1]):
+            cols = [j for j, s in enumerate(row) if s in group]
+            live = lives[k]
+            if not cols or len(live) == 0:
+                continue
+            # the arrivals by t_k: cut each live replication's segment after
+            # its first a_t[r, k] entries, and keep the even sums (reduceat
+            # would give an empty segment the next one's first value)
+            cuts = (lo[live] + segs[live, k]).ravel()
+            cuts = cuts[:-1] if cuts[-1] == len(came) else cuts
+            # reduce the view of the rows that t_k reads, then pick them
+            rows = [group.index(row[j]) for j in cols]
+            span = slice(min(rows), max(rows) + 1)
+            pick = np.subtract(rows, span.start), slice(None, None, 2)
+            at = live[:, None], k, cols
+            sf[at] = np.add.reduceat(sf_vals[span], cuts, axis=1)[pick].T
+            count[at] = np.add.reduceat(beats[span], cuts, axis=1, dtype=np.intp)[pick].T
+    x1 = sf / sqrt_n - sqrt_n * fluid_centering.values
+    return TwoParamField(grid, x1, "X1n"), TwoParamField(grid, (count - sf) / sqrt_n, "X2n")
 
 
 def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, abar, rate) -> np.ndarray:

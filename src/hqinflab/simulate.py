@@ -163,9 +163,11 @@ class SimulationTrace:
 
     def count_arrivals(self, t) -> np.ndarray:
         """A_n(t) = #{i : tau_i <= t} per replication, shape (R, len(t))."""
-        came = np.cumsum(self.arrivals[:, None] <= np.asarray(t, dtype=float), axis=0)
-        came = np.concatenate((np.zeros((1, came.shape[1]), came.dtype), came))
-        return came[self.bounds[1:]] - came[self.bounds[:-1]]
+        t = np.asarray(t, dtype=float).ravel()
+        counts = np.empty((self.replications, len(t)), dtype=np.intp)
+        for i, s in enumerate(t.tolist()):
+            counts[:, i] = np.diff(np.searchsorted(np.flatnonzero(self.arrivals <= s), self.bounds))
+        return counts
 
 
 def simulate(arrival: ArrivalModel, service: ServiceModel,

@@ -52,12 +52,14 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
-    uniq, counts = np.unique(xs, return_counts=True)
-    cum = np.cumsum(counts)
+    # where each distinct value starts: the samples below it (np.unique
+    # imports numpy.ma on first use)
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    uniq = xs[first]
     f_right = np.asarray(cdf(uniq), dtype=float)
     f_left = np.asarray(cdf(np.nextafter(uniq, -np.inf)), dtype=float)
-    emp_right = cum / n
-    emp_left = (cum - counts) / n
+    emp_right = np.append(first[1:], n) / n
+    emp_left = first / n
     return float(max(np.max(np.abs(emp_right - f_right)),
                      np.max(np.abs(emp_left - f_left))))
 

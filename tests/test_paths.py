@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hqinflab
 from hqinflab import paths as paths_module
 from hqinflab.arrivals import ArrivalModel
 from hqinflab.fields import Grid
@@ -104,6 +109,23 @@ class TestServiceComponent:
         if budget == "gather":
             assert max(sizes) > 2 * self.P
 
+    @pytest.mark.parametrize("service", SERVICES, ids=law_id)
+    def test_sheet_levels_are_the_sorted_distinct_pairs(self, service):
+        # the (interval, level) pairs of every covered cell and the level 1
+        # of every covered interval, as np.unique sorts and indexes them
+        eng = self.engine(service)
+        if eng.dec.p_c == 0.0:
+            return
+        start, lev_row, lev_idx, u, _, pos, lev = eng._sheet_levels()
+        rows, cols = np.nonzero(eng.covers)
+        covered = np.unique(rows)
+        keys = np.concatenate((np.stack((rows, lev[rows, cols])),
+                               np.stack((covered, np.ones(len(covered))))), axis=1)
+        (want_row, want_u), inv = np.unique(keys, axis=1, return_inverse=True)
+        assert np.array_equal(lev_row, want_row.astype(int)) and np.array_equal(u, want_u)
+        assert np.array_equal(pos[rows, cols], inv[:len(rows)] - start[rows])
+        assert np.array_equal(lev_idx, np.arange(len(u)) - start[lev_row])
+
 
 class TestSplitCovariance:
     @pytest.mark.parametrize("service", SERVICES, ids=law_id)
@@ -141,6 +163,30 @@ class TestBundle:
         paths = self.paths(service)
         assert paths["Qr"].shape == (16,) + self.GRID.shape
         np.testing.assert_array_equal(paths["Qr"], paths["X1"] + paths["X2"] + paths["X3"])
+
+
+class TestImports:
+    def test_bundle_and_ks_distance_leave_out_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, about 10 ms of a run
+        src = str(Path(hqinflab.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from hqinflab.arrivals import ArrivalModel\n"
+                "from hqinflab.fields import Grid\n"
+                "from hqinflab.limits import LimitInputs\n"
+                "from hqinflab.paths import assemble_limit_bundle\n"
+                "from hqinflab.rng import substream\n"
+                "from hqinflab.service import FiniteAtoms, LogNormal, Mixture\n"
+                "from hqinflab.stats import ks_distance\n"
+                "law = Mixture(0.5, LogNormal(-0.5, 1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))\n"
+                "inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), law)\n"
+                "bundle = assemble_limit_bundle(inputs, Grid([0.5, 1.0], [0.0, 0.5]), k=4,\n"
+                "                               rng=substream(1, 'ma'), n_paths=8)\n"
+                "assert bundle.paths['X2'].any()\n"
+                "ks_distance(law.sample(substream(2, 'ma'), 50), law.cdf)\n"
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestMarkov:

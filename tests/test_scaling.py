@@ -13,7 +13,7 @@ from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
 from hqinflab.simulate import SimulationTrace, eval_fields, simulate
 
-from oracles import brute_arrivals, brute_x1_x2
+from oracles import brute_arrivals, brute_x1_x2, law_id
 
 EXP1 = Exponential(1.0)
 ARR = ArrivalModel.poisson(1.0)
@@ -203,6 +203,21 @@ class TestBlockAgainstCustomerLoop:
                                service_model=service,
                                bounds=np.cumsum([0] + [len(r[0]) for r in reps])), reps
 
+    def test_arrival_counts_off_the_grid(self):
+        # before the first epoch, exactly at an epoch and just below it,
+        # beyond the horizon, unsorted, and an empty replication
+        block, reps = self.block(EXP1)
+        late = block.arrivals[block.bounds[2]]
+        ts = [5.0, block.arrivals[3], block.arrivals[0] / 2, late, 0.0, 1.0,
+              np.nextafter(late, 0.0), 2.0]
+        counts = block.count_arrivals(ts)
+        assert counts.shape == (3, len(ts)) and counts.dtype == np.intp
+        for r, (tau, eta) in enumerate(reps):
+            assert counts[r].tolist() == [brute_arrivals(tau, eta, t, 0.0)[0] for t in ts]
+        assert counts[:, 1].tolist() == [4, 0, 0] and counts[:, 2].tolist() == [0, 0, 0]
+        assert counts[2, 3] == 1 and counts[2, 6] == 0
+        assert block.count_arrivals([]).shape == (3, 0)
+
     def test_arrival_counts_and_composed_empirical(self):
         block, reps = self.block(EXP1)
         g, n = self.GRID, self.N
@@ -249,6 +264,9 @@ class TestBlockAgainstCustomerLoop:
 
 
 class TestDecomposition:
+    SHARED = Grid([0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0, 1.5])   # t + y = 2 at every t
+    LOGN = LogNormal(-0.5, 1.0)
+
     def test_additivity_exact(self):
         g = Grid([0.5, 1.0, 2.0], [0.0, 0.5])
         center = surface(INPUTS, g, "fluid_qr")
@@ -258,22 +276,25 @@ class TestDecomposition:
             qhat = clt_scale(eval_fields(trace, g)["Qr"], trace.n, center)
             assert np.max(np.abs(x1.values + x2.values - qhat.values)) < 1e-9
 
-    def test_block_against_customer_loop(self):
+    @staticmethod
+    def odd_block(service, n=40):
         # a full replication, an empty one, one with no arrival before the
         # first grid time, a full one and an empty last one: reduceat would
         # give an empty segment the next replication's first value
-        g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
-        center = surface(INPUTS, g, "fluid_qr")
-        n = 40
-        full = [_trace(n, 2.0, seed) for seed in range(3)]
+        full = [_trace(n, 2.0, seed, service) for seed in range(3)]
         late = full[1].arrivals > 0.5
         reps = [(full[0].arrivals, full[0].services), ([], []),
                 (full[1].arrivals[late], full[1].services[late]),
                 (full[2].arrivals, full[2].services), ([], [])]
-        block = SimulationTrace(n=n, arrivals=np.concatenate([r[0] for r in reps]),
-                                services=np.concatenate([r[1] for r in reps]), horizon=2.0,
-                                service_model=EXP1,
-                                bounds=np.cumsum([0] + [len(r[0]) for r in reps]))
+        return SimulationTrace(n=n, arrivals=np.concatenate([r[0] for r in reps]),
+                               services=np.concatenate([r[1] for r in reps]), horizon=2.0,
+                               service_model=service,
+                               bounds=np.cumsum([0] + [len(r[0]) for r in reps])), reps
+
+    def check_block_against_customer_loop(self, g, service):
+        center = surface(INPUTS, g, "fluid_qr")
+        block, reps = self.odd_block(service)
+        n = block.n
         x1, x2 = decompose_hatQr(block, g, center)
         assert x1.values.shape == x2.values.shape == (len(reps), *g.shape)
         qhat = clt_scale(eval_fields(block, g)["Qr"], n, center).values
@@ -281,17 +302,36 @@ class TestDecomposition:
         for r, (tau, eta) in enumerate(reps):
             for i, t in enumerate(g.t):
                 for j, y in enumerate(g.y):
-                    want = brute_x1_x2(tau, eta, n, t, y, lambda x: math.exp(-x),
+                    want = brute_x1_x2(tau, eta, n, t, y, lambda x: 1.0 - service.cdf(x),
                                        center.values[i, j])
                     assert abs(x1.values[r, i, j] - want[0]) <= 1e-12
                     assert abs(x2.values[r, i, j] - want[1]) <= 1e-12
             # a replication's terms are its own, whatever block it is in
             alone = SimulationTrace(n=n, arrivals=np.asarray(tau, dtype=float),
                                     services=np.asarray(eta, dtype=float), horizon=2.0,
-                                    service_model=EXP1)
+                                    service_model=service)
             a1, a2 = decompose_hatQr(alone, g, center)
             assert np.array_equal(a1.values, x1.values[r:r + 1])
             assert np.array_equal(a2.values, x2.values[r:r + 1])
+
+    def test_block_against_customer_loop(self):
+        self.check_block_against_customer_loop(Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5]), EXP1)
+
+    @pytest.mark.parametrize("service", [EXP1, LOGN], ids=law_id)
+    def test_shared_shifts_against_customer_loop(self, service):
+        self.check_block_against_customer_loop(self.SHARED, service)
+
+    def test_one_cdf_row_per_shift(self, monkeypatch):
+        block, _ = self.odd_block(self.LOGN)
+        center = TwoParamField(self.SHARED, np.zeros(self.SHARED.shape), "fluid_qr")
+        points, original = [], LogNormal.cdf
+        monkeypatch.setattr(LogNormal, "cdf",
+                            lambda model, x: points.append(np.size(x)) or original(model, x))
+        decompose_hatQr(block, self.SHARED, center)
+        a = block.count_arrivals(self.SHARED.t).sum(axis=0)
+        # the time that owns a shift is the last that uses it: 0.5 is owned
+        # by t = 0.5, 1 by t = 1, 1.5 by t = 1.5, and 2, 2.5, 3 and 3.5 by t = 2
+        assert sum(points) == a[0] + a[1] + a[2] + 4 * a[3]
 
     def test_refused_for_atomic_service(self):
         mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))

@@ -13,7 +13,8 @@ it, so the bound separates them from roundoff by nine orders.
 import numpy as np
 import pytest
 
-from hqinflab.stats import correlation, sample_var, skew_kurtosis
+from hqinflab.service import Exponential, FiniteAtoms
+from hqinflab.stats import correlation, ks_distance, sample_var, skew_kurtosis
 
 BOUND = 1e-12
 R, T, Y = 300, 3, 4
@@ -113,3 +114,24 @@ def test_injected_defects_exceed_the_bound(defect):
     stats = {"var": sample_var, "skew_kurt": skew_kurtosis, "corr": correlation, **defect}
     with np.errstate(invalid="ignore", divide="ignore"):
         assert _worst(stats["var"], stats["skew_kurt"], stats["corr"]) > 1e-3
+
+
+def _ks_1d(samples, cdf):
+    """sup |F_n - F| over right values and left limits at each distinct
+    sample point, by a loop."""
+    xs, n, worst = sorted(samples), len(samples), 0.0
+    for x in set(xs):
+        below, upto = sum(v < x for v in xs), sum(v <= x for v in xs)
+        worst = max(worst, abs(upto / n - cdf(x)),
+                    abs(below / n - cdf(float(np.nextafter(x, -np.inf)))))
+    return worst
+
+
+@pytest.mark.parametrize("law", [Exponential(1.0), FiniteAtoms(((0.5, 0.3), (1.5, 0.7)))],
+                         ids=["Exponential", "FiniteAtoms"])
+def test_ks_distance_with_ties(law):
+    rng = np.random.default_rng(3)
+    for samples in ([2.0], [2.0, 2.0, 1.0], rng.integers(0, 9, 200) / 4.0,
+                    rng.permutation(np.repeat([0.5, 1.5, 3.0], [5, 1, 4]))):
+        assert ks_distance(samples, law.cdf) == pytest.approx(_ks_1d(samples, law.cdf),
+                                                              rel=0.0, abs=1e-15)
