@@ -26,7 +26,7 @@ from .config import config_from_dict
 from .experiments import ExperimentReport, PointStat, run_experiment
 from .fields import Grid
 from .rng import seed_words
-from .scaling import decompose_hatQr
+from .scaling import decompose_hatQr, x1_integration_by_parts
 from .service import Exponential, FiniteAtoms, HyperExponential, Mixture
 from .simulate import CountLaw, InitialConditions, eval_fields, eval_initial_fields, simulate
 from .stats import sample_var
@@ -105,7 +105,8 @@ def _per_replication(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Per-replication counting/work identities and the two-term split, all
-    at 1e-9; mixture c.d.f. reconstruction at 1e-10.
+    at 1e-9; X1 against its integration-by-parts form at 1e-6; mixture
+    c.d.f. reconstruction at 1e-10.
 
     The y axis holds every grid time, and every t - y with y <= t is 0 or a
     grid time, so Qe(t, t) = Qt(t) and Qe(t, y) = Qt(t) - Qr(t - y, y) compare
@@ -155,6 +156,12 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
                                  - fluid.values)
     worst = float(np.max(np.abs(x1.values + x2.values - qhat)))
     passed &= _check(lines, worst <= 1e-9, f"X1 + X2 = Qr-hat, worst residual {worst:.2e}")
+    # X1's panel sums against the Stieltjes form, whose integral over the
+    # arrival steps is exact and whose drift part is by quadrature
+    parts = x1_integration_by_parts(block, grid, inputs.abar, inputs.rate)
+    worst = float(np.max(np.abs(x1.values - parts)))
+    passed &= _check(lines, worst <= 1e-6,
+                     f"X1 against its integration-by-parts form, worst difference {worst:.2e}")
 
     mix = _mix_service()
     dec = mix.decompose()

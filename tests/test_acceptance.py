@@ -5,6 +5,7 @@ import pytest
 from hqinflab import acceptance, limits
 from hqinflab.acceptance import CRITERIA, DEFAULT_SEED, _gates
 from hqinflab.experiments import ExperimentReport, PointStat
+from hqinflab.fields import TwoParamField
 from hqinflab.simulate import CountLaw, InitialConditions
 
 
@@ -79,3 +80,21 @@ def test_identities_catch_an_evaluator_that_miscounts_qr(monkeypatch):
     assert result.passed is False
     (line,) = [line for line in result.lines if "X1 + X2 = Qr-hat" in line]
     assert line.startswith("  FAIL")
+
+
+def test_identities_catch_x1_off_its_integration_by_parts_form(monkeypatch):
+    # power: moving 1e-5 from X2 to X1 keeps X1 + X2 = Qr-hat, and only the
+    # integration-by-parts form of X1 sees it
+    full = acceptance.decompose_hatQr
+
+    def shifted(trace, grid, fluid):
+        x1, x2 = full(trace, grid, fluid)
+        return (TwoParamField(grid, x1.values + 1e-5, x1.label),
+                TwoParamField(grid, x2.values - 1e-5, x2.label))
+
+    monkeypatch.setattr(acceptance, "decompose_hatQr", shifted)
+    result = CRITERIA[1](DEFAULT_SEED)
+    assert result.passed is False
+    lines = {line[7:].split(",")[0]: line[:6] for line in result.lines}
+    assert lines["X1 + X2 = Qr-hat"] == "  ok  "
+    assert lines["X1 against its integration-by-parts form"] == "  FAIL"

@@ -10,7 +10,8 @@ from hqinflab.rng import seed_words, substream
 from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
                               decompose_hatQr, lln_scale, sequential_empirical,
                               split_arrivals, x1_integration_by_parts)
-from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
+from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture,
+                              Uniform)
 from hqinflab.simulate import SimulationTrace, eval_fields, simulate
 
 from oracles import brute_arrivals, brute_x1_x2, law_id
@@ -321,17 +322,87 @@ class TestDecomposition:
     def test_shared_shifts_against_customer_loop(self, service):
         self.check_block_against_customer_loop(self.SHARED, service)
 
-    def test_one_cdf_row_per_shift(self, monkeypatch):
+    @staticmethod
+    def customer_points(block, g):
+        """c.d.f. points of the customer-by-customer sums: one per distinct
+        shift t + y and arrival by the last grid time that uses it."""
+        a = block.count_arrivals(g.t).sum(axis=0)
+        last = {s: i for i, row in enumerate((g.t[:, None] + g.y).tolist()) for s in row}
+        return sum(a[i] for i in last.values())
+
+    @staticmethod
+    def cdf_points(monkeypatch, block, g):
+        """decompose_hatQr on ``block`` and the c.d.f. points it evaluated."""
+        model = block.service_model
+        points, original = [], type(model).cdf
+        with monkeypatch.context() as patch:
+            patch.setattr(type(model), "cdf",
+                          lambda law, x: points.append(np.size(x)) or original(law, x))
+            x1, x2 = decompose_hatQr(block, g, TwoParamField(g, np.zeros(g.shape), "fluid_qr"))
+        return sum(points), x1, x2
+
+    def test_cdf_budget_small_block(self, monkeypatch):
+        # no panel holds more epochs than nodes, so every sum is taken
+        # customer by customer, at no more points than that rule
         block, _ = self.odd_block(self.LOGN)
-        center = TwoParamField(self.SHARED, np.zeros(self.SHARED.shape), "fluid_qr")
-        points, original = [], LogNormal.cdf
-        monkeypatch.setattr(LogNormal, "cdf",
-                            lambda model, x: points.append(np.size(x)) or original(model, x))
-        decompose_hatQr(block, self.SHARED, center)
+        points, _, _ = self.cdf_points(monkeypatch, block, self.SHARED)
+        # 0.5 is last used at t = 0.5, 1 at t = 1, 1.5 at t = 1.5, and 2,
+        # 2.5, 3 and 3.5 at t = 2
         a = block.count_arrivals(self.SHARED.t).sum(axis=0)
-        # the time that owns a shift is the last that uses it: 0.5 is owned
-        # by t = 0.5, 1 by t = 1, 1.5 by t = 1.5, and 2, 2.5, 3 and 3.5 by t = 2
-        assert sum(points) == a[0] + a[1] + a[2] + 4 * a[3]
+        assert self.customer_points(block, self.SHARED) == a[0] + a[1] + a[2] + 4 * a[3]
+        assert 0 < points <= a[0] + a[1] + a[2] + 4 * a[3]
+
+    def test_cdf_budget_large_n(self, monkeypatch):
+        # the benchmark's large-n trace shape: a tenth of the points at most
+        arrival = ArrivalModel(HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)),
+                               RateFunction("sinusoidal", a=1.0, b=0.5))
+        g = Grid([0.5, 1.0, 1.5, 2.0, 3.0, 4.0], [0.0, 0.25, 0.5, 1.0, 2.0])
+        block = simulate(arrival, self.LOGN, n=6000, horizon=4.0,
+                         words=seed_words(2024, [("budget",)], 2))
+        points, _, _ = self.cdf_points(monkeypatch, block, g)
+        assert 10 * points <= self.customer_points(block, g)
+
+    # every continuous law of service.py, at a size where most panels are
+    # interpolated: a Uniform whose kinks t + y - a and t + y - b fall
+    # strictly inside panels; Exponential(50), whose first panel past
+    # x = 0.1 the tail check sends back; and a lognormal that changes within
+    # a panel, which only the tail check keeps within the bound
+    @pytest.mark.parametrize("service", [
+        Exponential(1.0), Exponential(50.0), Uniform(0.23, 1.37), LogNormal(-0.5, 1.0),
+        HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)),
+        Mixture(1.0, LogNormal(-0.5, 1.0), FiniteAtoms(((1.0, 1.0),))), LogNormal(0.0, 0.02)],
+        ids=["Exponential(1)", "Exponential(50)", "Uniform", "LogNormal", "HyperExponential",
+             "Mixture(1)", "LogNormal(0, 0.02)"])
+    def test_panel_sums_within_bound(self, monkeypatch, service):
+        g = Grid([1.0, 4.0], [0.0, 0.5])
+        block = simulate(ARR, service, n=2000, horizon=4.0, words=seed_words(11, [("bound",)], 2))
+        points, x1, x2 = self.cdf_points(monkeypatch, block, g)
+        assert points < self.customer_points(block, g)
+        tau, eta = block.arrivals, block.services
+        # F^c at every t + y - tau the loop asks for, from one array call
+        xs = ((g.t[:, None] + g.y).reshape(-1, 1) - tau).ravel()
+        sf = dict(zip(xs.tolist(), (1.0 - service.cdf(xs)).tolist())).__getitem__
+        for i, t in enumerate(g.t):
+            for j, y in enumerate(g.y):
+                want = brute_x1_x2(tau, eta, 2000, t, y, sf, 0.0)
+                assert abs(x1.values[0, i, j] - want[0]) <= 1e-12
+                assert abs(x2.values[0, i, j] - want[1]) <= 1e-12
+
+    def test_panel_sums_do_not_depend_on_the_block(self):
+        # at n = 2000 most panels are interpolated, and the block's node
+        # table holds panels before t = 0.5 that the late replication alone
+        # leaves out: its values must not move
+        block, reps = self.odd_block(self.LOGN, n=2000)
+        g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+        center = TwoParamField(g, np.zeros(g.shape), "fluid_qr")
+        x1, x2 = decompose_hatQr(block, g, center)
+        for r, (tau, eta) in enumerate(reps):
+            alone = SimulationTrace(n=block.n, arrivals=np.asarray(tau, dtype=float),
+                                    services=np.asarray(eta, dtype=float), horizon=2.0,
+                                    service_model=self.LOGN)
+            a1, a2 = decompose_hatQr(alone, g, center)
+            assert np.array_equal(a1.values, x1.values[r:r + 1])
+            assert np.array_equal(a2.values, x2.values[r:r + 1])
 
     def test_refused_for_atomic_service(self):
         mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))
