@@ -54,10 +54,7 @@ from .service import Exponential
 from .simulate import block_size, eval_empirical_distributions, eval_fields, simulate
 from .stats import correlation, sample_var, skew_kurtosis
 
-__all__ = ["PointStat", "ExperimentReport", "run_experiment", "emit",
-           "run_fwlln", "run_fclt_variance", "run_age_distribution",
-           "run_poisson_property", "run_limit_path_validation",
-           "run_markov_check", "run_workload", "analytic_surfaces"]
+__all__ = ["PointStat", "ExperimentReport", "run_experiment", "emit", "analytic_surfaces"]
 
 
 @dataclass
@@ -339,7 +336,7 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     report = _report(cfg)
     inputs = _inputs(cfg)
     fq_r = lim.surface(inputs, cfg.grid, "fluid_qr").values
-    qt_fluid = lim.fluid_qt(inputs, cfg.grid.t)
+    qt_fluid = lim.fluid_qr(inputs, cfg.grid.t, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         frc = np.where(qt_fluid[:, None] > 0, fq_r / qt_fluid[:, None], 0.0)
     n = cfg.n_list[-1]

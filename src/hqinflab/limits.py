@@ -33,11 +33,8 @@ __all__ = [
     "VarianceComponents",
     "fluid_qr",
     "fluid_qe",
-    "fluid_qt",
-    "fluid_age_residual",
     "fluid_workload",
     "fluid_workload_steady",
-    "fluid_totals",
     "var_qr",
     "var_qe",
     "var_components",
@@ -152,18 +149,6 @@ def fluid_qe(inputs: LimitInputs, t, y):
     return inputs.int_abar(inputs.service.sf, t - y, t, t)
 
 
-def fluid_qt(inputs: LimitInputs, t):
-    return fluid_qr(inputs, t, 0.0)
-
-
-def fluid_age_residual(inputs: LimitInputs, t: float, y: float) -> tuple[float, float]:
-    """(limiting age c.d.f., limiting residual complement) at (t, y)."""
-    qt = fluid_qt(inputs, t)
-    if qt <= 0.0:
-        raise ValueError("limiting age/residual distribution undefined: q^t(t) = 0")
-    return fluid_qe(inputs, t, min(y, t)) / qt, fluid_qr(inputs, t, y) / qt
-
-
 def fluid_workload(inputs: LimitInputs, t, y):
     """w^r(t,y) = (lambda/mu) int_0^t F_e^c(y+s) ds  (standard case).
 
@@ -190,15 +175,6 @@ def fluid_workload_steady(inputs: LimitInputs) -> tuple[float, float]:
     horizon = STEADY_HORIZON_MEANS / mu
     analytic = lam * (mom.scv + 1.0) / (2.0 * mu * mu)
     return fluid_workload(inputs, horizon, 0.0), analytic
-
-
-def fluid_totals(inputs: LimitInputs, t: float) -> tuple[float, float, float]:
-    """(w^t, input i, completed c) at time t in the standard case."""
-    lam = inputs.require_standard("fluid totals")
-    mean = inputs.require_finite_mean("fluid totals")
-    wt = fluid_workload(inputs, t, 0.0)
-    i_t = lam * t * mean
-    return wt, i_t, i_t - wt
 
 
 # -- Gaussian variances -------------------------------------------------------

@@ -1,5 +1,6 @@
-"""LLN/CLT scalings, sequential empirical processes, arrival splitting, and
-the two-term decomposition of the normalized residual-count field.
+"""The two-term decomposition of the normalized residual-count field, and an
+independent evaluation of its arrival-noise term by integration by parts,
+which criterion 1 reads as a cross-check.
 
 The CLT-scaled field hat(Qr)_n = sqrt(n) (Qr_n / n - qr) splits exactly into
 
@@ -10,10 +11,10 @@ The CLT-scaled field hat(Qr)_n = sqrt(n) (Qr_n / n - qr) splits exactly into
 the first carrying the service-sampling noise, the second the arrival noise;
 the sum telescopes customer-wise, so additivity holds to float roundoff on
 every trace.  hat(X)_{n,1} also equals the integration-by-parts form
-F^c(y) hat(A)_n(t) - int hat(A)_n(s-) dF(t+y-s), exposed here for
-cross-checks.  Like the field evaluators, everything here is evaluated per
-replication of a trace's block, with a leading replication axis; a
-replication's arrivals by t are its first A_n(t) customers.
+F^c(y) hat(A)_n(t) - int hat(A)_n(s-) dF(t+y-s).  Like the field
+evaluators, everything here is evaluated per replication of a trace's block,
+with a leading replication axis; a replication's arrivals by t are its first
+A_n(t) customers.
 
 The sums sum_{tau_i <= t} F^c(t+y - tau_i) behind both terms are taken over
 panels of width at most 0.1 that cut the arrival axis at 0 and at every grid
@@ -31,137 +32,25 @@ still holds to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, TimeField, TwoParamField
+from .fields import Grid, TwoParamField
 from .quadrature import integrate
-from .service import MixtureDecomposition, ServiceModel
+from .service import ServiceModel
 from .simulate import SimulationTrace
 
-__all__ = [
-    "ScaledField",
-    "EmpiricalProcessField",
-    "lln_scale",
-    "clt_scale",
-    "clt_scale_arrivals",
-    "sequential_empirical",
-    "composed_empirical",
-    "split_arrivals",
-    "decompose_hatQr",
-    "x1_integration_by_parts",
-]
-
-
-@dataclass(frozen=True)
-class ScaledField:
-    base: TwoParamField
-    n: int
-    scaling: str                      # "lln" | "clt"
-    values: np.ndarray
-    centering: TwoParamField | None = None
-
-
-@dataclass(frozen=True)
-class EmpiricalProcessField:
-    """K-bar (LLN-scaled sequential empirical c.d.f.) and its centered
-    CLT-scaled companion on a (t, x) grid."""
-    grid: Grid
-    kbar: np.ndarray
-    khat: np.ndarray
-
-
-def lln_scale(field: TwoParamField, n: int) -> ScaledField:
-    return ScaledField(base=field, n=n, scaling="lln", values=field.values / n)
-
-
-def clt_scale(field: TwoParamField, n: int, centering: TwoParamField) -> ScaledField:
-    if not field.grid.same_as(centering.grid):
-        raise ValueError("centering surface lives on a different grid")
-    vals = math.sqrt(n) * (field.values / n - centering.values)
-    return ScaledField(base=field, n=n, scaling="clt", values=vals, centering=centering)
-
-
-def clt_scale_arrivals(trace: SimulationTrace, t_points: np.ndarray, abar) -> np.ndarray:
-    """hat(A)_n(t) = (A_n(t) - n abar(t)) / sqrt(n) on the given times, per
-    replication, shape (R, len(t_points))."""
-    t_points = np.asarray(t_points, dtype=float)
-    counts = trace.count_arrivals(t_points)
-    return (counts - trace.n * np.asarray(abar(t_points), dtype=float)) / math.sqrt(trace.n)
-
-
-def sequential_empirical(services: np.ndarray, n: int, grid: Grid,
-                         service_model: ServiceModel) -> EmpiricalProcessField:
-    """K-bar_n(t,x) = n^{-1} sum_{i <= floor(nt)} 1(eta_i <= x) and
-    K-hat_n = sqrt(n) (K-bar_n - (floor(nt)/n) F(x)).
-
-    The centering uses the exact mean floor(nt)/n * F(x), not t F(x).
-    """
-    services = np.asarray(services, dtype=float)
-    t_grid, x_grid = grid.t, grid.y
-    need = int(math.floor(n * t_grid[-1]))
-    if len(services) < need:
-        raise ValueError(f"need at least {need} service samples for t up to {t_grid[-1]}, "
-                         f"got {len(services)}")
-    fx = np.asarray(service_model.cdf(x_grid), dtype=float)
-    kbar = np.zeros(grid.shape)
-    khat = np.zeros(grid.shape)
-    for i, t in enumerate(t_grid):
-        m = int(math.floor(n * t))
-        if m > 0:
-            prefix = np.sort(services[:m])
-            counts = np.searchsorted(prefix, x_grid, side="right")
-            kbar[i] = counts / n
-        khat[i] = math.sqrt(n) * (kbar[i] - (m / n) * fx)
-    return EmpiricalProcessField(grid=grid, kbar=kbar, khat=khat)
+__all__ = ["decompose_hatQr", "x1_integration_by_parts"]
 
 
 def _arrived_sums(trace: SimulationTrace, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per replication r and time i, rows[:, i] summed over r's first
     a[r, i] customers, read off one cumulative sum over the block: shape
-    (R, T, ...) for ``a`` of shape (R, T) and ``rows`` of shape (N, T or 1,
-    ...)."""
-    rows = np.broadcast_to(rows, (len(rows), a.shape[1], *rows.shape[2:]))
+    (R, T, ...) for ``a`` of shape (R, T) and ``rows`` of shape (N, T, ...)."""
     total = np.cumsum(rows, axis=0)
     total = np.concatenate((np.zeros((1, *total.shape[1:]), total.dtype), total))
     start, times = trace.bounds[:-1, None], np.arange(a.shape[1])
     return total[start + a, times] - total[start, times]
-
-
-def composed_empirical(trace: SimulationTrace, grid: Grid) -> TwoParamField:
-    """R-hat_n(t,x) = n^{-1/2} sum_{i <= A_n(t)} (1(eta_i <= x) - F(x)):
-    the sequential empirical process run through the arrival clock."""
-    fx = np.asarray(trace.service_model.cdf(grid.y), dtype=float)
-    a_t = trace.count_arrivals(grid.t)
-    counts = _arrived_sums(trace, a_t, trace.services[:, None, None] <= grid.y)
-    return TwoParamField(grid, (counts - a_t[..., None] * fx) / math.sqrt(trace.n), "Rhat")
-
-
-def split_arrivals(trace: SimulationTrace, decomposition: MixtureDecomposition,
-                   t_points: np.ndarray) -> dict[str, TimeField | list[TimeField]]:
-    """Split the arrival counting path by the service-time component of each
-    customer: continuous part vs each atom, per replication.
-
-    Labels are read off the realized service values (a value equal to an atom
-    location belongs to that atom; anything else is continuous, which is
-    almost surely correct since the continuous part has no atoms).
-    """
-    t_points = np.asarray(t_points, dtype=float)
-    svc = trace.services
-    hits = svc[:, None] == np.asarray([loc for loc, _ in decomposition.atoms], dtype=float)
-    if decomposition.p_c == 0.0 and not hits.any(axis=1).all():
-        bad = svc[~hits.any(axis=1)][:3]
-        raise ValueError(f"service values {bad} match no atom of a purely atomic law")
-    a_total = trace.count_arrivals(t_points)
-    per_atom = _arrived_sums(trace, a_total, hits[:, None])
-    a_d = per_atom.sum(axis=2)
-    return {
-        "Ac": TimeField(t_points, (a_total - a_d).astype(float), "Ac"),
-        "Ad": TimeField(t_points, a_d.astype(float), "Ad"),
-        "Adi": [TimeField(t_points, per_atom[..., j].astype(float), f"Ad{j + 1}")
-                for j in range(hits.shape[1])],
-    }
 
 
 def _require_continuous(model: ServiceModel) -> None:

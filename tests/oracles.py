@@ -47,19 +47,9 @@ def brute_queue_fields(tau, eta, t, y):
     return qr, qe, qt, wr
 
 
-def brute_arrivals(tau, eta, t, x, atoms=()):
-    """At one (t, x), by a loop over customers: the arrivals by t, how many
-    of them have a service <= x, and how many a service at each atom
-    location."""
-    arrived = below = 0
-    at = [0] * len(atoms)
-    for a, s in zip(tau, eta):
-        if a <= t:
-            arrived += 1
-            below += s <= x
-            for j, loc in enumerate(atoms):
-                at[j] += s == loc
-    return arrived, below, at
+def brute_arrivals(tau, t):
+    """The arrivals by t, by a loop over customers."""
+    return sum(a <= t for a in tau)
 
 
 def brute_x1_x2(tau, eta, n, t, y, sf, center):

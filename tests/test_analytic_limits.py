@@ -6,12 +6,9 @@ import pytest
 from hqinflab import limits, quadrature
 from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
-from hqinflab.limits import (LimitInputs, cov_x2_increment,
-                             fluid_age_residual, fluid_qe, fluid_qr, fluid_qt,
-                             fluid_totals, fluid_workload,
-                             fluid_workload_steady, initial_and_total_limits,
-                             surface, var_components, var_qe, var_qr,
-                             var_workload)
+from hqinflab.limits import (LimitInputs, cov_x2_increment, fluid_qe, fluid_qr,
+                             fluid_workload, fluid_workload_steady, initial_and_total_limits,
+                             surface, var_components, var_qe, var_qr, var_workload)
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture
 from hqinflab.simulate import CountLaw, InitialConditions
 
@@ -61,8 +58,7 @@ class TestFluidCounts:
     @pytest.mark.parametrize("inputs", [M_EXP, M_DET, M_MIX, D_EXP])
     def test_consistency_qt(self, inputs):
         for t in (0.5, 1.0, 2.0):
-            qt = fluid_qt(inputs, t)
-            assert qt == pytest.approx(fluid_qr(inputs, t, 0.0), abs=1e-8)
+            qt = fluid_qr(inputs, t, 0.0)
             assert qt == pytest.approx(fluid_qe(inputs, t, t), abs=1e-8)
 
     def test_nhpp_time_varying(self):
@@ -72,23 +68,6 @@ class TestFluidCounts:
         oracle = simpson(lambda s: math.exp(-(t + y - s)) * (1.0 + 0.5 * math.sin(s)),
                          0.0, t)
         assert fluid_qr(inputs, t, y) == pytest.approx(oracle, abs=1e-8)
-
-
-class TestAgeResidual:
-    def test_converges_to_stationary_excess(self):
-        fe, frc = fluid_age_residual(M_EXP, 20.0, 0.5)
-        assert fe == pytest.approx(EXP1.stationary_excess_cdf(0.5), abs=1e-6)
-        assert frc == pytest.approx(1.0 - EXP1.stationary_excess_cdf(0.5), abs=1e-6)
-
-    def test_edges(self):
-        fe, _ = fluid_age_residual(M_EXP, 1.0, 1.0)
-        assert fe == pytest.approx(1.0, abs=1e-8)
-        _, frc = fluid_age_residual(M_EXP, 1.0, 0.0)
-        assert frc == pytest.approx(1.0, abs=1e-8)
-
-    def test_empty_system_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
-            fluid_age_residual(M_EXP, 0.0, 0.0)
 
 
 class TestFluidWorkload:
@@ -107,11 +86,6 @@ class TestFluidWorkload:
 
     def test_zero_time(self):
         assert fluid_workload(M_EXP, 0.0, 0.0) == 0.0
-
-    def test_totals(self):
-        wt, i_t, c_t = fluid_totals(M_EXP, 2.0)
-        assert i_t == pytest.approx(2.0)
-        assert c_t == pytest.approx(i_t - wt)
 
     def test_monotone_and_bounded(self):
         mom = MIX.moments()

@@ -7,9 +7,7 @@ from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid, TwoParamField
 from hqinflab.limits import LimitInputs, fluid_qr, surface, var_components
 from hqinflab.rng import seed_words, substream
-from hqinflab.scaling import (clt_scale, clt_scale_arrivals, composed_empirical,
-                              decompose_hatQr, lln_scale, sequential_empirical,
-                              split_arrivals, x1_integration_by_parts)
+from hqinflab.scaling import decompose_hatQr, x1_integration_by_parts
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture,
                               Uniform)
 from hqinflab.simulate import SimulationTrace, eval_fields, simulate
@@ -54,132 +52,13 @@ def _replications(key, reps=2000, n=400, horizon=1.0):
 
 
 class TestScalings:
-    def test_lln_constant(self):
-        g = Grid([1.0], [0.0, 1.0])
-        f = TwoParamField(g, np.full((1, 2), 40.0), "Qr")
-        assert np.all(lln_scale(f, 8).values == 5.0)
-
-    def test_clt_zero_when_centered(self):
-        g = Grid([1.0], [0.0, 1.0])
-        center = TwoParamField(g, np.array([[2.0, 3.0]]), "c")
-        f = TwoParamField(g, 16 * center.values, "Qr")
-        scaled = clt_scale(f, 16, center)
-        assert np.allclose(scaled.values, 0.0)
-
-    def test_grid_mismatch(self):
-        f = TwoParamField(Grid([1.0], [0.0]), np.zeros((1, 1)), "Qr")
-        center = TwoParamField(Grid([2.0], [0.0]), np.zeros((1, 1)), "c")
-        with pytest.raises(ValueError, match="grid"):
-            clt_scale(f, 4, center)
-
     def test_clt_variance_matches_analytic(self):
         # M/exp at n=400: Var Qr-hat(1, 0) ~= 0.632121 over 2000 replications
         g = Grid([1.0], [0.0])
         center = surface(INPUTS, g, "fluid_qr")
         f = eval_fields(_replications("cltvar"), g)["Qr"]
-        vals = clt_scale(f, 400, center).values[:, 0, 0]
+        vals = (math.sqrt(400) * (f.values / 400 - center.values))[:, 0, 0]
         assert np.var(vals, ddof=1) == pytest.approx(fluid_qr(INPUTS, 1.0, 0.0), rel=0.10)
-
-
-class TestSequentialEmpirical:
-    def test_single_sample(self):
-        g = Grid([1.0], [2.0])
-        field = sequential_empirical(np.array([1.5]), 1, g, EXP1)
-        assert field.kbar[0, 0] == 1.0
-
-    def test_centered_vanishes_at_infinity(self):
-        g = Grid([0.5, 1.0], [1e9])
-        services = np.asarray(EXP1.sample(substream(0, "se"), size=10))
-        field = sequential_empirical(services, 10, g, EXP1)
-        assert np.allclose(field.khat, 0.0, atol=1e-12)
-
-    def test_exact_expectation_centering(self):
-        # centering is floor(nt)/n * F(x), not t * F(x)
-        g = Grid([0.25], [1.0])
-        services = np.array([10.0, 10.0, 10.0])
-        field = sequential_empirical(services, 3, g, EXP1)
-        m = math.floor(3 * 0.25)
-        assert field.khat[0, 0] == pytest.approx(
-            -math.sqrt(3) * (m / 3) * EXP1.cdf(1.0))
-
-    def test_insufficient_samples(self):
-        with pytest.raises(ValueError, match="service samples"):
-            sequential_empirical(np.array([1.0]), 10, Grid([1.0], [1.0]), EXP1)
-
-    def test_dkw_bound(self):
-        n = 10_000
-        xs = Grid([1.0], np.linspace(0.05, 8.0, 60).tolist())
-        passes = 0
-        runs = 20
-        for seed in range(runs):
-            services = np.asarray(EXP1.sample(substream(seed, "dkw"), size=n))
-            field = sequential_empirical(services, n, xs, EXP1)
-            fx = np.asarray(EXP1.cdf(np.asarray(xs.y)))
-            passes += np.max(np.abs(field.kbar[0] - fx)) < 0.02
-        assert passes >= 0.95 * runs
-
-
-class TestComposedEmpirical:
-    def test_empty_trace(self):
-        trace = SimulationTrace(n=4, arrivals=np.array([]), services=np.array([]),
-                                horizon=1.0, service_model=EXP1)
-        field = composed_empirical(trace, Grid([0.5, 1.0], [0.5, 1.0]))
-        assert not field.values.any()
-
-    def test_zero_at_origin_for_continuous_service(self):
-        trace = _trace(100, 1.0, 1)
-        field = composed_empirical(trace, Grid([1.0], [0.0, 1e9]))
-        assert field.values[0, 0, 0] == 0.0          # F(0) = 0, no zero services
-        assert field.values[0, 0, 1] == pytest.approx(0.0, abs=1e-12)   # R(t, inf) = 0
-
-    def test_variance_matches_limit(self):
-        # Var R(1, x) -> abar(1) F(x) (1 - F(x))
-        vals = composed_empirical(_replications("rhat"), Grid([1.0], [math.log(2.0)])).values[:, 0, 0]
-        target = 1.0 * 0.5 * 0.5
-        assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
-
-    def test_asymptotically_independent_of_arrivals(self):
-        # |corr(A-hat_n(1), R-hat_n(1, median))| < 0.08 at n=400
-        block = _replications("indep")
-        a_vals = clt_scale_arrivals(block, np.array([1.0]), INPUTS.abar)[:, 0]
-        r_vals = composed_empirical(block, Grid([1.0], [math.log(2.0)])).values[:, 0, 0]
-        rho = np.corrcoef(a_vals, r_vals)[0, 1]
-        assert abs(rho) < 0.08
-
-
-class TestSplitArrivals:
-    def test_pure_continuous(self):
-        trace = _trace(100, 1.0, 2)
-        out = split_arrivals(trace, EXP1.decompose(), np.array([0.5, 1.0]))
-        assert np.array_equal(out["Ac"].values, trace.count_arrivals([0.5, 1.0]))
-        assert not out["Ad"].values.any()
-
-    def test_atom_fractions(self):
-        service = FiniteAtoms(((1.0, 0.3), (2.0, 0.7)))
-        trace = simulate(ArrivalModel.poisson(1.0), service, 100_000, 1.0,
-                         seed_words(3, [("split",)], 2))
-        out = split_arrivals(trace, service.decompose(), np.array([1.0]))
-        total = trace.count_arrivals([1.0])[0, 0]
-        # first atom in mass order is the one at 2.0 with mass 0.7
-        assert out["Adi"][0].values[0, 0] / total == pytest.approx(0.7, abs=0.01)
-
-    def test_partition(self):
-        mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))
-        trace = simulate(ARR, mix, 500, 2.0, seed_words(5, [("split",)], 2))
-        ts = np.array([0.5, 1.0, 2.0])
-        out = split_arrivals(trace, mix.decompose(), ts)
-        assert np.array_equal(out["Ac"].values + out["Ad"].values,
-                              trace.count_arrivals(ts))
-        per_atom = sum(f.values for f in out["Adi"])
-        assert np.array_equal(per_atom, out["Ad"].values)
-
-    def test_alien_value_under_atomic_law(self):
-        service = FiniteAtoms(((1.0, 1.0),))
-        trace = SimulationTrace(n=1, arrivals=np.array([0.5]),
-                                services=np.array([1.5]), horizon=1.0,
-                                service_model=service)
-        with pytest.raises(ValueError, match="match no atom"):
-            split_arrivals(trace, service.decompose(), np.array([1.0]))
 
 
 class TestBlockAgainstCustomerLoop:
@@ -188,11 +67,10 @@ class TestBlockAgainstCustomerLoop:
     its own customers."""
 
     GRID = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
-    MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
     N = 40
 
-    def block(self, service):
-        drawn = simulate(ARR, service, self.N, 2.0, seed_words(9, [("odd", r) for r in range(2)], 2))
+    def block(self):
+        drawn = simulate(ARR, EXP1, self.N, 2.0, seed_words(9, [("odd", r) for r in range(2)], 2))
         full = slice(drawn.bounds[0], drawn.bounds[1])
         second = np.arange(drawn.bounds[1], drawn.bounds[2])
         late = second[drawn.arrivals[second] > self.GRID.t[0]]
@@ -201,57 +79,26 @@ class TestBlockAgainstCustomerLoop:
         assert len(reps[0][0]) and len(reps[2][0]) and reps[0][0][0] <= self.GRID.t[0]
         return SimulationTrace(n=self.N, arrivals=np.concatenate([r[0] for r in reps]),
                                services=np.concatenate([r[1] for r in reps]), horizon=2.0,
-                               service_model=service,
+                               service_model=EXP1,
                                bounds=np.cumsum([0] + [len(r[0]) for r in reps])), reps
 
     def test_arrival_counts_off_the_grid(self):
         # before the first epoch, exactly at an epoch and just below it,
         # beyond the horizon, unsorted, and an empty replication
-        block, reps = self.block(EXP1)
+        block, reps = self.block()
         late = block.arrivals[block.bounds[2]]
         ts = [5.0, block.arrivals[3], block.arrivals[0] / 2, late, 0.0, 1.0,
               np.nextafter(late, 0.0), 2.0]
         counts = block.count_arrivals(ts)
         assert counts.shape == (3, len(ts)) and counts.dtype == np.intp
         for r, (tau, eta) in enumerate(reps):
-            assert counts[r].tolist() == [brute_arrivals(tau, eta, t, 0.0)[0] for t in ts]
+            assert counts[r].tolist() == [brute_arrivals(tau, t) for t in ts]
         assert counts[:, 1].tolist() == [4, 0, 0] and counts[:, 2].tolist() == [0, 0, 0]
         assert counts[2, 3] == 1 and counts[2, 6] == 0
         assert block.count_arrivals([]).shape == (3, 0)
 
-    def test_arrival_counts_and_composed_empirical(self):
-        block, reps = self.block(EXP1)
-        g, n = self.GRID, self.N
-        counts = block.count_arrivals(g.t)
-        ahat = clt_scale_arrivals(block, g.t, INPUTS.abar)
-        rhat = composed_empirical(block, g).values
-        assert counts.shape == ahat.shape == (3, len(g.t)) and rhat.shape == (3, *g.shape)
-        for r, (tau, eta) in enumerate(reps):
-            for i, t in enumerate(g.t):
-                arrived = brute_arrivals(tau, eta, t, 0.0)[0]
-                assert counts[r, i] == arrived
-                assert ahat[r, i] == pytest.approx((arrived - n * t) / math.sqrt(n), abs=1e-12)
-                for j, x in enumerate(g.y):
-                    arrived, below, _ = brute_arrivals(tau, eta, t, x)
-                    want = (below - arrived * EXP1.cdf(x)) / math.sqrt(n)
-                    assert rhat[r, i, j] == pytest.approx(want, abs=1e-12)
-
-    def test_split_arrivals(self):
-        block, reps = self.block(self.MIX)
-        decomposition = self.MIX.decompose()
-        locs = [loc for loc, _ in decomposition.atoms]
-        out = split_arrivals(block, decomposition, self.GRID.t)
-        assert len(out["Adi"]) == len(locs)
-        for r, (tau, eta) in enumerate(reps):
-            for i, t in enumerate(self.GRID.t):
-                arrived, _, at = brute_arrivals(tau, eta, t, 0.0, locs)
-                assert out["Ac"].values[r, i] == arrived - sum(at)
-                assert out["Ad"].values[r, i] == sum(at)
-                for j, field in enumerate(out["Adi"]):
-                    assert field.values[r, i] == at[j]
-
     def test_x1_integration_by_parts(self):
-        block, reps = self.block(EXP1)
+        block, reps = self.block()
         g, n = self.GRID, self.N
         center = surface(INPUTS, g, "fluid_qr")
         parts = x1_integration_by_parts(block, g, INPUTS.abar, INPUTS.rate)
@@ -274,8 +121,8 @@ class TestDecomposition:
         for seed in range(3):
             trace = _trace(300, 2.0, seed)
             x1, x2 = decompose_hatQr(trace, g, center)
-            qhat = clt_scale(eval_fields(trace, g)["Qr"], trace.n, center)
-            assert np.max(np.abs(x1.values + x2.values - qhat.values)) < 1e-9
+            qhat = math.sqrt(trace.n) * (eval_fields(trace, g)["Qr"].values / trace.n - center.values)
+            assert np.max(np.abs(x1.values + x2.values - qhat)) < 1e-9
 
     @staticmethod
     def odd_block(service, n=40):
@@ -298,7 +145,7 @@ class TestDecomposition:
         n = block.n
         x1, x2 = decompose_hatQr(block, g, center)
         assert x1.values.shape == x2.values.shape == (len(reps), *g.shape)
-        qhat = clt_scale(eval_fields(block, g)["Qr"], n, center).values
+        qhat = math.sqrt(n) * (eval_fields(block, g)["Qr"].values / n - center.values)
         assert np.max(np.abs(x1.values + x2.values - qhat)) < 1e-9
         for r, (tau, eta) in enumerate(reps):
             for i, t in enumerate(g.t):
