@@ -129,13 +129,13 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         block = simulate(arrival, service, n=50, horizon=2.0,
                          words=seed_words(seed, [("criterion1", rep, name) for rep in range(5)], 3))
         f = eval_fields(block, grid, ("Qr", "Qe", "Qt", "D", "Wt", "C"))
-        qr, qe, qt = f["Qr"].values, f["Qe"].values, f["Qt"].values
+        qr, qe, qt = f["Qr"], f["Qe"], f["Qt"]
         arrived = block.arrivals[:, None] <= grid.t
         a_t = _per_replication(arrived, block.bounds)
         i_t = _per_replication(arrived * block.services[:, None], block.bounds)
         qr_prev = np.concatenate((np.zeros_like(qr[:, :1]), qr), axis=1)[:, prev_t, cols]
-        residuals = (a_t - qt - f["D"].values,
-                     i_t - f["Wt"].values - f["C"].values,
+        residuals = (a_t - qt - f["D"],
+                     i_t - f["Wt"] - f["C"],
                      qt - qr[:, :, 0],
                      qe[:, times, diagonal] - qt,
                      (qe - (qt[:, :, None] - qr_prev))[:, prev >= 0])
@@ -152,14 +152,13 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     # decompose_hatQr recounts Qr on its own (ends > t + y), so this checks
     # the evaluator's counts against an independent count
     x1, x2 = decompose_hatQr(block, grid, fluid)
-    qhat = math.sqrt(block.n) * (eval_fields(block, grid, ("Qr",))["Qr"].values / block.n
-                                 - fluid.values)
-    worst = float(np.max(np.abs(x1.values + x2.values - qhat)))
+    qhat = math.sqrt(block.n) * (eval_fields(block, grid, ("Qr",))["Qr"] / block.n - fluid)
+    worst = float(np.max(np.abs(x1 + x2 - qhat)))
     passed &= _check(lines, worst <= 1e-9, f"X1 + X2 = Qr-hat, worst residual {worst:.2e}")
     # X1's panel sums against the Stieltjes form, whose integral over the
     # arrival steps is exact and whose drift part is by quadrature
     parts = x1_integration_by_parts(block, grid, inputs.abar, inputs.rate)
-    worst = float(np.max(np.abs(x1.values - parts)))
+    worst = float(np.max(np.abs(x1 - parts)))
     passed &= _check(lines, worst <= 1e-6,
                      f"X1 against its integration-by-parts form, worst difference {worst:.2e}")
 
@@ -355,7 +354,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         block = simulate(arrival, service, n, y,
                          seed_words(seed, [("criterion10", kind, r) for r in range(2000)], 3),
                          init=init)
-        counts = eval_initial_fields(block, Grid([y], [y]))["Qir"].values[:, 0]
+        counts = eval_initial_fields(block, Grid([y], [y]))["Qir"][:, 0]
         est = float(sample_var((counts - n * qir) / math.sqrt(n)))
         passed &= _check(lines, abs(est - target) <= 0.1 * target,
                          f"{kind} count: Var Qir-hat(ln 2) = {est:.4f} vs {target:.4f} (10%)")
@@ -367,8 +366,8 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     qir_shift = _per_replication(
         block.initial_residuals[:, None, None] > grid.t[:, None] + grid.y,
         np.concatenate(([0], np.cumsum(block.initial_counts))))
-    worst = float(np.max(np.abs(eval_initial_fields(block, grid)["QTr"].values
-                                - eval_fields(block, grid, ("Qr",))["Qr"].values - qir_shift)))
+    worst = float(np.max(np.abs(eval_initial_fields(block, grid)["QTr"]
+                                - eval_fields(block, grid, ("Qr",))["Qr"] - qir_shift)))
     passed &= _check(lines, worst <= 1e-9, f"QTr = Qr + Qir(t+y) exact (worst {worst:.1e})")
     return CriterionResult(10, "initial conditions", passed, lines)
 

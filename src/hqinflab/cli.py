@@ -17,7 +17,7 @@ from pathlib import Path
 from . import acceptance
 from .config import config_from_dict, parse_config
 from .experiments import analytic_surfaces, emit, run_experiment
-from .fields import TwoParamField, write_fields_csv
+from .fields import write_surfaces_csv
 
 
 def _cmd_run(args) -> int:
@@ -41,8 +41,7 @@ def _cmd_run(args) -> int:
 def _cmd_surfaces(args) -> int:
     cfg = parse_config(args.config)
     for name, values in analytic_surfaces(cfg).items():
-        path = write_fields_csv(Path(args.out) / f"{name}.csv",
-                                [TwoParamField(cfg.grid, values, name)])
+        path = write_surfaces_csv(Path(args.out) / f"{name}.csv", cfg.grid, {name: values})
         print(f"wrote {path}")
     return 0
 
@@ -57,15 +56,17 @@ def _criteria(text: str) -> set[int]:
     return {known[item] for item in items}
 
 
-def _seed(text: str) -> int:
-    """A master seed: a nonnegative integer."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return seed
+def _integer(name: str, kind: str, low: int):
+    """An argparse type for ``name``: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _cmd_selftest(args) -> int:
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
                        help="override the config master seed")
     p_run.add_argument("--reps", type=int, default=None,
                        help="override the replication count")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_integer("threads", "positive", 1), default=1,
                        help="worker processes for replications")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
     p_surf.set_defaults(fn=_cmd_surfaces)
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
-    p_self.add_argument("--seed", type=_seed, default=None)
+    p_self.add_argument("--seed", type=_integer("seed", "nonnegative", 0), default=None)
     p_self.add_argument("--criteria", type=_criteria, default=None,
                         help="comma-separated subset, e.g. 1,3,8")
     p_self.set_defaults(fn=_cmd_selftest)

@@ -47,11 +47,11 @@ import numpy as np
 from . import limits as lim
 from . import paths as lp
 from .config import EXPERIMENTS, ExperimentConfig
-from .fields import Grid, TwoParamField, write_csv
+from .fields import Grid, write_csv
 from .rng import seated, seed_words, substream
 from .scaling import decompose_hatQr
 from .service import Exponential
-from .simulate import block_size, eval_empirical_distributions, eval_fields, simulate
+from .simulate import block_size, eval_fields, simulate
 from .stats import correlation, sample_var, skew_kurtosis
 
 __all__ = ["PointStat", "ExperimentReport", "run_experiment", "emit", "analytic_surfaces"]
@@ -136,14 +136,15 @@ def _map_replications(worker, n_reps: int, threads: int, block: int):
     blocks joined in replication order, and the summed stats.
     """
     blocks = [range(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
-    if threads <= 1:
+    workers = min(threads, len(blocks))     # a pool starts all its workers at once
+    if workers <= 1:
         parts = [worker(b) for b in blocks]
     else:
         # imported here: it pulls in multiprocessing and logging, which a
         # single-process run never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(blocks) // (8 * threads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(blocks) // (8 * workers))
             parts = list(pool.map(worker, blocks, chunksize=chunk))
     rows = {k: np.concatenate([p[0][k] for p in parts]) for k in parts[0][0]}
     stats = {"replications": n_reps, "blocks": len(blocks),
@@ -182,39 +183,39 @@ def _block(evaluate, cfg: ExperimentConfig, n: int, words: np.ndarray, reps: ran
 
 def _fwlln_fields(cfg: ExperimentConfig, trace, reps: range):
     names = ("Qr", "Qe", "Wt") if cfg.workload else ("Qr", "Qe")
-    return {name: f.values / trace.n for name, f in eval_fields(trace, cfg.grid, names).items()}
+    return {name: f / trace.n for name, f in eval_fields(trace, cfg.grid, names).items()}
 
 
-def _fclt_fields(cfg: ExperimentConfig, fluid_qr: TwoParamField, fluid_qe: TwoParamField,
+def _fclt_fields(cfg: ExperimentConfig, fluid_qr: np.ndarray, fluid_qe: np.ndarray,
                  decomposable: bool, trace, reps: range):
-    q = eval_fields(trace, cfg.grid, ("Qr", "Qe"))
-    n = trace.n
-    sq = math.sqrt(n)
-    qhat_r = sq * (q["Qr"].values / n - fluid_qr.values)
-    qhat_e = sq * (q["Qe"].values / n - fluid_qe.values)
-    out = {"Qr": qhat_r, "Qe": qhat_e}
+    q, n = eval_fields(trace, cfg.grid, ("Qr", "Qe")), trace.n
+    out = {"Qr": math.sqrt(n) * (q["Qr"] / n - fluid_qr),
+           "Qe": math.sqrt(n) * (q["Qe"] / n - fluid_qe)}
     if decomposable:
-        x1, x2 = decompose_hatQr(trace, cfg.grid, fluid_qr)
-        out["X1"], out["X2"] = x1.values, x2.values
+        out["X1"], out["X2"] = decompose_hatQr(trace, cfg.grid, fluid_qr)
     return out
 
 
 def _age_fields(cfg: ExperimentConfig, fe_targets, trace, reps: range):
-    fe_last = eval_empirical_distributions(trace, cfg.grid)["Fe"].values[:, -1]  # t = t_max
+    q = eval_fields(trace, cfg.grid, ("Qe", "Qt"))
+    qt = q["Qt"][:, -1:]                  # t = t_max
+    # the empirical age c.d.f. Fe = Qe / Qt, 0 by convention in an empty system
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fe_last = np.where(qt > 0, q["Qe"][:, -1] / qt, 0.0)
     return {"sup": np.max(np.abs(fe_last - fe_targets), axis=1)}
 
 
 def _poisson_fields(cfg: ExperimentConfig, frc_vals, trace, reps: range):
     q = eval_fields(trace, cfg.grid, ("Qr", "Qt"))
-    qt = q["Qt"].values.astype(int)
+    qt = q["Qt"].astype(int)
     p = np.clip(frc_vals, 0.0, 1.0)
     words = seed_words(cfg.master_seed, [(cfg.experiment, trace.n, r, "bernoulli") for r in reps])
     qtilde = [seated(w).binomial(q[:, None], p) for q, w in zip(qt, words.tolist())]
-    return {"Qr": q["Qr"].values, "Qtilde": np.asarray(qtilde, dtype=float)}
+    return {"Qr": q["Qr"], "Qtilde": np.asarray(qtilde, dtype=float)}
 
 
 def _workload_fields(cfg: ExperimentConfig, trace, reps: range):
-    return {"Wt": eval_fields(trace, cfg.grid, ("Wt",))["Wt"].values / trace.n}
+    return {"Wt": eval_fields(trace, cfg.grid, ("Wt",))["Wt"] / trace.n}
 
 
 # -- runners --------------------------------------------------------------------
@@ -230,8 +231,8 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     inputs = _inputs(cfg)
     grid = cfg.grid
     tol = cfg.tolerances["fluid_abs"]
-    fluid = {"Qr": lim.surface(inputs, grid, "fluid_qr").values,
-             "Qe": lim.surface(inputs, grid, "fluid_qe").values}
+    fluid = {"Qr": lim.surface(inputs, grid, "fluid_qr"),
+             "Qe": lim.surface(inputs, grid, "fluid_qe")}
     report.surface_rows("fluid", grid, fluid["Qr"], "fluid_qr")
     report.surface_rows("fluid", grid, fluid["Qe"], "fluid_qe")
     if cfg.workload:
@@ -271,8 +272,8 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     tols = cfg.tolerances
     fq_r = lim.surface(inputs, cfg.grid, "fluid_qr")
     fq_e = lim.surface(inputs, cfg.grid, "fluid_qe")
-    v_r = lim.surface(inputs, cfg.grid, "var_qr").values
-    v_e = lim.surface(inputs, cfg.grid, "var_qe").values
+    v_r = lim.surface(inputs, cfg.grid, "var_qr")
+    v_e = lim.surface(inputs, cfg.grid, "var_qe")
     report.surface_rows("analytic_var", cfg.grid, v_r, "var_qr")
     report.surface_rows("analytic_var", cfg.grid, v_e, "var_qe")
     decomposable = inputs.decomposition.p_d == 0.0
@@ -335,7 +336,7 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
         raise ValueError("poisson_property requires Poisson arrivals (exponential interarrivals)")
     report = _report(cfg)
     inputs = _inputs(cfg)
-    fq_r = lim.surface(inputs, cfg.grid, "fluid_qr").values
+    fq_r = lim.surface(inputs, cfg.grid, "fluid_qr")
     qt_fluid = lim.fluid_qr(inputs, cfg.grid.t, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         frc = np.where(qt_fluid[:, None] > 0, fq_r / qt_fluid[:, None], 0.0)
@@ -367,8 +368,8 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
         inputs, grid, cfg.k, substream(cfg.master_seed, cfg.experiment, "bundle"),
         n_paths=n_paths, workload=cfg.workload)
     qr = bundle.paths["Qr"]
-    v_r = lim.surface(inputs, grid, "var_qr").values
-    v_e = lim.surface(inputs, grid, "var_qe").values
+    v_r = lim.surface(inputs, grid, "var_qr")
+    v_e = lim.surface(inputs, grid, "var_qe")
     var_qr = sample_var(qr)
     mean_qr = qr.mean(axis=0)
     report.plotdata["limit_summary"] = [
@@ -391,7 +392,7 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
                   tols["variance_rel_loose"], v_e > 1e-10),
                  *corrs)
     if cfg.workload:
-        v_w = lim.surface(inputs, grid, "var_w").values
+        v_w = lim.surface(inputs, grid, "var_w")
         _grid_points(report, grid,
                      (_rel_point, "Var limit Wr", sample_var(bundle.paths["Wr"]),
                       v_w, tols["variance_rel_loose"], v_w > 1e-8))
@@ -484,20 +485,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
 def analytic_surfaces(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """The analytic surfaces for the configured models on the config grid."""
     inputs = _inputs(cfg)
-    out = {
-        "fluid_qr": lim.surface(inputs, cfg.grid, "fluid_qr").values,
-        "fluid_qe": lim.surface(inputs, cfg.grid, "fluid_qe").values,
-        "var_qr": lim.surface(inputs, cfg.grid, "var_qr").values,
-        "var_qe": lim.surface(inputs, cfg.grid, "var_qe").values,
-    }
+    names = ["fluid_qr", "fluid_qe", "var_qr", "var_qe"]
     if cfg.arrival.constant_rate is not None and math.isfinite(cfg.service.moments().mean):
-        out["fluid_wr"] = lim.surface(inputs, cfg.grid, "fluid_wr").values
+        names.append("fluid_wr")
     if cfg.workload:
-        out["var_w"] = lim.surface(inputs, cfg.grid, "var_w").values
+        names.append("var_w")
     if cfg.init is not None:
-        out["var_total"] = lim.surface(inputs, cfg.grid, "var_total").values
-        out["fluid_total"] = lim.surface(inputs, cfg.grid, "fluid_total").values
-    return out
+        names += ["var_total", "fluid_total"]
+    return {name: lim.surface(inputs, cfg.grid, name) for name in names}
 
 
 # -- emission -------------------------------------------------------------------

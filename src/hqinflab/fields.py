@@ -1,5 +1,10 @@
-"""Rectangular (t, y) grids, the field containers evaluated on them, and the
-package's one CSV writer."""
+"""Rectangular (t, y) grids and the package's one CSV writer.
+
+A field on a grid is a plain float array: (T, Y) for a two-parameter field
+such as Qr(t, y), (T,) for a time-only one such as Qt(t), each with a leading
+replication axis when evaluated on a block of R replications.  A field leaves
+the program through :func:`write_surfaces_csv`, which takes one (T, Y) array
+per name."""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Grid", "TwoParamField", "TimeField", "write_csv", "write_fields_csv"]
+__all__ = ["Grid", "write_csv", "write_surfaces_csv"]
 
 
 def _check_axis(vals, name):
@@ -43,61 +48,6 @@ class Grid:
             raise ValueError(f"({t}, {y}) is not a grid point")
         return i, j
 
-    def same_as(self, other: "Grid") -> bool:
-        return (len(self.t) == len(other.t) and len(self.y) == len(other.y)
-                and np.array_equal(self.t, other.t) and np.array_equal(self.y, other.y))
-
-
-@dataclass(frozen=True)
-class TwoParamField:
-    """Values of one process over grid.t x grid.y, with a leading
-    replication axis when evaluated on a block of replications."""
-    grid: Grid
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape[-2:] != self.grid.shape or vals.ndim > 3:
-            raise ValueError(f"field {self.label!r}: values shape {vals.shape} != grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"field {self.label!r}: non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    def rows(self):
-        _check_single(self.values, 2, self.label)
-        return ((self.label, float(t), float(y), float(self.values[i, j]))
-                for i, t in enumerate(self.grid.t) for j, y in enumerate(self.grid.y))
-
-
-@dataclass(frozen=True)
-class TimeField:
-    """Values of a process constant in (or without) the second argument,
-    with a leading replication axis when evaluated on a block."""
-    t: np.ndarray
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape[-1:] != np.asarray(self.t).shape or vals.ndim > 2:
-            raise ValueError(f"field {self.label!r}: values shape mismatch")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"field {self.label!r}: non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    def rows(self):
-        _check_single(self.values, 1, self.label)
-        return ((self.label, float(t), 0.0, float(v)) for t, v in zip(self.t, self.values))
-
-
-def _check_single(values: np.ndarray, ndim: int, label: str) -> None:
-    """Rows exist for one replication only; a block's field has an extra
-    leading axis."""
-    if values.ndim != ndim:
-        raise ValueError(f"field {label!r} holds a block of replications; "
-                         "write one replication's field")
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -120,8 +70,21 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def write_fields_csv(path, fields) -> Path:
-    """Common export schema: one row per (label, t, y, value)."""
-    rows = [f.rows() for f in fields]      # checks every field before writing
+def write_surfaces_csv(path, grid: Grid, surfaces: dict) -> Path:
+    """Common export schema: one row per (name, t, y, value) of each named
+    (T, Y) array in ``surfaces``.
+
+    Every array is checked before the file is opened: one that is not finite,
+    or whose shape is not the grid's (a block of replications has a leading
+    axis), raises ValueError and nothing is written.
+    """
+    for name, values in surfaces.items():
+        if np.shape(values) != grid.shape:
+            raise ValueError(f"surface {name!r}: shape {np.shape(values)} != grid {grid.shape}; "
+                             "write one replication's (T, Y) values")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"surface {name!r}: non-finite entries")
     return write_csv(path, ("label", "t", "y", "value"),
-                     (row for field_rows in rows for row in field_rows))
+                     ((name, float(t), float(y), float(values[i, j]))
+                      for name, values in surfaces.items()
+                      for i, t in enumerate(grid.t) for j, y in enumerate(grid.y)))

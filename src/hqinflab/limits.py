@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalModel
-from .fields import Grid, TwoParamField
+from .fields import Grid
 from .quadrature import integrate
 from .service import MixtureDecomposition, ServiceModel
 from .simulate import InitialConditions
@@ -335,8 +335,9 @@ _SURFACES = {
 }
 
 
-def surface(inputs: LimitInputs, grid: Grid, which: str) -> TwoParamField:
-    """Evaluate a named limit surface on a grid, all points at once.
+def surface(inputs: LimitInputs, grid: Grid, which: str) -> np.ndarray:
+    """Evaluate a named limit surface on a grid, all points at once: a
+    (T, Y) array.
 
     ``fluid_qe``/``var_qe`` clamp y to t (matching the prelimit convention
     that the elapsed-count field is constant in y beyond y = t).
@@ -346,4 +347,4 @@ def surface(inputs: LimitInputs, grid: Grid, which: str) -> TwoParamField:
     t, y = np.meshgrid(grid.t, grid.y, indexing="ij")
     if which in ("fluid_qe", "var_qe"):
         y = np.minimum(y, t)
-    return TwoParamField(grid, _SURFACES[which](inputs, t, y), which)
+    return _SURFACES[which](inputs, t, y)

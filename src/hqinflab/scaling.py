@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .fields import Grid, TwoParamField
+from .fields import Grid
 from .quadrature import integrate
 from .service import ServiceModel
 from .simulate import SimulationTrace
@@ -133,10 +133,12 @@ def _below(levels, keys: np.ndarray) -> np.ndarray:
 
 
 def decompose_hatQr(trace: SimulationTrace, grid: Grid,
-                    fluid_centering: TwoParamField) -> tuple[TwoParamField, TwoParamField]:
+                    centering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split hat(Qr)_n into the arrival-noise term X1 and the
     service-sampling term X2 (continuous service c.d.f. only), per
-    replication of a block.
+    replication of a block: two (R, T, Y) arrays.  ``centering`` is the
+    fluid surface qr on the grid, a (T, Y) array; any other shape raises
+    ValueError.
 
     Both rest on S(t, s) = sum_{tau <= t} F^c(s - tau) at each distinct
     shift s = t + y (floats equal exactly) and on the count C(t, s) of the
@@ -173,8 +175,8 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
     per arrival and distinct shift.
     """
     _require_continuous(trace.service_model)
-    if not grid.same_as(fluid_centering.grid):
-        raise ValueError("centering surface lives on a different grid")
+    if np.shape(centering) != grid.shape:
+        raise ValueError(f"centering has shape {np.shape(centering)}, not the grid's {grid.shape}")
     model = trace.service_model
     sqrt_n = math.sqrt(trace.n)
     reps, T = trace.replications, len(grid.t)
@@ -236,8 +238,7 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
     total = np.zeros((reps, P + 1, Q))
     np.cumsum(sums, axis=1, out=total[:, 1:])
     sf = total[:, at_t[:, None], q_of]
-    x1 = sf / sqrt_n - sqrt_n * fluid_centering.values
-    return TwoParamField(grid, x1, "X1n"), TwoParamField(grid, (count - sf) / sqrt_n, "X2n")
+    return sf / sqrt_n - sqrt_n * centering, (count - sf) / sqrt_n
 
 
 def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, abar, rate) -> np.ndarray:

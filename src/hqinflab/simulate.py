@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import ArrivalModel, _strictify
-from .fields import Grid, TimeField, TwoParamField, write_csv
+from .fields import Grid, write_csv
 from .rng import seated
 from .service import ServiceModel
 
@@ -67,7 +67,6 @@ __all__ = [
     "block_size",
     "FIELDS",
     "eval_fields",
-    "eval_empirical_distributions",
     "eval_initial_fields",
     "export_trace_csv",
 ]
@@ -330,13 +329,13 @@ def _layout(grid: Grid) -> _Layout:
     return _layout_of(grid.t.tobytes(), grid.y.tobytes())
 
 
-def eval_fields(trace: SimulationTrace, grid: Grid,
-                names=FIELDS) -> dict[str, TwoParamField | TimeField]:
-    """The named fields of a trace on a grid, in the order named: the counts
-    Qr, Qe (two-parameter), Qt and departures D (time-only); the remaining
-    work Wr (two-parameter), total workload Wt, input I and completed work C
-    (time-only).  It builds only the histograms that these fields read (see
-    the module docstring); an unknown name raises KeyError.
+def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, np.ndarray]:
+    """The named fields of a trace on a grid, in the order named, as float
+    arrays with a leading replication axis: the counts Qr, Qe and the
+    remaining work Wr, of shape (R, T, Y); the count Qt, departures D, total
+    workload Wt, input I and completed work C, of shape (R, T).  It builds
+    only the histograms that these fields read (see the module docstring);
+    an unknown name raises KeyError.
     """
     wanted = set(names)
     _check_grid(trace, grid)
@@ -354,39 +353,26 @@ def eval_fields(trace: SimulationTrace, grid: Grid,
     if "count" in sums:
         counts = sums["count"].astype(float)
         qt = counts[:, :, 1]
-        out["Qr"] = TwoParamField(grid, counts[:, :, 2:], "Qr")
-        out["Qt"] = TimeField(grid.t, qt, "Qt")
-        out["D"] = TimeField(grid.t, counts[:, :, 0] - qt, "D")
+        out["Qr"] = counts[:, :, 2:]
+        out["Qt"] = qt
+        out["D"] = counts[:, :, 0] - qt
     if "Qe" in wanted:
-        out["Qe"] = TwoParamField(grid, layout.elapsed(bins, rep, R).astype(float), "Qe")
+        out["Qe"] = layout.elapsed(bins, rep, R).astype(float)
     if "ends" in sums:
         work = sums["ends"][:, :, 1:] - layout.shifts * sums["count"][:, :, 1:]
-        out["Wr"] = TwoParamField(grid, work[:, :, 1:], "Wr")
-        out["Wt"] = TimeField(grid.t, work[:, :, 0], "Wt")
+        out["Wr"] = work[:, :, 1:]
+        out["Wt"] = work[:, :, 0]
     if "services" in sums:
-        out["I"] = TimeField(grid.t, sums["services"][:, :, 0], "I")
+        out["I"] = sums["services"][:, :, 0]
         if "C" in wanted:
-            out["C"] = TimeField(grid.t, out["I"].values - out["Wt"].values, "C")
+            out["C"] = out["I"] - out["Wt"]
     return {name: out[name] for name in names}
 
 
-def eval_empirical_distributions(trace: SimulationTrace, grid: Grid) -> dict[str, TwoParamField]:
-    """Empirical age c.d.f. Fe(t,y) and residual complement Frc(t,y),
-    both 0 by convention when the system is empty."""
-    q = eval_fields(trace, grid, ("Qr", "Qe", "Qt"))
-    qt = q["Qt"].values[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fe = np.where(qt > 0, q["Qe"].values / qt, 0.0)
-        frc = np.where(qt > 0, q["Qr"].values / qt, 0.0)
-    return {
-        "Fe": TwoParamField(grid, fe, "Fe"),
-        "Frc": TwoParamField(grid, frc, "Frc"),
-    }
-
-
-def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoParamField | TimeField]:
-    """Initial-customer residual counts Qir(y) and the all-customer field
-    QTr(t,y) = Qr(t,y) + Qir(t+y).
+def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, np.ndarray]:
+    """Initial-customer residual counts Qir(y), of shape (R, Y), and the
+    all-customer field QTr(t,y) = Qr(t,y) + Qir(t+y), of shape (R, T, Y), as
+    float arrays.
 
     An initial customer counts as one that arrived at time 0 and ends at its
     residual, so QTr is Qr of the joined population, and Qir(y) is Qr at
@@ -405,8 +391,8 @@ def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, TwoPara
                    np.concatenate((trace.arrivals + trace.services, resid))),
         np.concatenate((_replication_index(trace), rep0)), R, None)
     return {
-        "Qir": TimeField(grid.y, qir[:, 0, 2:].astype(float), "Qir"),
-        "QTr": TwoParamField(grid, qtr[:, :, 2:].astype(float), "QTr"),
+        "Qir": qir[:, 0, 2:].astype(float),
+        "QTr": qtr[:, :, 2:].astype(float),
     }
 
 

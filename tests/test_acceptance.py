@@ -5,7 +5,6 @@ import pytest
 from hqinflab import acceptance, limits
 from hqinflab.acceptance import CRITERIA, DEFAULT_SEED, _gates
 from hqinflab.experiments import ExperimentReport, PointStat
-from hqinflab.fields import TwoParamField
 from hqinflab.simulate import CountLaw, InitialConditions
 
 
@@ -72,7 +71,7 @@ def test_identities_catch_an_evaluator_that_miscounts_qr(monkeypatch):
 
     def one_too_many(trace, grid, names):
         fields = full(trace, grid, names)
-        fields["Qr"].values[...] += 1.0
+        fields["Qr"][...] += 1.0
         return fields
 
     monkeypatch.setattr(acceptance, "eval_fields", one_too_many)
@@ -89,8 +88,7 @@ def test_identities_catch_x1_off_its_integration_by_parts_form(monkeypatch):
 
     def shifted(trace, grid, fluid):
         x1, x2 = full(trace, grid, fluid)
-        return (TwoParamField(grid, x1.values + 1e-5, x1.label),
-                TwoParamField(grid, x2.values - 1e-5, x2.label))
+        return x1 + 1e-5, x2 - 1e-5
 
     monkeypatch.setattr(acceptance, "decompose_hatQr", shifted)
     result = CRITERIA[1](DEFAULT_SEED)

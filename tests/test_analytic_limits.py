@@ -235,13 +235,13 @@ class TestQuadratureAccuracy:
         probe = (t[:, :-1], y[:, :-1], t[:, 1:], y[:, 1:])
 
         def evaluate():
-            out = [surface(inputs, grid, which).values
+            out = [surface(inputs, grid, which)
                    for which in ("fluid_qr", "fluid_qe", "var_qr", "var_qe")]
             comp = var_components(inputs, t, y)
             out += [comp.arrival, comp.service, comp.splitting,
                     cov_x2_increment(inputs, *probe)]
             if inputs.standard_rate is not None:
-                out.append(surface(inputs, grid, "fluid_wr").values)
+                out.append(surface(inputs, grid, "fluid_wr"))
             return out
 
         got = evaluate()
@@ -280,16 +280,17 @@ class TestSurfaces:
             init=InitialConditions(CountLaw("poisson", 1.0), EXP1))
         grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
         field = surface(inputs, grid, which)
+        assert field.shape == grid.shape and field.dtype == float
         for i, t in enumerate(grid.t):
             for j, y in enumerate(grid.y):
                 point = self.POINTS[which](inputs, float(t), float(y))
                 assert type(point) is float
-                assert field.values[i, j] == pytest.approx(point, abs=1e-9)
+                assert field[i, j] == pytest.approx(point, abs=1e-9)
 
     def test_qe_clamps_above_diagonal(self):
         g = Grid([0.5, 1.0], [0.0, 2.0])
         field = surface(M_EXP, g, "fluid_qe")
-        assert field.values[0, 1] == pytest.approx(fluid_qe(M_EXP, 0.5, 0.5), abs=1e-10)
+        assert field[0, 1] == pytest.approx(fluid_qe(M_EXP, 0.5, 0.5), abs=1e-10)
 
     def test_unknown_surface(self):
         with pytest.raises(ValueError, match="unknown surface"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 import subprocess
@@ -11,6 +12,7 @@ import yaml
 import hqinflab
 from hqinflab import cli, experiments, simulate
 from hqinflab.config import EXPERIMENTS, config_from_dict
+from hqinflab.fields import Grid
 from hqinflab.experiments import run_experiment
 from hqinflab.rng import seed_words
 
@@ -180,6 +182,17 @@ class TestCli:
             cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
                       flag, value])
 
+    @pytest.mark.parametrize("threads", ["0", "-2", "x"])
+    def test_run_rejects_a_bad_thread_count(self, tmp_path, capsys, threads):
+        config = write_config(tmp_path, TINY)
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                      "--threads", threads])
+        assert stop.value.code == 2
+        assert (f"argument --threads: threads must be a positive integer, got '{threads}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_run_overrides_reach_the_report(self, tmp_path):
         config = write_config(tmp_path, TINY)
         out = tmp_path / "out"
@@ -331,6 +344,37 @@ class TestBlocks:
         assert sorted(calls) == sorted([("count", residual_cells), ("ends", residual_cells),
                                         ("count", elapsed_cells)])
 
+    def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch):
+        # a pool starts all of its workers at once, busy or not; a stub
+        # executor records the count and runs the blocks in this process
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks, chunksize):
+                return map(fn, blocks)
+
+        def worker(reps):
+            return {"r": np.array(reps, dtype=float)}, {"customers": len(reps)}
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        for threads, n_reps, block, workers in [(8, 6, 2, [3]), (2, 6, 2, [2]), (3, 7, 2, [3]),
+                                                (8, 3, 4, []), (1, 6, 2, [])]:
+            started.clear()
+            rows, stats = experiments._map_replications(worker, n_reps, threads, block)
+            assert started == workers
+            assert rows["r"].tolist() == list(range(n_reps))
+            assert stats == {"replications": n_reps, "blocks": -(-n_reps // block),
+                             "customers": n_reps}
+
     def test_importing_experiments_leaves_out_the_pool_and_numpy_random(self):
         # both load on first use; importing them costs every run's set-up
         src = str(Path(hqinflab.__file__).resolve().parents[1])
@@ -461,6 +505,35 @@ PINNED_GATES = {
         ("steady-state workload quadrature vs closed form", 0.0, 0.0, "abs", 1e-06),
     ],
 }
+
+
+class TestNonFinitePoints:
+    """A non-finite estimate or target never passes its gate; no field
+    container refuses it on the way in."""
+
+    @pytest.mark.parametrize("make", [experiments._abs_point, experiments._rel_point],
+                             ids=["abs", "rel"])
+    @pytest.mark.parametrize("est,target", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+                                            (np.inf, 1.0), (np.inf, np.inf)])
+    def test_point_fails_and_so_does_the_verdict(self, make, est, target):
+        report = experiments.ExperimentReport("fwlln", 0)
+        report.add(make("finite", 1.0, 0.0, 1.0, 1.0, 0.5))
+        report.add(make("non-finite", 1.0, 0.0, est, target, 0.5))
+        assert [p.passed for p in report.points] == [True, False]
+        assert report.verdict is False
+
+    def test_grid_points_fail_where_a_value_is_nan(self):
+        grid = Grid([1.0, 2.0], [0.0, 0.5])
+        est, target = np.ones(grid.shape), np.ones(grid.shape)
+        est[0, 1] = target[1, 0] = np.nan
+        report = experiments.ExperimentReport("fwlln", 0)
+        experiments._grid_points(report, grid,
+                                 (experiments._abs_point, "abs", est, target, 0.5, True),
+                                 (experiments._rel_point, "rel", est, target, 0.5, True))
+        assert len(report.points) == 8
+        assert [(p.label, p.t, p.y) for p in report.points if not p.passed] == [
+            ("abs", 1.0, 0.5), ("rel", 1.0, 0.5), ("abs", 2.0, 0.0), ("rel", 2.0, 0.0)]
+        assert report.verdict is False
 
 
 class TestGateOrder:

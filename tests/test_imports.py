@@ -53,3 +53,29 @@ def test_every_export_is_read():
               if export not in loaded]
     assert sorted(set(unread) - set(KEPT)) == []
     assert sorted(set(KEPT) - set(unread)) == []
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names that ``path`` imports but never loads and does not export
+    (``from __future__`` imports aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, loaded, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names} - {"*"}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(imported - loaded - exported)
+
+
+def test_no_unused_imports():
+    files = [*pathlib.Path(hqinflab.__file__).parent.glob("*.py"),
+             *pathlib.Path(__file__).parent.glob("*.py")]
+    assert len(files) > len(SUBMODULES)
+    unused = {path.name: _unused_imports(path) for path in files}
+    assert {name: names for name, names in unused.items() if names} == {}

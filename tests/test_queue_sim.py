@@ -1,18 +1,19 @@
 import itertools
-import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqinflab import experiments
 from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
-from hqinflab.fields import Grid, TimeField, TwoParamField, write_fields_csv
+from hqinflab.fields import Grid, write_surfaces_csv
 from hqinflab.rng import reseat, seed_words, substream
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
 from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace,
-                               eval_empirical_distributions, eval_fields,
-                               eval_initial_fields, export_trace_csv, simulate)
+                               eval_fields, eval_initial_fields, export_trace_csv,
+                               simulate)
 
 from oracles import brute_queue_fields
 
@@ -119,10 +120,12 @@ class TestGridAndFields:
         with pytest.raises(ValueError):
             Grid([-1.0, 1.0], [0.0])
 
-    def test_field_shape_checked(self):
-        g = Grid([1.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            TwoParamField(g, np.zeros((2, 2)), "bad")
+    def test_field_shape_checked(self, tmp_path):
+        # a field leaves the program only through the writer, which checks it
+        out = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) != grid \(1, 2\)"):
+            write_surfaces_csv(out, Grid([1.0], [0.0, 1.0]), {"bad": np.zeros((2, 2))})
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -303,13 +306,13 @@ class TestBlockFields:
             for i, t in enumerate(g.t):
                 for j, y in enumerate(g.y):
                     qr, qe, qt, wr = brute_queue_fields(taus, etas, float(t), float(y))
-                    assert q["Qr"].values[r, i, j] == qr
-                    assert q["Qe"].values[r, i, j] == qe
-                    assert q["Qt"].values[r, i] == qt
-                    assert q["Wr"].values[r, i, j] == pytest.approx(wr, abs=1e-9)
-                    assert init["QTr"].values[r, i, j] == qr + sum(x > t + y for x in resid)
+                    assert q["Qr"][r, i, j] == qr
+                    assert q["Qe"][r, i, j] == qe
+                    assert q["Qt"][r, i] == qt
+                    assert q["Wr"][r, i, j] == pytest.approx(wr, abs=1e-9)
+                    assert init["QTr"][r, i, j] == qr + sum(x > t + y for x in resid)
             for j, y in enumerate(g.y):
-                assert init["Qir"].values[r, j] == sum(x > y for x in resid)
+                assert init["Qir"][r, j] == sum(x > y for x in resid)
 
     @given(blocks(DYADIC_GRID))
     @settings(max_examples=40, deadline=None)
@@ -317,27 +320,26 @@ class TestBlockFields:
         g = DYADIC_GRID
         trace = block_trace(reps)
         q = eval_fields(trace, g)
-        qr, qe, qt = q["Qr"].values, q["Qe"].values, q["Qt"].values
+        qr, qe, qt = q["Qr"], q["Qe"], q["Qt"]
         assert np.array_equal(qt, qr[:, :, 0])
         for i, t in enumerate(g.t):
-            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"].values[:, 0, 0]
+            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"][:, 0, 0]
             assert np.array_equal(qe_tt, qt[:, i])
             for j, y in enumerate(g.y):
                 if y <= t:
-                    prev = eval_fields(trace, Grid([t - y], [y]))["Qr"].values[:, 0, 0]
+                    prev = eval_fields(trace, Grid([t - y], [y]))["Qr"][:, 0, 0]
                     assert np.array_equal(qe[:, i, j], qt[:, i] - prev)
 
     @given(blocks(ODD_GRID))
     @settings(max_examples=30, deadline=None)
     def test_block_equals_its_replications_alone(self, reps):
         trace = block_trace(reps)
-        evals = (eval_fields, eval_initial_fields, eval_empirical_distributions)
-        for ev in evals:
+        for ev in (eval_fields, eval_initial_fields):
             fields = ev(trace, ODD_GRID)
             for r, rep in enumerate(reps):
                 own = ev(alone(rep), ODD_GRID)
                 for name, f in fields.items():
-                    assert np.array_equal(f.values[r:r + 1], own[name].values)
+                    assert np.array_equal(f[r:r + 1], own[name])
 
     @pytest.mark.parametrize("kind", ["block", "single", "empty_replication"])
     def test_every_subset_of_names_matches_the_full_evaluation(self, kind):
@@ -354,7 +356,7 @@ class TestBlockFields:
                 part = eval_fields(trace, ODD_GRID, names[::-1])
                 assert list(part) == list(names[::-1])
                 for name in names:
-                    assert np.array_equal(part[name].values, full[name].values), (names, name)
+                    assert np.array_equal(part[name], full[name]), (names, name)
 
     def test_unknown_field_names_are_refused(self):
         with pytest.raises(KeyError, match="Wq"):
@@ -387,28 +389,24 @@ class TestBlockFields:
         assert trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5]).tolist() == [[1], [0]]
         assert alone(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [[0, 1]]
 
-    def test_finite_values_checked(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            TwoParamField(Grid([1.0], [0.0]), np.array([[[np.nan]], [[1.0]]]), "bad")
-
 
 class TestQueueFields:
     def test_empty_trace_is_zero(self):
         g = Grid([1.0, 2.0], [0.0, 1.0])
         q = eval_fields(empty_trace(), g)
-        assert not q["Qr"].values.any()
-        assert not q["Qe"].values.any()
-        assert not q["Qt"].values.any()
+        assert not q["Qr"].any()
+        assert not q["Qe"].any()
+        assert not q["Qt"].any()
 
     def test_single_customer_residual(self):
         q = eval_fields(one_customer_trace(), Grid([2.0], [0.5, 1.1]))
-        assert q["Qr"].values[0, 0, 0] == 1.0   # 1(3 > 2.5)
-        assert q["Qr"].values[0, 0, 1] == 0.0   # 1(3 > 3.1)
+        assert q["Qr"][0, 0, 0] == 1.0   # 1(3 > 2.5)
+        assert q["Qr"][0, 0, 1] == 0.0   # 1(3 > 3.1)
 
     def test_single_customer_elapsed(self):
         q = eval_fields(one_customer_trace(), Grid([2.0], [0.5, 1.5]))
-        assert q["Qe"].values[0, 0, 0] == 0.0   # arrived at 1, elapsed 1 > 0.5
-        assert q["Qe"].values[0, 0, 1] == 1.0
+        assert q["Qe"][0, 0, 0] == 0.0   # arrived at 1, elapsed 1 > 0.5
+        assert q["Qe"][0, 0, 1] == 1.0
 
     def test_boundaries_are_exact(self):
         # arrivals at t - y = 1.5 and at t = 2; ends at t + y = 2.5 and at t = 2
@@ -416,10 +414,10 @@ class TestQueueFields:
                                 services=np.array([0.5, 0.5]), horizon=4.0,
                                 service_model=EXP1)
         q = eval_fields(trace, Grid([2.0], [0.0, 0.5]))
-        assert q["Qr"].values.tolist() == [[[1.0, 0.0]]]   # end 2.5 > 2.5 is false
-        assert q["Qe"].values.tolist() == [[[0.0, 1.0]]]   # 1.5 is outside (1.5, 2]
-        assert q["Qt"].values.tolist() == [[1.0]]          # the end at 2 has left
-        assert q["Wr"].values.tolist() == [[[0.5, 0.0]]]
+        assert q["Qr"].tolist() == [[[1.0, 0.0]]]   # end 2.5 > 2.5 is false
+        assert q["Qe"].tolist() == [[[0.0, 1.0]]]   # 1.5 is outside (1.5, 2]
+        assert q["Qt"].tolist() == [[1.0]]          # the end at 2 has left
+        assert q["Wr"].tolist() == [[[0.5, 0.0]]]
 
     def test_bins_match_searchsorted(self):
         from hqinflab.simulate import _bin
@@ -441,16 +439,16 @@ class TestQueueFields:
             for j, y in enumerate(g.y):
                 qr, qe, qt, wr = brute_queue_fields(trace.arrivals, trace.services,
                                                     float(t), float(y))
-                assert q["Qr"].values[0, i, j] == qr
-                assert q["Qe"].values[0, i, j] == qe
-                assert q["Qt"].values[0, i] == qt
-                assert q["Wr"].values[0, i, j] == pytest.approx(wr, abs=1e-9)
+                assert q["Qr"][0, i, j] == qr
+                assert q["Qe"][0, i, j] == qe
+                assert q["Qt"][0, i] == qt
+                assert q["Wr"][0, i, j] == pytest.approx(wr, abs=1e-9)
 
     @given(random_traces())
     @settings(max_examples=40, deadline=None)
     def test_counting_identities(self, trace):
         g = Grid([0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0])
-        q = {name: f.values[0] for name, f in eval_fields(trace, g).items()}
+        q = {name: f[0] for name, f in eval_fields(trace, g).items()}
         a_t = trace.count_arrivals(g.t)[0]
         # flow conservation and nonnegativity
         assert np.array_equal(a_t, q["Qt"] + q["D"])
@@ -462,7 +460,7 @@ class TestQueueFields:
         # Qt(t) = Qr(t, 0) = Qe(t, t); the latter via a y=t grid
         assert np.array_equal(q["Qt"], q["Qr"][:, 0])
         for i, t in enumerate(g.t):
-            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"].values[0, 0, 0]
+            qe_tt = eval_fields(trace, Grid([t], [float(t)]))["Qe"][0, 0, 0]
             assert qe_tt == q["Qt"][i]
         # Qe(t,y) = Qt(t) - Qr(t-y, y) on aligned points
         for i, t in enumerate(g.t):
@@ -483,47 +481,50 @@ class TestQueueFields:
 class TestWorkloadFields:
     def test_single_customer(self):
         w = eval_fields(one_customer_trace(), Grid([2.0], [0.0, 0.5]))
-        assert w["Wr"].values[0, 0, 1] == pytest.approx(0.5)
-        assert w["I"].values[0, 0] == 2.0
-        assert w["Wt"].values[0, 0] == pytest.approx(1.0)
-        assert w["C"].values[0, 0] == pytest.approx(1.0)
+        assert w["Wr"][0, 0, 1] == pytest.approx(0.5)
+        assert w["I"][0, 0] == 2.0
+        assert w["Wt"][0, 0] == pytest.approx(1.0)
+        assert w["C"][0, 0] == pytest.approx(1.0)
 
     def test_empty(self):
         w = eval_fields(empty_trace(), Grid([2.0], [0.0]))
-        assert not w["I"].values.any() and not w["Wr"].values.any()
+        assert not w["I"].any() and not w["Wr"].any()
 
     @given(random_traces())
     @settings(max_examples=40, deadline=None)
     def test_work_conservation_and_convexity(self, trace):
         g = Grid([1.0, 2.0, 3.5], [0.0, 0.5, 1.0, 1.5])
         w = eval_fields(trace, g)
-        assert np.allclose(w["I"].values, w["Wt"].values + w["C"].values, atol=1e-9)
-        assert (np.diff(w["I"].values) >= -1e-12).all()
-        assert (np.diff(w["C"].values) >= -1e-9).all()
+        assert np.allclose(w["I"], w["Wt"] + w["C"], atol=1e-9)
+        assert (np.diff(w["I"]) >= -1e-12).all()
+        assert (np.diff(w["C"]) >= -1e-9).all()
         # Wr nonincreasing and convex in y (uniform spacing on [0.5, 1.5])
-        vals = w["Wr"].values[0]
+        vals = w["Wr"][0]
         assert (np.diff(vals, axis=1) <= 1e-12).all()
         second = vals[:, 3] - 2.0 * vals[:, 2] + vals[:, 1]
         assert (second >= -1e-9).all()
 
 
 class TestEmpiricalDistributions:
+    """The empirical age c.d.f. Fe = Qe / Qt at the last grid time, as the
+    age-distribution experiment reads it: sup over y of |Fe - target|."""
+
+    @staticmethod
+    def sup(trace, grid, targets):
+        cfg = types.SimpleNamespace(grid=grid)
+        return experiments._age_fields(cfg, np.array(targets), trace,
+                                       range(trace.replications))["sup"]
+
     def test_zero_convention(self):
-        emp = eval_empirical_distributions(empty_trace(), Grid([1.0], [0.0, 0.5]))
-        assert not emp["Fe"].values.any()
-        assert not emp["Frc"].values.any()
+        # an empty system has Fe = 0, not 0 / 0
+        assert self.sup(empty_trace(), Grid([1.0], [0.0, 0.5]), [0.0, 0.0]).tolist() == [0.0]
 
     def test_age_cdf_reaches_one(self):
         trace = simulate(ArrivalModel.poisson(1.0), EXP1, n=50, horizon=2.0,
                          words=stream_words(4, "emp"))
         t = 2.0
-        emp = eval_empirical_distributions(trace, Grid([t], [t]))
-        if eval_fields(trace, Grid([t], [0.0]))["Qt"].values[0, 0] > 0:
-            assert emp["Fe"].values[0, 0, 0] == 1.0
-
-    def test_single_customer_residual_ratio(self):
-        emp = eval_empirical_distributions(one_customer_trace(), Grid([2.0], [0.5]))
-        assert emp["Frc"].values[0, 0, 0] == 1.0
+        if eval_fields(trace, Grid([t], [0.0]))["Qt"][0, 0] > 0:
+            assert self.sup(trace, Grid([t], [t]), [1.0]).tolist() == [0.0]
 
 
 class TestInitialFields:
@@ -532,7 +533,7 @@ class TestInitialFields:
                                 horizon=4.0, service_model=EXP1, initial_counts=[2],
                                 initial_residuals=np.array([0.5, 2.0]))
         fields = eval_initial_fields(trace, Grid([1.0], [1.0]))
-        assert fields["Qir"].values[0, 0] == 1.0
+        assert fields["Qir"][0, 0] == 1.0
 
     def test_total_field_combines_populations(self):
         trace = SimulationTrace(n=1, arrivals=np.array([1.0]), services=np.array([2.0]),
@@ -540,14 +541,13 @@ class TestInitialFields:
                                 initial_residuals=np.array([0.5, 2.0]))
         fields = eval_initial_fields(trace, Grid([2.0], [0.5]))
         # initial residual 2.0 <= t+y = 2.5 has departed; the new arrival survives
-        assert fields["QTr"].values[0, 0, 0] == 1.0
+        assert fields["QTr"][0, 0, 0] == 1.0
 
     def test_no_initials_means_qtr_equals_qr(self):
         trace = one_customer_trace()
         g = Grid([1.0, 2.0], [0.0, 0.5])
         fields = eval_initial_fields(trace, g)
-        assert np.array_equal(fields["QTr"].values,
-                              eval_fields(trace, g)["Qr"].values)
+        assert np.array_equal(fields["QTr"], eval_fields(trace, g)["Qr"])
 
 
 class TestExports:
@@ -556,11 +556,9 @@ class TestExports:
         q = eval_fields(one_customer_trace(), g)
         out = tmp_path / "fields.csv"
         # a block's fields are written one replication at a time
-        write_fields_csv(out, [TwoParamField(g, q["Qr"].values[0], "Qr"),
-                               TimeField(g.t, q["Qt"].values[0], "Qt")])
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "label,t,y,value"
-        assert len(lines) == 1 + 2 + 1   # header + Qr grid + Qt row
+        write_surfaces_csv(out, g, {"Qr": q["Qr"][0], "Qe": q["Qe"][0]})
+        assert out.read_text().splitlines() == [
+            "label,t,y,value", "Qr,1,0,1", "Qr,1,0.5,1", "Qe,1,0,0", "Qe,1,0.5,1"]
 
     @pytest.mark.parametrize("reps", [1, 2])
     def test_block_fields_are_not_written(self, tmp_path, reps):
@@ -569,8 +567,16 @@ class TestExports:
         q = eval_fields(block, g)
         out = tmp_path / "fields.csv"
         for field in (q["Qr"], q["Qt"]):
-            with pytest.raises(ValueError, match="block of replications"):
-                write_fields_csv(out, [TwoParamField(g, q["Qr"].values[0], "Qr"), field])
+            with pytest.raises(ValueError, match="write one replication's"):
+                write_surfaces_csv(out, g, {"Qr": q["Qr"][0], "block": field})
+        assert not out.exists()
+
+    def test_non_finite_surfaces_are_not_written(self, tmp_path):
+        out = tmp_path / "fields.csv"
+        g = Grid([1.0], [0.0, 0.5])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                write_surfaces_csv(out, g, {"ok": np.ones(g.shape), "bad": np.array([[1.0, bad]])})
         assert not out.exists()
 
     def test_trace_csv(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hqinflab.arrivals import ArrivalModel, RateFunction
-from hqinflab.fields import Grid, TwoParamField
+from hqinflab.fields import Grid
 from hqinflab.limits import LimitInputs, fluid_qr, surface, var_components
 from hqinflab.rng import seed_words, substream
 from hqinflab.scaling import decompose_hatQr, x1_integration_by_parts
@@ -57,7 +57,7 @@ class TestScalings:
         g = Grid([1.0], [0.0])
         center = surface(INPUTS, g, "fluid_qr")
         f = eval_fields(_replications("cltvar"), g)["Qr"]
-        vals = (math.sqrt(400) * (f.values / 400 - center.values))[:, 0, 0]
+        vals = (math.sqrt(400) * (f / 400 - center))[:, 0, 0]
         assert np.var(vals, ddof=1) == pytest.approx(fluid_qr(INPUTS, 1.0, 0.0), rel=0.10)
 
 
@@ -107,7 +107,7 @@ class TestBlockAgainstCustomerLoop:
             for i, t in enumerate(g.t):
                 for j, y in enumerate(g.y):
                     want = brute_x1_x2(tau, eta, n, t, y, lambda x: math.exp(-x),
-                                       center.values[i, j])[0]
+                                       center[i, j])[0]
                     assert abs(parts[r, i, j] - want) < 1e-6
 
 
@@ -121,8 +121,8 @@ class TestDecomposition:
         for seed in range(3):
             trace = _trace(300, 2.0, seed)
             x1, x2 = decompose_hatQr(trace, g, center)
-            qhat = math.sqrt(trace.n) * (eval_fields(trace, g)["Qr"].values / trace.n - center.values)
-            assert np.max(np.abs(x1.values + x2.values - qhat)) < 1e-9
+            qhat = math.sqrt(trace.n) * (eval_fields(trace, g)["Qr"] / trace.n - center)
+            assert np.max(np.abs(x1 + x2 - qhat)) < 1e-9
 
     @staticmethod
     def odd_block(service, n=40):
@@ -144,23 +144,23 @@ class TestDecomposition:
         block, reps = self.odd_block(service)
         n = block.n
         x1, x2 = decompose_hatQr(block, g, center)
-        assert x1.values.shape == x2.values.shape == (len(reps), *g.shape)
-        qhat = math.sqrt(n) * (eval_fields(block, g)["Qr"].values / n - center.values)
-        assert np.max(np.abs(x1.values + x2.values - qhat)) < 1e-9
+        assert x1.shape == x2.shape == (len(reps), *g.shape)
+        qhat = math.sqrt(n) * (eval_fields(block, g)["Qr"] / n - center)
+        assert np.max(np.abs(x1 + x2 - qhat)) < 1e-9
         for r, (tau, eta) in enumerate(reps):
             for i, t in enumerate(g.t):
                 for j, y in enumerate(g.y):
                     want = brute_x1_x2(tau, eta, n, t, y, lambda x: 1.0 - service.cdf(x),
-                                       center.values[i, j])
-                    assert abs(x1.values[r, i, j] - want[0]) <= 1e-12
-                    assert abs(x2.values[r, i, j] - want[1]) <= 1e-12
+                                       center[i, j])
+                    assert abs(x1[r, i, j] - want[0]) <= 1e-12
+                    assert abs(x2[r, i, j] - want[1]) <= 1e-12
             # a replication's terms are its own, whatever block it is in
             alone = SimulationTrace(n=n, arrivals=np.asarray(tau, dtype=float),
                                     services=np.asarray(eta, dtype=float), horizon=2.0,
                                     service_model=service)
             a1, a2 = decompose_hatQr(alone, g, center)
-            assert np.array_equal(a1.values, x1.values[r:r + 1])
-            assert np.array_equal(a2.values, x2.values[r:r + 1])
+            assert np.array_equal(a1, x1[r:r + 1])
+            assert np.array_equal(a2, x2[r:r + 1])
 
     def test_block_against_customer_loop(self):
         self.check_block_against_customer_loop(Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5]), EXP1)
@@ -185,7 +185,7 @@ class TestDecomposition:
         with monkeypatch.context() as patch:
             patch.setattr(type(model), "cdf",
                           lambda law, x: points.append(np.size(x)) or original(law, x))
-            x1, x2 = decompose_hatQr(block, g, TwoParamField(g, np.zeros(g.shape), "fluid_qr"))
+            x1, x2 = decompose_hatQr(block, g, np.zeros(g.shape))
         return sum(points), x1, x2
 
     def test_cdf_budget_small_block(self, monkeypatch):
@@ -232,8 +232,8 @@ class TestDecomposition:
         for i, t in enumerate(g.t):
             for j, y in enumerate(g.y):
                 want = brute_x1_x2(tau, eta, 2000, t, y, sf, 0.0)
-                assert abs(x1.values[0, i, j] - want[0]) <= 1e-12
-                assert abs(x2.values[0, i, j] - want[1]) <= 1e-12
+                assert abs(x1[0, i, j] - want[0]) <= 1e-12
+                assert abs(x2[0, i, j] - want[1]) <= 1e-12
 
     def test_panel_sums_do_not_depend_on_the_block(self):
         # at n = 2000 most panels are interpolated, and the block's node
@@ -241,23 +241,29 @@ class TestDecomposition:
         # leaves out: its values must not move
         block, reps = self.odd_block(self.LOGN, n=2000)
         g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
-        center = TwoParamField(g, np.zeros(g.shape), "fluid_qr")
+        center = np.zeros(g.shape)
         x1, x2 = decompose_hatQr(block, g, center)
         for r, (tau, eta) in enumerate(reps):
             alone = SimulationTrace(n=block.n, arrivals=np.asarray(tau, dtype=float),
                                     services=np.asarray(eta, dtype=float), horizon=2.0,
                                     service_model=self.LOGN)
             a1, a2 = decompose_hatQr(alone, g, center)
-            assert np.array_equal(a1.values, x1.values[r:r + 1])
-            assert np.array_equal(a2.values, x2.values[r:r + 1])
+            assert np.array_equal(a1, x1[r:r + 1])
+            assert np.array_equal(a2, x2[r:r + 1])
 
     def test_refused_for_atomic_service(self):
         mix = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 1.0),)))
         trace = simulate(ARR, mix, 50, 1.0, seed_words(0, [("dec",)], 2))
         g = Grid([1.0], [0.0])
-        center = TwoParamField(g, np.zeros((1, 1)), "fluid_qr")
         with pytest.raises(ValueError, match="refused"):
-            decompose_hatQr(trace, g, center)
+            decompose_hatQr(trace, g, np.zeros(g.shape))
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 2), (3, 2, 2), (2, 3)])
+    def test_refuses_a_centering_off_the_grid(self, shape):
+        # an array carries no grid: its shape must be the grid's (T, Y)
+        trace = _trace(50, 2.0, 0)
+        with pytest.raises(ValueError, match=r"centering has shape .*\(3, 2\)"):
+            decompose_hatQr(trace, Grid([0.5, 1.0, 2.0], [0.0, 0.5]), np.zeros(shape))
 
     def test_x1_matches_integration_by_parts(self):
         g = Grid([0.5, 1.0, 2.0], [0.0, 0.5])
@@ -265,7 +271,7 @@ class TestDecomposition:
         trace = _trace(200, 2.0, 7)
         x1, _ = decompose_hatQr(trace, g, center)
         parts = x1_integration_by_parts(trace, g, INPUTS.abar, INPUTS.rate)
-        assert np.max(np.abs(x1.values - parts)) < 1e-6
+        assert np.max(np.abs(x1 - parts)) < 1e-6
 
     def test_pinned_lognormal_time_varying(self):
         # roundoff only: the erfc and the rate inverse changed, not the sums
@@ -273,13 +279,12 @@ class TestDecomposition:
                                RateFunction("sinusoidal", a=1.0, b=0.5))
         service = LogNormal(-0.5, 1.0)
         g = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
-        center = TwoParamField(g, PINNED_CENTER, "fluid_qr")
         trace = simulate(arrival, service, n=200, horizon=2.0,
                          words=seed_words(2024, [("pin", "decompose")], 2))
         assert len(trace.arrivals) == 548
-        x1, x2 = decompose_hatQr(trace, g, center)
-        np.testing.assert_allclose(x1.values[0], PINNED_X1, rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(x2.values[0], PINNED_X2, rtol=1e-10, atol=0.0)
+        x1, x2 = decompose_hatQr(trace, g, PINNED_CENTER)
+        np.testing.assert_allclose(x1[0], PINNED_X1, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(x2[0], PINNED_X2, rtol=1e-10, atol=0.0)
 
     def test_x2_variance(self):
         # Var X2(1, 0) -> int_0^1 F(1-s) F^c(1-s) ds = 0.199789
@@ -290,5 +295,5 @@ class TestDecomposition:
         assert target == pytest.approx(0.5 - math.exp(-1.0) + 0.5 * math.exp(-2.0),
                                        abs=1e-9)
         _, x2 = decompose_hatQr(_replications("x2var"), g, center)
-        vals = x2.values[:, 0, 0]
+        vals = x2[:, 0, 0]
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
