@@ -317,8 +317,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     DEFAULT_SEED."""
     lines = []
     report = _run(seed, "limit_path_validation", [0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0],
-                  n_list=[1], replications=16000, k=200,
-                  increment_probe=[1.0, 0.0, 1.0, 0.5])
+                  n_list=[1], replications=16000, k=200)
     return CriterionResult(8, "limit-path validation", _gates(lines, "M/exp", report), lines)
 
 

@@ -1,4 +1,4 @@
-"""The arrival stream of the n-th system: one model for every spec kind.
+"""The arrival stream of the n-th system: one model for every kind of stream.
 
 Every stream here has the form A_n(t) = R(n * abar(t)), where R is a
 stationary renewal process of rate 1 and abar(t) is a cumulative base rate
@@ -8,8 +8,8 @@ with c_a^2 the squared coefficient of variation of R's interarrivals.
 Poisson streams (exponential interarrivals at a constant rate),
 nonhomogeneous Poisson streams (exponential interarrivals under a rate
 function) and plain renewal streams (any interarrival law at the constant
-rate 1/mean) are all special cases.  Rate functions are restricted to a
-declarative catalog (constant, linear, sinusoidal) so the cumulative rate
+rate 1/mean) are all special cases.  Rate functions are restricted to three
+forms (constant, linear, sinusoidal) so the cumulative rate
 is exact in closed form.  Its inverse is exact for constant and linear rates
 and accurate to roundoff for sinusoidal ones, by safeguarded Newton.
 """
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import seated
-from .service import (Exponential, Moments, ServiceModel, _as_array_or_scalar, _spec_number,
-                      service_from_spec)
+from .service import Exponential, Moments, ServiceModel, _as_array_or_scalar
 
-__all__ = ["RateFunction", "ArrivalModel", "arrival_from_spec"]
+__all__ = ["RateFunction", "ArrivalModel"]
 
 # Sweeps after which the sinusoidal inverse stops taking Newton steps and only
 # bisects.  Newton needs about 3 from its table start; levels next to a zero
@@ -190,9 +189,10 @@ class ArrivalModel:
         return cls(Exponential(1.0), rate_fn)
 
     @classmethod
-    def renewal(cls, law: ServiceModel) -> "ArrivalModel":
-        """Renewal stream with interarrival law ``law``: rate 1/mean."""
-        return cls(law, RateFunction("constant", a=1.0 / _interarrival_moments(law).mean))
+    def renewal(cls, interarrival: ServiceModel) -> "ArrivalModel":
+        """Renewal stream with interarrival law ``interarrival``: rate 1/mean."""
+        mean = _interarrival_moments(interarrival).mean
+        return cls(interarrival, RateFunction("constant", a=1.0 / mean))
 
     def cumulative_rate(self, t):
         if np.any(np.asarray(t, dtype=float) < 0):
@@ -259,48 +259,3 @@ class ArrivalModel:
         return [self.draw_epochs(n, horizon, seated(w)) if m == batch
                 else self.rate_fn.invert_cumulative(row[:m], horizon)
                 for row, m, w in zip(levels, kept.tolist(), words)]
-
-
-def _rate_fn_from_spec(spec: dict, where: str) -> RateFunction:
-    if not isinstance(spec, dict) or "form" not in spec:
-        raise ValueError(f"{where}: expected a mapping with a 'form' key")
-    allowed = {"form", "a", "b", "c", "d"}
-    extra = set(spec) - allowed
-    if extra:
-        raise ValueError(f"{where}: unknown keys {sorted(extra)}")
-    params = {k: _spec_number(f"{where}.{k}", v) for k, v in spec.items() if k != "form"}
-    try:
-        return RateFunction(form=spec["form"], **params)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def arrival_from_spec(spec: dict, where: str = "arrival") -> ArrivalModel:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"{where}: expected a mapping with a 'kind' key")
-    kind = spec["kind"]
-    keys = {
-        "poisson": {"rate"},
-        "nhpp": {"rate_fn"},
-        "renewal": {"interarrival"},
-        "time_changed_renewal": {"interarrival", "rate_fn"},
-    }
-    if kind not in keys:
-        raise ValueError(f"{where}: unknown arrival kind {kind!r} (known: {sorted(keys)})")
-    extra = set(spec) - keys[kind] - {"kind"}
-    if extra:
-        raise ValueError(f"{where}: unknown keys {sorted(extra)} for kind {kind!r}")
-    missing = keys[kind] - set(spec)
-    if missing:
-        raise ValueError(f"{where}: missing keys {sorted(missing)} for kind {kind!r}")
-    if kind == "poisson":
-        rate = _spec_number(f"{where}.rate", spec["rate"])
-        if rate <= 0:
-            raise ValueError(f"{where}.rate: rate must be positive, got {rate!r}")
-        return ArrivalModel.poisson(rate)
-    if kind == "nhpp":
-        return ArrivalModel.nhpp(_rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))
-    if kind == "renewal":
-        return ArrivalModel.renewal(service_from_spec(spec["interarrival"], where + ".interarrival"))
-    return ArrivalModel(service_from_spec(spec["interarrival"], where + ".interarrival"),
-                        _rate_fn_from_spec(spec["rate_fn"], where + ".rate_fn"))

@@ -5,7 +5,7 @@
     hqinflab surfaces --config experiment.yaml --out surfaces/
     hqinflab selftest [--seed S] [--criteria 1,3,8]
 
-Exit code 0 iff every verdict passes.
+Exit code 0 iff every verdict passes; 2 for a bad argument or config.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from .experiments import analytic_surfaces, emit, run_experiment
 from .fields import write_surfaces_csv
 
 
-def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    # the overrides go through the config's own checks
-    overrides = {"master_seed": args.seed, "replications": args.reps}
-    cfg = config_from_dict({**cfg.echo, **{k: v for k, v in overrides.items() if v is not None}},
-                           source=args.config)
+def _cmd_run(args, cfg) -> int:
     report = run_experiment(cfg, threads=args.threads)
     written = emit(report, args.out)
     for p in report.points:
@@ -38,8 +33,7 @@ def _cmd_run(args) -> int:
     return 0 if report.verdict else 1
 
 
-def _cmd_surfaces(args) -> int:
-    cfg = parse_config(args.config)
+def _cmd_surfaces(args, cfg) -> int:
     for name, values in analytic_surfaces(cfg).items():
         path = write_surfaces_csv(Path(args.out) / f"{name}.csv", cfg.grid, {name: values})
         print(f"wrote {path}")
@@ -112,7 +106,20 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    if args.command == "selftest":
+        return args.fn(args)
+    # a config error exits 2 with one line; an error of the run itself is not caught
+    try:
+        cfg = parse_config(args.config)
+        if args.command == "run":
+            # the overrides go through the config's own checks
+            overrides = {"master_seed": args.seed, "replications": args.reps}
+            cfg = config_from_dict(
+                {**cfg.echo, **{k: v for k, v in overrides.items() if v is not None}},
+                source=args.config)
+    except ValueError as exc:
+        sub.choices[args.command].error(str(exc))
+    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

@@ -1,27 +1,62 @@
-"""Experiment configuration: YAML parsing with strict validation.
+"""Experiment configuration: the config grammar, read with strict validation.
 
-A config is a nested mapping with sections ``arrival``, ``service``,
-optional ``init`` (read by the analytic surfaces only), ``grid``,
-experiment selection and knobs.  Unknown keys
-are rejected with the offending path so typos cannot silently change an
-experiment, and every number must be finite.  Every error reads
-``config error at <key path>: ...``.
+A config is a YAML mapping with these top-level keys (defaults in brackets):
+
+- ``experiment``: one of :data:`EXPERIMENTS`; ``poisson_property`` needs
+  exponential interarrivals, ``age_distribution`` a constant arrival rate;
+- ``arrival``, ``service``: model sections, below;
+- ``grid``: ``{t: [...], y: [...]}``, lists of distinct finite numbers;
+- ``init`` [none]: ``{count: <count law>, residual: <service>}``, the
+  customers present at time zero; read by the analytic surfaces only;
+- ``n_list`` [[400]], ``replications`` [200], ``k`` [200]: integers >= 1,
+  the n distinct;
+- ``master_seed`` [20100709]: an integer >= 0;
+- ``tolerances`` [:data:`DEFAULT_TOLERANCES`]: overrides of some of them,
+  each a finite number >= 0;
+- ``markov`` [none]: a list of [t1, t2, y] probes, 0 <= t1 <= t2 <= the
+  last grid time and y >= 0;
+- ``workload`` [false]: also the workload fields; needs a constant arrival
+  rate and a finite service mean.
+
+The first four are required.  A model section is a mapping whose tag
+(``kind``, or ``form`` for a rate function) picks one of the kinds below;
+each kind takes exactly the keys listed, all required but those in brackets:
+
+- service: ``exponential`` (rate), ``deterministic`` (point), ``uniform``
+  (a, b), ``lognormal`` (logmean, logsd), ``hyperexponential`` (weights,
+  rates), ``finite_atoms`` (atoms: [[location, mass], ...]) and ``mixture``
+  (weight, continuous: <service>, atoms);
+- arrival: ``poisson`` (rate), ``nhpp`` (rate_fn), ``renewal``
+  (interarrival: <service>) and ``time_changed_renewal`` (interarrival,
+  rate_fn);
+- rate_fn: ``constant`` (a), ``linear`` (a, b) and ``sinusoidal`` (a, b,
+  [c = 1], [d = 0]);
+- count law: ``fixed`` and ``poisson`` (level).
+
+``init`` is a model section of one kind, without a tag.  Every key of a
+model section that holds no nested section is a numeric leaf: a finite
+number (not a bool, a string or None), or a list of them.  Unknown keys are
+rejected so typos cannot silently change an experiment, and every error
+reads ``config error at <key path>: ...``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Hashable
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 
 import yaml
 
-from .arrivals import ArrivalModel, arrival_from_spec
+from .arrivals import ArrivalModel, RateFunction
 from .fields import Grid
-from .service import ServiceModel, _spec_number, service_from_spec
+from .service import (Exponential, FiniteAtoms, HyperExponential, LogNormal, Mixture,
+                      ServiceModel, Uniform)
 from .simulate import CountLaw, InitialConditions
 
-__all__ = ["ExperimentConfig", "parse_config", "config_from_dict",
+__all__ = ["ExperimentConfig", "parse_config", "config_from_dict", "read_section",
            "DEFAULT_TOLERANCES", "EXPERIMENTS"]
 
 EXPERIMENTS = (
@@ -51,7 +86,7 @@ DEFAULT_TOLERANCES = {
 
 _TOP_KEYS = {"arrival", "service", "init", "grid", "n_list", "replications",
              "k", "master_seed", "experiment", "tolerances", "markov",
-             "workload", "increment_probe"}
+             "workload"}
 
 
 @dataclass(frozen=True)
@@ -68,7 +103,6 @@ class ExperimentConfig:
     init: InitialConditions | None
     markov_probes: tuple[tuple[float, float, float], ...]
     workload: bool
-    increment_probe: tuple[float, float, float, float] | None
     echo: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -78,6 +112,23 @@ class ExperimentConfig:
 
 def _fail(where: str, msg: str):
     raise ValueError(f"{where}: {msg}")
+
+
+def _number(where: str, value) -> float:
+    """A numeric leaf, as a float: a finite number, not a bool, a string or
+    None."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        _fail(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(where: str, value):
+    """A numeric leaf, or a (nested) list of them as a tuple; list entries
+    are named ``where[i]``."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_numbers(f"{where}[{i}]", v) for i, v in enumerate(value))
+    return _number(where, value)
 
 
 def _int_key(where: str, value, lo: int) -> int:
@@ -94,27 +145,76 @@ def _float_list(where: str, values, size: int | None = None) -> list[float]:
     """A list of finite numbers, of ``size`` of them if given."""
     if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
         _fail(where, f"expected a list of {size or 'finite'} numbers, got {values!r}")
-    return [_spec_number(f"{where}[{i}]", v) for i, v in enumerate(values)]
+    return [_number(f"{where}[{i}]", v) for i, v in enumerate(values)]
 
 
-def _parse_init(spec: dict) -> InitialConditions:
-    if not isinstance(spec, dict):
-        _fail("init", f"expected {{count: ..., residual: ...}}, got {spec!r}")
-    allowed = {"count", "residual"}
-    extra = set(spec) - allowed
+# section -> (its tag: the key that names the kind, what the tag's value is
+# called, {kind: (required keys, optional keys, builder)}); a section of one
+# kind has no tag and the kind None.  The builder takes the keys, read, as
+# keyword arguments.
+_SECTIONS = {
+    "service": ("kind", "distribution kind", {
+        "exponential": ({"rate"}, set(), Exponential),
+        "deterministic": ({"point"}, set(), lambda point: FiniteAtoms(((point, 1.0),))),
+        "uniform": ({"a", "b"}, set(), Uniform),
+        "lognormal": ({"logmean", "logsd"}, set(), LogNormal),
+        "hyperexponential": ({"weights", "rates"}, set(), HyperExponential),
+        "finite_atoms": ({"atoms"}, set(), FiniteAtoms),
+        "mixture": ({"weight", "continuous", "atoms"}, set(),
+                    lambda weight, continuous, atoms: Mixture(weight, continuous,
+                                                              FiniteAtoms(atoms))),
+    }),
+    "arrival": ("kind", "arrival kind", {
+        "poisson": ({"rate"}, set(), ArrivalModel.poisson),
+        "nhpp": ({"rate_fn"}, set(), ArrivalModel.nhpp),
+        "renewal": ({"interarrival"}, set(), ArrivalModel.renewal),
+        "time_changed_renewal": ({"interarrival", "rate_fn"}, set(), ArrivalModel),
+    }),
+    "rate_fn": ("form", "rate-function form", {
+        "constant": ({"a"}, set(), partial(RateFunction, "constant")),
+        "linear": ({"a", "b"}, set(), partial(RateFunction, "linear")),
+        "sinusoidal": ({"a", "b"}, {"c", "d"}, partial(RateFunction, "sinusoidal")),
+    }),
+    "count": ("kind", "count law", {
+        "fixed": ({"level"}, set(), partial(CountLaw, "fixed")),
+        "poisson": ({"level"}, set(), partial(CountLaw, "poisson")),
+    }),
+    "init": (None, None, {None: ({"count", "residual"}, set(), InitialConditions)}),
+}
+
+# key -> the section it holds; every other key of a section is a numeric leaf
+_NESTED = {"continuous": "service", "interarrival": "service", "residual": "service",
+           "rate_fn": "rate_fn", "count": "count"}
+
+
+def read_section(section: str, spec, where: str | None = None):
+    """The model that ``spec`` describes, read as the section named
+    ``section``: its tag, unknown and missing keys, numeric leaves and nested
+    sections are checked before the model is built.  Every error starts with
+    the key path (``where``, by default the section's name) of the offending
+    mapping or leaf."""
+    where = where or section
+    tag, noun, kinds = _SECTIONS[section]
+    if not isinstance(spec, dict) or (tag and tag not in spec):
+        _fail(where, f"expected a mapping{f' with a {tag!r} key' if tag else ''}, got {spec!r}")
+    kind = spec[tag] if tag else None
+    if not isinstance(kind, Hashable) or kind not in kinds:
+        _fail(where, f"unknown {noun} {kind!r} (known: {sorted(kinds)})")
+    required, optional, build = kinds[kind]
+    of_kind = f" for {tag} {kind!r}" if tag else ""
+    extra = set(spec) - required - optional - {tag}
     if extra:
-        _fail("init", f"unknown keys {sorted(extra)}")
-    if "count" not in spec or "residual" not in spec:
-        _fail("init", "needs both 'count' and 'residual'")
-    cspec = spec["count"]
-    if not isinstance(cspec, dict) or set(cspec) - {"kind", "level"}:
-        _fail("init.count", "expected {kind: fixed|poisson, level: <float>}")
-    level = _spec_number("init.count.level", cspec.get("level", 0.0))
+        _fail(where, f"unknown keys {sorted(extra, key=str)}{of_kind}")
+    missing = required - set(spec)
+    if missing:
+        _fail(where, f"missing keys {sorted(missing)}{of_kind}")
+    params = {key: read_section(_NESTED[key], value, f"{where}.{key}") if key in _NESTED
+              else _numbers(f"{where}.{key}", value)
+              for key, value in spec.items() if key != tag}
     try:
-        law = CountLaw(kind=cspec.get("kind", "fixed"), level=level)
+        return build(**params)
     except (TypeError, ValueError) as exc:
-        _fail("init.count", str(exc))
-    return InitialConditions(law, service_from_spec(spec["residual"], "init.residual"))
+        _fail(where, f"invalid parameters{of_kind}: {exc}")
 
 
 def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -131,13 +231,13 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
         _fail(source, "top level must be a mapping")
     extra = set(raw) - _TOP_KEYS
     if extra:
-        _fail(source, f"unknown top-level keys {sorted(extra)}")
+        _fail(source, f"unknown top-level keys {sorted(extra, key=str)}")
     for req in ("arrival", "service", "grid", "experiment"):
         if req not in raw:
             _fail(source, f"missing required section {req!r}")
 
-    arrival = arrival_from_spec(raw["arrival"])
-    service = service_from_spec(raw["service"])
+    arrival = read_section("arrival", raw["arrival"])
+    service = read_section("service", raw["service"])
 
     gspec = raw["grid"]
     if not isinstance(gspec, dict) or set(gspec) - {"t", "y"}:
@@ -155,6 +255,10 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     experiment = raw["experiment"]
     if experiment not in EXPERIMENTS:
         _fail("experiment", f"unknown experiment {experiment!r} (known: {list(EXPERIMENTS)})")
+    if experiment == "poisson_property" and not isinstance(arrival.interarrival, Exponential):
+        _fail("arrival", "poisson_property requires Poisson arrivals (exponential interarrivals)")
+    if experiment == "age_distribution" and arrival.constant_rate is None:
+        _fail("arrival", "age_distribution requires a constant arrival rate")
 
     n_list = raw.get("n_list", (400,))
     if not isinstance(n_list, (list, tuple)) or not n_list:
@@ -173,7 +277,7 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     for key, val in (overrides or {}).items():
         if key not in DEFAULT_TOLERANCES:
             _fail("tolerances", f"unknown tolerance {key!r}")
-        tolerances[key] = _spec_number(f"tolerances.{key}", val)
+        tolerances[key] = _number(f"tolerances.{key}", val)
         if val < 0:
             _fail(f"tolerances.{key}", f"expected a finite number >= 0, got {val!r}")
 
@@ -184,7 +288,7 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
                      or not math.isfinite(service.moments().mean)):
         _fail("workload", "workload fields need a constant arrival rate and a finite service mean")
 
-    init = None if raw.get("init") is None else _parse_init(raw["init"])
+    init = None if raw.get("init") is None else read_section("init", raw["init"])
 
     probes = []
     markov = raw.get("markov")
@@ -196,33 +300,24 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
             _fail("markov", f"probe ({t1}, {t2}, {y}) out of range")
         probes.append((t1, t2, y))
 
-    inc = raw.get("increment_probe")
-    if inc is not None:
-        t, y, t2, y2 = inc = tuple(_float_list("increment_probe", inc, 4))
-        try:
-            grid.index(t, y), grid.index(t2, y2)
-        except ValueError as exc:
-            _fail("increment_probe", str(exc))
-        if t > t2 or y > y2:
-            _fail("increment_probe", f"needs t <= t2 and y <= y2, got {list(inc)}")
-
     return ExperimentConfig(
         arrival=arrival, service=service, grid=grid, experiment=experiment,
         n_list=n_list, replications=replications, k=k, master_seed=master_seed,
         tolerances=tolerances, init=init,
-        markov_probes=tuple(probes), workload=workload,
-        increment_probe=inc, echo=raw)
+        markov_probes=tuple(probes), workload=workload, echo=raw)
 
 
 def parse_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
+    """The checked config of the YAML file ``path``.  A file that cannot be
+    read or is not YAML fails like any config error, at the file's path."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ValueError(f"config error at {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        at = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
-        raise ValueError(f"malformed config {path}{at}: {exc}") from exc
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ValueError(f"config error at {path}: malformed YAML{at}: {problem}") from exc
     return config_from_dict(raw, source=str(path))

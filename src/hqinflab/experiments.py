@@ -50,7 +50,6 @@ from .config import EXPERIMENTS, ExperimentConfig
 from .fields import Grid, write_csv
 from .rng import seated, seed_words, substream
 from .scaling import decompose_hatQr
-from .service import Exponential
 from .simulate import block_size, eval_fields, simulate
 from .stats import correlation, sample_var, skew_kurtosis
 
@@ -311,8 +310,6 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     """Empirical age distribution at the last grid time vs the
     stationary-excess c.d.f., across independent seeds."""
     report = _report(cfg)
-    if cfg.arrival.constant_rate is None:
-        raise ValueError("age-distribution experiment needs standard-case arrivals")
     fe_targets = cfg.service.stationary_excess_cdf(cfg.grid.y)
     n = cfg.n_list[-1]
     sups = _replications(report, partial(_age_fields, cfg, fe_targets), cfg, n, threads)["sup"]
@@ -332,8 +329,6 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
 def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Poisson dispersion (variance = mean) of the unscaled counts, and the
     Bernoulli-thinning resample whose variance must match."""
-    if not isinstance(cfg.arrival.interarrival, Exponential):
-        raise ValueError("poisson_property requires Poisson arrivals (exponential interarrivals)")
     report = _report(cfg)
     inputs = _inputs(cfg)
     fq_r = lim.surface(inputs, cfg.grid, "fluid_qr")
@@ -407,19 +402,16 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     report.add(_rel_point("Cov Kiefer U(1,0.3),U(1,0.6)", 1.0, 0.3,
                           float(np.cov(u3, u6)[0, 1]), 0.3 - 0.3 * 0.6,
                           tols["variance_rel_loose"]))
-    # mean-square increment of the service-noise component
-    probe = cfg.increment_probe
-    if probe is None and len(grid.y) >= 2:
-        t_mid = float(grid.t[len(grid.t) // 2])
-        probe = (t_mid, float(grid.y[0]), t_mid, float(grid.y[1]))
-    if probe is not None and inputs.decomposition.p_c > 0.0:
-        t0, y0, t1, y1 = probe
-        (i0, j0), (i1, j1) = grid.index(t0, y0), grid.index(t1, y1)
+    # mean-square increment of the service-noise component, at the middle
+    # grid time between the first two y values
+    if len(grid.y) >= 2 and inputs.decomposition.p_c > 0.0:
+        i = len(grid.t) // 2
+        t, y0, y1 = float(grid.t[i]), float(grid.y[0]), float(grid.y[1])
         x2 = bundle.paths["X2"]
-        diff = x2[:, i0, j0] - x2[:, i1, j1]
-        target = lim.cov_x2_increment(inputs, t0, y0, t1, y1)
+        diff = x2[:, i, 0] - x2[:, i, 1]
+        target = lim.cov_x2_increment(inputs, t, y0, t, y1)
         if target > 1e-10:
-            report.add(_rel_point("X2 increment mean-square", t1, y1,
+            report.add(_rel_point("X2 increment mean-square", t, y1,
                                   float(np.mean(diff**2)), target,
                                   tols["variance_rel_loose"]))
     return report

@@ -40,14 +40,6 @@ class Grid:
     def shape(self):
         return (len(self.t), len(self.y))
 
-    def index(self, t: float, y: float) -> tuple[int, int]:
-        """The (i, j) of the grid point (t, y), to within 1e-9."""
-        i = int(np.argmin(np.abs(self.t - t)))
-        j = int(np.argmin(np.abs(self.y - y)))
-        if abs(self.t[i] - t) > 1e-9 or abs(self.y[j] - y) > 1e-9:
-            raise ValueError(f"({t}, {y}) is not a grid point")
-        return i, j
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):

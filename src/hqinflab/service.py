@@ -13,7 +13,6 @@ F_e(x) = mu * int_0^x (1 - F(s)) ds.  A deterministic law is the one-atom
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "FiniteAtoms",
     "Mixture",
     "Moments",
-    "service_from_spec",
 ]
 
 _ATOM_TOL = 1e-12
@@ -372,6 +370,7 @@ class FiniteAtoms(ServiceModel):
     _masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple((float(x), float(p)) for x, p in self.atoms))
         if not self.atoms:
             raise ValueError("atom list must be nonempty")
         locs = [a[0] for a in self.atoms]
@@ -382,7 +381,6 @@ class FiniteAtoms(ServiceModel):
             raise ValueError("atom locations and masses must be positive")
         if abs(sum(masses) - 1.0) > 1e-9:
             raise ValueError(f"atom masses sum to {sum(masses)}, expected 1")
-        object.__setattr__(self, "atoms", tuple((float(x), float(p)) for x, p in self.atoms))
         object.__setattr__(self, "_locs", np.asarray(locs, dtype=float))
         object.__setattr__(self, "_masses", np.asarray(masses, dtype=float))
 
@@ -459,67 +457,3 @@ class Mixture(ServiceModel):
 
     def breakpoints(self):
         return tuple(sorted(set(self.continuous.breakpoints()) | set(self.atomic.breakpoints())))
-
-
-def _spec_number(where: str, value) -> float:
-    """A numeric leaf of a spec, as a float: a finite number, not a bool, a
-    string or None.  The error names the leaf's key path ``where``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _spec_numbers(where: str, value):
-    """A numeric leaf, or a list of them (nested), each checked by
-    :func:`_spec_number`; list entries are named ``where[i]``."""
-    if isinstance(value, (list, tuple)):
-        return [_spec_numbers(f"{where}[{i}]", v) for i, v in enumerate(value)]
-    return _spec_number(where, value)
-
-
-def _atoms(pairs) -> FiniteAtoms:
-    return FiniteAtoms(atoms=tuple((x, m) for x, m in pairs))
-
-
-# kind -> (its parameter keys, builder); the numbers arrive checked, and a
-# mixture's ``continuous`` entry already built from its own spec
-_KINDS = {
-    "exponential": ({"rate"}, lambda p: Exponential(rate=p["rate"])),
-    "deterministic": ({"point"}, lambda p: _atoms([(p["point"], 1.0)])),
-    "uniform": ({"a", "b"}, lambda p: Uniform(a=p["a"], b=p["b"])),
-    "lognormal": ({"logmean", "logsd"},
-                  lambda p: LogNormal(logmean=p["logmean"], logsd=p["logsd"])),
-    "hyperexponential": ({"weights", "rates"},
-                         lambda p: HyperExponential(weights=tuple(p["weights"]),
-                                                    rates=tuple(p["rates"]))),
-    "finite_atoms": ({"atoms"}, lambda p: _atoms(p["atoms"])),
-    "mixture": ({"weight", "continuous", "atoms"},
-                lambda p: Mixture(weight=p["weight"], continuous=p["continuous"],
-                                  atomic=_atoms(p["atoms"]))),
-}
-
-
-def service_from_spec(spec: dict, where: str = "service") -> ServiceModel:
-    """Build a ServiceModel from a declarative config mapping; every error
-    names the key path ``where`` of the offending mapping."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"{where}: expected a mapping with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in _KINDS:
-        raise ValueError(f"{where}: unknown distribution kind {kind!r} "
-                         f"(known: {sorted(_KINDS)})")
-    keys, build = _KINDS[kind]
-    extra = set(spec) - keys - {"kind"}
-    if extra:
-        raise ValueError(f"{where}: unknown keys {sorted(extra)} for kind {kind!r}")
-    missing = keys - set(spec)
-    if missing:
-        raise ValueError(f"{where}: missing keys {sorted(missing)} for kind {kind!r}")
-    params = {key: _spec_numbers(f"{where}.{key}", spec[key]) for key in keys - {"continuous"}}
-    if kind == "mixture":
-        params["continuous"] = service_from_spec(spec["continuous"], where + ".continuous")
-    try:
-        return build(params)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"{where}: invalid parameters for kind {kind!r}: {exc}") from exc

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hqinflab import arrivals
-from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify, arrival_from_spec
+from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
+from hqinflab.config import read_section
 from hqinflab.rng import substream
 from hqinflab.service import FiniteAtoms, HyperExponential
 
@@ -235,7 +236,8 @@ class TestPinnedEpochs:
         # epochs equal up to roundoff (the largest, ~1e-13, is the deterministic
         # law at 0.3, whose epochs the old generator summed as raw 0.3 steps).
         spec, count, idx, epochs = PINNED[name]
-        eps = _strictify(arrival_from_spec(spec).draw_epochs(50, 2.0, substream(2024, "pin", name)))
+        model = read_section("arrival", spec)
+        eps = _strictify(model.draw_epochs(50, 2.0, substream(2024, "pin", name)))
         assert len(eps) == count
         np.testing.assert_allclose(eps[idx], epochs, rtol=1e-12, atol=0.0)
 
@@ -330,18 +332,18 @@ class TestLimitBehaviour:
 
 class TestSpecs:
     def test_roundtrip(self):
-        model = arrival_from_spec({"kind": "renewal",
-                                   "interarrival": {"kind": "deterministic", "point": 1.0}})
+        model = read_section("arrival", {"kind": "renewal",
+                                         "interarrival": {"kind": "deterministic", "point": 1.0}})
         assert model == ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
         assert (model.constant_rate, model.ca2) == (1.0, 0.0)
 
     def test_negative_rate(self):
         with pytest.raises(ValueError, match="rate must be positive"):
-            arrival_from_spec({"kind": "poisson", "rate": -1.0})
+            read_section("arrival", {"kind": "poisson", "rate": -1.0})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown arrival kind"):
-            arrival_from_spec({"kind": "map"})
+            read_section("arrival", {"kind": "map"})
 
     def test_sinusoidal_must_stay_nonnegative(self):
         with pytest.raises(ValueError):

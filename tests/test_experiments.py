@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import re
 import subprocess
@@ -11,7 +12,7 @@ import yaml
 
 import hqinflab
 from hqinflab import cli, experiments, simulate
-from hqinflab.config import EXPERIMENTS, config_from_dict
+from hqinflab.config import EXPERIMENTS, config_from_dict, parse_config
 from hqinflab.fields import Grid
 from hqinflab.experiments import run_experiment
 from hqinflab.rng import seed_words
@@ -71,8 +72,6 @@ class TestIntegerKeys:
 class TestKeyChecks:
     @pytest.mark.parametrize("key,value,where", [
         ("n_list", [20, 20], "n_list"),
-        ("increment_probe", [0.7, 0.0, 1.0, 0.5], "increment_probe"),
-        ("increment_probe", [1.0, 0.5, 1.0, 0.0], "increment_probe"),
         ("tolerances", [1, 2], "tolerances"),
         ("tolerances", {"variance_rel": "abc"}, "tolerances.variance_rel"),
         ("tolerances", {"variance_rel": -1}, "tolerances.variance_rel"),
@@ -80,7 +79,7 @@ class TestKeyChecks:
         ("workload", "false", "workload"),
         ("arrival", {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}},
          "workload"),
-    ], ids=["repeated_n", "probe_off_grid", "probe_reversed", "tolerances_list",
+    ], ids=["repeated_n", "tolerances_list",
             "tolerance_string", "tolerance_negative", "tolerance_nan", "workload_string",
             "workload_nhpp"])
     def test_rejected_at_parse_time(self, key, value, where):
@@ -107,10 +106,14 @@ class TestKeyChecks:
         with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
             config_from_dict({**TINY, key: value})
 
+    def test_age_distribution_needs_a_constant_rate(self):
+        nhpp = {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}}
+        with pytest.raises(ValueError, match="^config error at arrival: age_distribution "
+                                             "requires a constant arrival rate$"):
+            config_from_dict({**TINY, "experiment": "age_distribution", "arrival": nhpp})
+
     def test_valid_values_accepted(self):
-        cfg = config_from_dict({**TINY, "increment_probe": [0.5, 0.0, 1.0, 0.5],
-                                "tolerances": {"variance_rel": 0, "fluid_abs": 0.1}})
-        assert cfg.increment_probe == (0.5, 0.0, 1.0, 0.5)
+        cfg = config_from_dict({**TINY, "tolerances": {"variance_rel": 0, "fluid_abs": 0.1}})
         assert (cfg.tolerances["variance_rel"], cfg.tolerances["fluid_abs"]) == (0.0, 0.1)
 
 
@@ -158,6 +161,104 @@ class TestInvalidParameters:
             config_from_dict({**TINY, **section})
 
 
+# every kind of every model section: where TINY holds it, its tag, the kind
+# and its required keys
+GRAMMAR = [
+    ("service", "kind", "exponential", ["rate"]),
+    ("service", "kind", "deterministic", ["point"]),
+    ("service", "kind", "uniform", ["a", "b"]),
+    ("service", "kind", "lognormal", ["logmean", "logsd"]),
+    ("service", "kind", "hyperexponential", ["weights", "rates"]),
+    ("service", "kind", "finite_atoms", ["atoms"]),
+    ("service", "kind", "mixture", ["weight", "continuous", "atoms"]),
+    ("arrival", "kind", "poisson", ["rate"]),
+    ("arrival", "kind", "nhpp", ["rate_fn"]),
+    ("arrival", "kind", "renewal", ["interarrival"]),
+    ("arrival", "kind", "time_changed_renewal", ["interarrival", "rate_fn"]),
+    ("arrival.rate_fn", "form", "constant", ["a"]),
+    ("arrival.rate_fn", "form", "linear", ["a", "b"]),
+    ("arrival.rate_fn", "form", "sinusoidal", ["a", "b"]),
+    ("init.count", "kind", "fixed", ["level"]),
+    ("init.count", "kind", "poisson", ["level"]),
+    ("init", None, None, ["count", "residual"]),
+]
+# the section around a nested one
+OUTER = {"arrival": {"kind": "nhpp"}, "init": INIT}
+
+
+def placed(path, spec):
+    """TINY with ``spec`` as the section at the key path ``path``."""
+    top, _, inner = path.partition(".")
+    return {**TINY, top: {**OUTER[top], inner: spec} if inner else spec}
+
+
+def _key_cases():
+    """One unknown key, and each missing required key, of every kind."""
+    for path, tag, kind, keys in GRAMMAR:
+        spec = {**({tag: kind} if tag else {}), **dict.fromkeys(keys, 1.0)}
+        of_kind = f" for {tag} {kind!r}" if tag else ""
+        yield pytest.param(path, {**spec, "bogus": 1.0}, f"unknown keys ['bogus']{of_kind}",
+                           id=f"{path}-{kind}-bogus")
+        for key in keys:
+            yield pytest.param(path, {k: v for k, v in spec.items() if k != key},
+                               f"missing keys [{key!r}]{of_kind}", id=f"{path}-{kind}-no-{key}")
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("path,spec,message", _key_cases())
+    def test_unknown_and_missing_keys_name_their_section(self, path, spec, message):
+        with pytest.raises(ValueError, match=f"^config error at {re.escape(path)}: "
+                                             f"{re.escape(message)}$"):
+            config_from_dict(placed(path, spec))
+
+    @pytest.mark.parametrize("path,spec,message", [
+        ("service", 5, "expected a mapping with a 'kind' key, got 5"),
+        ("arrival", {"rate": 1.0}, "expected a mapping with a 'kind' key, got {'rate': 1.0}"),
+        ("arrival.rate_fn", {"a": 1.0}, "expected a mapping with a 'form' key, got {'a': 1.0}"),
+        ("init.count", [1.0], "expected a mapping with a 'kind' key, got [1.0]"),
+        ("init", "x", "expected a mapping, got 'x'"),
+        ("service", {"kind": "pareto"}, "unknown distribution kind 'pareto' (known: "),
+        ("arrival", {"kind": "map"}, "unknown arrival kind 'map' (known: "),
+        ("arrival.rate_fn", {"form": "step"}, "unknown rate-function form 'step' (known: "),
+        ("init.count", {"kind": "binomial"}, "unknown count law 'binomial' (known: "),
+        ("service", {"kind": ["exponential"]}, "unknown distribution kind ['exponential']"),
+    ], ids=["service_scalar", "arrival_untagged", "rate_fn_untagged", "count_list",
+            "init_string", "service_kind", "arrival_kind", "rate_fn_form", "count_kind",
+            "kind_list"])
+    def test_section_needs_a_mapping_and_a_known_tag(self, path, spec, message):
+        with pytest.raises(ValueError, match=f"^config error at {re.escape(path)}: "
+                                             f"{re.escape(message)}"):
+            config_from_dict(placed(path, spec))
+
+    @pytest.mark.parametrize("raw,message", [
+        ({**TINY, "increment_probe": [1.0, 0.0, 1.0, 0.5]},
+         "unknown top-level keys ['increment_probe']"),
+        *[({k: v for k, v in TINY.items() if k != section},
+           f"missing required section {section!r}")
+          for section in ("arrival", "service", "grid", "experiment")],
+        ([TINY], "top level must be a mapping"),
+    ], ids=["increment_probe", "no_arrival", "no_service", "no_grid", "no_experiment",
+            "list"])
+    def test_top_level(self, raw, message):
+        with pytest.raises(ValueError, match=f"^config error at <dict>: {re.escape(message)}$"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("text,message", [
+        ("experiment: fwlln\narrival: {kind: poisson, rate: [1.0\n",
+         "malformed YAML at line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+        ("experiment: fwlln\n  arrival: x\n",
+         "malformed YAML at line 2, column 10: mapping values are not allowed here"),
+        (None, "No such file or directory"),
+    ], ids=["unclosed_list", "bad_indent", "missing_file"])
+    def test_parse_config_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ValueError, match=f"^config error at {re.escape(str(path))}: "
+                                             f"{re.escape(message)}$"):
+            parse_config(path)
+
+
 class TestCli:
     def test_run_summary_same_for_any_thread_count(self, tmp_path):
         config = write_config(tmp_path, TINY)
@@ -176,11 +277,35 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,key", [("--reps", "0", "replications"),
                                                 ("--seed", "-1", "master_seed")])
-    def test_run_overrides_meet_the_config_checks(self, tmp_path, flag, value, key):
+    def test_run_overrides_meet_the_config_checks(self, tmp_path, capsys, flag, value, key):
         config = write_config(tmp_path, TINY)
-        with pytest.raises(ValueError, match="config error at " + key):
+        with pytest.raises(SystemExit) as stop:
             cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
                       flag, value])
+        assert stop.value.code == 2
+        assert f"hqinflab run: error: config error at {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "surfaces"])
+    @pytest.mark.parametrize("text,where,message", [
+        (yaml.safe_dump({**TINY, "service": {"kind": "exponential", "rate": 1.0, "scale": 2}}),
+         "service", "unknown keys ['scale'] for kind 'exponential'"),
+        ("experiment: fwlln\narrival: {kind: poisson, rate: [1.0\n", "{path}",
+         "malformed YAML at line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+        (None, "{path}", "No such file or directory"),
+    ], ids=["bad_key", "malformed_yaml", "missing_file"])
+    def test_config_error_exits_2_in_one_line(self, tmp_path, capsys, command, text, where,
+                                              message):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (f"hqinflab {command}: error: config error at "
+                                        f"{where.format(path=path)}: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2", "x"])
     def test_run_rejects_a_bad_thread_count(self, tmp_path, capsys, threads):
@@ -260,9 +385,8 @@ class TestPoissonProperty:
         assert run_experiment(cfg).experiment == "poisson_property"
 
     def test_rejects_h2_renewal(self):
-        cfg = self.poisson_property({"kind": "renewal", "interarrival": H2})
-        with pytest.raises(ValueError, match="poisson_property requires"):
-            run_experiment(cfg)
+        with pytest.raises(ValueError, match="^config error at arrival: poisson_property requires"):
+            self.poisson_property({"kind": "renewal", "interarrival": H2})
 
     def test_resampling_draws_the_same_rows_twice(self):
         # the scratch generator is re-seated before every draw
@@ -274,6 +398,30 @@ class TestPoissonProperty:
         assert first["Qtilde"].any()
         for name in first:
             assert np.array_equal(first[name], second[name])
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+class TestBenchmarkWorkloads:
+    # the benchmark worker parses each workload file with parse_config, then
+    # sets its seed and replication count with dataclasses.replace
+    @pytest.mark.parametrize("name,experiment,shape", [
+        ("mc_small_n", "fwlln", (5, 5)),
+        ("mc_large_n", "fclt_variance", (6, 5)),
+        ("limit_paths", "limit_path_validation", (8, 6)),
+    ])
+    def test_config_contract(self, name, experiment, shape):
+        cfg = parse_config(WORKLOADS / f"{name}.yaml")
+        cfg = dataclasses.replace(cfg, master_seed=7,
+                                  replications=max(4, round(cfg.replications * 0.01)))
+        assert (cfg.experiment, cfg.grid.shape) == (experiment, shape)
+        assert cfg.tolerances["identity_abs"] == 1e-9
+        assert cfg.master_seed == 7 and cfg.replications >= 4
+
+    def test_every_workload_is_checked(self):
+        assert sorted(p.stem for p in WORKLOADS.glob("*.yaml")) == [
+            "limit_paths", "mc_large_n", "mc_small_n"]
 
 
 FCLT = {

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqinflab.config import read_section
 from hqinflab.rng import substream
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential,
-                              LogNormal, Mixture, Uniform, erfc_array,
-                              service_from_spec)
+                              LogNormal, Mixture, Uniform, erfc_array)
 from hqinflab.stats import ks_critical_value, ks_distance
 
 from oracles import law_id, simpson, simpson_rule
@@ -274,13 +274,13 @@ class TestValidationAndSpecs:
         spec = {"kind": "mixture", "weight": 0.5,
                 "continuous": {"kind": "exponential", "rate": 1.0},
                 "atoms": [[1.0, 1.0]]}
-        model = service_from_spec(spec)
+        model = read_section("service", spec)
         assert model.cdf(2.0) == pytest.approx(MIX.cdf(2.0))
 
     def test_from_spec_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown distribution kind"):
-            service_from_spec({"kind": "pareto", "alpha": 1.0})
+            read_section("service", {"kind": "pareto", "alpha": 1.0})
 
     def test_from_spec_unknown_key(self):
         with pytest.raises(ValueError, match="unknown keys"):
-            service_from_spec({"kind": "exponential", "rate": 1.0, "scale": 2.0})
+            read_section("service", {"kind": "exponential", "rate": 1.0, "scale": 2.0})
