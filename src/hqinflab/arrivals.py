@@ -107,6 +107,12 @@ class RateFunction:
         which bounds the loop.  A level stops once |cumulative(t) - L| <=
         4 ulp(L), its Newton step no longer moves t, or its bracket cannot
         shrink.
+
+        Each sweep works on compact arrays of the levels still unconverged
+        (their iterates, brackets, levels, tolerances and positions), stores
+        the iterates of the levels it stops and keeps only the rest.  A sweep
+        in which every level already meets |cumulative(t) - L| <= 4 ulp(L)
+        stores them all and ends the loop without evaluating the rate.
         """
         nodes = np.linspace(0.0, horizon, int(min(64.0 * abs(self.c) * horizon, levels.size)) + 2)
         table = np.maximum.accumulate(self.cumulative(nodes))
@@ -114,25 +120,30 @@ class RateFunction:
         lo, hi = nodes[k], nodes[k + 1]
         t = np.interp(levels, table, nodes)
         tol = 4.0 * np.spacing(levels)
-        active = np.arange(levels.size)
+        out = np.empty_like(t)
+        index = np.arange(levels.size)
         sweep = 0
-        while active.size:
-            ta = t[active]
-            f = self.cumulative(ta) - levels[active]
-            lo_a = np.where(f < 0.0, ta, lo[active])
-            hi_a = np.where(f > 0.0, ta, hi[active])
+        while index.size:
+            f = self.cumulative(t) - levels
+            close = np.abs(f) <= tol
+            if close.all():
+                out[index] = t
+                break
+            lo = np.where(f < 0.0, t, lo)
+            hi = np.where(f > 0.0, t, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = ta - f / self.rate(ta)
-            mid = 0.5 * (lo_a + hi_a)
-            done = (np.abs(f) <= tol[active]) | (newton == ta) | (mid == lo_a) | (mid == hi_a)
-            # ta is one end of the bracket: a step onto the other end would
+                newton = t - f / self.rate(t)
+            mid = 0.5 * (lo + hi)
+            done = close | (newton == t) | (mid == lo) | (mid == hi)
+            # t is one end of the bracket: a step onto the other end would
             # oscillate between the two, so it bisects like any step outside
-            inside = (newton > lo_a) & (newton < hi_a) & (sweep < _NEWTON_MAX_ITER)
-            t[active] = np.where(done, ta, np.where(inside, newton, mid))
-            lo[active], hi[active] = lo_a, hi_a
-            active = active[~done]
+            inside = (newton > lo) & (newton < hi) & (sweep < _NEWTON_MAX_ITER)
+            out[index[done]] = t[done]
+            going = ~done
+            t = np.where(inside, newton, mid)[going]
+            index, levels, tol, lo, hi = index[going], levels[going], tol[going], lo[going], hi[going]
             sweep += 1
-        return t
+        return out
 
 
 def _strictify(epochs: np.ndarray, bounds=None) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import acceptance
 from .config import config_from_dict, parse_config
-from .experiments import analytic_surfaces, emit, run_experiment
+from .experiments import analytic_surfaces, check_runnable, emit, run_experiment
 from .fields import write_surfaces_csv
 
 
@@ -117,6 +117,7 @@ def main(argv=None) -> int:
             cfg = config_from_dict(
                 {**cfg.echo, **{k: v for k, v in overrides.items() if v is not None}},
                 source=args.config)
+            check_runnable(cfg)
     except ValueError as exc:
         sub.choices[args.command].error(str(exc))
     return args.fn(args, cfg)

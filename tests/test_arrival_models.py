@@ -119,6 +119,16 @@ class TestInvertCumulative:
         levels = inversion_levels(rate_fn, horizon)
         assert_round_trip(rate_fn, levels, rate_fn.invert_cumulative(levels, horizon), horizon)
 
+    @pytest.mark.parametrize("case", INVERSION_CASES)
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_round_trip_of_no_or_one_level(self, case, size):
+        rate_fn, horizon = INVERSION_CASES[case]
+        levels = np.full(size, 0.3 * rate_fn.cumulative(horizon))
+        t = rate_fn.invert_cumulative(levels, horizon)
+        assert t.shape == (size,) and np.all((t > 0.0) & (t < horizon))
+        scale = np.maximum(levels, rate_fn.a * t)
+        assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(scale))
+
     @pytest.mark.parametrize("case", ["linear", "linear_from_zero", "sinusoidal"])
     def test_matches_bisection(self, case):
         rate_fn, horizon = INVERSION_CASES[case]
@@ -148,6 +158,21 @@ class TestInvertCumulative:
         # long before the cap
         assert len(sweeps) <= 3 or sweeps[3] <= 0.02 * levels.size
         assert len(sweeps) <= 20
+
+    def test_rate_skipped_once_every_level_converged(self, monkeypatch):
+        rate_fn, horizon = INVERSION_CASES["sinusoidal"]
+        levels = inversion_levels(rate_fn, horizon)
+        points = []
+        original = RateFunction.rate
+
+        def counted(self, t):
+            points.append(np.size(t))
+            return original(self, t)
+        monkeypatch.setattr(RateFunction, "rate", counted)
+        rate_fn.invert_cumulative(levels, horizon)
+        # two Newton steps from the table start; the sweep that finds every
+        # level converged stops before it evaluates the rate
+        assert sum(points) <= 2.05 * levels.size
 
     @pytest.mark.parametrize("case", ["sinusoidal", "sin_zero_rate", "sin_zero_rate_shifted"])
     def test_cap_falls_back_to_bisection(self, case, monkeypatch):

@@ -1,10 +1,12 @@
 import concurrent.futures
+import ctypes
 import dataclasses
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +53,52 @@ class TestRunners:
         monkeypatch.setattr(experiments, "_RUNNERS", {})
         with pytest.raises(ValueError, match="^config error at init: "):
             run_experiment(cfg)
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """The (parameter, value) pairs the allocator policy passes to a fake
+    C library's ``mallopt``, with the policy's once-per-process cache
+    cleared before and after the test."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    experiments._allocator_policy.cache_clear()
+    yield calls
+    experiments._allocator_policy.cache_clear()
+
+
+class TestAllocatorPolicy:
+    # glibc's M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB
+    POLICY = [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_runs_once_per_process(self, libc):
+        experiments._allocator_policy()
+        experiments._allocator_policy()
+        assert libc == self.POLICY
+
+    def test_run_experiment_sets_it_before_the_runner(self, libc, monkeypatch):
+        seen = []
+
+        def runner(cfg, threads):
+            seen.append(list(libc))
+            return experiments.ExperimentReport("fwlln", 0)
+        monkeypatch.setattr(experiments, "_RUNNERS", {"fwlln": runner})
+        run_experiment(config_from_dict(TINY))
+        assert seen == [self.POLICY]
+
+    @pytest.mark.parametrize("library", ["unloadable", "without_mallopt"])
+    def test_silent_without_mallopt(self, library, libc, monkeypatch):
+        def cdll(name):
+            if library == "unloadable":
+                raise OSError("no C library")
+            return SimpleNamespace()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert experiments._allocator_policy() is None
+        assert libc == []
 
 
 class TestIntegerKeys:
@@ -350,6 +398,19 @@ class TestCli:
         assert stop.value.code == 2
         assert f"seed must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
 
+    def test_run_refuses_init_in_one_line(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, {**TINY, "init": INIT})
+        monkeypatch.setattr(experiments, "_RUNNERS", {})
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "hqinflab run: error: config error at init: no experiment simulates initial "
+            "customers; only 'hqinflab surfaces' reads init")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_surfaces_read_init(self, tmp_path):
         config = write_config(tmp_path, {**TINY, "init": INIT})
         out = tmp_path / "surfaces"
@@ -498,7 +559,9 @@ class TestBlocks:
         started = []
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                # a worker sets the run's allocator policy, whatever its start method
+                assert initializer is experiments._allocator_policy
                 started.append(max_workers)
 
             def __enter__(self):
