@@ -272,8 +272,8 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- criterion 6: age distribution -----------------------------------------------------
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Empirical age c.d.f. at t=8 vs the stationary-excess c.d.f., 20 seeds,
-    sup over the y-grid < 0.05 in at least 90% of them."""
+    """Empirical age c.d.f. at t=8 vs its fluid limit qe(8, y) / qr(8, 0),
+    20 seeds, sup over the y-grid < 0.05 in at least 90% of them."""
     lines = []
     passed = True
     cases = [
@@ -284,21 +284,28 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         report = _run(seed, "age_distribution", [8.0], ygrid, service=service,
                       n_list=[400], replications=20)
         passed &= _gates(lines, name, report)
-    return CriterionResult(6, "age distribution vs stationary excess", passed, lines)
+    return CriterionResult(6, "age distribution vs fluid age fraction", passed, lines)
 
 
 # -- criterion 7: workload ---------------------------------------------------------------
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Mean scaled workload at t=8 within 0.07 of the fluid value, and the
+    """Mean scaled workload at t=8 within 0.07 of the fluid value, the same
+    on a grid under a sinusoidal NHPP with lognormal service, and the
     steady-state fluid workload reproduced to 1e-6 by quadrature."""
     lines = []
     report = _run(seed, "workload", [8.0], [0.0], n_list=[400], replications=200)
     passed = _gates(lines, "M/exp", report)
+    report = _run(seed, "fwlln", [1.0, 2.0, 4.0, 8.0], [0.0, 1.0], n_list=[400],
+                  replications=200, workload=True,
+                  arrival={"kind": "nhpp",
+                           "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}},
+                  service={"kind": "lognormal", "logmean": -0.5, "logsd": 1.0})
+    passed &= _gates(lines, "nhpp/lognormal", report)
     for name, service, expect in (("exp", Exponential(1.0), 1.0),
                                   ("det", FiniteAtoms(((1.0, 1.0),)), 0.5)):
         inputs = lim.LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
-        quad, exact = lim.fluid_workload_steady(inputs)
+        quad, exact = lim.fluid_workload_steady(inputs, 1.0)
         ok = abs(exact - expect) <= 1e-12 and abs(quad - exact) <= 1e-6
         passed &= _check(lines, ok,
                          f"steady workload ({name}): quadrature {quad:.8f} vs {exact}")

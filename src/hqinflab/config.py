@@ -3,7 +3,8 @@
 A config is a YAML mapping with these top-level keys (defaults in brackets):
 
 - ``experiment``: one of :data:`EXPERIMENTS`; ``poisson_property`` needs
-  exponential interarrivals, ``age_distribution`` a constant arrival rate;
+  exponential interarrivals, ``workload`` a constant arrival rate (for its
+  steady-state closed form);
 - ``arrival``, ``service``: model sections, below;
 - ``grid``: ``{t: [...], y: [...]}``, lists of distinct finite numbers;
 - ``init`` [none]: ``{count: <count law>, residual: <service>}``, the
@@ -15,8 +16,8 @@ A config is a YAML mapping with these top-level keys (defaults in brackets):
   each a finite number >= 0;
 - ``markov`` [none]: a list of [t1, t2, y] probes, 0 <= t1 <= t2 <= the
   last grid time and y >= 0;
-- ``workload`` [false]: also the workload fields; needs a constant arrival
-  rate and a finite service mean.
+- ``workload`` [false]: also the workload fields, for any arrival rate;
+  needs a finite service mean.
 
 The first four are required.  A model section is a mapping whose tag
 (``kind``, or ``form`` for a rate function) picks one of the kinds below;
@@ -257,8 +258,8 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
         _fail("experiment", f"unknown experiment {experiment!r} (known: {list(EXPERIMENTS)})")
     if experiment == "poisson_property" and not isinstance(arrival.interarrival, Exponential):
         _fail("arrival", "poisson_property requires Poisson arrivals (exponential interarrivals)")
-    if experiment == "age_distribution" and arrival.constant_rate is None:
-        _fail("arrival", "age_distribution requires a constant arrival rate")
+    if experiment == "workload" and arrival.constant_rate is None:
+        _fail("arrival", "workload requires a constant arrival rate")
 
     n_list = raw.get("n_list", (400,))
     if not isinstance(n_list, (list, tuple)) or not n_list:
@@ -284,9 +285,8 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     workload = raw.get("workload", False)
     if not isinstance(workload, bool):
         _fail("workload", f"expected true or false, got {workload!r}")
-    if workload and (arrival.constant_rate is None
-                     or not math.isfinite(service.moments().mean)):
-        _fail("workload", "workload fields need a constant arrival rate and a finite service mean")
+    if workload and not math.isfinite(service.moments().mean):
+        _fail("workload", "workload fields need a finite service mean")
 
     init = None if raw.get("init") is None else read_section("init", raw["init"])
 

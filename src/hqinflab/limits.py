@@ -5,6 +5,7 @@ dabar(s) = rate(s) ds (or a closed form where the service law admits one):
 
   fluid residual count   qr(t,y)  = int_0^t F^c(t+y-s) dabar(s)
   fluid elapsed count    qe(t,y)  = int_{t-y}^t F^c(t-s) dabar(s)
+  fluid remaining work   wr(t,y)  = int_0^t (m - int_0^{t+y-s} F^c) dabar(s)
   variance (Brownian-family arrival limit, variability c_a^2)
       var_qr(t,y) = (c_a^2 - 1) int_0^t F^c(t+y-s)^2 dabar(s) + qr(t,y)
 
@@ -68,7 +69,6 @@ class LimitInputs:
     """Bundle of everything the limit formulas consume."""
 
     def __init__(self, abar, rate, ca2: float, service: ServiceModel,
-                 standard_rate: float | None = None,
                  init: InitialConditions | None = None):
         self.abar = abar
         self.rate = rate
@@ -76,7 +76,6 @@ class LimitInputs:
         if self.ca2 < 0:
             raise ValueError("c_a^2 must be nonnegative")
         self.service = service
-        self.standard_rate = standard_rate
         self.init = init
         self.decomposition: MixtureDecomposition = service.decompose()
 
@@ -87,7 +86,6 @@ class LimitInputs:
                    rate=arrival.rate,
                    ca2=arrival.ca2,
                    service=service,
-                   standard_rate=arrival.constant_rate,
                    init=init)
 
     def int_abar(self, g, lo, hi, *shifts):
@@ -100,11 +98,6 @@ class LimitInputs:
         cuts = np.concatenate([u - law_cuts for u in shifts], axis=-1)
         return integrate(lambda s: g(*(u - s for u in shifts)) * self.rate(s),
                          lo, hi, breakpoints=cuts)
-
-    def require_standard(self, what: str) -> float:
-        if self.standard_rate is None:
-            raise ValueError(f"{what} requires the standard case abar(t) = lambda*t")
-        return self.standard_rate
 
     def require_finite_mean(self, what: str) -> float:
         m = self.service.moments().mean
@@ -150,24 +143,18 @@ def fluid_qe(inputs: LimitInputs, t, y):
 
 
 def fluid_workload(inputs: LimitInputs, t, y):
-    """w^r(t,y) = (lambda/mu) int_0^t F_e^c(y+s) ds  (standard case).
-
-    F_e^c(z) = 1 - mu * int_0^z F^c, so the integrand is
-    mean - integrated_sf(y+s), exact per service kind.
-    """
-    lam = inputs.require_standard("fluid workload")
+    """w^r(t,y) = int_0^t (m - int_0^{t+y-s} F^c) dabar(s), the fluid
+    remaining work beyond t + y of the arrivals by t; the inner integral is
+    integrated_sf, exact per service kind."""
     mean = inputs.require_finite_mean("fluid workload")
-    svc = inputs.service
-    t, y = _broadcast(t, y)
-    y = y[..., None]
-    return lam * integrate(lambda s: mean - svc.integrated_sf(y + s), 0.0, t,
-                           breakpoints=np.asarray(svc.breakpoints(), dtype=float) - y)
+    t, y = _nonneg(t, y)
+    return inputs.int_abar(lambda v: mean - inputs.service.integrated_sf(v), 0.0, t, t + y)
 
 
-def fluid_workload_steady(inputs: LimitInputs) -> tuple[float, float]:
+def fluid_workload_steady(inputs: LimitInputs, lam: float) -> tuple[float, float]:
     """(quadrature value of w^t at a long horizon, analytic limit
-    lambda (c_s^2 + 1) / (2 mu^2)).  Needs a finite second moment."""
-    lam = inputs.require_standard("steady-state workload")
+    lam (c_s^2 + 1) / (2 mu^2)) for arrivals at the constant rate lam.
+    Needs a finite second moment."""
     mom = inputs.service.moments()
     if not math.isfinite(mom.mean) or not math.isfinite(mom.second_moment):
         raise ValueError("steady-state workload requires a finite second moment")
@@ -256,7 +243,6 @@ def var_workload(inputs: LimitInputs, t, y):
     symmetric integrand folded onto x <= z.  The (x, z) Gauss-Legendre nodes
     are extra rows of one inner quadrature.
     """
-    inputs.require_standard("workload variance")
     inputs.require_finite_mean("workload variance")
     t, y = _broadcast(t, y)
     svc = inputs.service

@@ -306,7 +306,6 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
     """
     extra = ()
     if workload:
-        inputs.require_standard("limit workload paths")
         inputs.require_finite_mean("limit workload paths")
         xmax = inputs.service.sf_quantile(1e-6)
         dense = np.linspace(0.0, xmax, max(int(8 * xmax), 40) + 1)

@@ -1,13 +1,11 @@
-"""Service-time distributions, their continuous/atomic mixture split, and the
-stationary-excess transform.
+"""Service-time distributions and their continuous/atomic mixture split.
 
 A :class:`ServiceModel` is an immutable description of a nonnegative
 service-time law.  It exposes the c.d.f. and its complement, exact first and
 second moments, an i.i.d. sampler driven by an explicit random stream, the
 mixture decomposition F = p_c F_c + p_d F_d into a purely continuous part and
-an ordered atom list, and the stationary-excess c.d.f.
-F_e(x) = mu * int_0^x (1 - F(s)) ds.  A deterministic law is the one-atom
-:class:`FiniteAtoms`.
+an ordered atom list, and the exact integral int_0^x (1 - F(s)) ds.  A
+deterministic law is the one-atom :class:`FiniteAtoms`.
 """
 
 from __future__ import annotations
@@ -104,17 +102,6 @@ class ServiceModel:
         return ()
 
     # -- derived quantities -------------------------------------------------
-
-    def _excess_fraction(self, x):
-        """mu * int_0^x (1-F(s)) ds."""
-        mean = self.moments().mean
-        if not math.isfinite(mean):
-            raise ValueError("stationary-excess undefined: service mean is infinite")
-        return self.integrated_sf(x) / mean
-
-    def stationary_excess_cdf(self, x):
-        """F_e(x) = mu * int_0^x (1-F(s)) ds, elementwise."""
-        return _as_array_or_scalar(x, lambda v: np.minimum(self._excess_fraction(v), 1.0))
 
     def sf_quantile(self, eps: float) -> float:
         """Smallest float x with 1 - F(x) <= eps, by bisection down to

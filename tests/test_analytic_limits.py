@@ -20,6 +20,8 @@ M_DET = LimitInputs.from_models(ArrivalModel.poisson(1.0), FiniteAtoms(((1.0, 1.
 MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
 M_MIX = LimitInputs.from_models(ArrivalModel.poisson(1.0), MIX)
 D_EXP = LimitInputs.from_models(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), EXP1)
+SINE = RateFunction("sinusoidal", a=1.0, b=0.5)
+NHPP_EXP = LimitInputs.from_models(ArrivalModel.nhpp(SINE), EXP1)
 
 # the models and grids of the three benchmark workloads
 H2 = HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
@@ -62,12 +64,10 @@ class TestFluidCounts:
             assert qt == pytest.approx(fluid_qe(inputs, t, t), abs=1e-8)
 
     def test_nhpp_time_varying(self):
-        inputs = LimitInputs.from_models(
-            ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), EXP1)
         t, y = 2.0, 0.25
         oracle = simpson(lambda s: math.exp(-(t + y - s)) * (1.0 + 0.5 * math.sin(s)),
                          0.0, t)
-        assert fluid_qr(inputs, t, y) == pytest.approx(oracle, abs=1e-8)
+        assert fluid_qr(NHPP_EXP, t, y) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestFluidWorkload:
@@ -77,10 +77,10 @@ class TestFluidWorkload:
                 1.0 - math.exp(-t), abs=1e-7)
 
     def test_steady_state(self):
-        quad, exact = fluid_workload_steady(M_EXP)
+        quad, exact = fluid_workload_steady(M_EXP, 1.0)
         assert exact == 1.0
         assert quad == pytest.approx(1.0, abs=1e-6)
-        quad_d, exact_d = fluid_workload_steady(M_DET)
+        quad_d, exact_d = fluid_workload_steady(M_DET, 1.0)
         assert exact_d == 0.5
         assert quad_d == pytest.approx(0.5, abs=1e-9)
 
@@ -95,11 +95,17 @@ class TestFluidWorkload:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v <= bound + 1e-9 for v in vals)
 
-    def test_requires_standard_case(self):
-        inputs = LimitInputs.from_models(
-            ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), EXP1)
-        with pytest.raises(ValueError, match="standard case"):
-            fluid_workload(inputs, 1.0, 0.0)
+    @pytest.mark.parametrize("t,y", [(1.5, 0.0), (4.0, 1.0)])
+    def test_nhpp_against_nested_simpson(self, t, y):
+        # int_0^t (m - int_0^{t+y-s} F^c) rate(s) ds, the inner integral by
+        # Simpson on [0, t + y - s] scaled from one rule on [0, 1]
+        inputs = LimitInputs.from_models(ArrivalModel.nhpp(SINE), LOGNORMAL)
+        s, ws = simpson_rule(0.0, t, m=401)
+        xi, wxi = simpson_rule(0.0, 1.0, m=4001)
+        width = t + y - s
+        inner = width * (LOGNORMAL.sf(width[:, None] * xi) @ wxi)
+        oracle = ws @ ((LOGNORMAL.moments().mean - inner) * (1.0 + 0.5 * np.sin(s)))
+        assert fluid_workload(inputs, t, y) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestVariances:
@@ -149,18 +155,21 @@ class TestWorkloadVariance:
     def test_beyond_truncation(self):
         assert var_workload(M_EXP, 1.0, 20.0) == pytest.approx(0.0, abs=1e-4)
 
-    def test_small_t_against_direct_quadrature(self):
+    @pytest.mark.parametrize("inputs,t,y", [(M_EXP, 1.0, 0.0), (NHPP_EXP, 1.5, 0.0),
+                                            (NHPP_EXP, 4.0, 1.0)],
+                             ids=["poisson", "nhpp-1.5-0", "nhpp-4-1"])
+    def test_against_direct_quadrature(self, inputs, t, y):
         # independent nested Simpson on the symmetric triple integral, its
         # integrand evaluated on the whole (x, z, s) node array at once
-        t, y = 1.0, 0.0
         sf = EXP1.sf
-        xs = np.linspace(0.0, 14.0, 57)
+        xs = np.linspace(y, y + 14.0, 57)
         s, ws = simpson_rule(0.0, t, m=101)
         x, z = xs[:, None, None], xs[None, :, None]
         vals = (sf(t + x - s) * sf(t + z - s)
-                + EXP1.cdf(t + np.minimum(x, z) - s) * sf(t + np.maximum(x, z) - s)) @ ws
+                + EXP1.cdf(t + np.minimum(x, z) - s) * sf(t + np.maximum(x, z) - s)) \
+            @ (ws * inputs.rate(s))
         oracle = np.trapezoid(np.trapezoid(vals, xs, axis=1), xs)
-        assert var_workload(M_EXP, t, y) == pytest.approx(oracle, rel=0.01)
+        assert var_workload(inputs, t, y) == pytest.approx(oracle, rel=0.01)
 
 
 class TestIncrementCovariance:
@@ -239,9 +248,7 @@ class TestQuadratureAccuracy:
                    for which in ("fluid_qr", "fluid_qe", "var_qr", "var_qe")]
             comp = var_components(inputs, t, y)
             out += [comp.arrival, comp.service, comp.splitting,
-                    cov_x2_increment(inputs, *probe)]
-            if inputs.standard_rate is not None:
-                out.append(surface(inputs, grid, "fluid_wr"))
+                    cov_x2_increment(inputs, *probe), surface(inputs, grid, "fluid_wr")]
             return out
 
         got = evaluate()

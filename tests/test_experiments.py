@@ -2,6 +2,7 @@ import concurrent.futures
 import ctypes
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -19,7 +20,10 @@ from hqinflab.fields import Grid
 from hqinflab.experiments import run_experiment
 from hqinflab.rng import seed_words
 
+from oracles import simpson
+
 H2 = {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [2.0, 2.0 / 3.0]}
+NHPP = {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}}
 
 TINY = {
     "experiment": "fwlln",
@@ -125,11 +129,8 @@ class TestKeyChecks:
         ("tolerances", {"variance_rel": -1}, "tolerances.variance_rel"),
         ("tolerances", {"variance_rel": float("nan")}, "tolerances.variance_rel"),
         ("workload", "false", "workload"),
-        ("arrival", {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}},
-         "workload"),
     ], ids=["repeated_n", "tolerances_list",
-            "tolerance_string", "tolerance_negative", "tolerance_nan", "workload_string",
-            "workload_nhpp"])
+            "tolerance_string", "tolerance_negative", "tolerance_nan", "workload_string"])
     def test_rejected_at_parse_time(self, key, value, where):
         with pytest.raises(ValueError, match="config error at " + re.escape(where) + ":"):
             config_from_dict({**TINY, key: value})
@@ -154,11 +155,16 @@ class TestKeyChecks:
         with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
             config_from_dict({**TINY, key: value})
 
-    def test_age_distribution_needs_a_constant_rate(self):
-        nhpp = {"kind": "nhpp", "rate_fn": {"form": "sinusoidal", "a": 1.0, "b": 0.5}}
-        with pytest.raises(ValueError, match="^config error at arrival: age_distribution "
+    def test_workload_experiment_needs_a_constant_rate(self):
+        # its steady-state closed form is for a rate lambda
+        with pytest.raises(ValueError, match="^config error at arrival: workload "
                                              "requires a constant arrival rate$"):
-            config_from_dict({**TINY, "experiment": "age_distribution", "arrival": nhpp})
+            config_from_dict({**TINY, "experiment": "workload", "arrival": NHPP})
+
+    @pytest.mark.parametrize("experiment", ["fwlln", "limit_path_validation"])
+    def test_workload_fields_accept_a_time_varying_rate(self, experiment):
+        cfg = config_from_dict({**TINY, "experiment": experiment, "arrival": NHPP})
+        assert cfg.workload and cfg.arrival.constant_rate is None
 
     def test_valid_values_accepted(self):
         cfg = config_from_dict({**TINY, "tolerances": {"variance_rel": 0, "fluid_abs": 0.1}})
@@ -459,6 +465,22 @@ class TestPoissonProperty:
         assert first["Qtilde"].any()
         for name in first:
             assert np.array_equal(first[name], second[name])
+
+
+class TestAgeDistribution:
+    def test_nhpp_gate_and_its_fluid_target(self):
+        # the target is qe(t, y ^ t) / qr(t, 0), the fluid fraction of the
+        # customers present at t that arrived in (t - y, t]
+        cfg = config_from_dict({**TINY, "experiment": "age_distribution", "arrival": NHPP,
+                                "grid": {"t": [3.0], "y": [0.25, 1.0, 5.0]},
+                                "n_list": [400], "replications": 20})
+        report = run_experiment(cfg)
+
+        def present(since):
+            return simpson(lambda s: math.exp(s - 3.0) * (1.0 + 0.5 * math.sin(s)), since, 3.0)
+        want = [present(2.75) / present(0.0), present(2.0) / present(0.0), 1.0]
+        assert [row["value"] for row in report.plotdata["age"]] == pytest.approx(want, abs=1e-9)
+        assert report.verdict, report.extras["per_seed_sup"]
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"

@@ -7,9 +7,9 @@ import pytest
 
 import hqinflab
 from hqinflab import paths as paths_module
-from hqinflab.arrivals import ArrivalModel
+from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
-from hqinflab.limits import LimitInputs
+from hqinflab.limits import LimitInputs, surface
 from hqinflab.paths import (_TOL, _LimitEngine, assemble_limit_bundle,
                             markov_decomposition_check)
 from hqinflab.rng import substream
@@ -163,6 +163,23 @@ class TestBundle:
         paths = self.paths(service)
         assert paths["Qr"].shape == (16,) + self.GRID.shape
         np.testing.assert_array_equal(paths["Qr"], paths["X1"] + paths["X2"] + paths["X3"])
+
+    def test_workload_variance_under_nhpp(self):
+        # Var Wr of 2000 paths against var_w, each point within 4 standard
+        # errors of a sample variance (from the sample's fourth moment); k = 50
+        # leaves a discretization bias of 1-5% on this grid, the same under
+        # Poisson arrivals, about one standard error
+        inputs = LimitInputs.from_models(
+            ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), Exponential(1.0))
+        grid = Grid([1.0, 2.0, 4.0], [0.0, 0.5, 1.0])
+        P = 2000
+        wr = assemble_limit_bundle(inputs, grid, k=50, n_paths=P, workload=True,
+                                   rng=substream(4, "nhpp workload")).paths["Wr"]
+        dev = wr - wr.mean(axis=0)
+        var = np.var(wr, axis=0, ddof=1)
+        se = np.sqrt((np.mean(dev**4, axis=0) - var**2 * (P - 3) / (P - 1)) / P)
+        z = (var - surface(inputs, grid, "var_w")) / se
+        assert np.all(np.abs(z) <= 4.0), z
 
 
 class TestImports:

@@ -11,7 +11,7 @@ from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential,
                               LogNormal, Mixture, Uniform, erfc_array)
 from hqinflab.stats import ks_critical_value, ks_distance
 
-from oracles import law_id, simpson, simpson_rule
+from oracles import law_id, simpson_rule
 
 MIX = Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 1.0),)))
 
@@ -147,33 +147,18 @@ class TestDecompose:
         assert np.abs(recon - np.asarray(model.cdf(xs))).max() < 1e-10
 
 
-class TestStationaryExcess:
-    def test_exponential_is_its_own_excess(self):
-        m = Exponential(1.0)
-        got = m.stationary_excess_cdf(0.5)
-        oracle = simpson(m.sf, 0.0, 0.5) / m.moments().mean
-        assert got == pytest.approx(oracle, abs=1e-7)
-        assert got == pytest.approx(1.0 - math.exp(-0.5), abs=1e-7)
-        for x in (0.25, 1.0, 3.0):
-            assert m.stationary_excess_cdf(x) == pytest.approx(m.cdf(x), abs=1e-7)
-
-    def test_deterministic_excess_is_uniform(self):
-        m = FiniteAtoms(((1.0, 1.0),))
-        assert m.stationary_excess_cdf(0.5) == pytest.approx(0.5, abs=1e-9)
-        assert m.stationary_excess_cdf(2.0) == pytest.approx(1.0, abs=1e-9)
-
+class TestIntegratedSf:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_zero_at_origin(self, model):
-        assert model.stationary_excess_cdf(0.0) == 0.0
+        assert model.integrated_sf(0.0) == 0.0
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
-    def test_excess_mean(self, model):
-        # mean of the stationary-excess law is (scv + 1) / (2 mu)
+    def test_tail_integral_is_half_the_second_moment(self, model):
+        # int_0^inf (m - int_0^x F^c) dx = E[S^2] / 2 = (scv + 1) m^2 / 2
         mom = model.moments()
-        expected = (mom.scv + 1.0) * mom.mean / 2.0
         xs, ws = simpson_rule(0.0, 80.0, m=8001)
-        got = ws @ (1.0 - model.stationary_excess_cdf(xs))
-        assert got == pytest.approx(expected, abs=1e-6)
+        got = ws @ (mom.mean - model.integrated_sf(xs))
+        assert got == pytest.approx(mom.second_moment / 2.0, abs=1e-6)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
     def test_integrated_sf_matches_quadrature(self, model):
