@@ -15,7 +15,9 @@ any work, refuses a config with ``init``.
 Every report starts in :func:`_report` (experiment, seed, config echo), and
 :func:`_replications` records in ``extras["simulation"]``, per n, the
 replications, blocks and arrivals simulated and the seconds spent drawing and
-evaluating them, summed over the blocks.  Gates over the grid go through
+evaluating them, summed over the blocks; ``limit_path_validation`` records in
+``extras["limit_engine"]`` the engine's J intervals, G columns, normals per
+path and worst exact variance bias.  Gates over the grid go through
 :func:`_grid_points`: grid point by grid point, t-major, and at each point
 gate by gate in the order listed.  ``summary.csv`` keeps the points in the
 order they are added:
@@ -422,11 +424,24 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
                  (_rel_point, "Var limit Qe", sample_var(bundle.paths["Qe"]), v_e,
                   tols["variance_rel_loose"], v_e > 1e-10),
                  *corrs)
+    # the engine's exact variances at partition k against the limit's: the
+    # partition bias, with no Monte Carlo
+    parts = lim.var_components(inputs, grid.t[:, None], grid.y[None, :])
+    targets = {"X1": parts.arrival, "X2": parts.service, "X3": parts.splitting}
     if cfg.workload:
         v_w = lim.surface(inputs, grid, "var_w")
+        targets["Wr"] = v_w
         _grid_points(report, grid,
                      (_rel_point, "Var limit Wr", sample_var(bundle.paths["Wr"]),
                       v_w, tols["variance_rel_loose"], v_w > 1e-8))
+    bias = {}
+    for name, target in targets.items():
+        live = target > 1e-10
+        exact = bundle.engine["exact_var"][name][live]
+        bias[name] = float(np.max(np.abs(exact / target[live] - 1.0), initial=0.0))
+    report.extras["limit_engine"] = {"J": bundle.engine["J"], "G": bundle.engine["G"],
+                                     "normals_per_path": bundle.engine["normals_per_path"],
+                                     "worst_exact_rel_bias": bias}
     # the Kiefer process U(1, x) = W(1, x) - x W(1, 1), with the Brownian
     # sheet's W(1, .) drawn by independent increments at the levels x
     levels = np.array([0.3, 0.5, 0.6, 1.0])

@@ -11,8 +11,8 @@ dabar(s) = rate(s) ds (or a closed form where the service law admits one):
 
 plus the three-way variance split by noise source (arrival, service sampling,
 multinomial splitting of arrivals across the atomic service components),
-whose sum must reproduce var_qr exactly; the workload variance triple
-integral; the mean-square increment of the service-noise component; and the
+whose sum must reproduce var_qr exactly; the workload variance; the
+mean-square increment of the service-noise component; and the
 initial-condition/total-count limits.
 """
 
@@ -45,9 +45,7 @@ __all__ = [
     "surface",
 ]
 
-TAIL_EPS = 1e-6     # truncation level for F^c in workload integrals
 STEADY_HORIZON_MEANS = 40.0   # "t -> infinity" evaluated at 40 mean services
-WORKLOAD_NODES = 24  # Gauss-Legendre nodes per axis of the workload (x, z) square
 
 
 @dataclass(frozen=True)
@@ -169,22 +167,29 @@ def fluid_workload_steady(inputs: LimitInputs, lam: float) -> tuple[float, float
 def var_qr(inputs: LimitInputs, t, y):
     """(c_a^2 - 1) int_0^t F^c(t+y-s)^2 dabar(s) + qr(t, y)."""
     t, y = _nonneg(t, y)
-    return inputs.int_abar(_variance_integrand(inputs), 0.0, t, t + y)
+    return inputs.int_abar(_variance_integrand(inputs, _indicator(inputs)), 0.0, t, t + y)
 
 
 def var_qe(inputs: LimitInputs, t, y):
     """(c_a^2 - 1) int_{t-y}^t F^c(t-s)^2 dabar(s) + qe(t, y) for y <= t."""
     t, y = _elapsed_args(t, y, "var_qe")
-    return inputs.int_abar(_variance_integrand(inputs), t - y, t, t)
+    return inputs.int_abar(_variance_integrand(inputs, _indicator(inputs)), t - y, t, t)
 
 
-def _variance_integrand(inputs: LimitInputs):
-    """F^c + (c_a^2 - 1) (F^c)^2, exactly F^c when c_a^2 = 1."""
-    sf, extra = inputs.service.sf, inputs.ca2 - 1.0
+def _indicator(inputs: LimitInputs):
+    """(E X, E X^2) = (F^c(v), F^c(v)) for X = 1(S > v), what an arrival
+    adds to a count at shift v."""
+    return lambda v: (inputs.service.sf(v),) * 2
+
+
+def _variance_integrand(inputs: LimitInputs, moments):
+    """E X^2 + (c_a^2 - 1) (E X)^2 at shift v, for moments(v) = (E X,
+    E X^2) of what an arrival adds; exactly E X^2 when c_a^2 = 1."""
+    extra = inputs.ca2 - 1.0
 
     def g(v):
-        fc = sf(v)
-        return fc + extra * fc * fc
+        first, second = moments(v)
+        return second + extra * first * first
     return g
 
 
@@ -234,28 +239,17 @@ def var_components(inputs: LimitInputs, t, y) -> VarianceComponents:
 
 
 def var_workload(inputs: LimitInputs, t, y):
-    """Variance of the remaining-workload limit:
-
-    c_a^2 iint_{[y,xmax]^2} int_0^t F^c(t+x-s) F^c(t+z-s) dabar(s) dx dz
-        + iint int_0^t F(t + x^z - s) F^c(t + xvz - s) dabar(s) dx dz,
-
-    with the outer square truncated at xmax where F^c(xmax) < 1e-6 and the
-    symmetric integrand folded onto x <= z.  The (x, z) Gauss-Legendre nodes
-    are extra rows of one inner quadrature.
-    """
-    inputs.require_finite_mean("workload variance")
-    t, y = _broadcast(t, y)
+    """Variance of the remaining-workload limit, int_0^t [E X^2 + (c_a^2 -
+    1) (E X)^2] dabar(s) as var_qr, for the work X = (S - v)^+ an arrival at
+    s leaves beyond t + y, v = t + y - s: E X = m - int_0^v F^c and E X^2
+    exact per service kind, so the x and z integrals of the triple-integral
+    form are done exactly."""
+    mean = inputs.require_finite_mean("workload variance")
+    t, y = _nonneg(t, y)
     svc = inputs.service
-    half = 0.5 * np.maximum(svc.sf_quantile(TAIL_EPS) - y, 0.0)[..., None]
-    nodes, weights = np.polynomial.legendre.leggauss(WORKLOAD_NODES)
-    ix, iz = np.triu_indices(WORKLOAD_NODES)          # x <= z: nodes ascend
-    fold = np.where(ix == iz, 1.0, 2.0) * weights[ix] * weights[iz]
-    xs = y[..., None] + half * (nodes + 1.0)
-    t = t[..., None]
-    ca2, sf, cd = inputs.ca2, svc.sf, svc.cdf
-    inner = inputs.int_abar(lambda vx, vz: ca2 * sf(vx) * sf(vz) + cd(vx) * sf(vz),
-                            0.0, t, t + xs[..., ix], t + xs[..., iz])
-    return _value(half[..., 0] ** 2 * (inner @ fold))
+    return inputs.int_abar(_variance_integrand(
+        inputs, lambda v: (mean - svc.integrated_sf(v), svc.excess_second_moment(v))),
+        0.0, t, t + y)
 
 
 def cov_x2_increment(inputs: LimitInputs, t, y, t2, y2):

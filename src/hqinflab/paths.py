@@ -20,30 +20,30 @@ noise sources, with shift v = t + y and start u = t - length:
                                                             (splitting)
 
 with A-hat = sqrt(c_a^2) B(abar(.)), U a standard Kiefer process driven by a
-Brownian sheet, and (S^c, S_1, ..., S_m) a correlated Brownian motion with
-the multinomial splitting covariance.  One global partition of [0, t_max]
-(refinement k, with every window end and start snapped in) carries all three
-sources, so a single draw of the underlying noise drives every column of a
-path.  Qr(t2, y) and Qr(t1, y + t2 - t1) share the shift t2 + y and every
-component is a sum over partition intervals, so the Markov decomposition
-holds pathwise, up to rounding:
+Brownian sheet (Krichagina & Puhalskii 1997, QUESTA 25), and (S^c, S_1, ...,
+S_m) a correlated Brownian motion with the multinomial splitting covariance.
+One global partition of [0, t_max] (refinement k, with every window end and
+start snapped in) carries all three sources.  Qr(t2, y) and Qr(t1, y + t2 -
+t1) share the shift t2 + y and every component is a sum over partition
+intervals, so the Markov decomposition holds pathwise, up to rounding:
 
   Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y).
 
-This service sheet is the package's only Brownian sheet.  It is simulated
-by independent rectangle increments of variance equal to the rectangle
-area; the Kiefer bridge is read off as U(s, x) = W(s, x) - x W(s, 1).
-Partition interval j is one strip of the sheet, cut at the levels
-F_c(v - s_j) of the windows covering it, one normal per cell.  X2 is linear
-in these normals, so the whole field is one matrix product
+Each component is linear in independent standard normals, X = Z @ M, with
+M fixed (rows, G) weights on the G output columns.  Its rows are the
+partition intervals for X1, the cells of the service sheet for X2 (interval
+j is one strip of the sheet, cut at the levels F_c(v - s_j) of the windows
+covering it) and the (time step, category) increments of the splitting
+motion for X3.  The law of X depends on M only through M^T M, so the engine
+samples X = Z' @ R, with R the triangle of the thin QR factorization M = QR
+and Z' of shape (P, min(rows, G)): the same Gaussian law from G normals per
+path.  R = Q^T M keeps every linear relation among M's columns up to
+rounding, the Markov identity with it, and diag(R^T R) is the component's
+exact variance at partition k.
 
-  X2 = Z @ M,
-
-with Z the (P, cells) normals and M the fixed (cells, columns) weights of
-the Kiefer bridge (Krichagina & Puhalskii 1997, QUESTA 25).  The engine
-forms it a block of strips at a time: a block of few cells as a dense
-product, a strip of many cells as a cumulative sum and a gather, so the work
-stays linear in the cells and the covered (strip, column) pairs.
+With the residual workload, Wr(t, y) = int_y^xmax Qr(t, x) dx by the
+trapezoid rule over x-columns Qr(t, x).  That combination is folded into the
+weights before the factorization, so G counts the output columns only.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_BLOCK_NORMALS = 2**18   # normals per block of the service sheet (2 MB)
-_DENSE_LEVELS = 32       # levels per path up to which a block is one matmul
+_STACK_ROWS = 4096   # weight rows stacked under the triangle before each QR
 
 
 # -- evaluation plan ------------------------------------------------------------
@@ -76,18 +75,37 @@ def _dedupe(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _factor(blocks, width: int) -> np.ndarray:
+    """R with R^T R = M^T M, for the (rows, width) weights M given as row
+    blocks: M itself when rows <= width, else the (width, width) triangle of
+    M = QR.  Blocks are stacked under the triangle so far, and the stack is
+    refactored, the QR of [R; M_b], whenever ``_STACK_ROWS`` rows came in."""
+    r, stack, rows = np.zeros((0, width)), [], 0
+    for block in blocks:
+        stack.append(block)
+        rows += len(block)
+        if rows >= _STACK_ROWS:
+            r, stack, rows = np.linalg.qr(np.concatenate([r] + stack), mode="r"), [], 0
+    m = np.concatenate([r] + stack)
+    return np.linalg.qr(m, mode="r") if len(m) > width else m
+
+
 class _LimitEngine:
     """Shared partition, window columns, and per-component samplers.
 
-    Column g is the window (t[g], length[g], y[g]).  The columns are, in
-    order: Qr on the grid product, Qr on the extra (t, y) pairs, Qr(t2, y)
-    and Qr(t1, y + t2 - t1) for each Markov probe (together ``rp``), Qe on
-    the grid product (``ep``), and each probe's innovation Z (``zp``).
-    ``covers[j, g]`` marks partition interval j as inside window g.
+    Window column g is (t[g], length[g], y[g]).  The columns are, in order:
+    Qr on the grid product, Qr(t2, y) and Qr(t1, y + t2 - t1) for each Markov
+    probe (together ``rp``), Qe on the grid product (``ep``), each probe's
+    innovation Z (``zp``), and with an ``xgrid`` the x-columns Qr(t, x) for
+    t on the grid.  ``covers[j, g]`` marks partition interval j as inside
+    window g.  ``fold`` maps window columns to output columns: the same
+    columns up to the x-columns, which it replaces by Wr on the grid product
+    (``wp``).  Each component records its normals per path in ``drawn`` and
+    its exact variance per output column in ``exact_var``.
     """
 
     def __init__(self, inputs: LimitInputs, grid: Grid, k: int, n_paths: int,
-                 extra_r_pairs=(), markov_probes=()):
+                 xgrid=None, markov_probes=()):
         if k < 1:
             raise ValueError("refinement k must be >= 1")
         self.inputs = inputs
@@ -101,17 +119,28 @@ class _LimitEngine:
 
         T, Y = grid.shape
         gt, gy = np.repeat(grid.t, Y), np.tile(grid.y, T)
-        xt, xy = np.reshape(np.asarray(extra_r_pairs, dtype=float), (-1, 2)).T
         t1, t2, py = np.reshape(np.asarray(self.probes, dtype=float), (-1, 3)).T
-        r_t = np.concatenate((gt, xt, t2, t1))
-        r_y = np.concatenate((gy, xy, py, py + (t2 - t1)))
-        self.t = np.concatenate((r_t, gt, t2))
-        self.length = np.concatenate((r_t, np.minimum(gy, gt), t2 - t1))
-        self.y = np.concatenate((r_y, np.zeros(T * Y), py))
-        n_r = len(r_t)
+        xgrid = np.zeros(0) if xgrid is None else np.asarray(xgrid, dtype=float)
+        xt, xy = np.repeat(grid.t, len(xgrid)), np.tile(xgrid, T)
+        r_t = np.concatenate((gt, t2, t1))
+        r_y = np.concatenate((gy, py, py + (t2 - t1)))
+        self.t = np.concatenate((r_t, gt, t2, xt))
+        self.length = np.concatenate((r_t, np.minimum(gy, gt), t2 - t1, xt))
+        self.y = np.concatenate((r_y, np.zeros(T * Y), py, xy))
+        n_r, n = len(r_t), len(r_t) + T * Y + len(t2)
         self.rp = np.arange(n_r)
         self.ep = np.arange(n_r, n_r + T * Y)
-        self.zp = np.arange(n_r + T * Y, len(self.t))
+        self.zp = np.arange(n_r + T * Y, n)
+        self.wp = np.arange(n, n + T * Y) if len(xgrid) else np.arange(0)
+        self.fold = np.eye(len(self.t), n + len(self.wp))
+        if len(xgrid):
+            # x node i's trapezoid weight in Wr(t, y_m) = int_{y_m}^xmax Qr(t, x) dx
+            i, m = np.arange(len(xgrid))[:, None], np.searchsorted(xgrid, grid.y - _TOL)
+            dx = np.diff(xgrid)
+            wr = 0.5 * (np.append(dx, 0.0)[:, None] * (i >= m) + np.append(0.0, dx)[:, None] * (i > m))
+            self.fold[n:, n:] = np.kron(np.eye(T), wr)
+        self.drawn: dict[str, int] = {}
+        self.exact_var: dict[str, np.ndarray] = {}
 
         start = self.t - self.length
         base = np.linspace(0.0, t_max, k + 1)
@@ -129,8 +158,16 @@ class _LimitEngine:
     def _normals(self, rng, shape):
         return rng.standard_normal(shape)
 
+    def _sample(self, rng, name: str, blocks) -> np.ndarray:
+        """A (P, G) draw of Z @ M, for the weights M given as row blocks on
+        the output columns, as Z' @ R with R = ``_factor(blocks)``."""
+        r = _factor(blocks, self.fold.shape[1])
+        self.drawn[name] = len(r)
+        self.exact_var[name] = np.einsum("ij,ij->j", r, r)
+        return self._normals(rng, (self.n_paths, len(r))) @ r
+
     def _weights(self, integrated_sf) -> np.ndarray:
-        """(J, G) interval averages of F^c(t + y - s) over each covered
+        """(J, windows) interval averages of F^c(t + y - s) over each covered
         interval, for Ito-style sums."""
         w = np.zeros(self.covers.shape)
         rows, cols = np.nonzero(self.covers)
@@ -142,151 +179,104 @@ class _LimitEngine:
     # -- arrival-noise component -------------------------------------------
 
     def arrival_component(self, rng) -> np.ndarray:
-        """X1 on every column, shape (P, G)."""
-        dA = self._normals(rng, (self.n_paths, len(self.ds)))
-        dA *= np.sqrt(np.maximum(self.inputs.ca2 * self.dabar, 0.0))[None, :]
-        return dA @ self._weights(self.inputs.service.integrated_sf)
+        """X1 on every output column, shape (P, G): one normal per partition
+        interval, of variance c_a^2 dabar_j, times the interval weights."""
+        w = self._weights(self.inputs.service.integrated_sf)
+        w *= np.sqrt(np.maximum(self.inputs.ca2 * self.dabar, 0.0))[:, None]
+        return self._sample(rng, "X1", [w @ self.fold])
 
     # -- service-sampling component ------------------------------------------
 
-    def _sheet_levels(self):
-        """The levels of the service sheet, one normal per path each: for each
-        interval j in turn, the distinct F_c(t + y - s_j) of the windows
-        covering it, and 1, ascending.
-
-        Returns ``start`` (interval j owns levels start[j]:start[j + 1]), each
-        level's interval, index within it, value and scale, and the (J, G)
-        arrays ``pos`` (pos_g, -1 off the window) and ``lev`` (u_{pos_g}, 0
-        off it).
-        """
-        J, G = self.covers.shape
-        rows, cols = np.nonzero(self.covers)
-        level = np.asarray(self.dec.continuous_part.cdf(
-            self.t[cols] + self.y[cols] - self.s1[rows]), dtype=float)
-        # the distinct (row, level) pairs, sorted, by sort and compare
-        # (np.unique imports numpy.ma on first use); nonzero sorts the rows
-        covered = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]   # each gets level 1
-        key_row = np.concatenate((rows, covered))
-        key_lev = np.concatenate((level, np.ones(len(covered))))
-        order = np.lexsort((key_lev, key_row))
-        key_row, key_lev = key_row[order], key_lev[order]
-        new = np.concatenate(([True], (key_row[1:] != key_row[:-1])
-                              | (key_lev[1:] != key_lev[:-1])))
-        lev_row, u = key_row[new], key_lev[new]
-        inv = np.empty(len(order), dtype=np.intp)
-        inv[order] = np.cumsum(new) - 1        # each pair's index in (lev_row, u)
-        start = np.concatenate(([0], np.cumsum(np.bincount(lev_row, minlength=J))))
-        lev_idx = np.arange(len(u)) - start[lev_row]
-        below = np.concatenate(([0.0], u[:-1]))
-        below[lev_idx == 0] = 0.0
-        scale = np.sqrt(np.maximum((u - below) * (self.dec.p_c * self.dabar)[lev_row], 0.0))
-        pos = np.full((J, G), -1)
-        pos[rows, cols] = inv[:len(rows)] - start[rows]
-        lev = np.zeros((J, G))
-        lev[rows, cols] = level
-        return start, lev_row, lev_idx, u, scale, pos, lev
-
-    def service_component(self, rng) -> np.ndarray:
-        """X2 on every column, shape (P, G): the matrix product Z @ M.
+    def _service_weights(self):
+        """X2's weights on the output columns, one strip at a time.
 
         Interval j is the strip (abar_c(s_{j-1}), abar_c(s_j)] of one shared
-        sheet, cut at its levels u_0 < ... < u_{L-1} = 1; column g gets minus
-        the Kiefer slice V_j(x) = W_j(x) - x W_j(1) at its level u_{pos_g}.
-        With one normal Z_l per level and scale_l = sqrt((u_l - u_{l-1})
-        dabar_c[j]),
+        sheet, cut at its levels u_0 < ... < u_{L-1} = 1: the distinct
+        F_c(t + y - s_j) of the windows covering it, and 1.  Window g gets
+        minus the Kiefer slice V_j(x) = W_j(x) - x W_j(1) at its level
+        u_{pos_g}.  With one normal per level and scale_l = sqrt((u_l -
+        u_{l-1}) dabar_c[j]),
 
           M[l, g] = -scale_l (1[l <= pos_g] - u_{pos_g})   (0 off the window).
 
-        The normals are drawn in interval order, (P, L_j) at a time.  Whole
-        intervals are grouped into blocks of at most ``_BLOCK_NORMALS``
-        normals and ``_DENSE_LEVELS`` levels per path; such a block adds
-        Z_b @ M_b to the span of columns its windows touch.  An interval with
-        more levels is a block of its own and applies M without forming it:
-        W_j is the cumulative sum of scale * Z, and each covering column
-        gathers -V_j at its level.  A dense block costs P L_b per column of
-        its span, the gather P (L_j + A_j) for A_j covering columns.
+        With K[p] the sum of the ``fold`` rows of the windows at level p, the
+        strip's rows on the output columns are -scale_l (sum_{p >= l} K[p] -
+        u^T K): work linear in its levels and its covering windows.
         """
-        P, G = self.n_paths, len(self.t)
-        if self.dec.p_c == 0.0:
-            return np.zeros((P, G))
-        x2 = np.zeros((G, P))                     # one row per column
-        start, lev_row, lev_idx, u, scale, pos, lev = self._sheet_levels()
-        budget = min(max(_BLOCK_NORMALS // P, 1), _DENSE_LEVELS)   # levels per block
-        j0 = 0
-        while j0 < len(self.ds):
-            j1 = max(int(np.searchsorted(start, start[j0] + budget, "right")) - 1, j0 + 1)
-            a, b = start[j0], start[j1]
-            # interval j's (P, L_j) normals follow those of the intervals before it
-            draw = self._normals(rng, (P * (b - a),))
-            if b - a > _DENSE_LEVELS:             # one interval, L_j levels
-                w = np.ascontiguousarray(draw.reshape(P, -1).T)    # (L_j, P)
-                w *= scale[a:b, None]
-                np.cumsum(w, axis=0, out=w)
-                w -= u[a:b, None] * w[-1]
-                act = np.flatnonzero(pos[j0] >= 0)
-                x2[act] -= w[pos[j0, act]]
-            else:
-                z = np.concatenate([cut.reshape(P, -1) for cut in
-                                    np.split(draw, P * (start[j0 + 1:j1] - a))], axis=1)
-                # not empty: every interval lies in the window of Qr(t_max, y)
-                span = np.nonzero(self.covers[j0:j1].any(axis=0))[0]
-                lo, hi = span[0], span[-1] + 1
-                jr, li = lev_row[a:b], lev_idx[a:b]
-                m = -scale[a:b, None] * ((li[:, None] <= pos[jr, lo:hi]) - lev[jr, lo:hi])
-                x2[lo:hi] += m.T @ z.T
-            j0 = j1
-        return np.ascontiguousarray(x2.T)
+        rows, cols = np.nonzero(self.covers)      # strip by strip
+        level = np.asarray(self.dec.continuous_part.cdf(
+            self.t[cols] + self.y[cols] - self.s1[rows]), dtype=float)
+        ends = np.searchsorted(rows, np.arange(len(self.ds) + 1))
+        for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            # distinct levels by sort and compare: np.unique imports numpy.ma
+            order = np.argsort(level[a:b], kind="stable")
+            keys = np.append(level[a:b][order], 1.0)
+            new = np.concatenate(([True], keys[1:] != keys[:-1]))
+            u = keys[new]
+            pos = np.empty(b - a, dtype=np.intp)
+            pos[order] = np.cumsum(new)[:-1] - 1
+            k = np.zeros((len(u), self.fold.shape[1]))
+            np.add.at(k, pos, self.fold[cols[a:b]])
+            w = np.cumsum(k[::-1], axis=0)[::-1]
+            w -= u @ k
+            w *= -np.sqrt(np.maximum(np.diff(u, prepend=0.0) * self.dec.p_c * self.dabar[j],
+                                     0.0))[:, None]
+            yield w
+
+    def service_component(self, rng) -> np.ndarray:
+        """X2 on every output column, shape (P, G); no draw when p_c = 0."""
+        return self._sample(rng, "X2", self._service_weights() if self.dec.p_c > 0.0 else ())
 
     # -- splitting component ---------------------------------------------------
 
-    def _split_cov_root(self) -> np.ndarray:
-        """Square root of the (m+1)-dim multinomial splitting covariance for
-        categories (continuous, atom_1, ..., atom_m)."""
-        evals, evecs = np.linalg.eigh(self.dec.split_covariance())
-        if evals.min() < -1e-10:
-            raise ValueError(f"splitting covariance not PSD: min eigenvalue {evals.min()}")
-        return evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-
-    def split_component(self, rng) -> np.ndarray:
-        """X3 on every column, shape (P, G)."""
-        P = self.n_paths
-        x3 = np.zeros((P, len(self.t)))
+    def _split_weights(self):
+        """X3's weights on the output columns, one row per (time step u,
+        category c) normal: on the time grid of the partition and the atom
+        window starts, category a moves by sqrt(dabar_u) sum_c root[a, c]
+        Z[u, c] over step u.  Atom i counts its motion over (t - clip(x_i - y,
+        0, length), t], S^c enters through the Ito-style sum over the
+        partition intervals, so each row is the sum of its increments through
+        ``root``, read at the window ends."""
         dec = self.dec
-        if dec.p_d == 0.0:
-            # pure continuous service: no splitting noise at all
-            return x3
-        # atom i counts S_i over (t - clip(x_i - y, 0, length), t]
         starts = [self.t - np.clip(loc - self.y, 0.0, self.length) for loc, _ in dec.atoms]
         tgrid = _dedupe(np.concatenate([self.partition] + starts))
         dab = np.diff(self.inputs.abar(tgrid), prepend=0.0)
-        root = self._split_cov_root()
-        z = self._normals(rng, (P, len(tgrid), len(starts) + 1))
-        z *= np.sqrt(np.maximum(dab, 0.0))[None, :, None]
-        paths = z @ root.T                        # (P, U, m+1); col 0 = S^c
-        del z
-        np.cumsum(paths, axis=1, out=paths)
 
-        def at(times: np.ndarray, comp: int) -> np.ndarray:
+        def through(times: np.ndarray) -> np.ndarray:
+            """(U, len(times)): 1 where step u lies in the path up to a time."""
             idx = np.clip(np.searchsorted(tgrid, times - _TOL), 0, len(tgrid) - 1)
-            return paths[:, idx, comp]
+            return (np.arange(len(tgrid))[:, None] <= idx[None, :]).astype(float)
 
-        # Ito-style term driven by S^c against the continuous-part survival
+        ends = np.zeros((len(tgrid), len(starts) + 1, self.fold.shape[1]))
         if dec.p_c > 0.0:
-            x3 += np.diff(at(self.partition, 0), axis=1) @ self._weights(
-                dec.continuous_part.integrated_sf)
+            ends[:, 0] = np.diff(through(self.partition), axis=1) @ (
+                self._weights(dec.continuous_part.integrated_sf) @ self.fold)
         for i, start in enumerate(starts):
-            x3 += at(self.t, i + 1) - at(start, i + 1)
-        return x3
+            ends[:, i + 1] = (through(self.t) - through(start)) @ self.fold
+        # categories (continuous, atom_1, ..., atom_m) with probabilities p:
+        # root root^T = diag(p) - p p^T, the multinomial splitting covariance
+        p = np.array([dec.p_c] + [dec.p_d * m for _, m in dec.atoms])
+        w = np.einsum("ac,uag->ucg", (np.eye(len(p)) - p[:, None]) * np.sqrt(p), ends)
+        w *= np.sqrt(np.maximum(dab, 0.0))[:, None, None]
+        yield w.reshape(-1, w.shape[2])
+
+    def split_component(self, rng) -> np.ndarray:
+        """X3 on every output column, shape (P, G); no draw when p_d = 0."""
+        return self._sample(rng, "X3", self._split_weights() if self.dec.p_d > 0.0 else ())
 
 
 # -- full bundle -------------------------------------------------------------------
 
 @dataclass
 class LimitPathBundle:
-    """Limit paths of shape (P, T, Y) by name, and for each Markov probe the
-    columns (Qr(t2, y), Qr(t1, y + t2 - t1), Z(t1, t2, y))."""
+    """Limit paths of shape (P, T, Y) by name; for each Markov probe the
+    columns (Qr(t2, y), Qr(t1, y + t2 - t1), Z(t1, t2, y)); and the engine's
+    size and exact law: its J intervals, G output columns, normals per path
+    of each component, and the exact variance on the grid of each component
+    and of Wr."""
     paths: dict[str, np.ndarray]
     markov: dict
+    engine: dict
 
 
 @dataclass(frozen=True)
@@ -304,15 +294,13 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
     Independent substreams drive the arrival noise, the service sheet and
     the splitting noise.
     """
-    extra = ()
+    xgrid = None
     if workload:
         inputs.require_finite_mean("limit workload paths")
         xmax = inputs.service.sf_quantile(1e-6)
         dense = np.linspace(0.0, xmax, max(int(8 * xmax), 40) + 1)
         xgrid = _dedupe(np.concatenate((dense, grid.y[grid.y <= xmax])))
-        extra = [(t, x) for t in grid.t for x in xgrid]
-    eng = _LimitEngine(inputs, grid, k, n_paths, extra_r_pairs=extra,
-                       markov_probes=markov_probes)
+    eng = _LimitEngine(inputs, grid, k, n_paths, xgrid=xgrid, markov_probes=markov_probes)
     r_a, r_s, r_sp = rng.spawn(3)
     x1 = eng.arrival_component(r_a)
     x2 = eng.service_component(r_s)
@@ -323,25 +311,23 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
     P = n_paths
 
     def on_grid(cols: np.ndarray) -> np.ndarray:
-        return cols[:, :T * Y].reshape(P, T, Y)
+        return cols[..., :T * Y].reshape(cols.shape[:-1] + (T, Y))
 
     paths = {"X1": on_grid(x1), "X2": on_grid(x2), "X3": on_grid(x3),
              "Qr": on_grid(total), "Qe": total[:, eng.ep].reshape(P, T, Y)}
     if workload:
-        X = len(xgrid)
-        qr_x = total[:, T * Y:T * Y + T * X].reshape(P, T, X)
-        trap = 0.5 * (qr_x[:, :, 1:] + qr_x[:, :, :-1]) * np.diff(xgrid)[None, None, :]
-        rev = np.concatenate((np.zeros((P, T, 1)), np.cumsum(trap[:, :, ::-1], axis=2)), axis=2)[:, :, ::-1]
-        wr = np.zeros((P, T, Y))
-        inside = grid.y <= xgrid[-1]
-        wr[:, :, inside] = rev[:, :, np.searchsorted(xgrid, grid.y[inside] - _TOL)]
-        paths["Wr"] = wr
+        paths["Wr"] = total[:, eng.wp].reshape(P, T, Y)
 
     n_p = len(eng.probes)
     lhs, shifted = eng.rp[len(eng.rp) - 2 * n_p:].reshape(2, n_p)
     markov = {probe: (total[:, a], total[:, b], total[:, g])
               for probe, a, b, g in zip(eng.probes, lhs, shifted, eng.zp)}
-    return LimitPathBundle(paths=paths, markov=markov)
+    exact = {name: on_grid(v) for name, v in eng.exact_var.items()}
+    if workload:
+        exact["Wr"] = sum(v[eng.wp] for v in eng.exact_var.values()).reshape(T, Y)
+    engine = {"J": len(eng.ds), "G": total.shape[1], "normals_per_path": dict(eng.drawn),
+              "exact_var": exact}
+    return LimitPathBundle(paths=paths, markov=markov, engine=engine)
 
 
 def markov_decomposition_check(bundle: LimitPathBundle, t1: float, t2: float,

@@ -97,6 +97,10 @@ class ServiceModel:
         """int_0^x (1 - F(s)) ds, exact per kind, elementwise (0 for x <= 0)."""
         raise NotImplementedError
 
+    def excess_second_moment(self, x):
+        """E[((S - x)^+)^2] for x >= 0, exact per kind, elementwise."""
+        raise NotImplementedError
+
     def breakpoints(self) -> tuple[float, ...]:
         """Locations where F has a jump or a kink (for quadrature panels)."""
         return ()
@@ -149,6 +153,9 @@ class Exponential(ServiceModel):
     def integrated_sf(self, x):
         return _as_array_or_scalar(x, lambda v: -np.expm1(-self.rate * np.maximum(v, 0.0)) / self.rate)
 
+    def excess_second_moment(self, x):
+        return _as_array_or_scalar(x, lambda v: 2.0 * np.exp(-self.rate * v) / self.rate**2)
+
 
 @dataclass(frozen=True)
 class Uniform(ServiceModel):
@@ -176,6 +183,11 @@ class Uniform(ServiceModel):
             ramp = self.a + (v - self.a) * (2.0 * self.b - self.a - v) / (2.0 * (self.b - self.a))
             return np.where(v <= self.a, v, np.where(v >= self.b, 0.5 * (self.a + self.b), ramp))
         return _as_array_or_scalar(x, exact)
+
+    def excess_second_moment(self, x):
+        return _as_array_or_scalar(x, lambda v: (np.maximum(self.b - v, 0.0) ** 3
+                                                 - np.maximum(self.a - v, 0.0) ** 3)
+                                   / (3.0 * (self.b - self.a)))
 
     def breakpoints(self):
         return (self.a, self.b)
@@ -304,6 +316,15 @@ class LogNormal(ServiceModel):
             return np.where(v <= 0, 0.0, val)
         return _as_array_or_scalar(x, exact)
 
+    def excess_second_moment(self, x):
+        # E[eta^k; eta > x] = E[eta^k] Phi(k s - (ln x - m)/s)
+        def exact(v):
+            z = (np.log(np.maximum(v, 1e-300)) - self.logmean) / self.logsd
+            tail = [erfc_array((z - k * self.logsd) * _SQRT_HALF) for k in (0, 1, 2)]
+            return 0.5 * (v * v * tail[0] - 2.0 * v * self._mean * tail[1]
+                          + self._mean**2 * (1.0 + self._scv) * tail[2])
+        return _as_array_or_scalar(x, exact)
+
 
 @dataclass(frozen=True)
 class HyperExponential(ServiceModel):
@@ -342,6 +363,10 @@ class HyperExponential(ServiceModel):
         w, r = self._w, self._r
         return _as_array_or_scalar(
             x, lambda v: np.sum(w * (-np.expm1(-r * np.maximum(v, 0.0)[..., None])) / r, axis=-1))
+
+    def excess_second_moment(self, x):
+        return _as_array_or_scalar(x, lambda v: np.exp(-v[..., None] * self._r)
+                                   @ (2.0 * self._w / self._r**2))
 
 
 def _sorted_atoms(atoms: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
@@ -393,6 +418,10 @@ class FiniteAtoms(ServiceModel):
             x, lambda v: np.sum(self._masses * np.minimum(np.maximum(v, 0.0)[..., None], self._locs),
                                 axis=-1))
 
+    def excess_second_moment(self, x):
+        return _as_array_or_scalar(
+            x, lambda v: np.maximum(self._locs - v[..., None], 0.0) ** 2 @ self._masses)
+
     def breakpoints(self):
         return tuple(sorted(a[0] for a in self.atoms))
 
@@ -441,6 +470,10 @@ class Mixture(ServiceModel):
     def integrated_sf(self, x):
         return (self.weight * self.continuous.integrated_sf(x)
                 + (1.0 - self.weight) * self.atomic.integrated_sf(x))
+
+    def excess_second_moment(self, x):
+        return (self.weight * self.continuous.excess_second_moment(x)
+                + (1.0 - self.weight) * self.atomic.excess_second_moment(x))
 
     def breakpoints(self):
         return tuple(sorted(set(self.continuous.breakpoints()) | set(self.atomic.breakpoints())))

@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 Deliberately naive implementations: fixed-grid composite Simpson quadrature,
-direct loops over customers, and the limit engine's service sheet
-built interval by interval.  They share no code with the package paths they
-check.  Also the test id of a service law.
+direct loops over customers, the limit engine's service sheet built interval
+by interval, its splitting motion as a cumulative sum of sampled increments,
+and the workload columns by the trapezoid rule.  They share no code with the
+package paths they check.  Also the test id of a service law.
 """
 
 import math
@@ -63,6 +64,79 @@ def brute_x1_x2(tau, eta, n, t, y, sf, center):
             x2 += (a + s > t + y) - f
             sum_sf += f
     return (sum_sf - n * center) / math.sqrt(n), x2 / math.sqrt(n)
+
+
+def split_component_paths(eng, rng):
+    """X3 of a ``paths._LimitEngine`` on every window column: the (P, U, m+1)
+    increments of the splitting motion on the time grid of the partition and
+    the atom window starts, summed into paths and read at the window ends."""
+    P = eng.n_paths
+    dec = eng.dec
+    if dec.p_d == 0.0:
+        return np.zeros((P, len(eng.t)))
+    starts = [eng.t - np.clip(loc - eng.y, 0.0, eng.length) for loc, _ in dec.atoms]
+    tgrid = np.sort(np.concatenate([eng.partition] + starts))
+    tgrid = tgrid[np.concatenate(([True], np.diff(tgrid) > 1e-12))]
+    dab = np.diff(eng.inputs.abar(tgrid), prepend=0.0)
+    z = rng.standard_normal((P, len(tgrid), len(starts) + 1))
+    z *= np.sqrt(np.maximum(dab, 0.0))[None, :, None]
+    evals, evecs = np.linalg.eigh(dec.split_covariance())
+    assert evals.min() >= -1e-12
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    paths = np.cumsum(z @ root.T, axis=1)
+
+    def at(times, comp):
+        idx = np.clip(np.searchsorted(tgrid, times - 1e-9), 0, len(tgrid) - 1)
+        return paths[:, idx, comp]
+
+    x3 = np.zeros((P, len(eng.t)))
+    if dec.p_c > 0.0:
+        x3 += np.diff(at(eng.partition, 0), axis=1) @ eng._weights(
+            dec.continuous_part.integrated_sf)
+    for i, start in enumerate(starts):
+        x3 += at(eng.t, i + 1) - at(start, i + 1)
+    return x3
+
+
+def unit_weights(sampler, eng):
+    """The (rows, columns) weight matrix of a sampler linear in its normals
+    (``sampler(eng, rng)``): count the normals it draws per path, then run it
+    on that many paths whose normals are, in draw order, the columns of an
+    identity, so path i is the response to normal i alone."""
+    class Unit:
+        def __init__(self, eye=None):
+            self.eye, self.used = eye, 0
+
+        def standard_normal(self, shape):
+            k = math.prod(shape[1:])
+            if self.eye is None:
+                out = np.zeros(shape)
+            else:
+                out = self.eye[:, self.used:self.used + k].reshape(shape).copy()
+            self.used += k
+            return out
+
+    count = Unit()
+    eng.n_paths = 1
+    sampler(eng, count)
+    eng.n_paths = count.used
+    return sampler(eng, Unit(np.eye(count.used)))
+
+
+def wr_fold(cols, grid, xgrid):
+    """Window columns (rows, n + T X) to output columns (rows, n + T Y): the
+    first n as they are, then Wr(t, y) = int_y^xmax Qr(t, x) dx by the
+    trapezoid rule over the x-columns of each t (0 for y past xmax)."""
+    X = len(xgrid)
+    n = cols.shape[1] - len(grid.t) * X
+    wr = np.zeros((len(cols), len(grid.t), len(grid.y)))
+    for i in range(len(grid.t)):
+        qx = cols[:, n + i * X:n + (i + 1) * X]
+        for j, y in enumerate(grid.y):
+            if y <= xgrid[-1]:
+                lo = int(np.flatnonzero(np.isclose(xgrid, y))[0])
+                wr[:, i, j] = np.trapezoid(qx[:, lo:], xgrid[lo:], axis=1)
+    return np.concatenate((cols[:, :n], wr.reshape(len(cols), len(grid.t) * len(grid.y))), axis=1)
 
 
 def law_id(law):

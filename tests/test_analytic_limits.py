@@ -155,6 +155,12 @@ class TestWorkloadVariance:
     def test_beyond_truncation(self):
         assert var_workload(M_EXP, 1.0, 20.0) == pytest.approx(0.0, abs=1e-4)
 
+    @pytest.mark.parametrize("t,y", [(1.0, 0.0), (2.0, 0.5), (0.3, 1.0)])
+    def test_m_m_infinity_closed_form(self, t, y):
+        # Poisson(1) arrivals, Exp(1) service: Var Wr(t, y) = 2 (1 - e^-t) e^-y
+        want = 2.0 * -math.expm1(-t) * math.exp(-y)
+        assert var_workload(M_EXP, t, y) == pytest.approx(want, rel=1e-10)
+
     @pytest.mark.parametrize("inputs,t,y", [(M_EXP, 1.0, 0.0), (NHPP_EXP, 1.5, 0.0),
                                             (NHPP_EXP, 4.0, 1.0)],
                              ids=["poisson", "nhpp-1.5-0", "nhpp-4-1"])

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 import hqinflab
-from hqinflab import paths as paths_module
 from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
-from hqinflab.limits import LimitInputs, surface
-from hqinflab.paths import (_TOL, _LimitEngine, assemble_limit_bundle,
+from hqinflab.limits import LimitInputs, surface, var_components
+from hqinflab.paths import (_TOL, _factor, _LimitEngine, assemble_limit_bundle,
                             markov_decomposition_check)
 from hqinflab.rng import substream
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal,
                               Mixture, Uniform)
 
-from oracles import law_id, service_component_loop
+from oracles import (law_id, service_component_loop, split_component_paths, unit_weights,
+                     wr_fold)
 
 SERVICES = [
     Exponential(1.5),
@@ -27,6 +27,7 @@ SERVICES = [
     FiniteAtoms(((0.6, 0.3), (1.2, 0.7))),
     Mixture(0.5, LogNormal(-0.5, 1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4)))),
 ]
+H2 = HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))   # renewal interarrivals, mean 1
 
 
 class TestWeights:
@@ -61,70 +62,116 @@ class TestWeights:
         np.testing.assert_allclose(w, want, rtol=1e-14, atol=0.0)
 
 
-class TestServiceComponent:
-    # y grid without 0, workload (t, x) pairs and Markov probes: every kind
-    # of column, and spans that start past column 0
+def arrival_direct(eng, rng):
+    """X1 on every window column: one normal per interval, scaled by
+    sqrt(c_a^2 dabar_j), times the interval weights."""
+    dA = rng.standard_normal((eng.n_paths, len(eng.ds)))
+    return (dA * np.sqrt(eng.inputs.ca2 * eng.dabar)) @ eng._weights(
+        eng.inputs.service.integrated_sf)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("sizes", [[3, 5], [7, 0, 2], [3000, 2000, 1, 5000]],
+                             ids=["fewer_rows", "empty_block", "stacked"])
+    def test_gram_of_the_stacked_blocks(self, sizes):
+        # fewer rows than columns: the weights themselves; more: a triangle
+        # with R^T R = M^T M, refactored as blocks stack past the threshold
+        rng = substream(2, "factor")
+        blocks = [rng.standard_normal((n, 12)) for n in sizes]
+        m = np.concatenate(blocks)
+        r = _factor(iter(blocks), 12)
+        if len(m) <= 12:
+            assert np.array_equal(r, m)
+        else:
+            assert r.shape == (12, 12) and np.allclose(np.tril(r, -1), 0.0, atol=0.0)
+        np.testing.assert_allclose(r.T @ r, m.T @ m, rtol=0.0, atol=1e-12 * np.abs(m.T @ m).max())
+
+
+class TestGramFactor:
+    # y grid without 0, Markov probes, and an x grid for the Wr fold that
+    # holds the y grid's first two values and ends before its last: every
+    # kind of column; renewal arrivals, so c_a^2 != 1
     GRID = Grid([0.5, 1.0, 1.5], [0.3, 0.8, 1.2])
-    EXTRA = [(t, x) for t in (0.5, 1.0, 1.5) for x in (0.0, 0.25, 0.6)]
+    XGRID = [0.0, 0.3, 0.55, 0.8, 1.0]
     PROBES = [(0.5, 1.5, 0.4), (0.2, 1.0, 0.0)]
-    P = 16
 
-    def engine(self, service):
-        inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
-        return _LimitEngine(inputs, self.GRID, k=7, n_paths=self.P,
-                            extra_r_pairs=self.EXTRA, markov_probes=self.PROBES)
+    def engine(self, service, fold=True):
+        inputs = LimitInputs.from_models(ArrivalModel.renewal(H2), service)
+        return _LimitEngine(inputs, self.GRID, k=7, n_paths=1,
+                            xgrid=self.XGRID if fold else None, markov_probes=self.PROBES)
 
     @pytest.mark.parametrize("service", SERVICES, ids=law_id)
-    @pytest.mark.parametrize("budget", ["default", "small", "gather"])
-    def test_matches_interval_loop(self, service, budget, monkeypatch):
-        # same normals in the same order: X2 equal up to summation order, and
-        # the generator left in the same state
-        if budget == "small":
-            # blocks of a few levels, and intervals larger than a block
-            monkeypatch.setattr(paths_module, "_BLOCK_NORMALS", 5 * self.P)
-        if budget == "gather":
-            # every interval of more than two levels by the cumulative sum
-            monkeypatch.setattr(paths_module, "_DENSE_LEVELS", 2)
-        eng = self.engine(service)
-        sizes = []
+    @pytest.mark.parametrize("fold", [False, True], ids=["windows", "wr_fold"])
+    @pytest.mark.parametrize("name", ["X1", "X2", "X3"])
+    def test_law_matches_direct_weights(self, name, fold, service):
+        # the engine on unit normals returns its factor R; the direct
+        # sampler on unit normals returns its weights M, one row per normal.
+        # Same law: R^T R = M^T M on the output columns, from min(rows, G)
+        # normals per path, none for a component the law does not have
+        eng = self.engine(service, fold)
+        component, direct = {
+            "X1": (_LimitEngine.arrival_component, arrival_direct),
+            "X2": (_LimitEngine.service_component, service_component_loop),
+            "X3": (_LimitEngine.split_component, split_component_paths)}[name]
+        r = unit_weights(component, eng)
+        m = unit_weights(direct, eng)
+        if fold:
+            m = wr_fold(m, self.GRID, self.XGRID)
+        G = len(eng.rp) + len(eng.ep) + len(eng.zp) + len(eng.wp)
+        assert r.shape == (min(len(m), G), G) and eng.drawn[name] == len(r)
+        live = {"X1": True, "X2": eng.dec.p_c > 0.0, "X3": eng.dec.p_d > 0.0}[name]
+        assert (len(m) > 0) == live
+        gram = m.T @ m
+        np.testing.assert_allclose(r.T @ r, gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
+        np.testing.assert_allclose(eng.exact_var[name], np.diag(gram),
+                                   rtol=0.0, atol=1e-12 * np.abs(gram).max())
 
-        def normals(rng, shape):
-            sizes.append(np.prod(shape))
+
+class TestLimitPathsSizes:
+    # the limit_paths benchmark's models, grid and partition
+    GRID = Grid([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
+                [0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+    INPUTS = LimitInputs.from_models(ArrivalModel.renewal(H2), SERVICES[-1])
+
+    def test_normals_per_path(self, monkeypatch):
+        # 200 intervals, 2275 sheet cells and 603 splitting increments for
+        # 96 columns: each component draws (P, 96) once, 288 normals per path
+        eng = _LimitEngine(self.INPUTS, self.GRID, k=200, n_paths=1)
+        rows = [len(eng.ds), sum(len(w) for w in eng._service_weights()),
+                sum(len(w) for w in eng._split_weights())]
+        assert rows == [200, 2275, 603]
+        shapes = []
+
+        def normals(eng, rng, shape):
+            shapes.append(shape)
             return rng.standard_normal(shape)
-        eng._normals = normals
-        rng, rng_loop = substream(7, "x2"), substream(7, "x2")
-        x2 = eng.service_component(rng)
-        want = service_component_loop(eng, rng_loop)
-        np.testing.assert_allclose(x2, want, rtol=0.0, atol=1e-13)
-        assert rng.bit_generator.state == rng_loop.bit_generator.state
-        if eng.dec.p_c == 0.0:
-            assert not sizes and not x2.any()
-            return
-        assert np.abs(want).max() > 0.1
-        if budget == "default":
-            # several blocks, each of several intervals
-            assert 1 < len(sizes) < len(eng.ds)
-        if budget == "small":
-            assert max(sizes) > 5 * self.P
-        if budget == "gather":
-            assert max(sizes) > 2 * self.P
+        monkeypatch.setattr(_LimitEngine, "_normals", normals)
+        bundle = assemble_limit_bundle(self.INPUTS, self.GRID, k=200, n_paths=5,
+                                       rng=substream(1, "normals"))
+        assert shapes == [(5, 96)] * 3
+        assert bundle.engine["normals_per_path"] == {"X1": 96, "X2": 96, "X3": 96}
+        assert (bundle.engine["J"], bundle.engine["G"]) == (200, 96)
 
-    @pytest.mark.parametrize("service", SERVICES, ids=law_id)
-    def test_sheet_levels_are_the_sorted_distinct_pairs(self, service):
-        # the (interval, level) pairs of every covered cell and the level 1
-        # of every covered interval, as np.unique sorts and indexes them
-        eng = self.engine(service)
-        if eng.dec.p_c == 0.0:
-            return
-        start, lev_row, lev_idx, u, _, pos, lev = eng._sheet_levels()
-        rows, cols = np.nonzero(eng.covers)
-        covered = np.unique(rows)
-        keys = np.concatenate((np.stack((rows, lev[rows, cols])),
-                               np.stack((covered, np.ones(len(covered))))), axis=1)
-        (want_row, want_u), inv = np.unique(keys, axis=1, return_inverse=True)
-        assert np.array_equal(lev_row, want_row.astype(int)) and np.array_equal(u, want_u)
-        assert np.array_equal(pos[rows, cols], inv[:len(rows)] - start[rows])
-        assert np.array_equal(lev_idx, np.arange(len(u)) - start[lev_row])
+    def test_exact_workload_variance_matches_var_w(self):
+        # the engine's exact Var Wr at k = 200, renewal arrivals and atoms:
+        # within 0.4% of var_w, the x range's truncation at F^c = 1e-6
+        grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+        exact = assemble_limit_bundle(self.INPUTS, grid, k=200, n_paths=1, workload=True,
+                                      rng=substream(1, "exact wr")).engine["exact_var"]["Wr"]
+        np.testing.assert_allclose(exact, surface(self.INPUTS, grid, "var_w"), rtol=0.005)
+
+    def test_exact_service_variance_is_first_order_in_k(self):
+        # diag(R^T R) is the engine's exact Var X2 at partition k: its worst
+        # relative bias against the limit's service part halves per doubling
+        want = var_components(self.INPUTS, self.GRID.t[:, None], self.GRID.y[None, :]).service
+        bias = []
+        for k in (50, 100, 200):
+            eng = _LimitEngine(self.INPUTS, self.GRID, k=k, n_paths=1)
+            r = _factor(eng._service_weights(), len(eng.t))
+            exact = np.sum(r * r, axis=0)[:want.size].reshape(want.shape)
+            bias.append(np.max(np.abs(exact / want - 1.0)))
+        assert 1.6 <= bias[0] / bias[1] <= 2.4 and 1.6 <= bias[1] / bias[2] <= 2.4, bias
+        assert bias[2] <= 0.06, bias
 
 
 class TestSplitCovariance:
@@ -166,9 +213,10 @@ class TestBundle:
 
     def test_workload_variance_under_nhpp(self):
         # Var Wr of 2000 paths against var_w, each point within 4 standard
-        # errors of a sample variance (from the sample's fourth moment); k = 50
-        # leaves a discretization bias of 1-5% on this grid, the same under
-        # Poisson arrivals, about one standard error
+        # errors of a sample variance (from the sample's fourth moment).  The
+        # engine's exact Var Wr at k = 50 is 1.1-3.3% above var_w on this
+        # grid, at most one standard error: the time partition's bias (0.9%
+        # at k = 200, 0.3% at k = 800); halving the x step moves it by 0.05%
         inputs = LimitInputs.from_models(
             ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), Exponential(1.0))
         grid = Grid([1.0, 2.0, 4.0], [0.0, 0.5, 1.0])

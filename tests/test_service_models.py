@@ -174,6 +174,23 @@ class TestIntegratedSf:
                     oracle += ws @ model.sf(xs)
             assert model.integrated_sf(x) == pytest.approx(oracle, abs=1e-6)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
+    def test_excess_second_moment_matches_quadrature(self, model):
+        # E[((S - x)^+)^2] = 2 int_x^inf (m - int_0^q F^c) dq, the integrand
+        # kinked at the jump points; E[S^2] at x = 0
+        mom = model.moments()
+        assert model.excess_second_moment(0.0) == pytest.approx(mom.second_moment, rel=1e-12)
+        for x in (0.3, 1.0, 2.5, 7.0):
+            edges = [x] + [b for b in model.breakpoints() if b > x] + [80.0]
+            oracle = 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                xs, ws = simpson_rule(a, b, m=4001)
+                oracle += 2.0 * ws @ (mom.mean - model.integrated_sf(xs))
+            assert model.excess_second_moment(x) == pytest.approx(oracle, abs=1e-6)
+        xs = np.array([0.0, 0.3, 2.5])
+        np.testing.assert_allclose(model.excess_second_moment(xs),
+                                   [model.excess_second_moment(v) for v in xs], rtol=1e-15)
+
 
 class TestSfQuantile:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=law_id)
