@@ -42,7 +42,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
 
@@ -55,7 +55,7 @@ from .fields import Grid, write_csv
 from .rng import seated, seed_words, substream
 from .scaling import decompose_hatQr
 from .simulate import block_size, eval_fields, simulate
-from .stats import correlation, sample_var, skew_kurtosis
+from .stats import Centred, correlation, sample_var, skew_kurtosis
 
 __all__ = ["PointStat", "ExperimentReport", "check_runnable", "run_experiment", "emit",
            "analytic_surfaces"]
@@ -403,25 +403,32 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     qr = bundle.paths["Qr"]
     v_r = lim.surface(inputs, grid, "var_qr")
     v_e = lim.surface(inputs, grid, "var_qe")
-    var_qr = sample_var(qr)
+    # one centred copy per field serves all of its statistics, and goes once
+    # they are taken
+    centred_qr = Centred(qr)
+    var_qr = sample_var(centred_qr)
+    skew, kurt = skew_kurtosis(centred_qr)
+    del centred_qr
+    var_qe = sample_var(bundle.paths["Qe"])
     mean_qr = qr.mean(axis=0)
     report.plotdata["limit_summary"] = [
         {"label": "Qr", "t": float(t), "y": float(y), "mc_mean": float(mean_qr[i, j]),
          "mc_var": float(var_qr[i, j]), "analytic_var": float(v_r[i, j])}
         for i, t in enumerate(grid.t) for j, y in enumerate(grid.y)]
     live_r = v_r > 1e-10
-    skew, kurt = skew_kurtosis(qr)
-    # a component whose paths do not vary at a point has no correlation to gate
-    comps = [(name, bundle.paths[name], np.std(bundle.paths[name], axis=0) > 1e-12)
-             for name in ("X1", "X2", "X3")]
+    # a component whose paths do not vary at a point (standard deviation at
+    # most 1e-12) has no correlation to gate
+    comps = [(name, Centred(bundle.paths[name])) for name in ("X1", "X2", "X3")]
+    comps = [(name, c, sample_var(c) > 1e-24) for name, c in comps]
     corrs = [(_abs_point, f"corr {a}-{b}", correlation(xa, xb), 0.0,
               tols["corr_abs"], live_a & live_b)
              for (a, xa, live_a), (b, xb, live_b) in itertools.combinations(comps, 2)]
+    del comps
     _grid_points(report, grid,
                  (_rel_point, "Var limit Qr", var_qr, v_r, tols["variance_rel"], live_r),
                  (_abs_point, "skew limit Qr", skew, 0.0, tols["skew_abs"], live_r),
                  (_abs_point, "kurtosis limit Qr", kurt, 0.0, tols["kurt_abs"], live_r),
-                 (_rel_point, "Var limit Qe", sample_var(bundle.paths["Qe"]), v_e,
+                 (_rel_point, "Var limit Qe", var_qe, v_e,
                   tols["variance_rel_loose"], v_e > 1e-10),
                  *corrs)
     # the engine's exact variances at partition k against the limit's: the
@@ -561,7 +568,7 @@ def emit(report: ExperimentReport, out_dir) -> list[Path]:
         "experiment": report.experiment,
         "seed": report.seed,
         "verdict": "pass" if report.verdict else "fail",
-        "points": [dict(asdict(p), abs_err=p.abs_err) for p in report.points],
+        "points": [dict(vars(p), abs_err=p.abs_err) for p in report.points],
         "extras": report.extras,
         "config": report.config_echo,
         "runtime_s": report.runtime_s,

@@ -145,7 +145,10 @@ class Exponential(ServiceModel):
         return _as_array_or_scalar(x, lambda v: np.where(v < 0, 0.0, -np.expm1(-self.rate * np.maximum(v, 0.0))))
 
     def sample(self, rng, size):
-        return rng.exponential(1.0 / self.rate, size=size)
+        # exponential(scale) bit for bit, through numpy's fill loop
+        x = rng.standard_exponential(size)
+        x *= 1.0 / self.rate
+        return x
 
     def moments(self):
         return Moments(1.0 / self.rate, 1.0)
@@ -352,7 +355,9 @@ class HyperExponential(ServiceModel):
     def sample(self, rng, size):
         n = int(np.prod(size))
         comp = rng.choice(len(self._w), size=n, p=self._w)
-        return (rng.exponential(1.0, size=n) / self._r[comp]).reshape(size)
+        x = rng.standard_exponential(n)
+        x /= self._r[comp]
+        return x.reshape(size)
 
     def moments(self):
         mean = float(np.sum(self._w / self._r))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import ctypes
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -15,10 +16,12 @@ import yaml
 
 import hqinflab
 from hqinflab import cli, experiments, simulate
+from hqinflab import paths as lp
 from hqinflab.config import EXPERIMENTS, config_from_dict, parse_config
 from hqinflab.fields import Grid
 from hqinflab.experiments import run_experiment
-from hqinflab.rng import seed_words
+from hqinflab.rng import seed_words, substream
+from hqinflab.stats import correlation, sample_var
 
 from oracles import simpson
 
@@ -794,3 +797,56 @@ class TestLimitEngineDiagnostics:
         assert bias["X1"] < 1e-3 and bias["X3"] < 1e-2 and 0.02 < bias["X2"] < 0.2, bias
         experiments.emit(report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["extras"]["limit_engine"] == eng
+
+
+class TestLimitPathStatistics:
+    """The runner centres each path field once and shares the copy among
+    that field's statistics; its points are still the statistics of the
+    raw paths, bit for bit."""
+
+    @pytest.mark.parametrize("atoms", [True, False], ids=["mixture", "lognormal"])
+    def test_points_are_the_statistics_of_the_bundle(self, atoms):
+        # the limit_paths model at P = 2000, k = 50, on its grid plus t = 0,
+        # where no component varies; without atoms X3 varies nowhere
+        cfg = parse_config(WORKLOADS / "limit_paths.yaml")
+        cfg = dataclasses.replace(
+            cfg, replications=2000, k=50,
+            service=cfg.service if atoms else cfg.service.continuous,
+            grid=Grid((0.0, *cfg.grid.t), cfg.grid.y))
+        report = run_experiment(cfg)
+        paths = lp.assemble_limit_bundle(
+            experiments._inputs(cfg), cfg.grid, cfg.k,
+            substream(cfg.master_seed, cfg.experiment, "bundle"),
+            n_paths=cfg.replications, workload=cfg.workload).paths
+        want = {"Var limit Qr": sample_var(paths["Qr"]),
+                "Var limit Qe": sample_var(paths["Qe"])}
+        live = {name: np.std(paths[name], axis=0) > 1e-12 for name in ("X1", "X2", "X3")}
+        for a, b in itertools.combinations(live, 2):
+            want[f"corr {a}-{b}"] = correlation(paths[a], paths[b])
+        index = {(float(t), float(y)): (i, j) for i, t in enumerate(cfg.grid.t)
+                 for j, y in enumerate(cfg.grid.y)}
+        seen = {label: set() for label in want}
+        for p in report.points:
+            if p.label in want:
+                ij = index[p.t, p.y]
+                assert p.estimate == want[p.label][ij], (p.label, ij)
+                seen[p.label].add(ij)
+        assert len(report.points) > sum(map(len, seen.values())) > 0
+        for a, b in itertools.combinations(live, 2):
+            assert seen[f"corr {a}-{b}"] == {(int(i), int(j))
+                                             for i, j in np.argwhere(live[a] & live[b])}
+        assert not live["X1"][0].any() and live["X3"].any() == atoms
+
+
+class TestEmit:
+    def test_report_json_matches_the_asdict_form(self, tmp_path, monkeypatch):
+        # emit builds each point's dict from vars(); dataclasses.asdict, the
+        # deep-copying form, writes the same bytes
+        cfg = config_from_dict({**GATES, "experiment": "limit_path_validation",
+                                **GATE_KEYS["limit_path_validation"]})
+        report = run_experiment(cfg)
+        experiments.emit(report, tmp_path / "vars")
+        monkeypatch.setattr(experiments, "vars", dataclasses.asdict, raising=False)
+        experiments.emit(report, tmp_path / "asdict")
+        got, want = ((tmp_path / form / "report.json").read_bytes() for form in ("vars", "asdict"))
+        assert got == want and b'"abs_err"' in got

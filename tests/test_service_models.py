@@ -244,6 +244,21 @@ class TestSampling:
         draws = Exponential(1.0).sample(rng, size=10**6)
         assert abs(draws.mean() - 1.0) < 0.005
 
+    @pytest.mark.parametrize("rate", [1.0, 0.7, 3.3])
+    @pytest.mark.parametrize("size", [1, 7, (3, 4), (2, 3, 5)])
+    def test_exponential_draws_are_numpys_scaled_draws(self, rate, size):
+        # the standard draw scaled in place is numpy's exponential(scale),
+        # bit for bit; the hyperexponential divides its component's rate
+        hyper = HyperExponential((0.25, 0.75), (rate, 2.0 * rate))
+        for seed in (0, 5, 12345):
+            assert np.array_equal(Exponential(rate).sample(np.random.default_rng(seed), size),
+                                  np.random.default_rng(seed).exponential(1.0 / rate, size))
+            rng = np.random.default_rng(seed)
+            n = int(np.prod(size))
+            comp = rng.choice(2, size=n, p=hyper._w)
+            want = (rng.exponential(1.0, size=n) / hyper._r[comp]).reshape(size)
+            assert np.array_equal(hyper.sample(np.random.default_rng(seed), size), want)
+
     def test_atom_frequencies(self):
         rng = substream(3, "s")
         draws = np.asarray(FiniteAtoms(((1.0, 0.3), (2.0, 0.7))).sample(rng, size=10**6))

@@ -8,13 +8,21 @@ differ by a few R * eps of the largest term: under 1e-13 of a statistic's
 largest magnitude at R = 300.  The bound used is 1e-12 of that magnitude.
 The injected defects at the end each move a statistic by more than 1e-3 of
 it, so the bound separates them from roundoff by nine orders.
+
+The statistics' contract is tested too: they never write into their inputs,
+a shared ``Centred`` copy included; that copy gives the same bits as the raw
+values; skewness and kurtosis, with powers formed as products, stay within
+1e-13 of the ``**`` formulas; and ``skew_kurtosis`` allocates at most two
+copies of its input.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hqinflab.service import Exponential, FiniteAtoms
-from hqinflab.stats import correlation, ks_distance, sample_var, skew_kurtosis
+from hqinflab.stats import Centred, correlation, ks_distance, sample_var, skew_kurtosis
 
 BOUND = 1e-12
 R, T, Y = 300, 3, 4
@@ -93,6 +101,63 @@ def test_layout_changes_nothing():
     assert float(correlation(x[:, 1, 1], b[:, 1, 1])) == correlation(x, b)[1, 1]
     assert tuple(map(float, skew_kurtosis(x[:, 1, 1]))) == (
         skew_kurtosis(x)[0][1, 1], skew_kurtosis(x)[1][1, 1])
+
+
+# inputs whose points-last form is the caller's own memory (1-D, and an
+# (R, T, Y) view of a contiguous (T, Y, R) array), and one it copies
+LAYOUTS = {"1-D": lambda v: v[:, 1, 1].copy(),
+           "points-last": lambda v: np.moveaxis(np.moveaxis(v, 0, -1).copy(), -1, 0),
+           "replications-first": lambda v: v.copy()}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS)
+def test_inputs_are_left_unchanged(layout):
+    x, b = map(layout, _sample())
+    cx, cb = Centred(x), Centred(b)
+    arrays = (x, b, cx.c, cb.c)
+    kept = [a.copy() for a in arrays]
+    for values, other in ((x, b), (cx, cb), (cx, b)):
+        sample_var(values)
+        skew_kurtosis(values)
+        correlation(values, other)
+    assert all(np.array_equal(a, k) for a, k in zip(arrays, kept))
+    assert not np.shares_memory(cx.c, x) and not np.shares_memory(cb.c, b)
+
+
+def test_a_centred_copy_gives_the_same_bits():
+    x, b = _sample()
+    cx, cb = Centred(x), Centred(b)
+    assert np.array_equal(sample_var(cx), sample_var(x))
+    assert all(map(np.array_equal, skew_kurtosis(cx), skew_kurtosis(x)))
+    assert np.array_equal(correlation(cx, cb), correlation(x, b))
+    assert np.array_equal(correlation(cx, b), correlation(x, b))
+    # and the variance is numpy's own, summed points-last
+    assert np.array_equal(sample_var(x), np.var(np.moveaxis(x, 0, -1).copy(), axis=-1, ddof=1))
+
+
+def test_skew_kurtosis_match_the_power_formulas():
+    v = np.random.default_rng(11).standard_t(5, size=(6000, 8, 6))
+    c = np.moveaxis(v, 0, -1).copy()
+    c -= c.mean(axis=-1, keepdims=True)
+    m2 = np.mean(c**2, axis=-1)
+    skew, kurt = skew_kurtosis(v)
+    assert np.max(np.abs(skew - np.mean(c**3, axis=-1) / m2**1.5)) <= 1e-13
+    assert np.max(np.abs(kurt - (np.mean(c**4, axis=-1) / m2**2 - 3.0))) <= 1e-13
+
+
+def test_skew_kurtosis_allocates_two_input_sizes():
+    # the points-last copy, centred in place, and one scratch array for the
+    # powers; the per-point sums and results, under 64 arrays of one
+    # replication's size, are small beside them (a power temporary more
+    # would add a whole input size)
+    x = np.random.default_rng(3).standard_normal((6000, 8, 6))
+    tracemalloc.start()
+    try:
+        skew_kurtosis(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * x.nbytes + 64 * x[0].nbytes
 
 
 def _uncentred_skew_kurtosis(values):
