@@ -290,11 +290,14 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- criterion 7: workload ---------------------------------------------------------------
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Mean scaled workload at t=8 within 0.07 of the fluid value, the same
-    on a grid under a sinusoidal NHPP with lognormal service, and the
-    steady-state fluid workload reproduced to 1e-6 by quadrature."""
+    """Mean scaled workload and fields against their fluid values (``fwlln``
+    with ``workload``): M/exp at t=8, and on a grid under a sinusoidal NHPP
+    with lognormal service; and the steady-state fluid workload reproduced to
+    1e-6 by quadrature.  The M/exp grid has y = 1 beside y = 0, where Qe(t,
+    0) and its fluid value are both 0."""
     lines = []
-    report = _run(seed, "workload", [8.0], [0.0], n_list=[400], replications=200)
+    report = _run(seed, "fwlln", [8.0], [0.0, 1.0], n_list=[400], replications=200,
+                  workload=True)
     passed = _gates(lines, "M/exp", report)
     report = _run(seed, "fwlln", [1.0, 2.0, 4.0, 8.0], [0.0, 1.0], n_list=[400],
                   replications=200, workload=True,

@@ -213,11 +213,6 @@ class ArrivalModel:
     def rate(self, t):
         return self.rate_fn.rate(t)
 
-    @property
-    def constant_rate(self) -> float | None:
-        """lambda when abar(t) = lambda * t, else None."""
-        return self.rate_fn.constant_rate
-
     def _first_batch(self, n: int, horizon: float) -> tuple[float, int]:
         """n abar(horizon), the level the epochs fill, and the size of the
         first batch of interarrivals, which almost always passes it."""

@@ -3,8 +3,7 @@
 A config is a YAML mapping with these top-level keys (defaults in brackets):
 
 - ``experiment``: one of :data:`EXPERIMENTS`; ``poisson_property`` needs
-  exponential interarrivals, ``workload`` a constant arrival rate (for its
-  steady-state closed form);
+  exponential interarrivals, and every experiment takes any arrival rate;
 - ``arrival``, ``service``: model sections, below;
 - ``grid``: ``{t: [...], y: [...]}``, lists of distinct finite numbers;
 - ``init`` [none]: ``{count: <count law>, residual: <service>}``, the
@@ -67,7 +66,6 @@ EXPERIMENTS = (
     "poisson_property",
     "limit_path_validation",
     "markov_check",
-    "workload",
 )
 
 DEFAULT_TOLERANCES = {
@@ -77,7 +75,6 @@ DEFAULT_TOLERANCES = {
     "variance_rel_loose": 0.15, # secondary variance targets
     "dispersion_abs": 0.10,     # |var/mean - 1| for the Poisson property
     "identity_abs": 1e-9,       # exact per-replication identities
-    "analytic_abs": 1e-6,       # quadrature vs closed form
     "ks_abs": 0.05,             # sup-norm distance of empirical age c.d.f.
     "age_pass_fraction": 0.90,  # fraction of seeds that must pass
     "corr_abs": 0.06,           # independence proxies
@@ -258,8 +255,6 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
         _fail("experiment", f"unknown experiment {experiment!r} (known: {list(EXPERIMENTS)})")
     if experiment == "poisson_property" and not isinstance(arrival.interarrival, Exponential):
         _fail("arrival", "poisson_property requires Poisson arrivals (exponential interarrivals)")
-    if experiment == "workload" and arrival.constant_rate is None:
-        _fail("arrival", "workload requires a constant arrival rate")
 
     n_list = raw.get("n_list", (400,))
     if not isinstance(n_list, (list, tuple)) or not n_list:

@@ -31,8 +31,7 @@ order they are added:
 - limit_path_validation: the grid of Var, skew and kurtosis of Qr, Var Qe and
   the correlations X1-X2, X1-X3, X2-X3; with ``workload``, the grid of Var
   Wr; the two Kiefer checks; the X2 increment;
-- markov_check, per probe: the residual and the innovation correlation;
-- workload: mean Wt/n, then the steady-state quadrature.
+- markov_check, per probe: the residual and the innovation correlation.
 """
 
 from __future__ import annotations
@@ -245,10 +244,6 @@ def _poisson_fields(cfg: ExperimentConfig, frc_vals, trace, reps: range):
     words = seed_words(cfg.master_seed, [(cfg.experiment, trace.n, r, "bernoulli") for r in reps])
     qtilde = [seated(w).binomial(q[:, None], p) for q, w in zip(qt, words.tolist())]
     return {"Qr": q["Qr"], "Qtilde": np.asarray(qtilde, dtype=float)}
-
-
-def _workload_fields(cfg: ExperimentConfig, trace, reps: range):
-    return {"Wt": eval_fields(trace, cfg.grid, ("Wt",))["Wt"] / trace.n}
 
 
 # -- runners --------------------------------------------------------------------
@@ -496,25 +491,6 @@ def run_markov_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepor
         report.add(_abs_point(f"corr shifted-state vs innovation (t1={t1}, t2={t2})",
                               t2, y, chk.correlation, 0.0,
                               cfg.tolerances["corr_abs"]))
-    return report
-
-
-def run_workload(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Mean total workload vs the fluid value, and the steady-state fluid
-    workload quadrature vs its closed form."""
-    report = _report(cfg)
-    inputs = _inputs(cfg)
-    n = cfg.n_list[-1]
-    mean_wt = np.mean(_replications(report, partial(_workload_fields, cfg), cfg, n,
-                                    threads)["Wt"], axis=0)
-    t_last = float(cfg.grid.t[-1])
-    fluid = lim.fluid_workload(inputs, t_last, 0.0)
-    report.add(_abs_point(f"mean Wt/n at t={t_last} n={n}", t_last, 0.0,
-                          mean_wt[-1], fluid, cfg.tolerances["workload_abs"]))
-    steady_quad, steady_exact = lim.fluid_workload_steady(inputs, cfg.arrival.constant_rate)
-    report.add(_abs_point("steady-state workload quadrature vs closed form",
-                          0.0, 0.0, steady_quad, steady_exact,
-                          cfg.tolerances["analytic_abs"]))
     return report
 
 

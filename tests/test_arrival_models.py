@@ -310,15 +310,15 @@ class TestStrictify:
 class TestAsymptoticParams:
     def test_poisson(self):
         model = ArrivalModel.poisson(3.0)
-        assert (model.constant_rate, model.ca2) == (3.0, 1.0)
+        assert (model.rate_fn.constant_rate, model.ca2) == (3.0, 1.0)
 
     def test_deterministic_renewal(self):
         model = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
-        assert (model.constant_rate, model.ca2) == (1.0, 0.0)
+        assert (model.rate_fn.constant_rate, model.ca2) == (1.0, 0.0)
 
     def test_hyperexp_renewal(self):
         model = ArrivalModel.renewal(H2)
-        assert model.constant_rate == pytest.approx(1.0)
+        assert model.rate_fn.constant_rate == pytest.approx(1.0)
         assert model.ca2 == pytest.approx(1.5)     # scv from the moment formulas
 
     def test_time_changed_keeps_driving_scv(self):
@@ -360,7 +360,7 @@ class TestSpecs:
         model = read_section("arrival", {"kind": "renewal",
                                          "interarrival": {"kind": "deterministic", "point": 1.0}})
         assert model == ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
-        assert (model.constant_rate, model.ca2) == (1.0, 0.0)
+        assert (model.rate_fn.constant_rate, model.ca2) == (1.0, 0.0)
 
     def test_negative_rate(self):
         with pytest.raises(ValueError, match="rate must be positive"):

@@ -131,9 +131,11 @@ class TestKeyChecks:
         ("tolerances", {"variance_rel": "abc"}, "tolerances.variance_rel"),
         ("tolerances", {"variance_rel": -1}, "tolerances.variance_rel"),
         ("tolerances", {"variance_rel": float("nan")}, "tolerances.variance_rel"),
+        ("tolerances", {"analytic_abs": 1e-6}, "tolerances"),
         ("workload", "false", "workload"),
     ], ids=["repeated_n", "tolerances_list",
-            "tolerance_string", "tolerance_negative", "tolerance_nan", "workload_string"])
+            "tolerance_string", "tolerance_negative", "tolerance_nan", "tolerance_unknown",
+            "workload_string"])
     def test_rejected_at_parse_time(self, key, value, where):
         with pytest.raises(ValueError, match="config error at " + re.escape(where) + ":"):
             config_from_dict({**TINY, key: value})
@@ -158,16 +160,17 @@ class TestKeyChecks:
         with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
             config_from_dict({**TINY, key: value})
 
-    def test_workload_experiment_needs_a_constant_rate(self):
-        # its steady-state closed form is for a rate lambda
-        with pytest.raises(ValueError, match="^config error at arrival: workload "
-                                             "requires a constant arrival rate$"):
-            config_from_dict({**TINY, "experiment": "workload", "arrival": NHPP})
+    def test_workload_is_a_field_flag_not_an_experiment(self):
+        # fwlln with workload: true gates the mean of Wt/n
+        message = ("config error at experiment: unknown experiment 'workload' "
+                   f"(known: {list(EXPERIMENTS)})")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**TINY, "experiment": "workload"})
 
     @pytest.mark.parametrize("experiment", ["fwlln", "limit_path_validation"])
     def test_workload_fields_accept_a_time_varying_rate(self, experiment):
         cfg = config_from_dict({**TINY, "experiment": experiment, "arrival": NHPP})
-        assert cfg.workload and cfg.arrival.constant_rate is None
+        assert cfg.workload and cfg.arrival.rate_fn.constant_rate is None
 
     def test_valid_values_accepted(self):
         cfg = config_from_dict({**TINY, "tolerances": {"variance_rel": 0, "fluid_abs": 0.1}})
@@ -349,7 +352,9 @@ class TestCli:
         ("experiment: fwlln\narrival: {kind: poisson, rate: [1.0\n", "{path}",
          "malformed YAML at line 3, column 1: expected ',' or ']', but got '<stream end>'"),
         (None, "{path}", "No such file or directory"),
-    ], ids=["bad_key", "malformed_yaml", "missing_file"])
+        (yaml.safe_dump({**TINY, "experiment": "workload"}), "experiment",
+         f"unknown experiment 'workload' (known: {list(EXPERIMENTS)})"),
+    ], ids=["bad_key", "malformed_yaml", "missing_file", "unknown_experiment"])
     def test_config_error_exits_2_in_one_line(self, tmp_path, capsys, command, text, where,
                                               message):
         path = tmp_path / "config.yaml"
@@ -736,10 +741,6 @@ PINNED_GATES = {
         ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 1e-09),
         ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 0.06),
     ],
-    "workload": [
-        ("mean Wt/n at t=1.0 n=20", 1.0, 0.0, "abs", 0.07),
-        ("steady-state workload quadrature vs closed form", 0.0, 0.0, "abs", 1e-06),
-    ],
 }
 
 
@@ -773,6 +774,9 @@ class TestNonFinitePoints:
 
 
 class TestGateOrder:
+    def test_every_experiment_and_no_other_is_pinned(self):
+        assert set(PINNED_GATES) == set(EXPERIMENTS)
+
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_points_keep_their_gates_and_order(self, name):
         cfg = config_from_dict({**GATES, "experiment": name, **GATE_KEYS.get(name, {})})

@@ -1,5 +1,6 @@
 """The import surface: every name a module lists in ``__all__`` resolves,
-``from hqinflab.<module> import *`` works, and the package reads it."""
+``from hqinflab.<module> import *`` works, and the package reads it, as it
+reads every tolerance key."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import pkgutil
 import pytest
 
 import hqinflab
+from hqinflab.config import DEFAULT_TOLERANCES
 
 
 SUBMODULES = [info.name for info in pkgutil.iter_modules(hqinflab.__path__)]
@@ -53,6 +55,17 @@ def test_every_export_is_read():
               if export not in loaded]
     assert sorted(set(unread) - set(KEPT)) == []
     assert sorted(set(KEPT) - set(unread)) == []
+
+
+def test_every_tolerance_is_read():
+    # a key of DEFAULT_TOLERANCES must appear as a string constant in some
+    # module of the package other than the config reader that lists it
+    strings = set()
+    for path in pathlib.Path(hqinflab.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            strings |= {node.value for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(set(DEFAULT_TOLERANCES) - strings) == []
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
