@@ -38,7 +38,7 @@ import numpy as np
 from .fields import Grid
 from .quadrature import integrate
 from .service import ServiceModel
-from .simulate import SimulationTrace
+from .simulate import SimulationTrace, _Binner
 
 __all__ = ["decompose_hatQr", "x1_integration_by_parts"]
 
@@ -119,19 +119,6 @@ def _moments(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _below(levels, keys: np.ndarray) -> np.ndarray:
-    """How many of ``levels`` lie strictly below each key: one comparison
-    pass per level, into the smallest unsigned type that holds the count,
-    several times faster than a binary search per key for a few dozen
-    levels."""
-    below = np.zeros(len(keys), dtype=np.min_scalar_type(len(levels)))
-    above = np.empty(len(keys), dtype=bool)
-    for level in levels:
-        np.greater(keys, level, out=above)
-        below += above
-    return below
-
-
 def decompose_hatQr(trace: SimulationTrace, grid: Grid,
                     centering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split hat(Qr)_n into the arrival-noise term X1 and the
@@ -197,7 +184,7 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
     # fewer than i + 1 grid times lie below it, and at least q + 1 shifts
     # lie below its end; binned per panel's (replication, grid-time) row
     rows = (np.arange(reps)[:, None] * (T + 1) + np.searchsorted(grid.t, edges[1:])) * (Q + 1)
-    hist = np.bincount(rows.ravel()[segment] + _below(shifts.tolist(), tau + trace.services),
+    hist = np.bincount(rows.ravel()[segment] + _Binner(shifts)(tau + trace.services),
                        minlength=reps * (T + 1) * (Q + 1)).reshape(reps, T + 1, Q + 1)
     past = np.cumsum(np.cumsum(hist[:, :, ::-1], axis=2)[:, :, ::-1], axis=1)
     count = past[:, np.arange(T)[:, None], q_of + 1]

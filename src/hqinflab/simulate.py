@@ -32,8 +32,12 @@ and end-bins over the grid times, gives every Qe(t, y).  Cumulative sums over
 the bins read all grid points off at once, and the same residual histogram
 weighted by the ends gives Wr(t, y) = sum(end) - (t + y) * Qr(t, y).
 
-One call bins each customer once and builds the residual histogram once per
-weight that its fields read: the count for Qr, Qt and D; the ends as well
+One call bins each customer's tau and end once, each through an exact
+bucket map made once per threshold set (:class:`_Binner`): a few array
+passes per customer, sorted or not, in place of a binary search each.  A bin
+over the grid times alone and a customer's cell then follow by table lookup,
+and the call builds the residual histogram once per weight that its fields
+read: the count for Qr, Qt and D; the ends as well
 for Wr and Wt; the services as well for I and C (C = I - Wt).  It builds the
 elapsed histogram only when Qe is named.  Bins are not kept between calls, so
 a caller names every field it needs of a trace and grid in one call.  The
@@ -134,23 +138,23 @@ class SimulationTrace:
             raise ValueError("arrivals and services must be aligned 1-D arrays")
         bounds = np.asarray([0, len(arr)] if self.bounds is None else self.bounds, dtype=np.intp)
         if (bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0
-                or bounds[-1] != len(arr) or np.any(np.diff(bounds) < 0)):
+                or bounds[-1] != len(arr) or (bounds[1:] < bounds[:-1]).any()):
             raise ValueError("replication bounds must rise from 0 to the customer count")
-        rising = np.diff(arr) > 0
+        rising = arr[1:] > arr[:-1]
         firsts = bounds[1:-1]                # a drop onto these epochs is no fault
         rising[firsts[(firsts > 0) & (firsts < len(arr))] - 1] = True
-        if not rising.all() or np.any(arr < 0):
+        if not rising.all() or arr.min(initial=0.0) < 0:
             raise ValueError("arrival epochs must be nonnegative and strictly increasing")
-        if np.any(svc < 0):
+        if svc.min(initial=0.0) < 0:
             raise ValueError("service times must be nonnegative")
         resid = self.initial_residuals
         resid = np.asarray([] if resid is None else resid, dtype=float)
         counts = self.initial_counts
         counts = np.asarray(np.zeros(len(bounds) - 1) if counts is None else counts, dtype=np.intp)
         if (counts.shape != (len(bounds) - 1,) or counts.sum() != len(resid)
-                or np.any(counts < 0)):
+                or counts.min(initial=0) < 0):
             raise ValueError("initial residual count mismatch")
-        if np.any(resid <= 0):
+        if resid.min(initial=np.inf) <= 0:
             raise ValueError("initial residuals must be positive")
         for name, value in (("arrivals", arr), ("services", svc), ("bounds", bounds),
                             ("initial_counts", counts), ("initial_residuals", resid)):
@@ -220,30 +224,57 @@ def _check_grid(trace: SimulationTrace, grid: Grid) -> None:
 
 def _corners(hist: np.ndarray, *pairs) -> list[np.ndarray]:
     """For each (rows, cols) pair: hist[r, a, e] summed over a <= row and
-    e > col, per replication r and (row, col); col may be -1.  The results
-    are C-ordered, so that a mean over replications sums in one order
-    whatever the block size."""
-    table = np.cumsum(hist, axis=1, out=hist)
-    table = np.cumsum(table[:, :, ::-1], axis=2)[:, :, ::-1]
+    e > col, per replication r and (row, col); row is short of the last, col
+    may be -1.  Axis 1, the grid times, is summed by one add per row: a
+    cumsum would loop over (replication, column) pairs.  The results are
+    C-ordered, so that a mean over replications sums in one order whatever
+    the block size."""
+    for a in range(1, hist.shape[1] - 1):
+        hist[:, a] += hist[:, a - 1]
+    table = np.cumsum(hist[:, :-1, ::-1], axis=2)[:, :, ::-1]
     return [np.ascontiguousarray(table[:, rows, cols + 1]) for rows, cols in pairs]
 
 
-def _bin(thresholds: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """#{c in thresholds : c < x} for each x, as ``searchsorted(thresholds,
-    x, side="left")`` gives it, by a branchless binary search: each round
-    compares every x with one threshold.  On unsorted x, where the branches
-    of ``searchsorted`` mispredict, this is 2-3x faster: binning the ends
-    with it cut the ``mc_small_n`` perfbench workload from 1.59 to 1.43 s
-    (10 of 10 alternating pairs, 2-vCPU x86-64 VM)."""
-    width = 1 << len(thresholds).bit_length()         # a power of 2 > len
-    padded = np.full(width, np.inf)
-    padded[:len(thresholds)] = thresholds
-    out = np.zeros(len(x), dtype=np.intp)
-    step = width >> 1
-    while step:
-        out += step * (x > padded[step - 1:].take(out))
-        step >>= 1
-    return out
+class _Binner:
+    """bin(x) = #{c in thresholds : c < x} for each x, as ``searchsorted(
+    thresholds, x, side="left")`` gives it, through a bucket map made once
+    per threshold set (sorted, distinct, at least one).
+
+    [c_0, c_last] is cut into 4 buckets per threshold, and x goes to bucket
+    floor((x - c_0) * scale), clipped to the first and the last.  That map
+    is monotone, so every threshold in an earlier bucket lies below x and
+    none in a later one does: bin(x) is #{c in earlier buckets}, read from a
+    table, plus one compare of x with the first threshold of its bucket and,
+    where a bucket holds several, a branchless binary search among the rest.
+    Every compare is against a threshold itself, so the bins are exact for
+    any positive finite scale.
+    """
+
+    def __init__(self, thresholds: np.ndarray):
+        self.c0, span = thresholds[0], float(thresholds[-1] - thresholds[0])
+        self.top = 4 * len(thresholds) - 1             # the last bucket
+        self.scale = min(self.top / span, 1e300) if span > 0 else 1.0
+        below = np.searchsorted(self._bucket(thresholds), np.arange(self.top + 1))
+        most = int(np.diff(below, append=len(thresholds)).max())   # in the fullest bucket
+        self.step = (1 << (most - 1).bit_length()) >> 1            # of the search, 0 for none
+        self.padded = np.concatenate((thresholds, np.full(2 * self.step + 1, np.inf)))
+        self.below, self.first = below, self.padded[below]
+
+    def _bucket(self, x: np.ndarray) -> np.ndarray:
+        b = np.subtract(x, self.c0)
+        b *= self.scale
+        return b.clip(0, self.top, out=b).astype(np.intp)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Every x's bin."""
+        b = self._bucket(x)
+        out = self.below.take(b)
+        out += x > self.first.take(b)
+        step = self.step
+        while step:
+            out += step * (x > self.padded.take(out + (step - 1)))
+            step >>= 1
+        return out
 
 
 def _sorted_set(values: np.ndarray) -> np.ndarray:
@@ -253,9 +284,10 @@ def _sorted_set(values: np.ndarray) -> np.ndarray:
     return c[np.concatenate(([True], c[1:] != c[:-1]))]
 
 
-def _replication_index(trace: SimulationTrace) -> np.ndarray:
-    """The replication of every customer."""
-    return np.repeat(np.arange(trace.replications), np.diff(trace.bounds))
+def _offsets(sizes: np.ndarray, stride: int, first: int = 0) -> np.ndarray:
+    """first + stride * (each customer's replication), for customers that
+    follow one another, sizes[r] of replication r."""
+    return np.repeat(np.arange(first, first + len(sizes) * stride, stride), sizes)
 
 
 class _Layout:
@@ -263,7 +295,12 @@ class _Layout:
 
     tau is binned over the sorted values t and t - y, end over the sorted
     values t + y (y = 0 included).  Both sets hold the grid times, so a bin
-    over the grid times alone follows from either by table lookup.  The
+    over the grid times alone follows from either by a table, which holds it
+    as the offset of its row in a replication's histogram: a customer's cell
+    is its replication's offset, one lookup and one bin.  Both histograms
+    have the grid times on axis 1, summed up from the first as
+    :func:`_corners` sums; so the elapsed one counts its end-bins down from
+    the last grid time and its tau-bins down from the last value.  The
     layout depends on the grid only and is made once per grid.
     """
 
@@ -271,51 +308,55 @@ class _Layout:
         T = len(t)
         self.shifts = t[:, None] + np.concatenate(([0.0], y))       # t + y
         starts = t[:, None] - y                                     # t - y
-        self.c_end = _sorted_set(self.shifts)
-        self.c_tau = _sorted_set(np.concatenate((t, starts.ravel())))
+        c_end = _sorted_set(self.shifts)
+        c_tau = _sorted_set(np.concatenate((t, starts.ravel())))
+        self.bin_tau, self.bin_end = _Binner(c_tau), _Binner(c_end)
+        self.times = np.arange(T)[:, None]
+        self.residual_shape = (T + 1, len(c_end) + 1)
+        self.elapsed_shape = (T + 1, len(c_tau) + 1)
         # a value's bin over the grid times: the grid times among the
         # thresholds of the set below it
-        self.t_of_tau = np.concatenate(([0], np.cumsum(np.isin(self.c_tau, t))))
-        self.t_of_end = np.concatenate(([0], np.cumsum(np.isin(self.c_end, t))))
-        self.times = np.arange(T)[:, None]
-        self.residual_shape = (T + 1, len(self.c_end) + 1)
-        self.elapsed_shape = (len(self.c_tau) + 1, T + 1)
-        # residual columns: tau <= t alone, then every t + y
+        rows = np.concatenate(([0], np.cumsum(np.isin(c_tau, t))))
+        self.residual_rows = rows * self.residual_shape[1]
+        rows = np.concatenate(([0], np.cumsum(np.isin(c_end, t))))
+        self.elapsed_rows = (T - rows) * self.elapsed_shape[1]
+        # residual columns: tau <= t alone, then every t + y; elapsed ones:
+        # tau <= t and tau <= t - y, counted down
         self.residual_cols = np.concatenate(
-            (np.full((T, 1), -1), np.searchsorted(self.c_end, self.shifts)), axis=1)
-        self.elapsed_rows = (np.searchsorted(self.c_tau, t)[:, None],
-                             np.searchsorted(self.c_tau, starts))
+            (np.full((T, 1), -1), np.searchsorted(c_end, self.shifts)), axis=1)
+        self.elapsed_corners = [(self.times[::-1], len(c_tau) - 1 - np.searchsorted(c_tau, c))
+                                for c in (t[:, None], starts)]
 
     def bin(self, tau, end) -> tuple[np.ndarray, np.ndarray]:
-        """Every customer's tau-bin and end-bin, as int32 (half the memory).
-        Epochs rise within a replication, which ``searchsorted`` is fast on;
-        ends do not."""
-        return (np.searchsorted(self.c_tau, tau, side="left").astype(np.int32),
-                _bin(self.c_end, end).astype(np.int32))
+        """Every customer's tau-bin and end-bin."""
+        return self.bin_tau(tau), self.bin_end(end)
 
-    def residual(self, bins, rep, reps: int, *weights) -> list[np.ndarray]:
-        """Sums over {tau <= t, end > t + y} per replication (``rep`` gives
-        each customer's): the customer count for a weight of None, else the
-        weight's sum.
+    def residual(self, bins, sizes, *weights) -> list[np.ndarray]:
+        """Sums over {tau <= t, end > t + y} per replication, for customers
+        that follow one another, sizes[r] of replication r: the customer
+        count for a weight of None, else the weight's sum.
 
-        Each result has shape (reps, T, Y + 2): column 0 sums over tau <= t
+        Each result has shape (R, T, Y + 2): column 0 sums over tau <= t
         alone, column 1 is y = 0, and the rest follow grid.y.
         """
         tau, end = bins
-        shape = (reps, *self.residual_shape)
-        cells = (rep * shape[1] + self.t_of_tau.take(tau)) * shape[2] + end
-        return [_corners(np.bincount(cells, weights=w, minlength=np.prod(shape)).reshape(shape),
+        shape = (len(sizes), *self.residual_shape)
+        cells = _offsets(sizes, shape[1] * shape[2])
+        cells += self.residual_rows.take(tau)
+        cells += end
+        return [_corners(np.bincount(cells, weights=w, minlength=math.prod(shape)).reshape(shape),
                          (self.times, self.residual_cols))[0] for w in weights]
 
-    def elapsed(self, bins, rep, reps: int) -> np.ndarray:
+    def elapsed(self, bins, sizes) -> np.ndarray:
         """Qe(t, y) = #{t - y < tau <= t, end > t} per replication, shape
-        (reps, T, Y)."""
+        (R, T, Y), for customers as in :meth:`residual`."""
         tau, end = bins
-        shape = (reps, *self.elapsed_shape)
-        cells = (rep * shape[1] + tau) * shape[2] + self.t_of_end.take(end)
-        hist = np.bincount(cells, minlength=np.prod(shape)).reshape(shape)
-        upper, lower = self.elapsed_rows
-        upper, lower = _corners(hist, (upper, self.times), (lower, self.times))
+        shape = (len(sizes), *self.elapsed_shape)
+        cells = _offsets(sizes, shape[1] * shape[2], shape[2] - 1)
+        cells -= tau
+        cells += self.elapsed_rows.take(end)
+        hist = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+        upper, lower = _corners(hist, *self.elapsed_corners)
         return upper - lower
 
 
@@ -340,7 +381,7 @@ def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, n
     wanted = set(names)
     _check_grid(trace, grid)
     layout, ends = _layout(grid), trace.arrivals + trace.services
-    bins, rep, R = layout.bin(trace.arrivals, ends), _replication_index(trace), trace.replications
+    bins, sizes = layout.bin(trace.arrivals, ends), trace.bounds[1:] - trace.bounds[:-1]
     weights = {}
     if wanted & {"Qr", "Qt", "D", "Wr", "Wt", "C"}:
         weights["count"] = None
@@ -348,7 +389,7 @@ def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, n
         weights["ends"] = ends
     if wanted & {"I", "C"}:
         weights["services"] = trace.services
-    sums = dict(zip(weights, layout.residual(bins, rep, R, *weights.values())))
+    sums = dict(zip(weights, layout.residual(bins, sizes, *weights.values())))
     out = {}
     if "count" in sums:
         counts = sums["count"].astype(float)
@@ -357,7 +398,7 @@ def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, n
         out["Qt"] = qt
         out["D"] = counts[:, :, 0] - qt
     if "Qe" in wanted:
-        out["Qe"] = layout.elapsed(bins, rep, R).astype(float)
+        out["Qe"] = layout.elapsed(bins, sizes).astype(float)
     if "ends" in sums:
         work = sums["ends"][:, :, 1:] - layout.shifts * sums["count"][:, :, 1:]
         out["Wr"] = work[:, :, 1:]
@@ -379,17 +420,13 @@ def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, np.ndar
     t = 0 of the initial customers alone.
     """
     _check_grid(trace, grid)
-    R = trace.replications
-    rep0 = np.repeat(np.arange(R), trace.initial_counts)
-    at_zero = np.zeros(len(rep0))
-    resid = trace.initial_residuals
+    at_zero, resid = np.zeros(len(trace.initial_residuals)), trace.initial_residuals
     initial = _layout(Grid([0.0], grid.y))
-    (qir,) = initial.residual(initial.bin(at_zero, resid), rep0, R, None)
+    (qir,) = initial.residual(initial.bin(at_zero, resid), trace.initial_counts, None)
     joined = _layout(grid)
-    (qtr,) = joined.residual(
-        joined.bin(np.concatenate((trace.arrivals, at_zero)),
-                   np.concatenate((trace.arrivals + trace.services, resid))),
-        np.concatenate((_replication_index(trace), rep0)), R, None)
+    (qtr,) = joined.residual(joined.bin(trace.arrivals, trace.arrivals + trace.services),
+                             np.diff(trace.bounds), None)
+    qtr += joined.residual(joined.bin(at_zero, resid), trace.initial_counts, None)[0]
     return {
         "Qir": qir[:, 0, 2:].astype(float),
         "QTr": qtr[:, :, 2:].astype(float),
@@ -399,7 +436,7 @@ def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, np.ndar
 def export_trace_csv(trace: SimulationTrace, path) -> None:
     """Audit dump: one row (replication, i, tau, eta) per customer, with
     replications counted from 0 and customers from 1 within each."""
-    rep = _replication_index(trace)
+    rep = np.repeat(np.arange(trace.replications), np.diff(trace.bounds))
     i = np.arange(1, len(rep) + 1) - trace.bounds[rep]
     write_csv(path, ("replication", "i", "tau", "eta"),
               zip(rep.tolist(), i.tolist(), trace.arrivals, trace.services))

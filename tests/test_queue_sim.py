@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqinflab import experiments
@@ -109,6 +109,25 @@ def alone(rep) -> SimulationTrace:
 
 def blocks(grid):
     return st.lists(boundary_replication(grid), min_size=1, max_size=5)
+
+
+# a 1x1 grid and a block of several hundred replications, as block_size makes
+# for such a grid at small n: most hold a few customers, every third one
+# epochs at t - y and at t, and ends at t + y and at t
+ONE_GRID = Grid([1.1], [0.4])
+
+
+def many_replications(grid, count=600):
+    rng = np.random.default_rng(25)
+    t, y = float(grid.t[0]), float(grid.y[0])
+    reps = []
+    for r in range(count):
+        taus = set(rng.uniform(1e-3, HORIZON, rng.integers(0, 8)).tolist())
+        taus = sorted(taus | {t - y, t} if r % 3 == 0 else taus)
+        etas = [_service_ending_at(tau, (t + y, t, tau + 1.0)[k % 3]) if tau <= t else float(k)
+                for k, tau in enumerate(taus)]
+        reps.append((taus, etas, rng.uniform(1e-3, 4.0, rng.integers(0, 3)).tolist()))
+    return reps
 
 
 class TestGridAndFields:
@@ -295,10 +314,10 @@ class TestStreams:
 
 
 class TestBlockFields:
-    @given(blocks(ODD_GRID))
+    @given(reps=blocks(ODD_GRID), g=st.just(ODD_GRID))
+    @example(reps=many_replications(ONE_GRID), g=ONE_GRID)
     @settings(max_examples=60, deadline=None)
-    def test_each_replication_against_brute_force(self, reps):
-        g = ODD_GRID
+    def test_each_replication_against_brute_force(self, reps, g):
         trace = block_trace(reps)
         q = eval_fields(trace, g)
         init = eval_initial_fields(trace, g)
@@ -420,11 +439,19 @@ class TestQueueFields:
         assert q["Wr"].tolist() == [[[0.5, 0.0]]]
 
     def test_bins_match_searchsorted(self):
-        from hqinflab.simulate import _bin
-        for thresholds in (np.array([0.5]), np.linspace(0.1, 3.3, 13), np.linspace(0, 1, 300)):
+        from hqinflab.simulate import _Binner
+        clustered = np.array([1.0, 1 + 1e-12, 1 + 2e-12, 1 + 3e-12, 5.0])    # one bucket holds 4
+        rng = np.random.default_rng(3)
+        for thresholds in (np.array([0.5]), np.linspace(0.1, 3.3, 13), np.linspace(0, 1, 300),
+                           clustered, np.array([-1.75, -0.5, -0.25, 0.0, 0.25, 2.0]),
+                           np.array([-0.3]), np.sort(rng.uniform(-2, 4, 40))):
             x = np.concatenate((thresholds, np.nextafter(thresholds, -np.inf),
-                                np.nextafter(thresholds, np.inf), [-1.0, 9.0, np.inf]))
-            assert np.array_equal(_bin(thresholds, x), np.searchsorted(thresholds, x, side="left"))
+                                np.nextafter(thresholds, np.inf), rng.uniform(-3, 6, 200),
+                                [-1.0, -0.0, 0.0, 9.0, -np.inf, np.inf]))
+            binner = _Binner(thresholds)
+            assert np.array_equal(binner(x), np.searchsorted(thresholds, x, side="left"))
+            assert np.array_equal(binner(x[::-1]), np.searchsorted(thresholds, x[::-1], side="left"))
+        assert _Binner(clustered).step == 2               # two rounds of search
 
     def test_grid_beyond_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
