@@ -16,11 +16,11 @@ Every report starts in :func:`_report` (experiment, seed, config echo), and
 :func:`_replications` records in ``extras["simulation"]``, per n, the
 replications, blocks and arrivals simulated and the seconds spent drawing and
 evaluating them, summed over the blocks; ``limit_path_validation`` records in
-``extras["limit_engine"]`` the engine's J intervals, G columns, normals per
-path and worst exact variance bias.  Gates over the grid go through
-:func:`_grid_points`: grid point by grid point, t-major, and at each point
-gate by gate in the order listed.  ``summary.csv`` keeps the points in the
-order they are added:
+``extras["limit_engine"]`` the engine's J intervals, G columns, weight rows
+and normals per path of each component, and worst exact variance bias.
+Gates over the grid go through :func:`_grid_points`: grid point by grid
+point, t-major, and at each point gate by gate in the order listed.
+``summary.csv`` keeps the points in the order they are added:
 
 - fwlln, per n: sup|mean Qr/n - fluid|, sup|mean Qe/n - fluid| and, with
   ``workload``, sup|mean Wt/n - fluid|; then the sup-error decrease across n;
@@ -442,6 +442,7 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
         exact = bundle.engine["exact_var"][name][live]
         bias[name] = float(np.max(np.abs(exact / target[live] - 1.0), initial=0.0))
     report.extras["limit_engine"] = {"J": bundle.engine["J"], "G": bundle.engine["G"],
+                                     "weight_rows": bundle.engine["weight_rows"],
                                      "normals_per_path": bundle.engine["normals_per_path"],
                                      "worst_exact_rel_bias": bias}
     # the Kiefer process U(1, x) = W(1, x) - x W(1, 1), with the Brownian

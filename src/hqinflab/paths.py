@@ -100,8 +100,11 @@ class _LimitEngine:
     t on the grid.  ``covers[j, g]`` marks partition interval j as inside
     window g.  ``fold`` maps window columns to output columns: the same
     columns up to the x-columns, which it replaces by Wr on the grid product
-    (``wp``).  Each component records its normals per path in ``drawn`` and
-    its exact variance per output column in ``exact_var``.
+    (``wp``).  Each component passes its weights on the output columns to
+    ``_factor`` as row blocks, X2's built for all strips by one sort and one
+    scatter per chunk (``_service_weights``), and records their rows in
+    ``weight_rows``, its normals per path in ``drawn`` and its exact
+    variance per output column in ``exact_var``.
     """
 
     def __init__(self, inputs: LimitInputs, grid: Grid, k: int, n_paths: int,
@@ -140,6 +143,7 @@ class _LimitEngine:
             wr = 0.5 * (np.append(dx, 0.0)[:, None] * (i >= m) + np.append(0.0, dx)[:, None] * (i > m))
             self.fold[n:, n:] = np.kron(np.eye(T), wr)
         self.drawn: dict[str, int] = {}
+        self.weight_rows: dict[str, int] = {}
         self.exact_var: dict[str, np.ndarray] = {}
 
         start = self.t - self.length
@@ -160,9 +164,11 @@ class _LimitEngine:
 
     def _sample(self, rng, name: str, blocks) -> np.ndarray:
         """A (P, G) draw of Z @ M, for the weights M given as row blocks on
-        the output columns, as Z' @ R with R = ``_factor(blocks)``."""
-        r = _factor(blocks, self.fold.shape[1])
-        self.drawn[name] = len(r)
+        the output columns, as Z' @ R with R = ``_factor(blocks)``.  Records
+        M's rows, R's rows (normals per path) and diag(R^T R)."""
+        sizes = []                                # M's rows, counted as they pass
+        r = _factor((sizes.append(len(b)) or b for b in blocks), self.fold.shape[1])
+        self.weight_rows[name], self.drawn[name] = sum(sizes), len(r)
         self.exact_var[name] = np.einsum("ij,ij->j", r, r)
         return self._normals(rng, (self.n_paths, len(r))) @ r
 
@@ -188,7 +194,7 @@ class _LimitEngine:
     # -- service-sampling component ------------------------------------------
 
     def _service_weights(self):
-        """X2's weights on the output columns, one strip at a time.
+        """X2's weights on the output columns, in chunks of whole strips.
 
         Interval j is the strip (abar_c(s_{j-1}), abar_c(s_j)] of one shared
         sheet, cut at its levels u_0 < ... < u_{L-1} = 1: the distinct
@@ -199,29 +205,55 @@ class _LimitEngine:
 
           M[l, g] = -scale_l (1[l <= pos_g] - u_{pos_g})   (0 off the window).
 
-        With K[p] the sum of the ``fold`` rows of the windows at level p, the
-        strip's rows on the output columns are -scale_l (sum_{p >= l} K[p] -
-        u^T K): work linear in its levels and its covering windows.
+        With K[p] the sum of the ``fold`` rows of the windows at level p, row
+        l is -scale_l (sum_{p >= l} K[p] - u^T K).  One sort numbers the
+        levels of all strips.  Per chunk, one bincount adds the fold's
+        nonzeros into K in window order, as ``np.add.at`` would, each strip's
+        levels top first and zero-padded to the chunk's longest strip, so one
+        cumsum forms every reverse sum.  Chunks end where ``_factor``
+        refactors: it factors the stacks of a strip-by-strip build.
         """
         rows, cols = np.nonzero(self.covers)      # strip by strip
-        level = np.asarray(self.dec.continuous_part.cdf(
-            self.t[cols] + self.y[cols] - self.s1[rows]), dtype=float)
-        ends = np.searchsorted(rows, np.arange(len(self.ds) + 1))
-        for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
-            # distinct levels by sort and compare: np.unique imports numpy.ma
-            order = np.argsort(level[a:b], kind="stable")
-            keys = np.append(level[a:b][order], 1.0)
-            new = np.concatenate(([True], keys[1:] != keys[:-1]))
-            u = keys[new]
-            pos = np.empty(b - a, dtype=np.intp)
-            pos[order] = np.cumsum(new)[:-1] - 1
-            k = np.zeros((len(u), self.fold.shape[1]))
-            np.add.at(k, pos, self.fold[cols[a:b]])
-            w = np.cumsum(k[::-1], axis=0)[::-1]
-            w -= u @ k
-            w *= -np.sqrt(np.maximum(np.diff(u, prepend=0.0) * self.dec.p_c * self.dabar[j],
-                                     0.0))[:, None]
-            yield w
+        J, G = len(self.ds), self.fold.shape[1]
+        # each strip's levels and 1, by sort and compare (np.unique imports
+        # numpy.ma): ``at`` is each window's level row, ``u`` each row's level
+        keys = np.append(self.dec.continuous_part.cdf(
+            self.t[cols] + self.y[cols] - self.s1[rows]), np.ones(J))
+        strip = np.append(rows, np.arange(J))
+        order = np.lexsort((keys, strip))
+        strip, keys = strip[order], keys[order]
+        new = np.append(True, (strip[1:] != strip[:-1]) | (keys[1:] != keys[:-1]))
+        at = np.empty(len(keys), dtype=np.intp)
+        at[order] = np.cumsum(new) - 1
+        at, u, ends = at[:len(rows)], keys[new], np.searchsorted(strip[new], np.arange(J + 1))
+        cut = np.searchsorted(rows, np.arange(J + 1))
+        del keys, strip, order, new, rows          # a generator keeps its locals
+        fr, fc = np.nonzero(self.fold)            # fold rows as runs of nonzeros
+        fv, run = self.fold[fr, fc], np.searchsorted(fr, np.arange(len(self.fold) + 1))
+
+        def chunk(a, b):
+            lo, size = ends[a], np.diff(ends[a:b + 1])
+            of, width = np.repeat(np.arange(b - a), size), int(size.max())   # row's strip
+            # each row's cell in (strip, width): its strip's levels top first
+            cell = of * width + np.repeat(ends[a + 1:b + 1] - lo, size) - 1 - np.arange(len(of))
+            e, c = at[cut[a]:cut[b]] - lo, cols[cut[a]:cut[b]]
+            n = run[c + 1] - run[c]               # the covering windows' fold nonzeros
+            nz = np.arange(n.sum()) + np.repeat(run[c] - np.cumsum(n) + n, n)
+            k = np.bincount(np.repeat(cell[e], n) * G + fc[nz], fv[nz],
+                            minlength=(b - a) * width * G).reshape(b - a, width, G)
+            np.cumsum(k, axis=1, out=k)
+            k -= np.bincount(np.repeat(of[e], n) * G + fc[nz], np.repeat(u[lo + e], n) * fv[nz],
+                             minlength=(b - a) * G).reshape(b - a, 1, G)
+            w, du = k.reshape(-1, G)[cell], np.diff(u[lo:ends[b]], prepend=0.0)
+            du[ends[a:b] - lo] = u[ends[a:b]]
+            w *= -np.sqrt(np.maximum(du * self.dec.p_c * self.dabar[a + of], 0.0))[:, None]
+            return w
+
+        a = 0
+        while a < J:
+            b = min(int(np.searchsorted(ends, ends[a] + _STACK_ROWS)), J)
+            yield chunk(a, b)
+            a = b
 
     def service_component(self, rng) -> np.ndarray:
         """X2 on every output column, shape (P, G); no draw when p_c = 0."""
@@ -271,9 +303,9 @@ class _LimitEngine:
 class LimitPathBundle:
     """Limit paths of shape (P, T, Y) by name; for each Markov probe the
     columns (Qr(t2, y), Qr(t1, y + t2 - t1), Z(t1, t2, y)); and the engine's
-    size and exact law: its J intervals, G output columns, normals per path
-    of each component, and the exact variance on the grid of each component
-    and of Wr."""
+    size and exact law: its J intervals, G output columns, the weight rows
+    and normals per path of each component, and the exact variance on the
+    grid of each component and of Wr."""
     paths: dict[str, np.ndarray]
     markov: dict
     engine: dict
@@ -325,8 +357,8 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
     exact = {name: on_grid(v) for name, v in eng.exact_var.items()}
     if workload:
         exact["Wr"] = sum(v[eng.wp] for v in eng.exact_var.values()).reshape(T, Y)
-    engine = {"J": len(eng.ds), "G": total.shape[1], "normals_per_path": dict(eng.drawn),
-              "exact_var": exact}
+    engine = {"J": len(eng.ds), "G": total.shape[1], "weight_rows": dict(eng.weight_rows),
+              "normals_per_path": dict(eng.drawn), "exact_var": exact}
     return LimitPathBundle(paths=paths, markov=markov, engine=engine)
 
 

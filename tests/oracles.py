@@ -172,3 +172,28 @@ def service_component_loop(eng, rng):
         x2[:, act] -= v_path[:, np.searchsorted(uniq, levels)]
     return x2
 
+
+
+def service_weights_loop(eng):
+    """X2's weight rows of a ``paths._LimitEngine`` on its output columns,
+    one strip at a time: the strip's distinct levels (and 1) by sort and
+    compare, K by ``np.add.at`` of the covering windows' fold rows at their
+    levels, then -scale_l (sum_{p >= l} K[p] - u^T K)."""
+    rows, cols = np.nonzero(eng.covers)
+    level = np.asarray(eng.dec.continuous_part.cdf(
+        eng.t[cols] + eng.y[cols] - eng.s1[rows]), dtype=float)
+    ends = np.searchsorted(rows, np.arange(len(eng.ds) + 1))
+    for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        order = np.argsort(level[a:b], kind="stable")
+        keys = np.append(level[a:b][order], 1.0)
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        u = keys[new]
+        pos = np.empty(b - a, dtype=np.intp)
+        pos[order] = np.cumsum(new)[:-1] - 1
+        k = np.zeros((len(u), eng.fold.shape[1]))
+        np.add.at(k, pos, eng.fold[cols[a:b]])
+        w = np.cumsum(k[::-1], axis=0)[::-1]
+        w -= u @ k
+        w *= -np.sqrt(np.maximum(np.diff(u, prepend=0.0) * eng.dec.p_c * eng.dabar[j],
+                                 0.0))[:, None]
+        yield w

@@ -788,14 +788,16 @@ class TestGateOrder:
 class TestLimitEngineDiagnostics:
     def test_report_json_carries_the_engine_size_and_exact_bias(self, tmp_path):
         # 20 intervals for 12 output columns (Qr, Qe and Wr on a 2 x 2 grid):
-        # every component draws 12 normals per path; its exact variance at
-        # k = 20 misses the limit's part by a partition bias, first order for
-        # the service sheet
+        # 20, 3200 and 64 weight rows (the x-columns' levels make the sheet
+        # cells many), 12 normals per path for each component; its exact
+        # variance at k = 20 misses the limit's part by a partition bias,
+        # first order for the service sheet
         cfg = config_from_dict({**GATES, "experiment": "limit_path_validation",
                                 **GATE_KEYS["limit_path_validation"]})
         report = run_experiment(cfg)
         eng = report.extras["limit_engine"]
         assert (eng["J"], eng["G"]) == (20, 12)
+        assert eng["weight_rows"] == {"X1": 20, "X2": 3200, "X3": 64}
         assert eng["normals_per_path"] == {"X1": 12, "X2": 12, "X3": 12}
         bias = eng["worst_exact_rel_bias"]
         assert bias["X1"] < 1e-3 and bias["X3"] < 1e-2 and 0.02 < bias["X2"] < 0.2, bias

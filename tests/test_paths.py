@@ -15,8 +15,8 @@ from hqinflab.rng import substream
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal,
                               Mixture, Uniform)
 
-from oracles import (law_id, service_component_loop, split_component_paths, unit_weights,
-                     wr_fold)
+from oracles import (law_id, service_component_loop, service_weights_loop,
+                     split_component_paths, unit_weights, wr_fold)
 
 SERVICES = [
     Exponential(1.5),
@@ -126,6 +126,25 @@ class TestGramFactor:
         np.testing.assert_allclose(eng.exact_var[name], np.diag(gram),
                                    rtol=0.0, atol=1e-12 * np.abs(gram).max())
 
+    @pytest.mark.parametrize("service", [s for s in SERVICES if s.decompose().p_c > 0.0],
+                             ids=law_id)
+    @pytest.mark.parametrize("fold", [False, True], ids=["windows", "wr_fold"])
+    def test_service_weights_match_the_strip_loop(self, fold, service):
+        # without a fold K holds 0/1 counts, so the one-scatter build is the
+        # strip loop bit for bit, and so is its factor R.  The Wr fold sums
+        # u^T K in another order; M is rank-deficient there, so its R is
+        # unique only up to row signs: compare R^T R
+        eng = self.engine(service, fold)
+        m = np.concatenate(list(eng._service_weights()))
+        want = np.concatenate(list(service_weights_loop(eng)))
+        G = m.shape[1]
+        r, r_want = _factor(eng._service_weights(), G), _factor(service_weights_loop(eng), G)
+        if not fold:
+            assert np.array_equal(m, want) and np.array_equal(r, r_want)
+        assert m.shape == want.shape and np.abs(m - want).max() <= 1e-15 * np.abs(want).max()
+        gram = want.T @ want
+        np.testing.assert_allclose(r.T @ r, gram, rtol=0.0, atol=1e-12 * np.abs(gram).max())
+
 
 class TestLimitPathsSizes:
     # the limit_paths benchmark's models, grid and partition
@@ -136,10 +155,6 @@ class TestLimitPathsSizes:
     def test_normals_per_path(self, monkeypatch):
         # 200 intervals, 2275 sheet cells and 603 splitting increments for
         # 96 columns: each component draws (P, 96) once, 288 normals per path
-        eng = _LimitEngine(self.INPUTS, self.GRID, k=200, n_paths=1)
-        rows = [len(eng.ds), sum(len(w) for w in eng._service_weights()),
-                sum(len(w) for w in eng._split_weights())]
-        assert rows == [200, 2275, 603]
         shapes = []
 
         def normals(eng, rng, shape):
@@ -149,8 +164,23 @@ class TestLimitPathsSizes:
         bundle = assemble_limit_bundle(self.INPUTS, self.GRID, k=200, n_paths=5,
                                        rng=substream(1, "normals"))
         assert shapes == [(5, 96)] * 3
+        assert bundle.engine["weight_rows"] == {"X1": 200, "X2": 2275, "X3": 603}
         assert bundle.engine["normals_per_path"] == {"X1": 96, "X2": 96, "X3": 96}
         assert (bundle.engine["J"], bundle.engine["G"]) == (200, 96)
+
+    @pytest.mark.parametrize("stack", [hqinflab.paths._STACK_ROWS, 300],
+                             ids=["one_stack", "refactored"])
+    def test_service_weights_match_the_strip_loop(self, monkeypatch, stack):
+        # the 2275 rows in one stack, and in stacks refactored about every
+        # 300 rows: the chunks end where the strip loop's stacks do, so the
+        # weights and R are the loop's bit for bit
+        monkeypatch.setattr(hqinflab.paths, "_STACK_ROWS", stack)
+        eng = _LimitEngine(self.INPUTS, self.GRID, k=200, n_paths=1)
+        m = np.concatenate(list(eng._service_weights()))
+        assert m.shape == (2275, 96)
+        assert np.array_equal(m, np.concatenate(list(service_weights_loop(eng))))
+        assert np.array_equal(_factor(eng._service_weights(), 96),
+                              _factor(service_weights_loop(eng), 96))
 
     def test_exact_workload_variance_matches_var_w(self):
         # the engine's exact Var Wr at k = 200, renewal arrivals and atoms:
