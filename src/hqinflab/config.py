@@ -15,8 +15,9 @@ A config is a YAML mapping with these top-level keys (defaults in brackets):
   each a finite number >= 0;
 - ``markov`` [none]: a list of [t1, t2, y] probes, 0 <= t1 <= t2 <= the
   last grid time and y >= 0;
-- ``workload`` [false]: also the workload fields, for any arrival rate;
-  needs a finite service mean.
+- ``workload`` [false]: also gate the workload, for any arrival rate (the
+  mean of Wt in ``fwlln``, Var Wr in ``limit_path_validation``); needs a
+  finite service mean, and any other experiment refuses it.
 
 The first four are required.  A model section is a mapping whose tag
 (``kind``, or ``form`` for a rate function) picks one of the kinds below;
@@ -280,6 +281,8 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     workload = raw.get("workload", False)
     if not isinstance(workload, bool):
         _fail("workload", f"expected true or false, got {workload!r}")
+    if workload and experiment not in ("fwlln", "limit_path_validation"):
+        _fail("workload", f"only fwlln and limit_path_validation read it, not {experiment}")
     if workload and not math.isfinite(service.moments().mean):
         _fail("workload", "workload fields need a finite service mean")
 

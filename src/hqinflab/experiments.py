@@ -5,12 +5,15 @@ surfaces, and returns an :class:`ExperimentReport` whose verdict is the AND of
 its per-point pass flags.  Replications use one substream each, keyed by
 (master_seed, experiment, n, replication, component), so reports are
 reproducible bit-for-bit and replication order cannot matter; the seed words
-of every replication's streams at scale n are derived in one call.  Traces are
-simulated and evaluated in blocks of replications (see
-:func:`simulate.block_size`); the block sizes, the thread count and the
-process pool change no replication's values.  No runner simulates initial
-customers, so :func:`check_runnable`, which :func:`run_experiment` calls before
-any work, refuses a config with ``init``.
+of every replication's streams at scale n are derived in one call.  One
+worker, :func:`_block`, draws each block of traces (see
+:func:`simulate.block_size`) and evaluates the fields its runner names in one
+pass, as count rows; each trace runner reduces the joined rows: the means of
+rows/n, the variances of sqrt(n) (rows/n - q), the age sup (:func:`_age_sup`)
+or the dispersion.  The block sizes, the thread count and the process pool
+change no replication's values.  No runner simulates initial customers, so
+:func:`check_runnable`, which :func:`run_experiment` calls before any work,
+refuses a config with ``init``.
 
 Every report starts in :func:`_report` (experiment, seed, config echo), and
 :func:`_replications` records in ``extras["simulation"]``, per n, the
@@ -184,66 +187,54 @@ def _map_replications(worker, n_reps: int, threads: int, block: int):
     return rows, stats
 
 
-def _replications(report: ExperimentReport, evaluate, cfg: ExperimentConfig,
-                  n: int, threads: int) -> dict:
-    """Rows of ``evaluate`` over cfg.replications traces at scale n, in blocks
-    sized by :func:`block_size`; their simulation stats go to
+def _replications(report: ExperimentReport, cfg: ExperimentConfig, n: int, threads: int,
+                  names: tuple[str, ...], fluid_qr=None, frc=None) -> dict:
+    """The count rows of cfg.replications traces at scale n, drawn by
+    :func:`_block` in blocks sized by :func:`block_size` and joined in
+    replication order for the runner to reduce; their simulation stats go to
     ``report.extras["simulation"][str(n)]``."""
     block = block_size(cfg.arrival, n, cfg.horizon, cfg.grid)
     words = seed_words(cfg.master_seed,
                        [(cfg.experiment, n, r, "trace") for r in range(cfg.replications)], 2)
-    rows, stats = _map_replications(partial(_block, evaluate, cfg, n, words),
-                                    cfg.replications, threads, block)
+    rows, stats = _map_replications(
+        partial(_block, cfg, n, words, names, fluid_qr=fluid_qr, frc=frc),
+        cfg.replications, threads, block)
     report.extras.setdefault("simulation", {})[str(n)] = stats
     return rows
 
 
-# -- replication workers (module level so they pickle for the process pool) ----
+# -- the replication worker (module level so that it pickles for the process pool) --
 
-def _block(evaluate, cfg: ExperimentConfig, n: int, words: np.ndarray, reps: range):
-    """Draw one block of replications at scale n from the replications' own
-    "trace" substreams, whose seed words are ``words[reps]``, and return
-    ``evaluate(trace, reps)`` with the arrivals simulated and the seconds
-    spent drawing and evaluating."""
+def _block(cfg: ExperimentConfig, n: int, words: np.ndarray, names: tuple[str, ...],
+           reps: range, fluid_qr: np.ndarray | None = None, frc: np.ndarray | None = None):
+    """The one replication worker: draw one block of replications at scale n
+    from their own "trace" substreams, seeded by ``words[reps]``, and
+    evaluate it in one pass.  Returns the count rows of the fields ``names``
+    (copies: a view would keep the block's histogram alive), plus X1 and X2
+    of hat Qr centred on ``fluid_qr`` and the Binomial(Qt, ``frc``) resample
+    Qtilde from the "bernoulli" substreams when given; and with them the
+    arrivals simulated and the seconds spent drawing and evaluating."""
     start = time.perf_counter()
     trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, words[reps.start:reps.stop])
     drawn = time.perf_counter()
-    rows = evaluate(trace, reps)
+    rows = {name: f.copy() for name, f in eval_fields(trace, cfg.grid, names).items()}
+    if fluid_qr is not None:
+        rows["X1"], rows["X2"] = decompose_hatQr(trace, cfg.grid, fluid_qr)
+    if frc is not None:
+        bernoulli = seed_words(cfg.master_seed, [(cfg.experiment, n, r, "bernoulli") for r in reps])
+        rows["Qtilde"] = np.array([seated(w).binomial(qt[:, None], frc) for qt, w
+                                   in zip(rows["Qt"].astype(int), bernoulli.tolist())], float)
     return rows, {"customers": len(trace.arrivals), "draw_s": drawn - start,
                   "eval_s": time.perf_counter() - drawn}
 
 
-def _fwlln_fields(cfg: ExperimentConfig, trace, reps: range):
-    names = ("Qr", "Qe", "Wt") if cfg.workload else ("Qr", "Qe")
-    return {name: f / trace.n for name, f in eval_fields(trace, cfg.grid, names).items()}
-
-
-def _fclt_fields(cfg: ExperimentConfig, fluid_qr: np.ndarray, fluid_qe: np.ndarray,
-                 decomposable: bool, trace, reps: range):
-    q, n = eval_fields(trace, cfg.grid, ("Qr", "Qe")), trace.n
-    out = {"Qr": math.sqrt(n) * (q["Qr"] / n - fluid_qr),
-           "Qe": math.sqrt(n) * (q["Qe"] / n - fluid_qe)}
-    if decomposable:
-        out["X1"], out["X2"] = decompose_hatQr(trace, cfg.grid, fluid_qr)
-    return out
-
-
-def _age_fields(cfg: ExperimentConfig, fe_targets, trace, reps: range):
-    q = eval_fields(trace, cfg.grid, ("Qe", "Qt"))
-    qt = q["Qt"][:, -1:]                  # t = t_max
-    # the empirical age c.d.f. Fe = Qe / Qt, 0 by convention in an empty system
+def _age_sup(qe: np.ndarray, qt: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per replication, sup over y of |Fe - targets| for the empirical age
+    c.d.f. Fe = Qe / Qt at the last grid time, 0 in an empty system."""
+    qt = qt[:, -1:]
     with np.errstate(invalid="ignore", divide="ignore"):
-        fe_last = np.where(qt > 0, q["Qe"][:, -1] / qt, 0.0)
-    return {"sup": np.max(np.abs(fe_last - fe_targets), axis=1)}
-
-
-def _poisson_fields(cfg: ExperimentConfig, frc_vals, trace, reps: range):
-    q = eval_fields(trace, cfg.grid, ("Qr", "Qt"))
-    qt = q["Qt"].astype(int)
-    p = np.clip(frc_vals, 0.0, 1.0)
-    words = seed_words(cfg.master_seed, [(cfg.experiment, trace.n, r, "bernoulli") for r in reps])
-    qtilde = [seated(w).binomial(q[:, None], p) for q, w in zip(qt, words.tolist())]
-    return {"Qr": q["Qr"], "Qtilde": np.asarray(qtilde, dtype=float)}
+        fe_last = np.where(qt > 0, qe[:, -1] / qt, 0.0)
+    return np.max(np.abs(fe_last - targets), axis=1)
 
 
 # -- runners --------------------------------------------------------------------
@@ -266,20 +257,21 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     if cfg.workload:
         wt_fluid = lim.fluid_workload(inputs, grid.t, 0.0)
 
+    names = ("Qr", "Qe", "Wt") if cfg.workload else ("Qr", "Qe")
     sup_errors = {}
     for n in cfg.n_list:
-        results = _replications(report, partial(_fwlln_fields, cfg), cfg, n, threads)
-        means = {name: np.mean(results[name], axis=0) for name in fluid}
+        rows = _replications(report, cfg, n, threads, names)
+        means = {name: np.mean(rows[name] / n, axis=0) for name in names}
         sup_errors[n] = 0.0
-        for name, mean in means.items():
-            err = np.abs(mean - fluid[name])
+        for name, target in fluid.items():
+            err = np.abs(means[name] - target)
             sup_errors[n] = max(sup_errors[n], float(err.max()))
             i, j = np.unravel_index(np.argmax(err), err.shape)
             report.add(_abs_point(f"sup|mean {name}/n - fluid| n={n}", grid.t[i], grid.y[j],
-                                  mean[i, j], fluid[name][i, j], tol))
+                                  means[name][i, j], target[i, j], tol))
         report.surface_rows(f"mean_n{n}", grid, means["Qr"], f"mean_Qr_n{n}")
         if cfg.workload:
-            mean_wt = np.mean(results["Wt"], axis=0)
+            mean_wt = means["Wt"]
             jw = int(np.argmax(np.abs(mean_wt - wt_fluid)))
             report.add(_abs_point(f"sup|mean Wt/n - fluid| n={n}", grid.t[jw], 0.0,
                                   mean_wt[jw], wt_fluid[jw], cfg.tolerances["workload_abs"]))
@@ -309,23 +301,23 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         comp = lim.var_components(inputs, *np.meshgrid(cfg.grid.t, cfg.grid.y, indexing="ij"))
 
     for n in cfg.n_list:
-        results = _replications(report, partial(_fclt_fields, cfg, fq_r, fq_e, decomposable),
-                                cfg, n, threads)
-        qr = results["Qr"]
+        rows = _replications(report, cfg, n, threads, ("Qr", "Qe"),
+                             fluid_qr=fq_r if decomposable else None)
+        qr, qe = (math.sqrt(n) * (rows[name] / n - q) for name, q in (("Qr", fq_r), ("Qe", fq_e)))
         var_qr_mc = sample_var(qr)
         _grid_points(report, cfg.grid,
                      (_rel_point, f"Var Qr-hat n={n}", var_qr_mc, v_r,
                       tols["variance_rel"], v_r > 1e-10),
-                     (_rel_point, f"Var Qe-hat n={n}", sample_var(results["Qe"]), v_e,
+                     (_rel_point, f"Var Qe-hat n={n}", sample_var(qe), v_e,
                       tols["variance_rel_loose"], v_e > 1e-10))
         if decomposable:
             report.add(_abs_point(f"max|X1+X2-Qr-hat| n={n}", 0.0, 0.0,
-                                  np.max(np.abs(results["X1"] + results["X2"] - qr)), 0.0,
+                                  np.max(np.abs(rows["X1"] + rows["X2"] - qr)), 0.0,
                                   tols["identity_abs"]))
             _grid_points(report, cfg.grid,
-                         (_rel_point, f"Var X1 n={n}", sample_var(results["X1"]),
+                         (_rel_point, f"Var X1 n={n}", sample_var(rows["X1"]),
                           comp.arrival, tols["variance_rel_loose"], comp.arrival > 1e-10),
-                         (_rel_point, f"Var X2 n={n}", sample_var(results["X2"]),
+                         (_rel_point, f"Var X2 n={n}", sample_var(rows["X2"]),
                           comp.service, tols["variance_rel_loose"], comp.service > 1e-10))
         if cfg.grid.y[0] == 0.0:
             report.extras[f"qt_skew_kurt_n{n}"] = [
@@ -344,8 +336,8 @@ def run_age_distribution(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     t_last = float(cfg.grid.t[-1])
     fe_targets = (lim.fluid_qe(inputs, t_last, np.minimum(cfg.grid.y, t_last))
                   / lim.fluid_qr(inputs, t_last, 0.0))
-    n = cfg.n_list[-1]
-    sups = _replications(report, partial(_age_fields, cfg, fe_targets), cfg, n, threads)["sup"]
+    rows = _replications(report, cfg, cfg.n_list[-1], threads, ("Qe", "Qt"))
+    sups = _age_sup(rows["Qe"], rows["Qt"], fe_targets)
     tol = cfg.tolerances["ks_abs"]
     frac = float(np.mean([s < tol for s in sups]))
     report.extras["per_seed_sup"] = [float(s) for s in sups]
@@ -367,10 +359,10 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     fq_r = lim.surface(inputs, cfg.grid, "fluid_qr")
     qt_fluid = lim.fluid_qr(inputs, cfg.grid.t, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        frc = np.where(qt_fluid[:, None] > 0, fq_r / qt_fluid[:, None], 0.0)
+        frc = np.clip(np.where(qt_fluid[:, None] > 0, fq_r / qt_fluid[:, None], 0.0), 0.0, 1.0)
     n = cfg.n_list[-1]
-    results = _replications(report, partial(_poisson_fields, cfg, frc), cfg, n, threads)
-    qr = results["Qr"]
+    rows = _replications(report, cfg, n, threads, ("Qr", "Qt"), frc=frc)
+    qr = rows["Qr"]
     var_qr_mc = sample_var(qr)
     with np.errstate(invalid="ignore", divide="ignore"):
         dispersion = var_qr_mc / qr.mean(axis=0)
@@ -378,7 +370,7 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
     _grid_points(report, cfg.grid,
                  (_abs_point, "dispersion |var/mean - 1|", dispersion, 1.0,
                   cfg.tolerances["dispersion_abs"], live),
-                 (_rel_point, "Var resampled vs Var Qr", sample_var(results["Qtilde"]),
+                 (_rel_point, "Var resampled vs Var Qr", sample_var(rows["Qtilde"]),
                   var_qr_mc, cfg.tolerances["variance_rel_loose"], live))
     return report
 

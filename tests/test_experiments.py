@@ -1,6 +1,7 @@
 import concurrent.futures
 import ctypes
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -16,11 +17,13 @@ import yaml
 
 import hqinflab
 from hqinflab import cli, experiments, simulate
+from hqinflab import limits as lim
 from hqinflab import paths as lp
 from hqinflab.config import EXPERIMENTS, config_from_dict, parse_config
 from hqinflab.fields import Grid
 from hqinflab.experiments import run_experiment
 from hqinflab.rng import seed_words, substream
+from hqinflab.scaling import decompose_hatQr
 from hqinflab.stats import correlation, sample_var
 
 from oracles import simpson
@@ -159,6 +162,16 @@ class TestKeyChecks:
     def test_malformed_value_names_its_key(self, key, value, where):
         with pytest.raises(ValueError, match=f"^(config error at )?{re.escape(where)}: "):
             config_from_dict({**TINY, key: value})
+
+    @pytest.mark.parametrize("experiment", ["fclt_variance", "age_distribution",
+                                            "poisson_property", "markov_check"])
+    def test_workload_refused_where_nothing_reads_it(self, experiment):
+        message = ("config error at workload: only fwlln and limit_path_validation read it, "
+                   f"not {experiment}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**TINY, "experiment": experiment})
+        assert not config_from_dict({**TINY, "experiment": experiment,
+                                     "workload": False}).workload
 
     def test_workload_is_a_field_flag_not_an_experiment(self):
         # fwlln with workload: true gates the mean of Wt/n
@@ -451,7 +464,7 @@ class TestCli:
 
 class TestPoissonProperty:
     def poisson_property(self, arrival):
-        return config_from_dict({**TINY, "experiment": "poisson_property",
+        return config_from_dict({**TINY, "experiment": "poisson_property", "workload": False,
                                  "arrival": arrival, "n_list": [40], "replications": 8})
 
     def test_accepts_exponential_renewal(self):
@@ -466,11 +479,11 @@ class TestPoissonProperty:
     def test_resampling_draws_the_same_rows_twice(self):
         # the scratch generator is re-seated before every draw
         cfg = self.poisson_property({"kind": "poisson", "rate": 1.0})
-        trace = simulate.simulate(cfg.arrival, cfg.service, 40, cfg.horizon,
-                                  seed_words(3, [("resample", r) for r in range(4)], 2))
+        words = seed_words(3, [("resample", r) for r in range(4)], 2)
         frc = np.full(cfg.grid.shape, 0.5)
-        first, second = (experiments._poisson_fields(cfg, frc, trace, range(4)) for _ in range(2))
-        assert first["Qtilde"].any()
+        first, second = (experiments._block(cfg, 40, words, ("Qr", "Qt"), range(4), frc=frc)[0]
+                         for _ in range(2))
+        assert list(first) == ["Qr", "Qt", "Qtilde"] and first["Qtilde"].any()
         for name in first:
             assert np.array_equal(first[name], second[name])
 
@@ -479,8 +492,8 @@ class TestAgeDistribution:
     def test_nhpp_gate_and_its_fluid_target(self):
         # the target is qe(t, y ^ t) / qr(t, 0), the fluid fraction of the
         # customers present at t that arrived in (t - y, t]
-        cfg = config_from_dict({**TINY, "experiment": "age_distribution", "arrival": NHPP,
-                                "grid": {"t": [3.0], "y": [0.25, 1.0, 5.0]},
+        cfg = config_from_dict({**TINY, "experiment": "age_distribution", "workload": False,
+                                "arrival": NHPP, "grid": {"t": [3.0], "y": [0.25, 1.0, 5.0]},
                                 "n_list": [400], "replications": 20})
         report = run_experiment(cfg)
 
@@ -513,6 +526,25 @@ class TestBenchmarkWorkloads:
     def test_every_workload_is_checked(self):
         assert sorted(p.stem for p in WORKLOADS.glob("*.yaml")) == [
             "limit_paths", "mc_large_n", "mc_small_n"]
+
+
+class TestBenchmarkHooks:
+    # the benchmark worker counts its work by wrapping experiments.simulate,
+    # and its tracer patches these names where experiments looks them up; a
+    # name moved out of experiments would leave its metric reading 0
+    @pytest.mark.parametrize("name", ["simulate", "decompose_hatQr", "substream",
+                                      "sample_var", "skew_kurtosis", "correlation",
+                                      "_map_replications"])
+    def test_experiments_keeps_the_patched_names(self, name):
+        assert callable(getattr(experiments, name))
+
+    def test_map_replications_takes_the_replication_count_second(self):
+        assert list(inspect.signature(experiments._map_replications).parameters)[1] == "n_reps"
+
+    def test_the_worker_looks_up_simulate_and_decompose_in_experiments(self):
+        globals_read = experiments._block.__code__.co_names
+        assert {"simulate", "decompose_hatQr"} <= set(globals_read)
+        assert experiments._block.__globals__ is vars(experiments)
 
 
 FCLT = {
@@ -553,35 +585,54 @@ class TestBlocks:
                     assert est == est0, name
             assert report.plotdata == reference.plotdata
 
-    def test_one_fwlln_block_builds_each_histogram_once(self, monkeypatch):
-        # the residual histogram is counted once and weighted by the ends
-        # once; the elapsed one is counted once; nothing is weighted by the
-        # services, which no fwlln field reads.  On this grid the two
-        # histograms differ in size, so the sizes tell them apart.
-        cfg = config_from_dict({**TINY, "grid": {"t": [0.5, 1.0, 2.0], "y": [0.0, 0.5, 1.5]}})
-        reps = 3
-        trace = simulate.simulate(cfg.arrival, cfg.service, 20, cfg.horizon,
-                                  seed_words(1, [("spy", r) for r in range(reps)], 2))
-        ends = trace.arrivals + trace.services
+    @pytest.mark.parametrize("experiment,workload", [
+        ("fwlln", True), ("fwlln", False), ("fclt_variance", False),
+        ("age_distribution", False), ("poisson_property", False)])
+    def test_one_block_builds_each_histogram_once(self, experiment, workload, monkeypatch):
+        # per block drawn by _block, the customers are binned once; the
+        # residual histogram is counted once and weighted by the ends only
+        # with workload; the elapsed one is
+        # counted only where Qe is read; nothing is weighted by the services,
+        # which no trace gate reads.  On this grid the two histograms differ
+        # in size, so the sizes tell them apart.  decompose_hatQr's own
+        # recount (fclt_variance) is not a field histogram.
+        cfg = config_from_dict({**TINY, "experiment": experiment, "workload": workload,
+                                "grid": {"t": [0.5, 1.0, 2.0], "y": [0.0, 0.5, 1.5]}})
         layout = simulate._layout(cfg.grid)
-        residual_cells = reps * np.prod(layout.residual_shape)
-        elapsed_cells = reps * np.prod(layout.elapsed_shape)
-        assert residual_cells != elapsed_cells
-        calls = []
-        original = np.bincount
+        residual, elapsed = math.prod(layout.residual_shape), math.prod(layout.elapsed_shape)
+        assert residual != elapsed
+        traces, calls, binned = [], [], []
+        original_simulate, original_bincount = experiments.simulate, np.bincount
+        original_bin = simulate._Layout.bin
+
+        def drawing(*args, **kwargs):
+            traces.append(original_simulate(*args, **kwargs))
+            return traces[-1]
 
         def spy(x, weights=None, minlength=0):
-            if weights is None:
-                kind = "count"
-            else:
-                kind = "ends" if np.array_equal(weights, ends) else "other"
-                assert not np.array_equal(weights, trace.services)
-            calls.append((kind, minlength))
-            return original(x, weights=weights, minlength=minlength)
+            if sys._getframe(1).f_globals["__name__"] == simulate.__name__:
+                trace = traces[-1]
+                if weights is None:
+                    kind = "count"
+                else:
+                    kind = ("ends" if np.array_equal(weights, trace.arrivals + trace.services)
+                            else "other")
+                calls.append((kind, minlength // trace.replications))
+            return original_bincount(x, weights=weights, minlength=minlength)
+
+        def binning(layout, tau, end):
+            binned.append(len(tau))
+            return original_bin(layout, tau, end)
+        monkeypatch.setattr(experiments, "simulate", drawing)
         monkeypatch.setattr(np, "bincount", spy)
-        experiments._fwlln_fields(cfg, trace, range(reps))
-        assert sorted(calls) == sorted([("count", residual_cells), ("ends", residual_cells),
-                                        ("count", elapsed_cells)])
+        monkeypatch.setattr(simulate._Layout, "bin", binning)
+        report = run_experiment(cfg)
+        blocks = sum(s["blocks"] for s in report.extras["simulation"].values())
+        assert blocks == len(traces) >= 1
+        assert binned == [len(trace.arrivals) for trace in traces]
+        per_block = ([("count", residual)] + [("ends", residual)] * workload
+                     + [("count", elapsed)] * (experiment != "poisson_property"))
+        assert sorted(calls) == sorted(per_block * blocks)
 
     def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch):
         # a pool starts all of its workers at once, busy or not; a stub
@@ -842,6 +893,81 @@ class TestLimitPathStatistics:
             assert seen[f"corr {a}-{b}"] == {(int(i), int(j))
                                              for i, j in np.argwhere(live[a] & live[b])}
         assert not live["X1"][0].any() and live["X3"].any() == atoms
+
+
+TRACE_STATS = {
+    "arrival": {"kind": "poisson", "rate": 1.0},
+    "service": {"kind": "lognormal", "logmean": -0.5, "logsd": 1.0},
+    "grid": {"t": [0.5, 1.0, 2.0], "y": [0.0, 0.5, 1.5]},
+    "n_list": [20, 40],
+    "replications": 24,
+}
+
+
+class TestTraceStatistics:
+    """Each trace runner reduces the count rows that its blocks return; its
+    points are still the statistics of the raw counts of one block of all
+    the replications, bit for bit."""
+
+    @staticmethod
+    def counts(cfg, n, names):
+        """The trace and the named fields of every replication at scale n,
+        drawn as one block on their "trace" seed words."""
+        words = seed_words(cfg.master_seed, [(cfg.experiment, n, r, "trace")
+                                             for r in range(cfg.replications)], 2)
+        trace = simulate.simulate(cfg.arrival, cfg.service, n, cfg.horizon, words)
+        return trace, simulate.eval_fields(trace, cfg.grid, names)
+
+    @pytest.mark.parametrize("experiment", ["fwlln", "fclt_variance", "age_distribution",
+                                            "poisson_property"])
+    def test_points_are_the_statistics_of_the_counts(self, experiment, monkeypatch):
+        cfg = config_from_dict({**TRACE_STATS, "experiment": experiment,
+                                "workload": experiment == "fwlln"})
+        # 5 replications a block on this grid: blocks of 5, 5, 5, 5 and 4
+        monkeypatch.setattr(simulate, "_BLOCK_BUDGET", 5 * 104)
+        report = run_experiment(cfg)
+        assert {s["blocks"] for s in report.extras["simulation"].values()} == {5}
+        inputs, grid = experiments._inputs(cfg), cfg.grid
+        fluid_qr, fluid_qe = (lim.surface(inputs, grid, name) for name in ("fluid_qr", "fluid_qe"))
+        want = {}
+        if experiment == "fwlln":
+            sups = []
+            for n in cfg.n_list:
+                _, q = self.counts(cfg, n, ("Qr", "Qe", "Wt"))
+                for name, fluid in (("Qr", fluid_qr), ("Qe", fluid_qe)):
+                    mean = np.mean(q[name] / n, axis=0)
+                    i, j = np.unravel_index(np.argmax(np.abs(mean - fluid)), grid.shape)
+                    sups.append((f"sup|mean {name}/n - fluid| n={n}", grid.t[i], grid.y[j],
+                                 mean[i, j]))
+                mean = np.mean(q["Wt"] / n, axis=0)
+                i = np.argmax(np.abs(mean - lim.fluid_workload(inputs, grid.t, 0.0)))
+                sups.append((f"sup|mean Wt/n - fluid| n={n}", grid.t[i], 0.0, mean[i]))
+            assert _points(report)[:-1] == sups
+        elif experiment == "fclt_variance":
+            for n in cfg.n_list:
+                trace, q = self.counts(cfg, n, ("Qr", "Qe"))
+                x1, x2 = decompose_hatQr(trace, grid, fluid_qr)
+                want.update({
+                    f"Var Qr-hat n={n}": sample_var(math.sqrt(n) * (q["Qr"] / n - fluid_qr)),
+                    f"Var Qe-hat n={n}": sample_var(math.sqrt(n) * (q["Qe"] / n - fluid_qe)),
+                    f"Var X1 n={n}": sample_var(x1), f"Var X2 n={n}": sample_var(x2)})
+        elif experiment == "poisson_property":
+            _, q = self.counts(cfg, cfg.n_list[-1], ("Qr",))
+            want["dispersion |var/mean - 1|"] = sample_var(q["Qr"]) / q["Qr"].mean(axis=0)
+        else:
+            _, q = self.counts(cfg, cfg.n_list[-1], ("Qe", "Qt"))
+            targets = np.array([row["value"] for row in report.plotdata["age"]])
+            qt = q["Qt"][:, -1:]
+            fe = np.where(qt > 0, q["Qe"][:, -1] / np.maximum(qt, 1.0), 0.0)
+            assert report.extras["per_seed_sup"] == np.max(np.abs(fe - targets), axis=1).tolist()
+        index = {(float(t), float(y)): (i, j) for i, t in enumerate(grid.t)
+                 for j, y in enumerate(grid.y)}
+        seen = {label: 0 for label in want}
+        for p in report.points:
+            if p.label in want:
+                assert p.estimate == want[p.label][index[p.t, p.y]], (p.label, p.t, p.y)
+                seen[p.label] += 1
+        assert all(seen.values()), seen
 
 
 class TestEmit:

@@ -1,5 +1,4 @@
 import itertools
-import types
 
 import numpy as np
 import pytest
@@ -538,9 +537,8 @@ class TestEmpiricalDistributions:
 
     @staticmethod
     def sup(trace, grid, targets):
-        cfg = types.SimpleNamespace(grid=grid)
-        return experiments._age_fields(cfg, np.array(targets), trace,
-                                       range(trace.replications))["sup"]
+        q = eval_fields(trace, grid, ("Qe", "Qt"))
+        return experiments._age_sup(q["Qe"], q["Qt"], np.array(targets))
 
     def test_zero_convention(self):
         # an empty system has Fe = 0, not 0 / 0
