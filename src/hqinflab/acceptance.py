@@ -28,7 +28,7 @@ from .fields import Grid
 from .rng import seed_words
 from .scaling import decompose_hatQr, x1_integration_by_parts
 from .service import Exponential, FiniteAtoms, HyperExponential, Mixture
-from .simulate import CountLaw, InitialConditions, eval_fields, eval_initial_fields, simulate
+from .simulate import CountLaw, InitialConditions, eval_fields, simulate
 from .stats import sample_var
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "DEFAULT_SEED"]
@@ -145,7 +145,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     # two-term decomposition additivity (continuous service only)
     arrival, service = ArrivalModel.poisson(1.0), Exponential(1.0)
-    inputs = lim.LimitInputs.from_models(arrival, service)
+    inputs = lim.LimitInputs(arrival, service)
     fluid = lim.surface(inputs, grid, "fluid_qr")
     block = simulate(arrival, service, n=100, horizon=2.0,
                      words=seed_words(seed, [("criterion1", "x12", rep) for rep in range(5)], 3))
@@ -156,8 +156,8 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = float(np.max(np.abs(x1 + x2 - qhat)))
     passed &= _check(lines, worst <= 1e-9, f"X1 + X2 = Qr-hat, worst residual {worst:.2e}")
     # X1's panel sums against the Stieltjes form, whose integral over the
-    # arrival steps is exact and whose drift part is by quadrature
-    parts = x1_integration_by_parts(block, grid, inputs.abar, inputs.rate)
+    # arrival steps is exact and whose drift part reads the fluid surface
+    parts = x1_integration_by_parts(block, grid, fluid, inputs.abar)
     worst = float(np.max(np.abs(x1 - parts)))
     passed &= _check(lines, worst <= 1e-6,
                      f"X1 against its integration-by-parts form, worst difference {worst:.2e}")
@@ -201,7 +201,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     passed = True
     t, y = np.meshgrid((0.5, 1.0, 1.5, 2.0), (0.0, 0.25, 0.5, 1.0), indexing="ij")
     for name, service in (("exp", Exponential(1.0)), ("mixture", _mix_service())):
-        inputs = lim.LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        inputs = lim.LimitInputs(ArrivalModel.poisson(1.0), service)
         worst = float(np.max(np.abs(lim.var_qr(inputs, t, y) - lim.fluid_qr(inputs, t, y))))
         passed &= _check(lines, worst <= 1e-8,
                          f"analytic collapse ({name}): sup |var - fluid| = {worst:.2e}")
@@ -237,7 +237,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     for name, arrival, t, exact, bound in (
             ("M/exp", ArrivalModel.poisson(1.0), 2.0, 1.0 - math.exp(-2.0), 1e-9),
             ("D-renewal/exp", ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), 8.0, 0.5, 1e-3)):
-        target = lim.var_qr(lim.LimitInputs.from_models(arrival, Exponential(1.0)), t, 0.0)
+        target = lim.var_qr(lim.LimitInputs(arrival, Exponential(1.0)), t, 0.0)
         passed &= _check(lines, abs(target - exact) < bound,
                          f"{name}: var_qr({t:g}, 0) = {target:.9f} vs {exact:.9f} (< {bound:g})")
     return CriterionResult(4, "FCLT variances", passed, lines)
@@ -262,7 +262,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
          Mixture(0.5, Exponential(1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))),
     ]
     for name, arrival, service in cases:
-        inputs = lim.LimitInputs.from_models(arrival, service)
+        inputs = lim.LimitInputs(arrival, service)
         total = lim.var_components(inputs, t, y).total
         worst = float(np.max(np.abs(total - lim.var_qr(inputs, t, y))))
         passed &= _check(lines, worst <= 1e-6, f"{name}: sup |sum - var_qr| = {worst:.2e}")
@@ -307,7 +307,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     passed &= _gates(lines, "nhpp/lognormal", report)
     for name, service, expect in (("exp", Exponential(1.0), 1.0),
                                   ("det", FiniteAtoms(((1.0, 1.0),)), 0.5)):
-        inputs = lim.LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        inputs = lim.LimitInputs(ArrivalModel.poisson(1.0), service)
         quad, exact = lim.fluid_workload_steady(inputs, 1.0)
         ok = abs(exact - expect) <= 1e-12 and abs(quad - exact) <= 1e-6
         passed &= _check(lines, ok,
@@ -359,11 +359,11 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     for kind in ("fixed", "poisson"):
         init = InitialConditions(CountLaw(kind, 1.0), Exponential(1.0))
         qir, target, _, _ = lim.initial_and_total_limits(
-            lim.LimitInputs.from_models(arrival, service, init=init), 0.0, y)
+            lim.LimitInputs(arrival, service, init=init), 0.0, y)
         block = simulate(arrival, service, n, y,
                          seed_words(seed, [("criterion10", kind, r) for r in range(2000)], 3),
                          init=init)
-        counts = eval_initial_fields(block, Grid([y], [y]))["Qir"][:, 0]
+        counts = eval_fields(block, Grid([y], [y]), ("Qir",))["Qir"][:, 0]
         est = float(sample_var((counts - n * qir) / math.sqrt(n)))
         passed &= _check(lines, abs(est - target) <= 0.1 * target,
                          f"{kind} count: Var Qir-hat(ln 2) = {est:.4f} vs {target:.4f} (10%)")
@@ -375,8 +375,8 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     qir_shift = _per_replication(
         block.initial_residuals[:, None, None] > grid.t[:, None] + grid.y,
         np.concatenate(([0], np.cumsum(block.initial_counts))))
-    worst = float(np.max(np.abs(eval_initial_fields(block, grid)["QTr"]
-                                - eval_fields(block, grid, ("Qr",))["Qr"] - qir_shift)))
+    f = eval_fields(block, grid, ("QTr", "Qr"))
+    worst = float(np.max(np.abs(f["QTr"] - f["Qr"] - qir_shift)))
     passed &= _check(lines, worst <= 1e-9, f"QTr = Qr + Qir(t+y) exact (worst {worst:.1e})")
     return CriterionResult(10, "initial conditions", passed, lines)
 

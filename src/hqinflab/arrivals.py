@@ -34,10 +34,12 @@ _NEWTON_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class RateFunction:
-    """lambda(t) = a + b*t (linear) or a + b*sin(c*t + d) (sinusoidal).
+    """lambda(t) = a (constant), a + b*t (linear) or a + b*sin(c*t + d)
+    (sinusoidal).
 
-    Constant rates are the linear form with b = 0.  The rate must stay
-    nonnegative on [0, inf); for the sinusoidal form that means a >= |b|.
+    The constant form takes no b, so every form with b = 0 is the constant
+    rate a.  The rate must stay nonnegative on [0, inf); for the sinusoidal
+    form that means a >= |b|.
     """
     form: str
     a: float
@@ -50,6 +52,8 @@ class RateFunction:
             raise ValueError(f"unknown rate-function form {self.form!r}")
         if self.form == "constant" and self.a <= 0:
             raise ValueError("rate must be positive")
+        if self.form == "constant" and self.b != 0.0:
+            raise ValueError(f"a constant rate takes no slope b, got b={self.b}")
         if self.form == "linear" and (self.a < 0 or self.b < 0 or self.a + self.b == 0):
             raise ValueError("linear rate must be nonnegative and nondegenerate")
         if self.form == "sinusoidal" and (self.a <= 0 or self.a < abs(self.b)):
@@ -60,27 +64,18 @@ class RateFunction:
     def rate(self, t):
         if self.form == "sinusoidal":
             return _as_array_or_scalar(t, lambda v: self.a + self.b * np.sin(self.c * v + self.d))
-        return _as_array_or_scalar(t, lambda v: self.a + self._slope * v)
+        return _as_array_or_scalar(t, lambda v: self.a + self.b * v)
 
     def cumulative(self, t):
         if self.form == "sinusoidal":
             # (b/c)(cos d - cos(ct + d)) as a product of sines: no cancellation near t = 0
             return _as_array_or_scalar(t, lambda v: self.a * v + 2.0 * (self.b / self.c)
                                        * np.sin(0.5 * self.c * v) * np.sin(0.5 * self.c * v + self.d))
-        return _as_array_or_scalar(t, lambda v: self.a * v + 0.5 * self._slope * v * v)
-
-    @property
-    def _slope(self) -> float:
-        """b of the linear form; a constant rate has none, whatever b holds."""
-        return 0.0 if self.form == "constant" else self.b
+        return _as_array_or_scalar(t, lambda v: self.a * v + 0.5 * self.b * v * v)
 
     @property
     def constant_rate(self) -> float | None:
-        if self.form == "constant" or (self.form == "linear" and self.b == 0.0):
-            return self.a
-        if self.form == "sinusoidal" and self.b == 0.0:
-            return self.a
-        return None
+        return self.a if self.b == 0.0 else None
 
     def invert_cumulative(self, levels: np.ndarray, horizon: float) -> np.ndarray:
         """Solve cumulative(t) = level for each level in [0, cumulative(horizon)]."""

@@ -13,8 +13,9 @@ A config is a YAML mapping with these top-level keys (defaults in brackets):
 - ``master_seed`` [20100709]: an integer >= 0;
 - ``tolerances`` [:data:`DEFAULT_TOLERANCES`]: overrides of some of them,
   each a finite number >= 0;
-- ``markov`` [none]: a list of [t1, t2, y] probes, 0 <= t1 <= t2 <= the
-  last grid time and y >= 0;
+- ``markov`` [none]: a list of distinct [t1, t2, y] probes, 0 <= t1 <= t2
+  <= the last grid time and y >= 0; only ``markov_check`` reads it, and any
+  other experiment refuses probes;
 - ``workload`` [false]: also gate the workload, for any arrival rate (the
   mean of Wt in ``fwlln``, Var Wr in ``limit_path_validation``); needs a
   finite service mean, and any other experiment refuses it.
@@ -296,7 +297,11 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
         t1, t2, y = _float_list(f"markov[{i}]", probe, 3)
         if not (0.0 <= t1 <= t2 <= grid.t[-1]) or y < 0:
             _fail("markov", f"probe ({t1}, {t2}, {y}) out of range")
+        if (t1, t2, y) in probes:
+            _fail("markov", f"repeated probe ({t1}, {t2}, {y})")
         probes.append((t1, t2, y))
+    if probes and experiment != "markov_check":
+        _fail("markov", f"only markov_check reads it, not {experiment}")
 
     return ExperimentConfig(
         arrival=arrival, service=service, grid=grid, experiment=experiment,

@@ -64,27 +64,18 @@ def _broadcast(*args):
 
 
 class LimitInputs:
-    """Bundle of everything the limit formulas consume."""
+    """Bundle of everything the limit formulas consume: the arrival model's
+    cumulative rate abar, its rate and its variability c_a^2, the service
+    law and its decomposition, and the initial conditions, if any."""
 
-    def __init__(self, abar, rate, ca2: float, service: ServiceModel,
+    def __init__(self, arrival: ArrivalModel, service: ServiceModel,
                  init: InitialConditions | None = None):
-        self.abar = abar
-        self.rate = rate
-        self.ca2 = float(ca2)
-        if self.ca2 < 0:
-            raise ValueError("c_a^2 must be nonnegative")
+        self.abar = arrival.cumulative_rate
+        self.rate = arrival.rate
+        self.ca2 = float(arrival.ca2)
         self.service = service
         self.init = init
         self.decomposition: MixtureDecomposition = service.decompose()
-
-    @classmethod
-    def from_models(cls, arrival: ArrivalModel, service: ServiceModel,
-                    init: InitialConditions | None = None) -> "LimitInputs":
-        return cls(abar=arrival.cumulative_rate,
-                   rate=arrival.rate,
-                   ca2=arrival.ca2,
-                   service=service,
-                   init=init)
 
     def int_abar(self, g, lo, hi, *shifts):
         """int_lo^hi g(u_1 - s, u_2 - s, ...) dabar(s) for the shifts u_k,

@@ -54,14 +54,8 @@ import numpy as np
 
 from .fields import Grid
 from .limits import LimitInputs
-from .stats import correlation
 
-__all__ = [
-    "assemble_limit_bundle",
-    "markov_decomposition_check",
-    "LimitPathBundle",
-    "MarkovCheckResult",
-]
+__all__ = ["assemble_limit_bundle", "LimitPathBundle"]
 
 _TOL = 1e-9
 _STACK_ROWS = 4096   # weight rows stacked under the triangle before each QR
@@ -301,20 +295,15 @@ class _LimitEngine:
 
 @dataclass
 class LimitPathBundle:
-    """Limit paths of shape (P, T, Y) by name; for each Markov probe the
-    columns (Qr(t2, y), Qr(t1, y + t2 - t1), Z(t1, t2, y)); and the engine's
-    size and exact law: its J intervals, G output columns, the weight rows
-    and normals per path of each component, and the exact variance on the
-    grid of each component and of Wr."""
+    """Limit paths of shape (P, T, Y) by name; for each Markov probe, keyed
+    by its (t1, t2, y) as floats, the columns (Qr(t2, y), Qr(t1, y + t2 -
+    t1), Z(t1, t2, y)), which ``markov_check`` gates; and the engine's size
+    and exact law: its J intervals, G output columns, the weight rows and
+    normals per path of each component, and the exact variance on the grid
+    of each component and of Wr."""
     paths: dict[str, np.ndarray]
     markov: dict
     engine: dict
-
-
-@dataclass(frozen=True)
-class MarkovCheckResult:
-    residual_max: float
-    correlation: float
 
 
 def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
@@ -361,17 +350,3 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
               "normals_per_path": dict(eng.drawn), "exact_var": exact}
     return LimitPathBundle(paths=paths, markov=markov, engine=engine)
 
-
-def markov_decomposition_check(bundle: LimitPathBundle, t1: float, t2: float,
-                               y: float) -> MarkovCheckResult:
-    """Pathwise residual of Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y) and
-    the sample correlation between the two right-hand terms."""
-    probe = (float(t1), float(t2), float(y))
-    if probe not in bundle.markov:
-        raise ValueError(
-            f"markov probe {probe} was not registered when the bundle was "
-            "assembled (off-grid evaluation would require interpolation)")
-    lhs, shifted, z = bundle.markov[probe]
-    residual = np.max(np.abs(lhs - shifted - z))
-    return MarkovCheckResult(residual_max=float(residual),
-                             correlation=float(correlation(shifted, z)))

@@ -36,7 +36,6 @@ import math
 import numpy as np
 
 from .fields import Grid
-from .quadrature import integrate
 from .service import ServiceModel
 from .simulate import SimulationTrace, _Binner
 
@@ -228,11 +227,13 @@ def decompose_hatQr(trace: SimulationTrace, grid: Grid,
     return sf / sqrt_n - sqrt_n * centering, (count - sf) / sqrt_n
 
 
-def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, abar, rate) -> np.ndarray:
+def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, centering: np.ndarray,
+                            abar) -> np.ndarray:
     """Independent evaluation of the arrival-noise term, per replication:
     F^c(y) hat(A)_n(t) - int_0^t hat(A)_n(s-) dF(t+y-s), with the Stieltjes
-    integral taken exactly over the arrival step function and by quadrature
-    against the drift n*abar.
+    integral taken exactly over the arrival step function and against the
+    drift n*abar through the fluid surface ``centering`` = qr on the grid,
+    shape (T, Y), as :func:`decompose_hatQr` takes it.
     """
     _require_continuous(trace.service_model)
     model = trace.service_model
@@ -244,11 +245,8 @@ def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, abar, rate) -> n
     shifts = t + grid.y - trace.arrivals[:, None, None]
     step = _arrived_sums(trace, a_t, np.asarray(model.cdf(shifts), dtype=float) - fy)
     # drift part int abar(s) dF(t+y-s) reduces by parts to
-    # abar(t) F^c(y) - int_0^t F^c(t+y-s) dabar(s), one quadrature per point
-    u = (t + grid.y)[..., None]
-    qr_quad = integrate(lambda s: model.sf(u - s) * rate(s), 0.0, t,
-                        breakpoints=u - np.asarray(model.breakpoints(), dtype=float))
+    # abar(t) F^c(y) - int_0^t F^c(t+y-s) dabar(s) = abar(t) F^c(y) - qr(t, y)
     abar_t = np.asarray(abar(t), dtype=float)
     ahat_t = (a_t[..., None] - trace.n * abar_t) / sqrt_n
-    drift = abar_t * (1.0 - fy) - qr_quad
+    drift = abar_t * (1.0 - fy) - centering
     return (1.0 - fy) * ahat_t - (step / sqrt_n - sqrt_n * drift)

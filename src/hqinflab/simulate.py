@@ -37,12 +37,15 @@ bucket map made once per threshold set (:class:`_Binner`): a few array
 passes per customer, sorted or not, in place of a binary search each.  A bin
 over the grid times alone and a customer's cell then follow by table lookup,
 and the call builds the residual histogram once per weight that its fields
-read: the count for Qr, Qt and D; the ends as well
-for Wr and Wt; the services as well for I and C (C = I - Wt).  It builds the
-elapsed histogram only when Qe is named.  Bins are not kept between calls, so
-a caller names every field it needs of a trace and grid in one call.  The
-thresholds and the cell layout are set up once per grid, and the cells of a
-block are kept within the block budget, down to one replication.
+read: the count for Qr, Qt, D and QTr; the ends as well for Wr and Wt; the
+services as well for I and C (C = I - Wt).  It builds the elapsed histogram
+only when Qe is named.  Initial customers count as arrivals at time 0 that
+end at their residuals: QTr adds their residual histogram to the arrivals'
+count histogram on the same layout, and Qir bins them alone at t = 0,
+without binning the arrivals.  Bins are not kept between calls, so a caller
+names every field it needs of a trace and grid in one call.  The thresholds
+and the cell layout are set up once per grid, and the cells of a block are
+kept within the block budget, down to one replication.
 
 Boundary conventions are exact: the residual comparison is strict and the
 elapsed window is open on the left, which makes the counting identities
@@ -71,14 +74,13 @@ __all__ = [
     "block_size",
     "FIELDS",
     "eval_fields",
-    "eval_initial_fields",
     "export_trace_csv",
 ]
 
 # Customers, and histogram cells, that one block of replications aims to hold.
 _BLOCK_BUDGET = 2**14
 # The fields that eval_fields evaluates.
-FIELDS = ("Qr", "Qe", "Qt", "D", "Wr", "Wt", "I", "C")
+FIELDS = ("Qr", "Qe", "Qt", "D", "Wr", "Wt", "I", "C", "Qir", "QTr")
 
 
 @dataclass(frozen=True)
@@ -372,25 +374,28 @@ def _layout(grid: Grid) -> _Layout:
 
 def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, np.ndarray]:
     """The named fields of a trace on a grid, in the order named, as float
-    arrays with a leading replication axis: the counts Qr, Qe and the
-    remaining work Wr, of shape (R, T, Y); the count Qt, departures D, total
-    workload Wt, input I and completed work C, of shape (R, T).  It builds
-    only the histograms that these fields read (see the module docstring);
-    an unknown name raises KeyError.
+    arrays with a leading replication axis: the counts Qr, Qe, the
+    remaining work Wr and the all-customer count QTr = Qr + Qir(t + y), of
+    shape (R, T, Y); the count Qt, departures D, total workload Wt, input I
+    and completed work C, of shape (R, T); and the initial customers'
+    residual count Qir(y), of shape (R, Y).  It builds only the histograms
+    that these fields read (see the module docstring); an unknown name
+    raises KeyError.
     """
     wanted = set(names)
     _check_grid(trace, grid)
     layout, ends = _layout(grid), trace.arrivals + trace.services
-    bins, sizes = layout.bin(trace.arrivals, ends), trace.bounds[1:] - trace.bounds[:-1]
     weights = {}
-    if wanted & {"Qr", "Qt", "D", "Wr", "Wt", "C"}:
+    if wanted & {"Qr", "Qt", "D", "Wr", "Wt", "C", "QTr"}:
         weights["count"] = None
     if wanted & {"Wr", "Wt", "C"}:
         weights["ends"] = ends
     if wanted & {"I", "C"}:
         weights["services"] = trace.services
-    sums = dict(zip(weights, layout.residual(bins, sizes, *weights.values())))
-    out = {}
+    sums, out = {}, {}
+    if weights or "Qe" in wanted:
+        bins, sizes = layout.bin(trace.arrivals, ends), trace.bounds[1:] - trace.bounds[:-1]
+        sums = dict(zip(weights, layout.residual(bins, sizes, *weights.values())))
     if "count" in sums:
         counts = sums["count"].astype(float)
         qt = counts[:, :, 1]
@@ -407,30 +412,17 @@ def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, n
         out["I"] = sums["services"][:, :, 0]
         if "C" in wanted:
             out["C"] = out["I"] - out["Wt"]
+    if wanted & {"Qir", "QTr"}:
+        at_zero, resid = np.zeros(len(trace.initial_residuals)), trace.initial_residuals
+    if "Qir" in wanted:
+        initial = _layout(Grid([0.0], grid.y))
+        (qir,) = initial.residual(initial.bin(at_zero, resid), trace.initial_counts, None)
+        out["Qir"] = qir[:, 0, 2:].astype(float)
+    if "QTr" in wanted:
+        (qtr,) = layout.residual(layout.bin(at_zero, resid), trace.initial_counts, None)
+        qtr += sums["count"]
+        out["QTr"] = qtr[:, :, 2:].astype(float)
     return {name: out[name] for name in names}
-
-
-def eval_initial_fields(trace: SimulationTrace, grid: Grid) -> dict[str, np.ndarray]:
-    """Initial-customer residual counts Qir(y), of shape (R, Y), and the
-    all-customer field QTr(t,y) = Qr(t,y) + Qir(t+y), of shape (R, T, Y), as
-    float arrays.
-
-    An initial customer counts as one that arrived at time 0 and ends at its
-    residual, so QTr is Qr of the joined population, and Qir(y) is Qr at
-    t = 0 of the initial customers alone.
-    """
-    _check_grid(trace, grid)
-    at_zero, resid = np.zeros(len(trace.initial_residuals)), trace.initial_residuals
-    initial = _layout(Grid([0.0], grid.y))
-    (qir,) = initial.residual(initial.bin(at_zero, resid), trace.initial_counts, None)
-    joined = _layout(grid)
-    (qtr,) = joined.residual(joined.bin(trace.arrivals, trace.arrivals + trace.services),
-                             np.diff(trace.bounds), None)
-    qtr += joined.residual(joined.bin(at_zero, resid), trace.initial_counts, None)[0]
-    return {
-        "Qir": qir[:, 0, 2:].astype(float),
-        "QTr": qtr[:, :, 2:].astype(float),
-    }
 
 
 def export_trace_csv(trace: SimulationTrace, path) -> None:

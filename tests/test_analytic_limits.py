@@ -15,23 +15,23 @@ from hqinflab.simulate import CountLaw, InitialConditions
 from oracles import simpson, simpson_rule
 
 EXP1 = Exponential(1.0)
-M_EXP = LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1)
-M_DET = LimitInputs.from_models(ArrivalModel.poisson(1.0), FiniteAtoms(((1.0, 1.0),)))
+M_EXP = LimitInputs(ArrivalModel.poisson(1.0), EXP1)
+M_DET = LimitInputs(ArrivalModel.poisson(1.0), FiniteAtoms(((1.0, 1.0),)))
 MIX = Mixture(0.5, EXP1, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))
-M_MIX = LimitInputs.from_models(ArrivalModel.poisson(1.0), MIX)
-D_EXP = LimitInputs.from_models(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), EXP1)
+M_MIX = LimitInputs(ArrivalModel.poisson(1.0), MIX)
+D_EXP = LimitInputs(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), EXP1)
 SINE = RateFunction("sinusoidal", a=1.0, b=0.5)
-NHPP_EXP = LimitInputs.from_models(ArrivalModel.nhpp(SINE), EXP1)
+NHPP_EXP = LimitInputs(ArrivalModel.nhpp(SINE), EXP1)
 
 # the models and grids of the three benchmark workloads
 H2 = HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
 LOGNORMAL = LogNormal(-0.5, 1.0)
 BENCH = {
     "mc_small_n": (M_EXP, Grid([0.25, 0.5, 1.0, 1.5, 2.0], [0.0, 0.25, 0.5, 1.0, 2.0])),
-    "mc_large_n": (LimitInputs.from_models(
+    "mc_large_n": (LimitInputs(
         ArrivalModel(H2, RateFunction("sinusoidal", a=1.0, b=0.5)), LOGNORMAL),
         Grid([0.5, 1.0, 1.5, 2.0, 3.0, 4.0], [0.0, 0.25, 0.5, 1.0, 2.0])),
-    "limit_paths": (LimitInputs.from_models(
+    "limit_paths": (LimitInputs(
         ArrivalModel.renewal(H2), Mixture(0.5, LOGNORMAL, FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))),
         Grid([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], [0.0, 0.25, 0.5, 0.75, 1.0, 1.5])),
 }
@@ -99,7 +99,7 @@ class TestFluidWorkload:
     def test_nhpp_against_nested_simpson(self, t, y):
         # int_0^t (m - int_0^{t+y-s} F^c) rate(s) ds, the inner integral by
         # Simpson on [0, t + y - s] scaled from one rule on [0, 1]
-        inputs = LimitInputs.from_models(ArrivalModel.nhpp(SINE), LOGNORMAL)
+        inputs = LimitInputs(ArrivalModel.nhpp(SINE), LOGNORMAL)
         s, ws = simpson_rule(0.0, t, m=401)
         xi, wxi = simpson_rule(0.0, 1.0, m=4001)
         width = t + y - s
@@ -138,7 +138,7 @@ class TestVariances:
         assert (c.arrival, c.service, c.splitting) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("inputs", [M_EXP, M_MIX, D_EXP,
-                                        LimitInputs.from_models(
+                                        LimitInputs(
                                             ArrivalModel.poisson(1.0),
                                             HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0)))])
     def test_additivity(self, inputs):
@@ -201,7 +201,7 @@ class TestInitialAndTotal:
     INIT = InitialConditions(CountLaw("fixed", 1.0), EXP1)
 
     def _inputs(self):
-        return LimitInputs.from_models(ArrivalModel.poisson(1.0), EXP1, init=self.INIT)
+        return LimitInputs(ArrivalModel.poisson(1.0), EXP1, init=self.INIT)
 
     def test_y_zero(self):
         qir, var_qir, _, _ = initial_and_total_limits(self._inputs(), 0.0, 0.0)
@@ -288,7 +288,7 @@ class TestSurfaces:
 
     @pytest.mark.parametrize("which", POINTS)
     def test_surface_equals_point_calls(self, which):
-        inputs = LimitInputs.from_models(
+        inputs = LimitInputs(
             ArrivalModel.renewal(H2), Mixture(0.5, LOGNORMAL, FiniteAtoms(((1.0, 0.6), (2.0, 0.4)))),
             init=InitialConditions(CountLaw("poisson", 1.0), EXP1))
         grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,10 @@ class TestSpecs:
         with pytest.raises(ValueError, match="unknown arrival kind"):
             read_section("arrival", {"kind": "map"})
 
-    def test_sinusoidal_must_stay_nonnegative(self):
-        with pytest.raises(ValueError):
-            RateFunction("sinusoidal", a=0.5, b=1.0)
+    @pytest.mark.parametrize("form,params,message", [
+        ("sinusoidal", {"a": 0.5, "b": 1.0}, "a >= |b|"),
+        ("constant", {"a": 2.0, "b": 5.0}, "constant rate takes no slope"),
+    ], ids=["sinusoidal_negative", "constant_with_slope"])
+    def test_invalid_rate_function(self, form, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RateFunction(form, **params)

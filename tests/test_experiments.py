@@ -19,11 +19,14 @@ import hqinflab
 from hqinflab import cli, experiments, simulate
 from hqinflab import limits as lim
 from hqinflab import paths as lp
+from hqinflab.arrivals import ArrivalModel
 from hqinflab.config import EXPERIMENTS, config_from_dict, parse_config
 from hqinflab.fields import Grid
 from hqinflab.experiments import run_experiment
 from hqinflab.rng import seed_words, substream
 from hqinflab.scaling import decompose_hatQr
+from hqinflab.service import Exponential
+from hqinflab.simulate import CountLaw, InitialConditions
 from hqinflab.stats import correlation, sample_var
 
 from oracles import simpson
@@ -172,6 +175,21 @@ class TestKeyChecks:
             config_from_dict({**TINY, "experiment": experiment})
         assert not config_from_dict({**TINY, "experiment": experiment,
                                      "workload": False}).workload
+
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "markov_check"])
+    def test_markov_refused_where_nothing_reads_it(self, experiment):
+        message = f"config error at markov: only markov_check reads it, not {experiment}"
+        raw = {**TINY, "experiment": experiment, "workload": False}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**raw, "markov": [[0.5, 1.0, 0.0]]})
+        assert config_from_dict({**raw, "markov": []}).markov_probes == ()
+
+    def test_repeated_markov_probe_refused(self):
+        # gated once per probe, a repeated one would be gated twice
+        message = "config error at markov: repeated probe (0.5, 1.0, 0.0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**TINY, "experiment": "markov_check", "workload": False,
+                              "markov": [[0.5, 1.0, 0.0], [0.5, 1, 0]]})
 
     def test_workload_is_a_field_flag_not_an_experiment(self):
         # fwlln with workload: true gates the mean of Wt/n
@@ -561,6 +579,33 @@ def _points(report):
     return [(p.label, p.t, p.y, p.estimate) for p in report.points]
 
 
+def spy_histograms(monkeypatch, current):
+    """Record what the field evaluator bins and builds for the trace that
+    ``current()`` returns: the customers of each binning, and per histogram
+    its weight ("count", the "ends" or "other") and its cells per
+    replication."""
+    calls, binned = [], []
+    original_bincount, original_bin = np.bincount, simulate._Layout.bin
+
+    def spy(x, weights=None, minlength=0):
+        if sys._getframe(1).f_globals["__name__"] == simulate.__name__:
+            trace = current()
+            if weights is None:
+                kind = "count"
+            else:
+                kind = ("ends" if np.array_equal(weights, trace.arrivals + trace.services)
+                        else "other")
+            calls.append((kind, minlength // trace.replications))
+        return original_bincount(x, weights=weights, minlength=minlength)
+
+    def binning(layout, tau, end):
+        binned.append(len(tau))
+        return original_bin(layout, tau, end)
+    monkeypatch.setattr(np, "bincount", spy)
+    monkeypatch.setattr(simulate._Layout, "bin", binning)
+    return calls, binned
+
+
 class TestBlocks:
     @pytest.mark.parametrize("raw,label", [(TINY, "Wt"), (FCLT, "Var X2")],
                              ids=["fwlln", "fclt_variance"])
@@ -601,31 +646,13 @@ class TestBlocks:
         layout = simulate._layout(cfg.grid)
         residual, elapsed = math.prod(layout.residual_shape), math.prod(layout.elapsed_shape)
         assert residual != elapsed
-        traces, calls, binned = [], [], []
-        original_simulate, original_bincount = experiments.simulate, np.bincount
-        original_bin = simulate._Layout.bin
+        traces, original_simulate = [], experiments.simulate
 
         def drawing(*args, **kwargs):
             traces.append(original_simulate(*args, **kwargs))
             return traces[-1]
-
-        def spy(x, weights=None, minlength=0):
-            if sys._getframe(1).f_globals["__name__"] == simulate.__name__:
-                trace = traces[-1]
-                if weights is None:
-                    kind = "count"
-                else:
-                    kind = ("ends" if np.array_equal(weights, trace.arrivals + trace.services)
-                            else "other")
-                calls.append((kind, minlength // trace.replications))
-            return original_bincount(x, weights=weights, minlength=minlength)
-
-        def binning(layout, tau, end):
-            binned.append(len(tau))
-            return original_bin(layout, tau, end)
         monkeypatch.setattr(experiments, "simulate", drawing)
-        monkeypatch.setattr(np, "bincount", spy)
-        monkeypatch.setattr(simulate._Layout, "bin", binning)
+        calls, binned = spy_histograms(monkeypatch, lambda: traces[-1])
         report = run_experiment(cfg)
         blocks = sum(s["blocks"] for s in report.extras["simulation"].values())
         assert blocks == len(traces) >= 1
@@ -633,6 +660,25 @@ class TestBlocks:
         per_block = ([("count", residual)] + [("ends", residual)] * workload
                      + [("count", elapsed)] * (experiment != "poisson_property"))
         assert sorted(calls) == sorted(per_block * blocks)
+
+    def test_initial_fields_bin_the_arrivals_only_for_qtr(self, monkeypatch):
+        # QTr adds the initial customers' histogram to the arrivals' count
+        # histogram that Qr reads, so ("QTr", "Qr") bins and counts the
+        # arrivals once; Qir alone bins no arrival
+        grid = Grid([0.5, 1.0, 2.0], [0.0, 0.5, 1.5])
+        init = InitialConditions(CountLaw("fixed", 1.0), Exponential(1.0))
+        trace = simulate.simulate(ArrivalModel.poisson(1.0), Exponential(1.0), 20, 2.0,
+                                  seed_words(3, [("qtr", r) for r in range(4)], 3), init=init)
+        residual = math.prod(simulate._layout(grid).residual_shape)
+        initial = math.prod(simulate._layout(Grid([0.0], grid.y)).residual_shape)
+        assert residual != initial
+        calls, binned = spy_histograms(monkeypatch, lambda: trace)
+        simulate.eval_fields(trace, grid, ("QTr", "Qr"))
+        assert binned == [len(trace.arrivals), len(trace.initial_residuals)]
+        assert calls == [("count", residual)] * 2
+        del calls[:], binned[:]
+        simulate.eval_fields(trace, grid, ("Qir",))
+        assert (binned, calls) == ([len(trace.initial_residuals)], [("count", initial)])
 
     def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch):
         # a pool starts all of its workers at once, busy or not; a stub

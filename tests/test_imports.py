@@ -68,6 +68,24 @@ def test_every_tolerance_is_read():
     assert sorted(set(DEFAULT_TOLERANCES) - strings) == []
 
 
+def _imports_quadrature(node) -> bool:
+    """Whether an AST node imports the quadrature module or a name of it."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "quadrature" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[-1] == "quadrature"
+                or any(alias.name == "quadrature" for alias in node.names))
+    return False
+
+
+def test_one_quadrature_caller():
+    # one quadrature path: the limits reach it through LimitInputs.int_abar,
+    # and every other module integrates through limits
+    importers = {path.name for path in pathlib.Path(hqinflab.__file__).parent.glob("*.py")
+                 if any(map(_imports_quadrature, ast.walk(ast.parse(path.read_text(), str(path)))))}
+    assert importers == {"limits.py"}
+
+
 def _unused_imports(path: pathlib.Path) -> list[str]:
     """Names that ``path`` imports but never loads and does not export
     (``from __future__`` imports aside)."""

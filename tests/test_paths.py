@@ -9,8 +9,7 @@ import hqinflab
 from hqinflab.arrivals import ArrivalModel, RateFunction
 from hqinflab.fields import Grid
 from hqinflab.limits import LimitInputs, surface, var_components
-from hqinflab.paths import (_TOL, _factor, _LimitEngine, assemble_limit_bundle,
-                            markov_decomposition_check)
+from hqinflab.paths import _TOL, _factor, _LimitEngine, assemble_limit_bundle
 from hqinflab.rng import substream
 from hqinflab.service import (Exponential, FiniteAtoms, HyperExponential, LogNormal,
                               Mixture, Uniform)
@@ -48,7 +47,7 @@ class TestWeights:
     @pytest.mark.parametrize("service", SERVICES, ids=law_id)
     @pytest.mark.parametrize("kind", ["residual", "elapsed", "innovation"])
     def test_against_scalar_differences(self, service, kind):
-        inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        inputs = LimitInputs(ArrivalModel.poisson(1.0), service)
         eng = _LimitEngine(inputs, self.GRID, k=7, n_paths=1, markov_probes=self.PROBES)
         cols = {"residual": eng.rp, "elapsed": eng.ep, "innovation": eng.zp}[kind]
         w = eng._weights(service.integrated_sf)[:, cols]
@@ -96,7 +95,7 @@ class TestGramFactor:
     PROBES = [(0.5, 1.5, 0.4), (0.2, 1.0, 0.0)]
 
     def engine(self, service, fold=True):
-        inputs = LimitInputs.from_models(ArrivalModel.renewal(H2), service)
+        inputs = LimitInputs(ArrivalModel.renewal(H2), service)
         return _LimitEngine(inputs, self.GRID, k=7, n_paths=1,
                             xgrid=self.XGRID if fold else None, markov_probes=self.PROBES)
 
@@ -150,7 +149,7 @@ class TestLimitPathsSizes:
     # the limit_paths benchmark's models, grid and partition
     GRID = Grid([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
                 [0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
-    INPUTS = LimitInputs.from_models(ArrivalModel.renewal(H2), SERVICES[-1])
+    INPUTS = LimitInputs(ArrivalModel.renewal(H2), SERVICES[-1])
 
     def test_normals_per_path(self, monkeypatch):
         # 200 intervals, 2275 sheet cells and 603 splitting increments for
@@ -220,7 +219,7 @@ class TestBundle:
     GRID = Grid([0.5, 1.0, 1.5], [0.0, 0.4, 1.2])
 
     def paths(self, service):
-        inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        inputs = LimitInputs(ArrivalModel.poisson(1.0), service)
         return assemble_limit_bundle(inputs, self.GRID, k=8, n_paths=16,
                                      rng=substream(3, "bundle")).paths
 
@@ -247,7 +246,7 @@ class TestBundle:
         # engine's exact Var Wr at k = 50 is 1.1-3.3% above var_w on this
         # grid, at most one standard error: the time partition's bias (0.9%
         # at k = 200, 0.3% at k = 800); halving the x step moves it by 0.05%
-        inputs = LimitInputs.from_models(
+        inputs = LimitInputs(
             ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=0.5)), Exponential(1.0))
         grid = Grid([1.0, 2.0, 4.0], [0.0, 0.5, 1.0])
         P = 2000
@@ -273,7 +272,7 @@ class TestImports:
                 "from hqinflab.service import FiniteAtoms, LogNormal, Mixture\n"
                 "from hqinflab.stats import ks_distance\n"
                 "law = Mixture(0.5, LogNormal(-0.5, 1.0), FiniteAtoms(((1.0, 0.6), (2.0, 0.4))))\n"
-                "inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), law)\n"
+                "inputs = LimitInputs(ArrivalModel.poisson(1.0), law)\n"
                 "bundle = assemble_limit_bundle(inputs, Grid([0.5, 1.0], [0.0, 0.5]), k=4,\n"
                 "                               rng=substream(1, 'ma'), n_paths=8)\n"
                 "assert bundle.paths['X2'].any()\n"
@@ -292,9 +291,10 @@ class TestMarkov:
     def test_decomposition_is_exact(self, service):
         # Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y) on every path; atom
         # laws carry the splitting term whose innovation window is clipped
-        inputs = LimitInputs.from_models(ArrivalModel.poisson(1.0), service)
+        inputs = LimitInputs(ArrivalModel.poisson(1.0), service)
         bundle = assemble_limit_bundle(inputs, self.GRID, k=20, n_paths=64,
                                        rng=substream(5, "markov"),
                                        markov_probes=self.PROBES)
         for probe in self.PROBES:
-            assert markov_decomposition_check(bundle, *probe).residual_max <= 1e-12
+            lhs, shifted, z = bundle.markov[probe]
+            assert np.max(np.abs(lhs - shifted - z)) <= 1e-12

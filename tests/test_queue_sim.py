@@ -11,8 +11,7 @@ from hqinflab.fields import Grid, write_surfaces_csv
 from hqinflab.rng import reseat, seed_words, substream
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
 from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace,
-                               eval_fields, eval_initial_fields, export_trace_csv,
-                               simulate)
+                               eval_fields, export_trace_csv, simulate)
 
 from oracles import brute_queue_fields
 
@@ -319,7 +318,6 @@ class TestBlockFields:
     def test_each_replication_against_brute_force(self, reps, g):
         trace = block_trace(reps)
         q = eval_fields(trace, g)
-        init = eval_initial_fields(trace, g)
         for r, (taus, etas, resid) in enumerate(reps):
             for i, t in enumerate(g.t):
                 for j, y in enumerate(g.y):
@@ -328,9 +326,9 @@ class TestBlockFields:
                     assert q["Qe"][r, i, j] == qe
                     assert q["Qt"][r, i] == qt
                     assert q["Wr"][r, i, j] == pytest.approx(wr, abs=1e-9)
-                    assert init["QTr"][r, i, j] == qr + sum(x > t + y for x in resid)
+                    assert q["QTr"][r, i, j] == qr + sum(x > t + y for x in resid)
             for j, y in enumerate(g.y):
-                assert init["Qir"][r, j] == sum(x > y for x in resid)
+                assert q["Qir"][r, j] == sum(x > y for x in resid)
 
     @given(blocks(DYADIC_GRID))
     @settings(max_examples=40, deadline=None)
@@ -351,20 +349,23 @@ class TestBlockFields:
     @given(blocks(ODD_GRID))
     @settings(max_examples=30, deadline=None)
     def test_block_equals_its_replications_alone(self, reps):
-        trace = block_trace(reps)
-        for ev in (eval_fields, eval_initial_fields):
-            fields = ev(trace, ODD_GRID)
-            for r, rep in enumerate(reps):
-                own = ev(alone(rep), ODD_GRID)
-                for name, f in fields.items():
-                    assert np.array_equal(f[r:r + 1], own[name])
+        fields = eval_fields(block_trace(reps), ODD_GRID)
+        for r, rep in enumerate(reps):
+            own = eval_fields(alone(rep), ODD_GRID)
+            for name, f in fields.items():
+                assert np.array_equal(f[r:r + 1], own[name])
 
     @pytest.mark.parametrize("kind", ["block", "single", "empty_replication"])
     def test_every_subset_of_names_matches_the_full_evaluation(self, kind):
+        # drawn with initial customers, so that Qir and QTr are not those of
+        # an empty initial population
         block = simulate(ARRIVALS["poisson"], LogNormal(-0.5, 1.0), 3, HORIZON,
-                         seed_words(5, [("subsets", r) for r in range(2)], 2))
-        reps = [(block.arrivals[lo:hi], block.services[lo:hi], [])
-                for lo, hi in zip(block.bounds[:-1], block.bounds[1:])]
+                         seed_words(5, [("subsets", r) for r in range(2)], 3), init=INIT)
+        skips = np.cumsum(np.concatenate(([0], block.initial_counts)))
+        assert skips[1] > 0 and skips[2] > skips[1]
+        reps = [(block.arrivals[lo:hi], block.services[lo:hi],
+                 block.initial_residuals[skips[r]:skips[r + 1]])
+                for r, (lo, hi) in enumerate(zip(block.bounds[:-1], block.bounds[1:]))]
         trace = {"block": block, "single": alone(reps[0]),
                  "empty_replication": block_trace([reps[0], ([], [], []), reps[1]])}[kind]
         full = eval_fields(trace, ODD_GRID)
@@ -557,22 +558,22 @@ class TestInitialFields:
         trace = SimulationTrace(n=1, arrivals=np.array([]), services=np.array([]),
                                 horizon=4.0, service_model=EXP1, initial_counts=[2],
                                 initial_residuals=np.array([0.5, 2.0]))
-        fields = eval_initial_fields(trace, Grid([1.0], [1.0]))
+        fields = eval_fields(trace, Grid([1.0], [1.0]), ("Qir",))
         assert fields["Qir"][0, 0] == 1.0
 
     def test_total_field_combines_populations(self):
         trace = SimulationTrace(n=1, arrivals=np.array([1.0]), services=np.array([2.0]),
                                 horizon=4.0, service_model=EXP1, initial_counts=[2],
                                 initial_residuals=np.array([0.5, 2.0]))
-        fields = eval_initial_fields(trace, Grid([2.0], [0.5]))
+        fields = eval_fields(trace, Grid([2.0], [0.5]), ("QTr",))
         # initial residual 2.0 <= t+y = 2.5 has departed; the new arrival survives
         assert fields["QTr"][0, 0, 0] == 1.0
 
     def test_no_initials_means_qtr_equals_qr(self):
         trace = one_customer_trace()
         g = Grid([1.0, 2.0], [0.0, 0.5])
-        fields = eval_initial_fields(trace, g)
-        assert np.array_equal(fields["QTr"], eval_fields(trace, g)["Qr"])
+        fields = eval_fields(trace, g, ("QTr", "Qr"))
+        assert np.array_equal(fields["QTr"], fields["Qr"])
 
 
 class TestExports:

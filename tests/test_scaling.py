@@ -16,7 +16,7 @@ from oracles import brute_arrivals, brute_x1_x2, law_id
 
 EXP1 = Exponential(1.0)
 ARR = ArrivalModel.poisson(1.0)
-INPUTS = LimitInputs.from_models(ARR, EXP1)
+INPUTS = LimitInputs(ARR, EXP1)
 
 
 # decompose_hatQr at n=200, horizon 2, H2 interarrivals under the sinusoidal
@@ -101,7 +101,7 @@ class TestBlockAgainstCustomerLoop:
         block, reps = self.block()
         g, n = self.GRID, self.N
         center = surface(INPUTS, g, "fluid_qr")
-        parts = x1_integration_by_parts(block, g, INPUTS.abar, INPUTS.rate)
+        parts = x1_integration_by_parts(block, g, center, INPUTS.abar)
         assert parts.shape == (3, *g.shape)
         for r, (tau, eta) in enumerate(reps):
             for i, t in enumerate(g.t):
@@ -270,7 +270,7 @@ class TestDecomposition:
         center = surface(INPUTS, g, "fluid_qr")
         trace = _trace(200, 2.0, 7)
         x1, _ = decompose_hatQr(trace, g, center)
-        parts = x1_integration_by_parts(trace, g, INPUTS.abar, INPUTS.rate)
+        parts = x1_integration_by_parts(trace, g, center, INPUTS.abar)
         assert np.max(np.abs(x1 - parts)) < 1e-6
 
     def test_pinned_lognormal_time_varying(self):
