@@ -9,7 +9,9 @@ A config is a YAML mapping with these top-level keys (defaults in brackets):
 - ``init`` [none]: ``{count: <count law>, residual: <service>}``, the
   customers present at time zero; read by the analytic surfaces only;
 - ``n_list`` [[400]], ``replications`` [200], ``k`` [200]: integers >= 1,
-  the n distinct;
+  the n distinct; ``fclt_variance``, ``poisson_property``,
+  ``limit_path_validation`` and ``markov_check`` gate sample variances or
+  correlations over the replications, and refuse fewer than 2;
 - ``master_seed`` [20100709]: an integer >= 0;
 - ``tolerances`` [:data:`DEFAULT_TOLERANCES`]: overrides of some of them,
   each a finite number >= 0;
@@ -264,7 +266,10 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     n_list = tuple(_int_key(f"n_list[{i}]", n, 1) for i, n in enumerate(n_list))
     if len(set(n_list)) != len(n_list):
         _fail("n_list", f"duplicate n in {list(n_list)}")
-    replications = _int_key("replications", raw.get("replications", 200), 1)
+    # these gate sample variances or correlations over the replications
+    moments = experiment in ("fclt_variance", "poisson_property", "limit_path_validation",
+                             "markov_check")
+    replications = _int_key("replications", raw.get("replications", 200), 2 if moments else 1)
     k = _int_key("k", raw.get("k", 200), 1)
     master_seed = _int_key("master_seed", raw.get("master_seed", 20100709), 0)
 

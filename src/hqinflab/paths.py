@@ -44,6 +44,11 @@ exact variance at partition k.
 With the residual workload, Wr(t, y) = int_y^xmax Qr(t, x) dx by the
 trapezoid rule over x-columns Qr(t, x).  That combination is folded into the
 weights before the factorization, so G counts the output columns only.
+
+The bundle holds each path array once.  The components are drawn one at a
+time, each kept on the grid only, as its own (P, T, Y) array, and added in
+place into one (P, G) total; Qr, Qe, Wr and the Markov columns are views of
+that total.
 """
 
 from __future__ import annotations
@@ -300,7 +305,9 @@ class LimitPathBundle:
     t1), Z(t1, t2, y)), which ``markov_check`` gates; and the engine's size
     and exact law: its J intervals, G output columns, the weight rows and
     normals per path of each component, and the exact variance on the grid
-    of each component and of Wr."""
+    of each component and of Wr.  Each of X1, X2 and X3 is its own array on
+    the grid; Qr, Qe, Wr and the Markov columns are views of one (P, G)
+    total, so writing into one writes into the others."""
     paths: dict[str, np.ndarray]
     markov: dict
     engine: dict
@@ -322,31 +329,40 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
         dense = np.linspace(0.0, xmax, max(int(8 * xmax), 40) + 1)
         xgrid = _dedupe(np.concatenate((dense, grid.y[grid.y <= xmax])))
     eng = _LimitEngine(inputs, grid, k, n_paths, xgrid=xgrid, markov_probes=markov_probes)
-    r_a, r_s, r_sp = rng.spawn(3)
-    x1 = eng.arrival_component(r_a)
-    x2 = eng.service_component(r_s)
-    x3 = eng.split_component(r_sp)
-    total = x1 + x2 + x3
-
     T, Y = grid.shape
-    P = n_paths
 
     def on_grid(cols: np.ndarray) -> np.ndarray:
         return cols[..., :T * Y].reshape(cols.shape[:-1] + (T, Y))
 
-    paths = {"X1": on_grid(x1), "X2": on_grid(x2), "X3": on_grid(x3),
-             "Qr": on_grid(total), "Qe": total[:, eng.ep].reshape(P, T, Y)}
+    # one component at a time: its grid block is kept as its own array, and
+    # it is added into the total in place, as x1 + x2 + x3 adds (x2 + x1 is
+    # x1 + x2).  X2 goes first, so that no path array is held beside its
+    # weight build, the largest transient on fine grids
+    r_a, r_s, r_sp = rng.spawn(3)
+    total = eng.service_component(r_s)
+    paths = {"X2": on_grid(total).copy()}
+    for name, draw, r in (("X1", eng.arrival_component, r_a),
+                          ("X3", eng.split_component, r_sp)):
+        x = draw(r)
+        paths[name] = on_grid(x).copy()
+        total += x
+        del x                                  # before the next draw
+
+    paths["Qr"], paths["Qe"] = on_grid(total), on_grid(total[:, eng.ep[0]:])
     if workload:
-        paths["Wr"] = total[:, eng.wp].reshape(P, T, Y)
+        paths["Wr"] = on_grid(total[:, eng.wp[0]:])
 
     n_p = len(eng.probes)
     lhs, shifted = eng.rp[len(eng.rp) - 2 * n_p:].reshape(2, n_p)
     markov = {probe: (total[:, a], total[:, b], total[:, g])
               for probe, a, b, g in zip(eng.probes, lhs, shifted, eng.zp)}
-    exact = {name: on_grid(v) for name, v in eng.exact_var.items()}
+    # by component name, though X2 was drawn first
+    var = dict(sorted(eng.exact_var.items()))
+    exact = {name: on_grid(v) for name, v in var.items()}
     if workload:
-        exact["Wr"] = sum(v[eng.wp] for v in eng.exact_var.values()).reshape(T, Y)
-    engine = {"J": len(eng.ds), "G": total.shape[1], "weight_rows": dict(eng.weight_rows),
-              "normals_per_path": dict(eng.drawn), "exact_var": exact}
+        exact["Wr"] = sum(v[eng.wp] for v in var.values()).reshape(T, Y)
+    engine = {"J": len(eng.ds), "G": total.shape[1],
+              "weight_rows": dict(sorted(eng.weight_rows.items())),
+              "normals_per_path": dict(sorted(eng.drawn.items())), "exact_var": exact}
     return LimitPathBundle(paths=paths, markov=markov, engine=engine)
 

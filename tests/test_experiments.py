@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from hqinflab.rng import seed_words, substream
 from hqinflab.scaling import decompose_hatQr
 from hqinflab.service import Exponential
 from hqinflab.simulate import CountLaw, InitialConditions
-from hqinflab.stats import correlation, sample_var
+from hqinflab.stats import correlation, sample_var, skew_kurtosis
 
 from oracles import simpson
 
@@ -183,6 +184,18 @@ class TestKeyChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict({**raw, "markov": [[0.5, 1.0, 0.0]]})
         assert config_from_dict({**raw, "markov": []}).markov_probes == ()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_one_replication_refused_where_a_sample_moment_is_gated(self, experiment):
+        # one replication gives no sample variance, and a correlation of 0
+        raw = {**TINY, "experiment": experiment, "workload": False, "replications": 1}
+        if experiment in ("fwlln", "age_distribution"):
+            assert config_from_dict(raw).replications == 1
+        else:
+            message = "config error at replications: must be >= 2, got 1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                config_from_dict(raw)
+            assert config_from_dict({**raw, "replications": 2}).replications == 2
 
     def test_repeated_markov_probe_refused(self):
         # gated once per probe, a repeated one would be gated twice
@@ -904,8 +917,9 @@ class TestLimitEngineDiagnostics:
 
 class TestLimitPathStatistics:
     """The runner centres each path field once and shares the copy among
-    that field's statistics; its points are still the statistics of the
-    raw paths, bit for bit."""
+    that field's statistics, reads the X2 increment before it drops the
+    components, and drops each component once its copy exists; its points
+    are still the statistics of the raw paths, bit for bit."""
 
     @pytest.mark.parametrize("atoms", [True, False], ids=["mixture", "lognormal"])
     def test_points_are_the_statistics_of_the_bundle(self, atoms):
@@ -921,8 +935,13 @@ class TestLimitPathStatistics:
             experiments._inputs(cfg), cfg.grid, cfg.k,
             substream(cfg.master_seed, cfg.experiment, "bundle"),
             n_paths=cfg.replications, workload=cfg.workload).paths
-        want = {"Var limit Qr": sample_var(paths["Qr"]),
-                "Var limit Qe": sample_var(paths["Qe"])}
+        skew, kurt = skew_kurtosis(paths["Qr"])
+        want = {"Var limit Qr": sample_var(paths["Qr"]), "skew limit Qr": skew,
+                "kurtosis limit Qr": kurt, "Var limit Qe": sample_var(paths["Qe"])}
+        # the X2 increment at the middle grid time, between y[0] and y[1]
+        i, x2 = len(cfg.grid.t) // 2, paths["X2"]
+        want["X2 increment mean-square"] = np.full(cfg.grid.shape, np.nan)
+        want["X2 increment mean-square"][i, 1] = np.mean((x2[:, i, 0] - x2[:, i, 1])**2)
         live = {name: np.std(paths[name], axis=0) > 1e-12 for name in ("X1", "X2", "X3")}
         for a, b in itertools.combinations(live, 2):
             want[f"corr {a}-{b}"] = correlation(paths[a], paths[b])
@@ -939,6 +958,28 @@ class TestLimitPathStatistics:
             assert seen[f"corr {a}-{b}"] == {(int(i), int(j))
                                              for i, j in np.argwhere(live[a] & live[b])}
         assert not live["X1"][0].any() and live["X3"].any() == atoms
+        assert seen["X2 increment mean-square"] == {(i, 1)}
+        assert report.points[-1].label == "X2 increment mean-square"
+
+
+def test_limit_runner_peaks_below_four_and_a_half_path_arrays():
+    # the limit_paths model at P = 4000, k = 50 holds a (P, G) total, the
+    # three components' grid blocks (each half its width) and, while one is
+    # drawn, its (P, G) draw and normals: about 4.06 (P, G) float arrays.
+    # A second copy of the total, or each component held on all G columns or
+    # beside its centred copy, would pass 4.5.  A first run at P = 4 takes
+    # the first-call imports and caches out of the reading
+    cfg = dataclasses.replace(parse_config(WORKLOADS / "limit_paths.yaml"),
+                              replications=4000, k=50)
+    experiments.run_limit_path_validation(dataclasses.replace(cfg, replications=4))
+    tracemalloc.start()
+    try:
+        report = experiments.run_limit_path_validation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (cfg.replications * report.extras["limit_engine"]["G"] * 8)
+    assert arrays < 4.5, arrays
 
 
 TRACE_STATS = {

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,23 @@ class TestBundle:
         paths = self.paths(service)
         assert paths["Qr"].shape == (16,) + self.GRID.shape
         np.testing.assert_array_equal(paths["Qr"], paths["X1"] + paths["X2"] + paths["X3"])
+
+    def test_each_array_is_held_once(self):
+        # each component's grid block is its own array; Qr, Qe, Wr and the
+        # Markov columns are views of one (P, G) total
+        inputs = LimitInputs(ArrivalModel.poisson(1.0), SERVICES[-1])
+        probe = (0.5, 1.5, 0.4)
+        bundle = assemble_limit_bundle(inputs, self.GRID, k=8, n_paths=16, workload=True,
+                                       rng=substream(3, "bundle"), markov_probes=[probe])
+        paths = bundle.paths
+        total = paths["Qr"].base
+        assert total.shape == (16, bundle.engine["G"])
+        for field in (paths["Qe"], paths["Wr"], *bundle.markov[probe]):
+            assert np.shares_memory(field, total)
+        for a, b in itertools.combinations(("X1", "X2", "X3"), 2):
+            assert not np.shares_memory(paths[a], paths[b]), (a, b)
+        for name in ("X1", "X2", "X3"):
+            assert not np.shares_memory(paths[name], total), name
 
     def test_workload_variance_under_nhpp(self):
         # Var Wr of 2000 paths against var_w, each point within 4 standard
