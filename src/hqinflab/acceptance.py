@@ -28,7 +28,7 @@ from .fields import Grid
 from .rng import seed_words
 from .scaling import decompose_hatQr, x1_integration_by_parts
 from .service import Exponential, FiniteAtoms, HyperExponential, Mixture
-from .simulate import CountLaw, InitialConditions, eval_fields, simulate
+from .simulate import CountLaw, InitialConditions, eval_fields, replication_sums, simulate
 from .stats import sample_var
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "DEFAULT_SEED"]
@@ -92,15 +92,6 @@ def _run(seed: int, experiment: str, t, y, **keys):
         **keys}))
 
 
-def _per_replication(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sums of the rows of ``x`` over each replication's rows
-    offsets[r]:offsets[r + 1], counted directly, without the histograms of
-    the field evaluators."""
-    total = np.cumsum(x, axis=0)
-    total = np.concatenate((np.zeros_like(total[:1]), total))
-    return total[offsets[1:]] - total[offsets[:-1]]
-
-
 # -- criterion 1: exact identities ------------------------------------------------
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -131,8 +122,8 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         f = eval_fields(block, grid, ("Qr", "Qe", "Qt", "D", "Wt", "C"))
         qr, qe, qt = f["Qr"], f["Qe"], f["Qt"]
         arrived = block.arrivals[:, None] <= grid.t
-        a_t = _per_replication(arrived, block.bounds)
-        i_t = _per_replication(arrived * block.services[:, None], block.bounds)
+        a_t = replication_sums(arrived, block.bounds)
+        i_t = replication_sums(arrived * block.services[:, None], block.bounds)
         qr_prev = np.concatenate((np.zeros_like(qr[:, :1]), qr), axis=1)[:, prev_t, cols]
         residuals = (a_t - qt - f["D"],
                      i_t - f["Wt"] - f["C"],
@@ -372,7 +363,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     block = simulate(arrival, service, n, 2.0,
                      seed_words(seed, [("criterion10", "total", r) for r in range(5)], 3),
                      init=InitialConditions(CountLaw("fixed", 1.0), Exponential(1.0)))
-    qir_shift = _per_replication(
+    qir_shift = replication_sums(
         block.initial_residuals[:, None, None] > grid.t[:, None] + grid.y,
         np.concatenate(([0], np.cumsum(block.initial_counts))))
     f = eval_fields(block, grid, ("QTr", "Qr"))

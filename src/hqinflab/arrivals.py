@@ -12,6 +12,8 @@ rate 1/mean) are all special cases.  Rate functions are restricted to three
 forms (constant, linear, sinusoidal) so the cumulative rate
 is exact in closed form.  Its inverse is exact for constant and linear rates
 and accurate to roundoff for sinusoidal ones, by safeguarded Newton.
+Epochs are drawn one way, a block of replications at a time, each from its
+own stream's seed words (:meth:`ArrivalModel.draw_block_epochs`).
 """
 
 from __future__ import annotations
@@ -208,47 +210,28 @@ class ArrivalModel:
     def rate(self, t):
         return self.rate_fn.rate(t)
 
-    def _first_batch(self, n: int, horizon: float) -> tuple[float, int]:
-        """n abar(horizon), the level the epochs fill, and the size of the
-        first batch of interarrivals, which almost always passes it."""
+    def draw_block_epochs(self, n: int, horizon: float, words) -> list[np.ndarray]:
+        """Arrival epochs of a block of replications of the n-th system on
+        [0, horizon], one array per row of seed words (shape (R, 4)), each
+        nondecreasing: an atom of the interarrival law, or roundoff, can
+        repeat an epoch.  :func:`_strictify` breaks such ties.
+
+        A row's stream draws R's interarrivals, rescaled to mean 1, in
+        batches; each batch is summed on from the last level, until a level
+        passes n abar(horizon), and the levels below it are inverted.  The
+        first batches of all rows are drawn into one array, scaled and
+        summed in place, and almost always pass that level.  A row whose
+        batch ends short of it re-seats its stream and draws again, batch by
+        batch.  Each row's levels are inverted on their own, since the
+        sinusoidal inverse sizes its table by the level count.
+        """
         if n < 1:
             raise ValueError("scale n must be >= 1")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        total = int(n) * self.rate_fn.cumulative(float(horizon))
-        return total, max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
-
-    def draw_epochs(self, n: int, horizon: float, rng: np.random.Generator) -> np.ndarray:
-        """Arrival epochs of the n-th system on [0, horizon], nondecreasing:
-        an atom of the interarrival law, or roundoff, can repeat an epoch.
-        :func:`_strictify` breaks such ties."""
-        total, batch = self._first_batch(n, horizon)
         n, horizon = int(n), float(horizon)
-        chunks = []
-        pos = 0.0
-        while pos <= total:
-            # normalized to mean 1: the driving stream must have rate 1
-            draws = np.asarray(self.interarrival.sample(rng, size=batch), dtype=float) / self._mean
-            cum = pos + np.cumsum(draws)
-            chunks.append(cum)
-            pos = cum[-1]
-        levels = np.concatenate(chunks)
-        levels = levels[levels <= total]
-        return self.rate_fn.invert_cumulative(levels / n, horizon)
-
-    def draw_block_epochs(self, n: int, horizon: float, words) -> list[np.ndarray]:
-        """Arrival epochs of a block of replications of the n-th system, one
-        array per row of seed words (shape (R, 4)): those that
-        :meth:`draw_epochs` draws from a generator seated on the row's words.
-
-        The first batches of all rows are drawn into one array, scaled and
-        summed in place.  A row whose batch ends short of the horizon's level
-        is drawn again on its own; its levels, like every row's, are
-        inverted on their own, since the sinusoidal inverse sizes its table
-        by the level count.
-        """
-        total, batch = self._first_batch(n, horizon)
-        n, horizon = int(n), float(horizon)
+        total = n * self.rate_fn.cumulative(horizon)
+        batch = max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
         levels = np.empty((len(words), batch))
         for row, w in zip(levels, words):
             row[:] = self.interarrival.sample(seated(w), size=batch)
@@ -257,6 +240,16 @@ class ArrivalModel:
         # the levels of a row rise, so those <= total are a prefix of it
         kept = np.count_nonzero(levels <= total, axis=1)
         levels /= n
-        return [self.draw_epochs(n, horizon, seated(w)) if m == batch
-                else self.rate_fn.invert_cumulative(row[:m], horizon)
-                for row, m, w in zip(levels, kept.tolist(), words)]
+        epochs = []
+        for row, m, w in zip(levels, kept.tolist(), words):
+            if m == batch:
+                gen, chunks, pos = seated(w), [], 0.0
+                while pos <= total:
+                    draws = self.interarrival.sample(gen, size=batch)
+                    chunks.append(pos + np.cumsum(np.asarray(draws, dtype=float) / self._mean))
+                    pos = chunks[-1][-1]
+                row = np.concatenate(chunks)
+                m = np.count_nonzero(row <= total)
+                row /= n
+            epochs.append(self.rate_fn.invert_cumulative(row[:m], horizon))
+        return epochs

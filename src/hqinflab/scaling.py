@@ -37,19 +37,9 @@ import numpy as np
 
 from .fields import Grid
 from .service import ServiceModel
-from .simulate import SimulationTrace, _Binner
+from .simulate import SimulationTrace, _Binner, replication_sums
 
 __all__ = ["decompose_hatQr", "x1_integration_by_parts"]
-
-
-def _arrived_sums(trace: SimulationTrace, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per replication r and time i, rows[:, i] summed over r's first
-    a[r, i] customers, read off one cumulative sum over the block: shape
-    (R, T, ...) for ``a`` of shape (R, T) and ``rows`` of shape (N, T, ...)."""
-    total = np.cumsum(rows, axis=0)
-    total = np.concatenate((np.zeros((1, *total.shape[1:]), total.dtype), total))
-    start, times = trace.bounds[:-1, None], np.arange(a.shape[1])
-    return total[start + a, times] - total[start, times]
 
 
 def _require_continuous(model: ServiceModel) -> None:
@@ -242,8 +232,10 @@ def x1_integration_by_parts(trace: SimulationTrace, grid: Grid, centering: np.nd
     fy = np.asarray(model.cdf(grid.y), dtype=float)
     t = grid.t[:, None]
     # step-function part of int A_n(s-) dF(t+y-s): exact sum over the arrivals by t
-    shifts = t + grid.y - trace.arrivals[:, None, None]
-    step = _arrived_sums(trace, a_t, np.asarray(model.cdf(shifts), dtype=float) - fy)
+    tau = trace.arrivals[:, None, None]
+    rows = np.asarray(model.cdf(t + grid.y - tau), dtype=float) - fy
+    rows *= tau <= t
+    step = replication_sums(rows, trace.bounds)
     # drift part int abar(s) dF(t+y-s) reduces by parts to
     # abar(t) F^c(y) - int_0^t F^c(t+y-s) dabar(s) = abar(t) F^c(y) - qr(t, y)
     abar_t = np.asarray(abar(t), dtype=float)

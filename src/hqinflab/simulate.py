@@ -13,13 +13,14 @@ is then a direct sum of per-customer indicators evaluated on a grid:
 Monte Carlo runs many small independent replications, so :func:`simulate`
 draws a block of them at once.  A block is given by the seed words of its
 replications' arrival, service and initial-state streams (see :mod:`rng`):
-one generator is re-seated on each stream in turn, the first batches of
-interarrivals of all replications are drawn into one array
-(:meth:`ArrivalModel.draw_block_epochs`), and each replication draws exactly
-what it would draw on its own.  The block is one :class:`SimulationTrace`
-that stores its replications one after another, and every field evaluated
-on it has a leading replication axis.  Ties are broken and the trace is
-checked once per block.
+one generator is re-seated on each stream in turn, the epochs of all
+replications are drawn by one call (:meth:`ArrivalModel.draw_block_epochs`),
+and each replication draws exactly what it would draw on its own.  The block
+is one :class:`SimulationTrace` that stores its replications one after
+another, and every field evaluated on it has a leading replication axis.
+Ties are broken and the trace is checked once per block.  A sum over each
+replication's customers that no field gives, such as the arrival count
+A_n(t), is one cumulative sum over the block (:func:`replication_sums`).
 
 :func:`eval_fields` evaluates the fields that it is asked for in one pass.
 With a sorted threshold set c and bin(x) = #{c_k < x}
@@ -70,6 +71,7 @@ __all__ = [
     "CountLaw",
     "InitialConditions",
     "SimulationTrace",
+    "replication_sums",
     "simulate",
     "block_size",
     "FIELDS",
@@ -168,11 +170,16 @@ class SimulationTrace:
 
     def count_arrivals(self, t) -> np.ndarray:
         """A_n(t) = #{i : tau_i <= t} per replication, shape (R, len(t))."""
-        t = np.asarray(t, dtype=float).ravel()
-        counts = np.empty((self.replications, len(t)), dtype=np.intp)
-        for i, s in enumerate(t.tolist()):
-            counts[:, i] = np.diff(np.searchsorted(np.flatnonzero(self.arrivals <= s), self.bounds))
-        return counts
+        return replication_sums(self.arrivals[:, None] <= np.ravel(t), self.bounds)
+
+
+def replication_sums(rows: np.ndarray, bounds) -> np.ndarray:
+    """The rows of a block summed per replication, replication r owning
+    rows[bounds[r]:bounds[r + 1]]: differences of one cumulative sum over
+    axis 0, shape (R, *rows.shape[1:]).  An empty replication sums to 0."""
+    total = np.cumsum(rows, axis=0)
+    total = np.concatenate((np.zeros((1, *rows.shape[1:]), total.dtype), total))
+    return total[bounds[1:]] - total[bounds[:-1]]
 
 
 def simulate(arrival: ArrivalModel, service: ServiceModel,

@@ -27,20 +27,20 @@ class Centred:
 
     __slots__ = ("c",)
 
-    def __init__(self, values: np.ndarray, axis: int = 0):
-        v = np.ascontiguousarray(np.moveaxis(np.asarray(values, dtype=float), axis, -1))
+    def __init__(self, values: np.ndarray):
+        v = np.ascontiguousarray(np.moveaxis(np.asarray(values, dtype=float), 0, -1))
         # centred in place unless the points-last form is the caller's memory
         own = not np.may_share_memory(v, values)
         self.c = np.subtract(v, v.mean(axis=-1, keepdims=True), out=v if own else None)
 
 
-def _centred(values, axis: int = 0) -> np.ndarray:
-    return (values if isinstance(values, Centred) else Centred(values, axis)).c
+def _centred(values) -> np.ndarray:
+    return (values if isinstance(values, Centred) else Centred(values)).c
 
 
-def sample_var(values: np.ndarray | Centred, axis=0) -> np.ndarray:
-    """Unbiased sample variance over the replication ``axis``, per point."""
-    c = _centred(values, axis)
+def sample_var(values: np.ndarray | Centred) -> np.ndarray:
+    """Unbiased sample variance over the replication axis 0, per point."""
+    c = _centred(values)
     return np.sum(c * c, axis=-1) / (c.shape[-1] - 1)
 
 

@@ -1,10 +1,12 @@
 """Independent oracles used to freeze expected values.
 
 Deliberately naive implementations: fixed-grid composite Simpson quadrature,
-direct loops over customers, the limit engine's service sheet built interval
-by interval, its splitting motion as a cumulative sum of sampled increments,
-and the workload columns by the trapezoid rule.  They share no code with the
-package paths they check.  Also the test id of a service law.
+arrival epochs drawn from a generator batch by batch, direct loops over
+customers, the limit engine's service sheet built interval by interval, its
+splitting motion as a cumulative sum of sampled increments, and the workload
+columns by the trapezoid rule.  They share no code with the package paths
+they check; the epoch oracle draws through the law's own sampler and rate
+inverse, which it does not check.  Also the test id of a service law.
 """
 
 import math
@@ -46,6 +48,24 @@ def brute_queue_fields(tau, eta, t, y):
                     qe += 1
             wr += max(a + s - t - y, 0.0)
     return qr, qe, qt, wr
+
+
+def generator_epochs(model, n, horizon, rng):
+    """Arrival epochs of one replication of an ``ArrivalModel`` drawn from a
+    generator, batch after batch, as before blocks of replications existed:
+    the interarrivals, rescaled to mean 1, are summed on from the last level
+    until one passes n abar(horizon), and the levels below it are inverted.
+    The reference for a row whose first batch ends short of that level."""
+    total = n * model.rate_fn.cumulative(float(horizon))
+    batch = max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
+    mean = model.interarrival.moments().mean
+    chunks, pos = [], 0.0
+    while pos <= total:
+        draws = np.asarray(model.interarrival.sample(rng, size=batch), dtype=float) / mean
+        chunks.append(pos + np.cumsum(draws))
+        pos = chunks[-1][-1]
+    levels = np.concatenate(chunks)
+    return model.rate_fn.invert_cumulative(levels[levels <= total] / n, float(horizon))
 
 
 def brute_arrivals(tau, t):

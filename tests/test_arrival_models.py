@@ -7,12 +7,19 @@ import pytest
 from hqinflab import arrivals
 from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
 from hqinflab.config import read_section
-from hqinflab.rng import substream
+from hqinflab.rng import seed_words
 from hqinflab.service import FiniteAtoms, HyperExponential
 
 from oracles import simpson
 
 H2 = HyperExponential((0.5, 0.5), (2.0, 2.0 / 3.0))
+
+
+def epochs_on(model, n, horizon, seed, *keys):
+    """The epochs of one replication drawn on the stream substream(seed,
+    *keys), ties broken."""
+    return _strictify(model.draw_block_epochs(n, horizon, seed_words(seed, [keys]))[0])
+
 
 MODELS = {
     "poisson": ArrivalModel.poisson(1.0),
@@ -225,34 +232,32 @@ class TestGeneration:
         hits = 0
         runs = 50
         for seed in range(runs):
-            eps = _strictify(ArrivalModel.poisson(lam).draw_epochs(n, h, substream(seed, "pc")))
+            eps = epochs_on(ArrivalModel.poisson(lam), n, h, seed, "pc")
             hits += abs(len(eps) - n * lam * h) <= bound
         assert hits >= 0.99 * runs - 1
 
     def test_deterministic_renewal_spacing(self):
-        eps = _strictify(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))).draw_epochs(
-            10, 1.0, substream(0, "d")))
+        eps = epochs_on(ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),))), 10, 1.0, 0, "d")
         assert np.allclose(eps, np.arange(1, 11) / 10.0, atol=1e-12)
 
     def test_nhpp_quadratic_cumulative(self):
         # rate 2s, abar(t) = t^2: expected count n * abar(1) = 100
         model = ArrivalModel.nhpp(RateFunction("linear", a=0.0, b=2.0))
-        counts = [len(_strictify(model.draw_epochs(100, 1.0, substream(s, "quad"))))
-                  for s in range(30)]
+        counts = [len(epochs_on(model, 100, 1.0, s, "quad")) for s in range(30)]
         assert np.all(np.abs(np.asarray(counts) - 100.0) <= 3.0 * 10.0 + 1)
 
     @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
     def test_epochs_strictly_increasing(self, model):
         for seed in range(5):
-            eps = _strictify(model.draw_epochs(200, 2.0, substream(seed, "mono")))
+            eps = epochs_on(model, 200, 2.0, seed, "mono")
             assert np.all(np.diff(eps) > 0.0)
             assert np.all(eps >= 0.0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            ArrivalModel.poisson(1.0).draw_epochs(0, 1.0, substream(0, "x"))
+            ArrivalModel.poisson(1.0).draw_block_epochs(0, 1.0, seed_words(0, [("x",)]))
         with pytest.raises(ValueError):
-            ArrivalModel.poisson(1.0).draw_epochs(10, 0.0, substream(0, "x"))
+            ArrivalModel.poisson(1.0).draw_block_epochs(10, 0.0, seed_words(0, [("x",)]))
 
 
 class TestPinnedEpochs:
@@ -263,7 +268,7 @@ class TestPinnedEpochs:
         # law at 0.3, whose epochs the old generator summed as raw 0.3 steps).
         spec, count, idx, epochs = PINNED[name]
         model = read_section("arrival", spec)
-        eps = _strictify(model.draw_epochs(50, 2.0, substream(2024, "pin", name)))
+        eps = epochs_on(model, 50, 2.0, 2024, "pin", name)
         assert len(eps) == count
         np.testing.assert_allclose(eps[idx], epochs, rtol=1e-12, atol=0.0)
 
@@ -335,7 +340,7 @@ class TestLimitBehaviour:
         passes = 0
         runs = 20
         for seed in range(runs):
-            eps = _strictify(model.draw_epochs(n, h, substream(seed, "lln", name)))
+            eps = epochs_on(model, n, h, seed, "lln", name)
             passes += abs(len(eps) / n - target) < 0.05
         assert passes >= 0.95 * runs
 
@@ -346,13 +351,13 @@ class TestLimitBehaviour:
         n, reps = 400, 2000
         vals = np.empty(reps)
         for r in range(reps):
-            eps = _strictify(model.draw_epochs(n, 1.0, substream(r, "clt", name)))
+            eps = epochs_on(model, n, 1.0, r, "clt", name)
             vals[r] = math.sqrt(n) * (len(eps) / n - model.cumulative_rate(1.0))
         assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.15)
 
     def test_deterministic_renewal_is_noiseless(self):
         model = ArrivalModel.renewal(FiniteAtoms(((1.0, 1.0),)))
-        eps = _strictify(model.draw_epochs(400, 1.0, substream(1, "clt0")))
+        eps = epochs_on(model, 400, 1.0, 1, "clt0")
         assert abs(len(eps) / 400 - 1.0) <= 1.0 / 400
 
 

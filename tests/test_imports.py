@@ -86,6 +86,29 @@ def test_one_quadrature_caller():
     assert importers == {"limits.py"}
 
 
+def _interarrival_draws(node, scope=()) -> set[str]:
+    """The functions, by qualified name, under ``node`` that call an
+    interarrival law's ``sample``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            found |= _interarrival_draws(child, (*scope, child.name))
+            continue
+        func = getattr(child, "func", None)
+        if (isinstance(func, ast.Attribute) and func.attr == "sample"
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "interarrival"):
+            found.add(".".join(scope))
+        found |= _interarrival_draws(child, scope)
+    return found
+
+
+def test_one_epoch_path():
+    # one way to draw arrival epochs: ArrivalModel.draw_block_epochs
+    draws = {f"{path.stem}.{name}" for path in pathlib.Path(hqinflab.__file__).parent.glob("*.py")
+             for name in _interarrival_draws(ast.parse(path.read_text(), str(path)))}
+    assert draws == {"arrivals.ArrivalModel.draw_block_epochs"}
+
+
 def _unused_imports(path: pathlib.Path) -> list[str]:
     """Names that ``path`` imports but never loads and does not export
     (``from __future__`` imports aside)."""

@@ -11,9 +11,9 @@ from hqinflab.fields import Grid, write_surfaces_csv
 from hqinflab.rng import reseat, seed_words, substream
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
 from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace,
-                               eval_fields, export_trace_csv, simulate)
+                               eval_fields, export_trace_csv, replication_sums, simulate)
 
-from oracles import brute_queue_fields
+from oracles import brute_queue_fields, generator_epochs
 
 EXP1 = Exponential(1.0)
 
@@ -242,7 +242,7 @@ class TestStreams:
             assert trace.initial_residuals[0] == first_resid
         # the same draws as from the generator's spawned children
         arr_rng, svc_rng, init_rng = substream(2024, "pin", name).spawn(3)
-        epochs = _strictify(ARRIVALS[name].draw_epochs(4, 3.0, arr_rng))
+        epochs = _strictify(generator_epochs(ARRIVALS[name], 4, 3.0, arr_rng))
         assert np.array_equal(trace.arrivals, epochs)
         assert np.array_equal(trace.services, LogNormal(-0.5, 1.0).sample(svc_rng, len(epochs)))
 
@@ -279,7 +279,7 @@ class TestStreams:
         arrival = ArrivalModel.renewal(HyperExponential((0.5, 0.5), (1e20, 1.0)))
         block = simulate(arrival, EXP1, 20, 2.0, seed_words(3, [("ties", r) for r in range(3)], 2))
         for r in range(3):
-            raw = arrival.draw_epochs(20, 2.0, substream(3, "ties", r).spawn(1)[0])
+            raw = generator_epochs(arrival, 20, 2.0, substream(3, "ties", r).spawn(1)[0])
             assert np.any(np.diff(raw) <= 0)
             epochs = block.arrivals[block.bounds[r]:block.bounds[r + 1]]
             assert np.all(np.diff(epochs) > 0)
@@ -287,23 +287,23 @@ class TestStreams:
 
     def test_block_redraws_a_short_first_batch(self, monkeypatch):
         # the phase of mean 100 makes the first batch of interarrivals often
-        # end before the horizon's level: such a row is drawn again alone
+        # end before the horizon's level: such a row draws on past it
         arrival = ArrivalModel.renewal(HyperExponential((0.99, 0.01), (1e3, 1e-2)))
-        redrawn = []
-        draw = ArrivalModel.draw_epochs
+        batches = []
+        sample = HyperExponential.sample
 
-        def counted(self, *args):
-            redrawn.append(args)
-            return draw(self, *args)
-        monkeypatch.setattr(ArrivalModel, "draw_epochs", counted)
+        def counted(self, *args, **kwargs):
+            batches.append(self)
+            return sample(self, *args, **kwargs)
+        monkeypatch.setattr(HyperExponential, "sample", counted)
         block = simulate(arrival, EXP1, 20, 2.0,
                          seed_words(8, [("short", r) for r in range(20)], 2))
-        assert redrawn
+        assert len(batches) > 20         # a first batch per row, and more
         monkeypatch.undo()
         for r in range(20):
             one = simulate(arrival, EXP1, 20, 2.0, stream_words(8, "short", r, count=2))
             arr_rng, svc_rng = substream(8, "short", r).spawn(2)
-            epochs = _strictify(arrival.draw_epochs(20, 2.0, arr_rng))
+            epochs = _strictify(generator_epochs(arrival, 20, 2.0, arr_rng))
             own = slice(block.bounds[r], block.bounds[r + 1])
             assert np.array_equal(block.arrivals[own], one.arrivals)
             assert np.array_equal(block.arrivals[own], epochs)
@@ -407,6 +407,39 @@ class TestBlockFields:
             trace([1.0, 2.0], [0, 1, 2], counts=np.array([1]), resid=np.array([0.5]))
         assert trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5]).tolist() == [[1], [0]]
         assert alone(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [[0, 1]]
+
+
+def looped_sums(rows, bounds):
+    """Each replication's rows summed by a loop over replications."""
+    return np.array([rows[lo:hi].sum(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+class TestReplicationSums:
+    BOUNDS = {"no_customers": [0, 0, 0], "empty_between_full": [0, 3, 3, 7],
+              "empty_first_and_last": [0, 0, 4, 7, 7], "one_replication": [0, 7]}
+
+    @pytest.mark.parametrize("bounds", BOUNDS.values(), ids=BOUNDS)
+    def test_counts_against_a_loop(self, bounds):
+        rows = np.random.default_rng(3).random((bounds[-1], 4)) < 0.5
+        sums = replication_sums(rows, np.asarray(bounds))
+        assert sums.shape == (len(bounds) - 1, 4) and sums.dtype == np.intp
+        assert np.array_equal(sums, looped_sums(rows.astype(np.intp), bounds))
+
+    @pytest.mark.parametrize("bounds", BOUNDS.values(), ids=BOUNDS)
+    def test_float_fields_against_a_loop(self, bounds):
+        rows = np.random.default_rng(4).standard_normal((bounds[-1], 3, 5))
+        sums = replication_sums(rows, np.asarray(bounds))
+        assert sums.shape == (len(bounds) - 1, 3, 5)
+        np.testing.assert_allclose(sums, looped_sums(rows, bounds),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_arrivals_of_an_empty_block(self):
+        block = SimulationTrace(n=1, arrivals=np.array([]), services=np.array([]), horizon=4.0,
+                                service_model=EXP1, bounds=np.array([0, 0, 0]))
+        counts = block.count_arrivals([0.0, 1.0, 4.0])
+        assert counts.dtype == np.intp and counts.tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert empty_trace().count_arrivals([2.0]).tolist() == [[0]]
+        assert block.count_arrivals([]).shape == (2, 0)
 
 
 class TestQueueFields:
