@@ -8,10 +8,12 @@ A config is a YAML mapping with these top-level keys (defaults in brackets):
 - ``grid``: ``{t: [...], y: [...]}``, lists of distinct finite numbers;
 - ``init`` [none]: ``{count: <count law>, residual: <service>}``, the
   customers present at time zero; read by the analytic surfaces only;
-- ``n_list`` [[400]], ``replications`` [200], ``k`` [200]: integers >= 1,
-  the n distinct; ``fclt_variance``, ``poisson_property``,
-  ``limit_path_validation`` and ``markov_check`` gate sample variances or
-  correlations over the replications, and refuse fewer than 2;
+- ``n_list`` [[400]], ``replications`` [200], ``k`` [200]: integers >= 1;
+  distinct n, one for ``age_distribution`` and ``poisson_property``; at
+  least 2 replications where sample moments are gated (``fclt_variance``,
+  ``poisson_property``, ``limit_path_validation``, ``markov_check``); the
+  limit engine places about k Gauss-Legendre nodes over [0, t_max], at
+  least one per piece;
 - ``master_seed`` [20100709]: an integer >= 0;
 - ``tolerances`` [:data:`DEFAULT_TOLERANCES`]: overrides of some of them,
   each a finite number >= 0;
@@ -266,6 +268,8 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     n_list = tuple(_int_key(f"n_list[{i}]", n, 1) for i, n in enumerate(n_list))
     if len(set(n_list)) != len(n_list):
         _fail("n_list", f"duplicate n in {list(n_list)}")
+    if len(n_list) > 1 and experiment in ("age_distribution", "poisson_property"):
+        _fail("n_list", f"{experiment} reads one n, got {list(n_list)}")
     # these gate sample variances or correlations over the replications
     moments = experiment in ("fclt_variance", "poisson_property", "limit_path_validation",
                              "markov_check")

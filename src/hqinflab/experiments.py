@@ -19,7 +19,7 @@ Every report starts in :func:`_report` (experiment, seed, config echo), and
 :func:`_replications` records in ``extras["simulation"]``, per n, the
 replications, blocks and arrivals simulated and the seconds spent drawing and
 evaluating them, summed over the blocks; ``limit_path_validation`` records in
-``extras["limit_engine"]`` the engine's J intervals, G columns, weight rows
+``extras["limit_engine"]`` the engine's J nodes, G columns, weight rows
 and normals per path of each component, and worst exact variance bias.
 Gates over the grid go through :func:`_grid_points`: grid point by grid
 point, t-major, and at each point gate by gate in the order listed.
@@ -394,7 +394,7 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     if len(grid.y) >= 2 and inputs.decomposition.p_c > 0.0:
         i = len(grid.t) // 2
         t, y0, y1 = float(grid.t[i]), float(grid.y[0]), float(grid.y[1])
-        target = lim.cov_x2_increment(inputs, t, y0, t, y1)
+        target = lim.cov_x2_increment(inputs, t, y0, y1)
         if target > 1e-10:
             x2 = bundle.paths["X2"][:, i]
             increment.append(_rel_point("X2 increment mean-square", t, y1,
@@ -433,8 +433,8 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
                  (_rel_point, "Var limit Qe", var_qe, v_e,
                   tols["variance_rel_loose"], v_e > 1e-10),
                  *corrs)
-    # the engine's exact variances at partition k against the limit's: the
-    # partition bias, with no Monte Carlo
+    # the engine's exact variances at refinement k against the limit's: the
+    # quadrature bias of its nodes, with no Monte Carlo
     parts = lim.var_components(inputs, grid.t[:, None], grid.y[None, :])
     targets = {"X1": parts.arrival, "X2": parts.service, "X3": parts.splitting}
     if cfg.workload:
@@ -531,9 +531,10 @@ def analytic_surfaces(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
 def emit(report: ExperimentReport, out_dir) -> list[Path]:
     """Write report.json, summary.csv and plotdata/*.csv.
 
-    summary.csv and plotdata are byte-deterministic for a fixed
-    (config, master_seed); report.json additionally records the wall-clock
-    runtime and the simulation timings.
+    summary.csv and plotdata are byte-deterministic for a fixed (config,
+    master_seed) and BLAS setting; across BLAS settings limit experiments
+    agree to roundoff, not byte for byte (duplicate Qe columns, y >= t, make
+    their factor rank-deficient).  report.json adds runtime and timings.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

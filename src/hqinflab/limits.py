@@ -243,16 +243,13 @@ def var_workload(inputs: LimitInputs, t, y):
         0.0, t, t + y)
 
 
-def cov_x2_increment(inputs: LimitInputs, t, y, t2, y2):
+def cov_x2_increment(inputs: LimitInputs, t, y, y2):
     """Mean-square increment of the service-noise component between (t, y)
-    and (t2, y2) with t <= t2, y <= y2:
-
-    int_0^t (F_c(t2+y2-u) - F_c(t+y-u)) (1 + F_c(t+y-u) - F_c(t2+y2-u))
-    dabar^c(u),   dabar^c = p_c dabar.
-    """
-    t, y, t2, y2 = _broadcast(t, y, t2, y2)
-    if np.any(t2 < t) or np.any(y2 < y):
-        raise ValueError("increment ordering requires t <= t2 and y <= y2")
+    and (t, y2) with y <= y2: int_0^t d (1 - d) dabar^c(u), with d =
+    F_c(t+y2-u) - F_c(t+y-u) and dabar^c = p_c dabar."""
+    t, y, y2 = _broadcast(t, y, y2)
+    if np.any(y2 < y):
+        raise ValueError("increment ordering requires y <= y2")
     dec = inputs.decomposition
     if dec.p_c == 0.0:
         return _value(np.zeros_like(t))
@@ -262,7 +259,7 @@ def cov_x2_increment(inputs: LimitInputs, t, y, t2, y2):
         diff = cd(v2) - cd(v1)
         return diff * (1.0 - diff)
 
-    return dec.p_c * inputs.int_abar(g, 0.0, t, t2 + y2, t + y)
+    return dec.p_c * inputs.int_abar(g, 0.0, t, t + y2, t + y)
 
 
 def initial_and_total_limits(inputs: LimitInputs, t, y):

@@ -16,44 +16,45 @@ noise sources, with shift v = t + y and start u = t - length:
   X2 = -int int_{u < s <= t} 1(s + x <= v) dU(abar_c(s), F_c(x))
                                                             (service sampling)
   X3 = int_u^t F_c^c(v - s) dS^c(abar(s))
-       + sum_i [S_i(abar(t)) - S_i(abar(t - clip(x_i - y, 0, length)))]
-                                                            (splitting)
+       + sum_i int_u^t 1(x_i > v - s) dS_i(abar(s))         (splitting)
 
 with A-hat = sqrt(c_a^2) B(abar(.)), U a standard Kiefer process driven by a
 Brownian sheet (Krichagina & Puhalskii 1997, QUESTA 25), and (S^c, S_1, ...,
 S_m) a correlated Brownian motion with the multinomial splitting covariance.
-One global partition of [0, t_max] (refinement k, with every window end and
-start snapped in) carries all three sources.  Qr(t2, y) and Qr(t1, y + t2 -
-t1) share the shift t2 + y and every component is a sum over partition
-intervals, so the Markov decomposition holds pathwise, up to rounding:
+
+One set of nodes carries all three sources: [0, t_max] is cut at every
+window end and start, and at each grid or probe window's shift minus a law
+breakpoint inside it (the cuts ``LimitInputs.int_abar`` makes); each piece
+gets ceil(k len / t_max) Gauss-Legendre nodes s_n of mass mu_n = w_n
+rate(s_n), so each component's exact covariance is a Gauss rule for the
+limit's.  Each probe's t1 is a piece end, and Qr(t2, y) and Qr(t1, y + t2 -
+t1) share the shift t2 + y, so the Markov decomposition holds pathwise, up
+to rounding:
 
   Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y).
 
 Each component is linear in independent standard normals, X = Z @ M, with
-M fixed (rows, G) weights on the G output columns.  Its rows are the
-partition intervals for X1, the cells of the service sheet for X2 (interval
-j is one strip of the sheet, cut at the levels F_c(v - s_j) of the windows
-covering it) and the (time step, category) increments of the splitting
-motion for X3.  The law of X depends on M only through M^T M, so the engine
-samples X = Z' @ R, with R the triangle of the thin QR factorization M = QR
-and Z' of shape (P, min(rows, G)): the same Gaussian law from G normals per
-path.  R = Q^T M keeps every linear relation among M's columns up to
+M fixed (rows, G) weights on the G output columns: one row per node for X1,
+per cell of the service sheet for X2 (node n is one strip of the sheet, cut
+at the levels F_c(v - s_n) of the windows covering it) and per (node,
+category) increment of the splitting motion for X3.  The law of X depends
+on M only through M^T M, so the engine samples X = Z' @ R, with R the
+triangle of M = QR, each row signed so that its diagonal entry is
+nonnegative, and Z' of shape (P, min(rows, G)): the same law from G normals
+per path.  R = Q^T M keeps every linear relation among M's columns up to
 rounding, the Markov identity with it, and diag(R^T R) is the component's
-exact variance at partition k.
+exact variance at refinement k.
 
 With the residual workload, Wr(t, y) = int_y^xmax Qr(t, x) dx by the
-trapezoid rule over x-columns Qr(t, x).  That combination is folded into the
-weights before the factorization, so G counts the output columns only.
-
-The bundle holds each path array once.  The components are drawn one at a
-time, each kept on the grid only, as its own (P, T, Y) array, and added in
-place into one (P, G) total; Qr, Qe, Wr and the Markov columns are views of
-that total.
+trapezoid rule over x-columns Qr(t, x), folded into the weights before the
+factorization, so G counts the output columns only.  The x-columns add no
+cuts, so Wr's exact law is first order in k at atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,7 +78,8 @@ def _dedupe(values: np.ndarray) -> np.ndarray:
 def _factor(blocks, width: int) -> np.ndarray:
     """R with R^T R = M^T M, for the (rows, width) weights M given as row
     blocks: M itself when rows <= width, else the (width, width) triangle of
-    M = QR.  Blocks are stacked under the triangle so far, and the stack is
+    M = QR, each row's sign set so that its diagonal entry is nonnegative.
+    Blocks are stacked under the triangle so far, and the stack is
     refactored, the QR of [R; M_b], whenever ``_STACK_ROWS`` rows came in."""
     r, stack, rows = np.zeros((0, width)), [], 0
     for block in blocks:
@@ -86,24 +88,36 @@ def _factor(blocks, width: int) -> np.ndarray:
         if rows >= _STACK_ROWS:
             r, stack, rows = np.linalg.qr(np.concatenate([r] + stack), mode="r"), [], 0
     m = np.concatenate([r] + stack)
-    return np.linalg.qr(m, mode="r") if len(m) > width else m
+    if len(m) <= width and not len(r):
+        return m
+    r = np.linalg.qr(m, mode="r")
+    return r * np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+
+
+def _gauss_legendre(m: int):
+    """The m-point Gauss-Legendre rule on [-1, 1] by Golub & Welsch (1969):
+    the Jacobi matrix's eigenvalues, and twice the squared first components
+    of its eigenvectors (importing numpy.polynomial costs ~0.8 MB)."""
+    i = np.arange(1.0, m)
+    b = i / np.sqrt(4.0 * i * i - 1.0)
+    x, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    return x, 2.0 * v[0] ** 2
 
 
 class _LimitEngine:
-    """Shared partition, window columns, and per-component samplers.
+    """Shared nodes, window columns, and per-component samplers.
 
-    Window column g is (t[g], length[g], y[g]).  The columns are, in order:
-    Qr on the grid product, Qr(t2, y) and Qr(t1, y + t2 - t1) for each Markov
-    probe (together ``rp``), Qe on the grid product (``ep``), each probe's
-    innovation Z (``zp``), and with an ``xgrid`` the x-columns Qr(t, x) for
-    t on the grid.  ``covers[j, g]`` marks partition interval j as inside
+    Window column g is (t[g], length[g], y[g]), with shift ``v[g]`` = t[g] +
+    y[g].  The columns are, in order: Qr on the grid product, Qr(t2, y) and
+    Qr(t1, y + t2 - t1) for each Markov probe (together ``rp``), Qe on the
+    grid product (``ep``), each probe's innovation Z (``zp``), and with an
+    ``xgrid`` the x-columns Qr(t, x) for t on the grid.  ``s0`` holds the
+    nodes, ``mu`` their masses, and ``covers[n, g]`` marks node n as inside
     window g.  ``fold`` maps window columns to output columns: the same
     columns up to the x-columns, which it replaces by Wr on the grid product
-    (``wp``).  Each component passes its weights on the output columns to
-    ``_factor`` as row blocks, X2's built for all strips by one sort and one
-    scatter per chunk (``_service_weights``), and records their rows in
-    ``weight_rows``, its normals per path in ``drawn`` and its exact
-    variance per output column in ``exact_var``.
+    (``wp``).  Each component records its weight rows in ``weight_rows``,
+    its normals per path in ``drawn`` and its exact variance per output
+    column in ``exact_var``.
     """
 
     def __init__(self, inputs: LimitInputs, grid: Grid, k: int, n_paths: int,
@@ -129,6 +143,7 @@ class _LimitEngine:
         self.t = np.concatenate((r_t, gt, t2, xt))
         self.length = np.concatenate((r_t, np.minimum(gy, gt), t2 - t1, xt))
         self.y = np.concatenate((r_y, np.zeros(T * Y), py, xy))
+        self.v = self.t + self.y
         n_r, n = len(r_t), len(r_t) + T * Y + len(t2)
         self.rp = np.arange(n_r)
         self.ep = np.arange(n_r, n_r + T * Y)
@@ -141,20 +156,21 @@ class _LimitEngine:
             dx = np.diff(xgrid)
             wr = 0.5 * (np.append(dx, 0.0)[:, None] * (i >= m) + np.append(0.0, dx)[:, None] * (i > m))
             self.fold[n:, n:] = np.kron(np.eye(T), wr)
-        self.drawn: dict[str, int] = {}
-        self.weight_rows: dict[str, int] = {}
-        self.exact_var: dict[str, np.ndarray] = {}
+        self.drawn, self.weight_rows, self.exact_var = {}, {}, {}
 
+        # pieces: the cuts of the module docstring; ceil(k len / t_max) nodes each
         start = self.t - self.length
-        base = np.linspace(0.0, t_max, k + 1)
-        part = _dedupe(np.concatenate((base, self.t, start[start > 0.0])))
-        self.s0 = part[:-1]           # left endpoints
-        self.s1 = part[1:]            # right endpoints
-        self.ds = self.s1 - self.s0
-        self.partition = part
-        self.dabar = np.diff(inputs.abar(part))
-        self.covers = ((self.s1[:, None] <= self.t[None, :] + _TOL)
-                       & (self.s0[:, None] >= start[None, :] - _TOL))
+        kinks = self.v[:n, None] - np.asarray(inputs.service.breakpoints(), dtype=float)
+        inside = (kinks > start[:n, None]) & (kinks < self.t[:n, None])
+        cuts = _dedupe(np.concatenate((self.t, start, kinks[inside])))
+        lo, hi = cuts[:-1], cuts[1:]
+        count = np.maximum(np.ceil(k * (hi - lo) / t_max - _TOL), 1.0).astype(int)
+        rules = {m: _gauss_legendre(m) for m in set(count.tolist())}
+        x, w = (np.concatenate([np.zeros(0)] + [rules[m][i] for m in count]) for i in (0, 1))
+        half = np.repeat(0.5 * (hi - lo), count)
+        self.s0 = np.repeat(0.5 * (lo + hi), count) + half * x    # the nodes
+        self.mu = half * w * inputs.rate(self.s0)                  # their masses
+        self.covers = (self.s0[:, None] > start[None, :]) & (self.s0[:, None] < self.t[None, :])
 
     # -- plumbing ---------------------------------------------------------
 
@@ -171,23 +187,17 @@ class _LimitEngine:
         self.exact_var[name] = np.einsum("ij,ij->j", r, r)
         return self._normals(rng, (self.n_paths, len(r))) @ r
 
-    def _weights(self, integrated_sf) -> np.ndarray:
-        """(J, windows) interval averages of F^c(t + y - s) over each covered
-        interval, for Ito-style sums."""
-        w = np.zeros(self.covers.shape)
-        rows, cols = np.nonzero(self.covers)
-        shift = self.t[cols] + self.y[cols]
-        w[rows, cols] = (integrated_sf(shift - self.s0[rows])
-                         - integrated_sf(shift - self.s1[rows])) / self.ds[rows]
-        return w
+    def _at_nodes(self, f) -> np.ndarray:
+        """(J, windows): f(v[g] - s_n) where window g covers node n, else 0."""
+        return np.where(self.covers, f(self.v - self.s0[:, None]), 0.0)
 
     # -- arrival-noise component -------------------------------------------
 
     def arrival_component(self, rng) -> np.ndarray:
-        """X1 on every output column, shape (P, G): one normal per partition
-        interval, of variance c_a^2 dabar_j, times the interval weights."""
-        w = self._weights(self.inputs.service.integrated_sf)
-        w *= np.sqrt(np.maximum(self.inputs.ca2 * self.dabar, 0.0))[:, None]
+        """X1 on every output column, shape (P, G): one normal per node, of
+        variance c_a^2 mu_n, times F^c at each covering window's shift."""
+        w = self._at_nodes(self.inputs.service.sf)
+        w *= np.sqrt(self.inputs.ca2 * self.mu)[:, None]
         return self._sample(rng, "X1", [w @ self.fold])
 
     # -- service-sampling component ------------------------------------------
@@ -195,12 +205,11 @@ class _LimitEngine:
     def _service_weights(self):
         """X2's weights on the output columns, in chunks of whole strips.
 
-        Interval j is the strip (abar_c(s_{j-1}), abar_c(s_j)] of one shared
-        sheet, cut at its levels u_0 < ... < u_{L-1} = 1: the distinct
-        F_c(t + y - s_j) of the windows covering it, and 1.  Window g gets
-        minus the Kiefer slice V_j(x) = W_j(x) - x W_j(1) at its level
-        u_{pos_g}.  With one normal per level and scale_l = sqrt((u_l -
-        u_{l-1}) dabar_c[j]),
+        Node j is a strip of mass p_c mu_j of one shared sheet, cut at its
+        levels u_0 < ... < u_{L-1} = 1: the distinct F_c(v - s_j) of the
+        windows covering it, and 1.  Window g gets minus the Kiefer slice
+        V_j(x) = W_j(x) - x W_j(1) at its level u_{pos_g}.  With one normal
+        per level and scale_l = sqrt((u_l - u_{l-1}) p_c mu_j),
 
           M[l, g] = -scale_l (1[l <= pos_g] - u_{pos_g})   (0 off the window).
 
@@ -213,11 +222,10 @@ class _LimitEngine:
         refactors: it factors the stacks of a strip-by-strip build.
         """
         rows, cols = np.nonzero(self.covers)      # strip by strip
-        J, G = len(self.ds), self.fold.shape[1]
+        J, G = len(self.s0), self.fold.shape[1]
         # each strip's levels and 1, by sort and compare (np.unique imports
         # numpy.ma): ``at`` is each window's level row, ``u`` each row's level
-        keys = np.append(self.dec.continuous_part.cdf(
-            self.t[cols] + self.y[cols] - self.s1[rows]), np.ones(J))
+        keys = np.append(self.dec.continuous_part.cdf(self.v[cols] - self.s0[rows]), np.ones(J))
         strip = np.append(rows, np.arange(J))
         order = np.lexsort((keys, strip))
         strip, keys = strip[order], keys[order]
@@ -245,7 +253,7 @@ class _LimitEngine:
                              minlength=(b - a) * G).reshape(b - a, 1, G)
             w, du = k.reshape(-1, G)[cell], np.diff(u[lo:ends[b]], prepend=0.0)
             du[ends[a:b] - lo] = u[ends[a:b]]
-            w *= -np.sqrt(np.maximum(du * self.dec.p_c * self.dabar[a + of], 0.0))[:, None]
+            w *= -np.sqrt(np.maximum(du * self.dec.p_c * self.mu[a + of], 0.0))[:, None]
             return w
 
         a = 0
@@ -261,34 +269,20 @@ class _LimitEngine:
     # -- splitting component ---------------------------------------------------
 
     def _split_weights(self):
-        """X3's weights on the output columns, one row per (time step u,
-        category c) normal: on the time grid of the partition and the atom
-        window starts, category a moves by sqrt(dabar_u) sum_c root[a, c]
-        Z[u, c] over step u.  Atom i counts its motion over (t - clip(x_i - y,
-        0, length), t], S^c enters through the Ito-style sum over the
-        partition intervals, so each row is the sum of its increments through
-        ``root``, read at the window ends."""
+        """X3's weights on the output columns, one row per (node n, category
+        c) normal.  Category a's value at node n is F_c^c(v - s_n) for the
+        continuous part and 1(x_i > v - s_n) for atom i, on the windows that
+        cover the node; row (n, c) is sqrt(mu_n) sum_a root[a, c] times
+        category a's values, with root root^T = diag(p) - p p^T, the
+        multinomial splitting covariance of the categories (continuous,
+        atom_1, ..., atom_m) with probabilities p."""
         dec = self.dec
-        starts = [self.t - np.clip(loc - self.y, 0.0, self.length) for loc, _ in dec.atoms]
-        tgrid = _dedupe(np.concatenate([self.partition] + starts))
-        dab = np.diff(self.inputs.abar(tgrid), prepend=0.0)
-
-        def through(times: np.ndarray) -> np.ndarray:
-            """(U, len(times)): 1 where step u lies in the path up to a time."""
-            idx = np.clip(np.searchsorted(tgrid, times - _TOL), 0, len(tgrid) - 1)
-            return (np.arange(len(tgrid))[:, None] <= idx[None, :]).astype(float)
-
-        ends = np.zeros((len(tgrid), len(starts) + 1, self.fold.shape[1]))
-        if dec.p_c > 0.0:
-            ends[:, 0] = np.diff(through(self.partition), axis=1) @ (
-                self._weights(dec.continuous_part.integrated_sf) @ self.fold)
-        for i, start in enumerate(starts):
-            ends[:, i + 1] = (through(self.t) - through(start)) @ self.fold
-        # categories (continuous, atom_1, ..., atom_m) with probabilities p:
-        # root root^T = diag(p) - p p^T, the multinomial splitting covariance
+        cont = dec.continuous_part.sf if dec.p_c > 0.0 else np.zeros_like
+        values = [self._at_nodes(f) @ self.fold
+                  for f in [cont] + [partial(np.greater, loc) for loc, _ in dec.atoms]]
         p = np.array([dec.p_c] + [dec.p_d * m for _, m in dec.atoms])
-        w = np.einsum("ac,uag->ucg", (np.eye(len(p)) - p[:, None]) * np.sqrt(p), ends)
-        w *= np.sqrt(np.maximum(dab, 0.0))[:, None, None]
+        w = np.einsum("ac,ang->ncg", (np.eye(len(p)) - p[:, None]) * np.sqrt(p), values)
+        w *= np.sqrt(self.mu)[:, None, None]
         yield w.reshape(-1, w.shape[2])
 
     def split_component(self, rng) -> np.ndarray:
@@ -303,7 +297,7 @@ class LimitPathBundle:
     """Limit paths of shape (P, T, Y) by name; for each Markov probe, keyed
     by its (t1, t2, y) as floats, the columns (Qr(t2, y), Qr(t1, y + t2 -
     t1), Z(t1, t2, y)), which ``markov_check`` gates; and the engine's size
-    and exact law: its J intervals, G output columns, the weight rows and
+    and exact law: its J nodes, G output columns, the weight rows and
     normals per path of each component, and the exact variance on the grid
     of each component and of Wr.  Each of X1, X2 and X3 is its own array on
     the grid; Qr, Qe, Wr and the Markov columns are views of one (P, G)
@@ -325,9 +319,13 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
     xgrid = None
     if workload:
         inputs.require_finite_mean("limit workload paths")
-        xmax = inputs.service.sf_quantile(1e-6)
-        dense = np.linspace(0.0, xmax, max(int(8 * xmax), 40) + 1)
-        xgrid = _dedupe(np.concatenate((dense, grid.y[grid.y <= xmax])))
+        # step 1/8 up to F^c = 1e-2, then each step 1.05 times the last, up
+        # to F^c = 1e-12
+        svc, end = inputs.service, inputs.service.sf_quantile(1e-12)
+        xgrid = list(np.arange(np.ceil(8.0 * svc.sf_quantile(1e-2)) + 1.0) / 8.0)
+        while xgrid[-1] < end:
+            xgrid.append(xgrid[-1] + 1.05 * (xgrid[-1] - xgrid[-2]))
+        xgrid = _dedupe(np.append(xgrid, grid.y[grid.y <= xgrid[-1]]))
     eng = _LimitEngine(inputs, grid, k, n_paths, xgrid=xgrid, markov_probes=markov_probes)
     T, Y = grid.shape
 
@@ -361,7 +359,7 @@ def assemble_limit_bundle(inputs: LimitInputs, grid: Grid, k: int,
     exact = {name: on_grid(v) for name, v in var.items()}
     if workload:
         exact["Wr"] = sum(v[eng.wp] for v in var.values()).reshape(T, Y)
-    engine = {"J": len(eng.ds), "G": total.shape[1],
+    engine = {"J": len(eng.s0), "G": total.shape[1],
               "weight_rows": dict(sorted(eng.weight_rows.items())),
               "normals_per_path": dict(sorted(eng.drawn.items())), "exact_var": exact}
     return LimitPathBundle(paths=paths, markov=markov, engine=engine)

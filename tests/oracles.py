@@ -2,11 +2,11 @@
 
 Deliberately naive implementations: fixed-grid composite Simpson quadrature,
 arrival epochs drawn from a generator batch by batch, direct loops over
-customers, the limit engine's service sheet built interval by interval, its
-splitting motion as a cumulative sum of sampled increments, and the workload
-columns by the trapezoid rule.  They share no code with the package paths
-they check; the epoch oracle draws through the law's own sampler and rate
-inverse, which it does not check.  Also the test id of a service law.
+customers, the limit engine's service sheet and splitting motion built node
+by node on the engine's nodes and masses, and the workload columns by the
+trapezoid rule.  They share no code with the package paths they check; the
+epoch oracle draws through the law's own sampler and rate inverse, which it
+does not check.  Also the test id of a service law.
 """
 
 import math
@@ -86,35 +86,33 @@ def brute_x1_x2(tau, eta, n, t, y, sf, center):
     return (sum_sf - n * center) / math.sqrt(n), x2 / math.sqrt(n)
 
 
+def covering(eng, j):
+    """The window columns of a ``paths._LimitEngine`` that hold node j:
+    the windows (t - length, t] with the node inside."""
+    return np.flatnonzero((eng.s0[j] > eng.t - eng.length) & (eng.s0[j] < eng.t))
+
+
 def split_component_paths(eng, rng):
-    """X3 of a ``paths._LimitEngine`` on every window column: the (P, U, m+1)
-    increments of the splitting motion on the time grid of the partition and
-    the atom window starts, summed into paths and read at the window ends."""
-    P = eng.n_paths
-    dec = eng.dec
+    """X3 of a ``paths._LimitEngine`` on every window column: per node, the
+    (P, m+1) increments of the splitting motion, of covariance mu_n times
+    the splitting covariance through its eigen-root, added into each
+    covering window times each category's value at the window's shift."""
+    P, dec = eng.n_paths, eng.dec
+    x3 = np.zeros((P, len(eng.t)))
     if dec.p_d == 0.0:
-        return np.zeros((P, len(eng.t)))
-    starts = [eng.t - np.clip(loc - eng.y, 0.0, eng.length) for loc, _ in dec.atoms]
-    tgrid = np.sort(np.concatenate([eng.partition] + starts))
-    tgrid = tgrid[np.concatenate(([True], np.diff(tgrid) > 1e-12))]
-    dab = np.diff(eng.inputs.abar(tgrid), prepend=0.0)
-    z = rng.standard_normal((P, len(tgrid), len(starts) + 1))
-    z *= np.sqrt(np.maximum(dab, 0.0))[None, :, None]
+        return x3
     evals, evecs = np.linalg.eigh(dec.split_covariance())
     assert evals.min() >= -1e-12
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    paths = np.cumsum(z @ root.T, axis=1)
-
-    def at(times, comp):
-        idx = np.clip(np.searchsorted(tgrid, times - 1e-9), 0, len(tgrid) - 1)
-        return paths[:, idx, comp]
-
-    x3 = np.zeros((P, len(eng.t)))
-    if dec.p_c > 0.0:
-        x3 += np.diff(at(eng.partition, 0), axis=1) @ eng._weights(
-            dec.continuous_part.integrated_sf)
-    for i, start in enumerate(starts):
-        x3 += at(eng.t, i + 1) - at(start, i + 1)
+    z = rng.standard_normal((P, len(eng.s0), len(dec.atoms) + 1))
+    for j, s in enumerate(eng.s0):
+        ds = (z[:, j] @ root.T) * math.sqrt(eng.mu[j])
+        for g in covering(eng, j):
+            x = eng.t[g] + eng.y[g] - s
+            if dec.p_c > 0.0:
+                x3[:, g] += ds[:, 0] * dec.continuous_part.sf(x)
+            for i, (loc, _) in enumerate(dec.atoms):
+                x3[:, g] += ds[:, i + 1] * (loc > x)
     return x3
 
 
@@ -169,24 +167,25 @@ def law_id(law):
 
 
 def service_component_loop(eng, rng):
-    """X2 of a ``paths._LimitEngine``, interval by interval: interval j draws
-    its (P, L_j) sheet increments, forms the Kiefer slice by a cumulative
-    sum and subtracts it from every covering column at that column's level."""
+    """X2 of a ``paths._LimitEngine``, node by node: node j draws its (P,
+    L_j) sheet increments over a strip of mass p_c mu_j, forms the Kiefer
+    slice by a cumulative sum and subtracts it from every covering column at
+    that column's level."""
     P = eng.n_paths
     x2 = np.zeros((P, len(eng.t)))
     if eng.dec.p_c == 0.0:
         return x2
     cdf = eng.dec.continuous_part.cdf
-    dabar_c = eng.dec.p_c * eng.dabar
-    for j, covered in enumerate(eng.covers):
-        act = np.nonzero(covered)[0]
+    mass = eng.dec.p_c * eng.mu
+    for j, s in enumerate(eng.s0):
+        act = covering(eng, j)
         if len(act) == 0:
             continue
-        levels = np.asarray(cdf(eng.t[act] + eng.y[act] - eng.s1[j]), dtype=float)
+        levels = np.asarray(cdf(eng.t[act] + eng.y[act] - s), dtype=float)
         uniq = np.unique(np.append(levels, 1.0))
         gaps = np.diff(uniq, prepend=0.0)
         incr = rng.standard_normal((P, len(uniq)))
-        incr *= np.sqrt(np.maximum(gaps * dabar_c[j], 0.0))[None, :]
+        incr *= np.sqrt(np.maximum(gaps * mass[j], 0.0))[None, :]
         w_path = np.cumsum(incr, axis=1)
         v_path = w_path - uniq[None, :] * w_path[:, -1:]
         x2[:, act] -= v_path[:, np.searchsorted(uniq, levels)]
@@ -196,13 +195,13 @@ def service_component_loop(eng, rng):
 
 def service_weights_loop(eng):
     """X2's weight rows of a ``paths._LimitEngine`` on its output columns,
-    one strip at a time: the strip's distinct levels (and 1) by sort and
-    compare, K by ``np.add.at`` of the covering windows' fold rows at their
-    levels, then -scale_l (sum_{p >= l} K[p] - u^T K)."""
+    one node's strip at a time: the strip's distinct levels (and 1) by sort
+    and compare, K by ``np.add.at`` of the covering windows' fold rows at
+    their levels, then -scale_l (sum_{p >= l} K[p] - u^T K)."""
     rows, cols = np.nonzero(eng.covers)
     level = np.asarray(eng.dec.continuous_part.cdf(
-        eng.t[cols] + eng.y[cols] - eng.s1[rows]), dtype=float)
-    ends = np.searchsorted(rows, np.arange(len(eng.ds) + 1))
+        eng.t[cols] + eng.y[cols] - eng.s0[rows]), dtype=float)
+    ends = np.searchsorted(rows, np.arange(len(eng.s0) + 1))
     for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
         order = np.argsort(level[a:b], kind="stable")
         keys = np.append(level[a:b][order], 1.0)
@@ -214,6 +213,6 @@ def service_weights_loop(eng):
         np.add.at(k, pos, eng.fold[cols[a:b]])
         w = np.cumsum(k[::-1], axis=0)[::-1]
         w -= u @ k
-        w *= -np.sqrt(np.maximum(np.diff(u, prepend=0.0) * eng.dec.p_c * eng.dabar[j],
+        w *= -np.sqrt(np.maximum(np.diff(u, prepend=0.0) * eng.dec.p_c * eng.mu[j],
                                  0.0))[:, None]
         yield w

@@ -180,20 +180,21 @@ class TestWorkloadVariance:
 
 class TestIncrementCovariance:
     def test_degenerate(self):
-        assert cov_x2_increment(M_EXP, 1.0, 0.0, 1.0, 0.0) == 0.0
-        assert cov_x2_increment(M_EXP, 0.0, 0.0, 0.5, 0.5) == 0.0
+        # no increment between equal points, and no arrivals by t = 0
+        assert cov_x2_increment(M_EXP, 1.0, 0.0, 0.0) == 0.0
+        assert cov_x2_increment(M_EXP, 0.0, 0.0, 0.5) == 0.0
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError, match="ordering"):
-            cov_x2_increment(M_EXP, 1.0, 0.5, 1.0, 0.0)
+            cov_x2_increment(M_EXP, 1.0, 0.5, 0.0)
 
     def test_value_against_direct_quadrature(self):
-        t, y, t2, y2 = 1.0, 0.0, 1.0, 0.5
+        t, y, y2 = 1.0, 0.0, 0.5
 
         def g(u):
-            diff = EXP1.cdf(t2 + y2 - u) - EXP1.cdf(t + y - u)
+            diff = EXP1.cdf(t + y2 - u) - EXP1.cdf(t + y - u)
             return diff * (1.0 - diff)
-        assert cov_x2_increment(M_EXP, t, y, t2, y2) == pytest.approx(
+        assert cov_x2_increment(M_EXP, t, y, y2) == pytest.approx(
             simpson(g, 0.0, t), abs=1e-7)
 
 
@@ -247,7 +248,7 @@ class TestQuadratureAccuracy:
     def test_benchmark_surfaces_against_refined_panels(self, name, monkeypatch):
         inputs, grid = BENCH[name]
         t, y = np.meshgrid(grid.t, grid.y, indexing="ij")
-        probe = (t[:, :-1], y[:, :-1], t[:, 1:], y[:, 1:])
+        probe = (t[:, :-1], y[:, :-1], y[:, 1:])
 
         def evaluate():
             out = [surface(inputs, grid, which)

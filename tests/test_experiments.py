@@ -47,6 +47,13 @@ TINY = {
 INIT = {"count": {"kind": "fixed", "level": 1.0}, "residual": {"kind": "exponential", "rate": 1.0}}
 
 
+def tiny(experiment):
+    """TINY for ``experiment``, with TINY's last n alone where the
+    experiment reads one n."""
+    one_n = experiment in ("age_distribution", "poisson_property")
+    return {**TINY, "experiment": experiment, **({"n_list": [40]} if one_n else {})}
+
+
 def write_config(tmp_path, raw):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -173,14 +180,13 @@ class TestKeyChecks:
         message = ("config error at workload: only fwlln and limit_path_validation read it, "
                    f"not {experiment}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            config_from_dict({**TINY, "experiment": experiment})
-        assert not config_from_dict({**TINY, "experiment": experiment,
-                                     "workload": False}).workload
+            config_from_dict(tiny(experiment))
+        assert not config_from_dict({**tiny(experiment), "workload": False}).workload
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "markov_check"])
     def test_markov_refused_where_nothing_reads_it(self, experiment):
         message = f"config error at markov: only markov_check reads it, not {experiment}"
-        raw = {**TINY, "experiment": experiment, "workload": False}
+        raw = {**tiny(experiment), "workload": False}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict({**raw, "markov": [[0.5, 1.0, 0.0]]})
         assert config_from_dict({**raw, "markov": []}).markov_probes == ()
@@ -188,7 +194,7 @@ class TestKeyChecks:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_one_replication_refused_where_a_sample_moment_is_gated(self, experiment):
         # one replication gives no sample variance, and a correlation of 0
-        raw = {**TINY, "experiment": experiment, "workload": False, "replications": 1}
+        raw = {**tiny(experiment), "workload": False, "replications": 1}
         if experiment in ("fwlln", "age_distribution"):
             assert config_from_dict(raw).replications == 1
         else:
@@ -196,6 +202,14 @@ class TestKeyChecks:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 config_from_dict(raw)
             assert config_from_dict({**raw, "replications": 2}).replications == 2
+
+    @pytest.mark.parametrize("experiment", ["age_distribution", "poisson_property"])
+    def test_one_n_experiments_refuse_a_longer_n_list(self, experiment):
+        # each reads one n: a second would be dropped silently
+        message = f"config error at n_list: {experiment} reads one n, got [20, 40]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**TINY, "experiment": experiment, "workload": False})
+        assert config_from_dict({**tiny(experiment), "workload": False}).n_list == (40,)
 
     def test_repeated_markov_probe_refused(self):
         # gated once per probe, a repeated one would be gated twice
@@ -577,6 +591,21 @@ class TestBenchmarkHooks:
         assert {"simulate", "decompose_hatQr"} <= set(globals_read)
         assert experiments._block.__globals__ is vars(experiments)
 
+    def test_the_engine_keeps_the_names_the_tracer_reads(self):
+        # the tracer wraps these engine methods, skipping a missing one
+        # silently, and reads s0, rp and ep after __init__, which raises only
+        # in a traced run: s0 holds one entry per node, J of them
+        engine = lp._LimitEngine
+        for method in ("arrival_component", "service_component", "split_component"):
+            assert callable(getattr(engine, method)), method
+        assert list(inspect.signature(engine._normals).parameters) == ["self", "rng", "shape"]
+        cfg = parse_config(WORKLOADS / "limit_paths.yaml")
+        inputs = experiments._inputs(cfg)
+        eng = engine(inputs, cfg.grid, cfg.k, n_paths=1)
+        bundle = lp.assemble_limit_bundle(inputs, cfg.grid, cfg.k, substream(1, "hooks"))
+        assert len(eng.s0) == bundle.engine["J"]
+        assert eng.rp.size + eng.ep.size == 2 * cfg.grid.t.size * cfg.grid.y.size
+
 
 FCLT = {
     "experiment": "fclt_variance",
@@ -654,7 +683,7 @@ class TestBlocks:
         # which no trace gate reads.  On this grid the two histograms differ
         # in size, so the sizes tell them apart.  decompose_hatQr's own
         # recount (fclt_variance) is not a field histogram.
-        cfg = config_from_dict({**TINY, "experiment": experiment, "workload": workload,
+        cfg = config_from_dict({**tiny(experiment), "workload": workload,
                                 "grid": {"t": [0.5, 1.0, 2.0], "y": [0.0, 0.5, 1.5]}})
         layout = simulate._layout(cfg.grid)
         residual, elapsed = math.prod(layout.residual_shape), math.prod(layout.elapsed_shape)
@@ -897,20 +926,21 @@ class TestGateOrder:
 
 class TestLimitEngineDiagnostics:
     def test_report_json_carries_the_engine_size_and_exact_bias(self, tmp_path):
-        # 20 intervals for 12 output columns (Qr, Qe and Wr on a 2 x 2 grid):
-        # 20, 3200 and 64 weight rows (the x-columns' levels make the sheet
-        # cells many), 12 normals per path for each component; its exact
-        # variance at k = 20 misses the limit's part by a partition bias,
-        # first order for the service sheet
+        # 20 nodes for 12 output columns (Qr, Qe and Wr on a 2 x 2 grid):
+        # 20, 2130 and 40 weight rows (the x-columns' levels make the sheet
+        # cells many; two splitting categories), 12 normals per path for
+        # each component.  Two pieces of 10 Gauss nodes each integrate the
+        # components' exponential integrands to roundoff; Wr's x-columns
+        # add no cuts at the atom, and miss var_w by under 0.5%
         cfg = config_from_dict({**GATES, "experiment": "limit_path_validation",
                                 **GATE_KEYS["limit_path_validation"]})
         report = run_experiment(cfg)
         eng = report.extras["limit_engine"]
         assert (eng["J"], eng["G"]) == (20, 12)
-        assert eng["weight_rows"] == {"X1": 20, "X2": 3200, "X3": 64}
+        assert eng["weight_rows"] == {"X1": 20, "X2": 2130, "X3": 40}
         assert eng["normals_per_path"] == {"X1": 12, "X2": 12, "X3": 12}
         bias = eng["worst_exact_rel_bias"]
-        assert bias["X1"] < 1e-3 and bias["X3"] < 1e-2 and 0.02 < bias["X2"] < 0.2, bias
+        assert max(bias["X1"], bias["X2"], bias["X3"]) < 1e-12 and bias["Wr"] < 5e-3, bias
         experiments.emit(report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["extras"]["limit_engine"] == eng
 
@@ -1008,8 +1038,10 @@ class TestTraceStatistics:
     @pytest.mark.parametrize("experiment", ["fwlln", "fclt_variance", "age_distribution",
                                             "poisson_property"])
     def test_points_are_the_statistics_of_the_counts(self, experiment, monkeypatch):
+        # age_distribution and poisson_property read one n, TRACE_STATS' last
+        one_n = {"n_list": [40]} if experiment in ("age_distribution", "poisson_property") else {}
         cfg = config_from_dict({**TRACE_STATS, "experiment": experiment,
-                                "workload": experiment == "fwlln"})
+                                "workload": experiment == "fwlln", **one_n})
         # 5 replications a block on this grid: blocks of 5, 5, 5, 5 and 4
         monkeypatch.setattr(simulate, "_BLOCK_BUDGET", 5 * 104)
         report = run_experiment(cfg)
