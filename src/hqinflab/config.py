@@ -11,15 +11,17 @@ A config is a YAML mapping with these top-level keys (defaults in brackets):
 - ``n_list`` [[400]], ``replications`` [200], ``k`` [200]: integers >= 1;
   distinct n, one for ``age_distribution`` and ``poisson_property``; at
   least 2 replications where sample moments are gated (``fclt_variance``,
-  ``poisson_property``, ``limit_path_validation``, ``markov_check``); the
-  limit engine places about k Gauss-Legendre nodes over [0, t_max], at
-  least one per piece;
+  ``poisson_property``, ``limit_path_validation``); the trace experiments
+  read ``n_list`` and ``limit_path_validation`` refuses it; only
+  ``limit_path_validation`` reads ``k``, about k Gauss-Legendre nodes of
+  the limit engine over [0, t_max], at least one per piece, and any other
+  experiment refuses it;
 - ``master_seed`` [20100709]: an integer >= 0;
 - ``tolerances`` [:data:`DEFAULT_TOLERANCES`]: overrides of some of them,
   each a finite number >= 0;
 - ``markov`` [none]: a list of distinct [t1, t2, y] probes, 0 <= t1 <= t2
-  <= the last grid time and y >= 0; only ``markov_check`` reads it, and any
-  other experiment refuses probes;
+  <= the last grid time and y >= 0; only ``limit_path_validation`` reads
+  it, and any other experiment refuses probes;
 - ``workload`` [false]: also gate the workload, for any arrival rate (the
   mean of Wt in ``fwlln``, Var Wr in ``limit_path_validation``); needs a
   finite service mean, and any other experiment refuses it.
@@ -71,7 +73,6 @@ EXPERIMENTS = (
     "age_distribution",
     "poisson_property",
     "limit_path_validation",
-    "markov_check",
 )
 
 DEFAULT_TOLERANCES = {
@@ -262,6 +263,12 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     if experiment == "poisson_property" and not isinstance(arrival.interarrival, Exponential):
         _fail("arrival", "poisson_property requires Poisson arrivals (exponential interarrivals)")
 
+    # the one limit experiment reads k and no n; a trace experiment, n and no k
+    limit = experiment == "limit_path_validation"
+    if limit and "n_list" in raw:
+        _fail("n_list", f"only the trace experiments read it, not {experiment}")
+    if not limit and "k" in raw:
+        _fail("k", f"only limit_path_validation reads it, not {experiment}")
     n_list = raw.get("n_list", (400,))
     if not isinstance(n_list, (list, tuple)) or not n_list:
         _fail("n_list", "must be a nonempty list of integers >= 1")
@@ -271,8 +278,7 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
     if len(n_list) > 1 and experiment in ("age_distribution", "poisson_property"):
         _fail("n_list", f"{experiment} reads one n, got {list(n_list)}")
     # these gate sample variances or correlations over the replications
-    moments = experiment in ("fclt_variance", "poisson_property", "limit_path_validation",
-                             "markov_check")
+    moments = experiment in ("fclt_variance", "poisson_property", "limit_path_validation")
     replications = _int_key("replications", raw.get("replications", 200), 2 if moments else 1)
     k = _int_key("k", raw.get("k", 200), 1)
     master_seed = _int_key("master_seed", raw.get("master_seed", 20100709), 0)
@@ -309,8 +315,8 @@ def _config(raw: dict, source: str) -> ExperimentConfig:
         if (t1, t2, y) in probes:
             _fail("markov", f"repeated probe ({t1}, {t2}, {y})")
         probes.append((t1, t2, y))
-    if probes and experiment != "markov_check":
-        _fail("markov", f"only markov_check reads it, not {experiment}")
+    if probes and not limit:
+        _fail("markov", f"only limit_path_validation reads it, not {experiment}")
 
     return ExperimentConfig(
         arrival=arrival, service=service, grid=grid, experiment=experiment,

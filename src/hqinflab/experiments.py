@@ -33,8 +33,8 @@ point, t-major, and at each point gate by gate in the order listed.
 - poisson_property: the grid of dispersion and resampled variance;
 - limit_path_validation: the grid of Var, skew and kurtosis of Qr, Var Qe and
   the correlations X1-X2, X1-X3, X2-X3; with ``workload``, the grid of Var
-  Wr; the two Kiefer checks; the X2 increment;
-- markov_check, per probe: the residual and the innovation correlation.
+  Wr; the two Kiefer checks; the X2 increment; last, per ``markov`` probe,
+  the Markov residual and the innovation correlation.
 """
 
 from __future__ import annotations
@@ -378,7 +378,11 @@ def run_poisson_property(cfg: ExperimentConfig, threads: int = 1) -> ExperimentR
 def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Monte-Carlo moments of the simulated limit processes vs the analytic
     surfaces, Kiefer covariance checks, increment mean squares, component
-    independence, and marginal normality."""
+    independence, and marginal normality.  Then per Markov probe (t1, t2,
+    y), in the config's order: the pathwise residual of the Markov
+    decomposition Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2, y), and the
+    sample correlation of the shifted state Qr(t1, y + t2 - t1) with the
+    innovation Z, whose independence the limit implies."""
     report = _report(cfg)
     inputs = _inputs(cfg)
     tols = cfg.tolerances
@@ -386,7 +390,7 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
     grid = cfg.grid
     bundle = lp.assemble_limit_bundle(
         inputs, grid, cfg.k, substream(cfg.master_seed, cfg.experiment, "bundle"),
-        n_paths=n_paths, workload=cfg.workload)
+        n_paths=n_paths, workload=cfg.workload, markov_probes=cfg.markov_probes)
     # the mean-square increment of the service-noise component, at the
     # middle grid time between the first two y values: read before X2 goes,
     # added last
@@ -465,31 +469,11 @@ def run_limit_path_validation(cfg: ExperimentConfig, threads: int = 1) -> Experi
                           tols["variance_rel_loose"]))
     for point in increment:
         report.add(point)
-    return report
-
-
-def run_markov_check(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Per probe (t1, t2, y), in the config's order: the pathwise residual
-    of the Markov decomposition Qr(t2, y) = Qr(t1, y + t2 - t1) + Z(t1, t2,
-    y), and the sample correlation of the shifted state Qr(t1, y + t2 - t1)
-    with the innovation Z, whose independence the limit implies."""
-    report = _report(cfg)
-    inputs = _inputs(cfg)
-    probes = cfg.markov_probes
-    if not probes:
-        probes = ((float(cfg.grid.t[0]), float(cfg.grid.t[-1]), float(cfg.grid.y[0])),)
-    bundle = lp.assemble_limit_bundle(
-        inputs, cfg.grid, cfg.k,
-        substream(cfg.master_seed, cfg.experiment, "bundle"),
-        n_paths=cfg.replications, markov_probes=probes)
-    for t1, t2, y in probes:
-        lhs, shifted, z = bundle.markov[t1, t2, y]
+    for (t1, t2, y), (lhs, shifted, z) in bundle.markov.items():
         report.add(_abs_point(f"markov residual (t1={t1}, t2={t2})", t2, y,
-                              np.max(np.abs(lhs - shifted - z)), 0.0,
-                              cfg.tolerances["identity_abs"]))
+                              np.max(np.abs(lhs - shifted - z)), 0.0, tols["identity_abs"]))
         report.add(_abs_point(f"corr shifted-state vs innovation (t1={t1}, t2={t2})",
-                              t2, y, correlation(shifted, z), 0.0,
-                              cfg.tolerances["corr_abs"]))
+                              t2, y, correlation(shifted, z), 0.0, tols["corr_abs"]))
     return report
 
 

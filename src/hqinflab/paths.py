@@ -23,8 +23,8 @@ Brownian sheet (Krichagina & Puhalskii 1997, QUESTA 25), and (S^c, S_1, ...,
 S_m) a correlated Brownian motion with the multinomial splitting covariance.
 
 One set of nodes carries all three sources: [0, t_max] is cut at every
-window end and start, and at each grid or probe window's shift minus a law
-breakpoint inside it (the cuts ``LimitInputs.int_abar`` makes); each piece
+window end and start, and at each window's shift minus a law breakpoint
+inside it (the cuts ``LimitInputs.int_abar`` makes); each piece
 gets ceil(k len / t_max) Gauss-Legendre nodes s_n of mass mu_n = w_n
 rate(s_n), so each component's exact covariance is a Gauss rule for the
 limit's.  Each probe's t1 is a piece end, and Qr(t2, y) and Qr(t1, y + t2 -
@@ -47,8 +47,7 @@ exact variance at refinement k.
 
 With the residual workload, Wr(t, y) = int_y^xmax Qr(t, x) dx by the
 trapezoid rule over x-columns Qr(t, x), folded into the weights before the
-factorization, so G counts the output columns only.  The x-columns add no
-cuts, so Wr's exact law is first order in k at atoms.
+factorization, so G counts the output columns only.
 """
 
 from __future__ import annotations
@@ -160,8 +159,8 @@ class _LimitEngine:
 
         # pieces: the cuts of the module docstring; ceil(k len / t_max) nodes each
         start = self.t - self.length
-        kinks = self.v[:n, None] - np.asarray(inputs.service.breakpoints(), dtype=float)
-        inside = (kinks > start[:n, None]) & (kinks < self.t[:n, None])
+        kinks = self.v[:, None] - np.asarray(inputs.service.breakpoints(), dtype=float)
+        inside = (kinks > start[:, None]) & (kinks < self.t[:, None])
         cuts = _dedupe(np.concatenate((self.t, start, kinks[inside])))
         lo, hi = cuts[:-1], cuts[1:]
         count = np.maximum(np.ceil(k * (hi - lo) / t_max - _TOL), 1.0).astype(int)
@@ -294,12 +293,13 @@ class _LimitEngine:
 
 @dataclass
 class LimitPathBundle:
-    """Limit paths of shape (P, T, Y) by name; for each Markov probe, keyed
-    by its (t1, t2, y) as floats, the columns (Qr(t2, y), Qr(t1, y + t2 -
-    t1), Z(t1, t2, y)), which ``markov_check`` gates; and the engine's size
-    and exact law: its J nodes, G output columns, the weight rows and
-    normals per path of each component, and the exact variance on the grid
-    of each component and of Wr.  Each of X1, X2 and X3 is its own array on
+    """Limit paths of shape (P, T, Y) by name; for each Markov probe, in
+    probe order and keyed by its (t1, t2, y) as floats, the columns (Qr(t2,
+    y), Qr(t1, y + t2 - t1), Z(t1, t2, y)), which ``limit_path_validation``
+    gates last; and the engine's size and exact law: its J nodes, G output
+    columns, the weight rows and normals per path of each component, and
+    the exact variance on the grid of each component and of Wr.  Each of
+    X1, X2 and X3 is its own array on
     the grid; Qr, Qe, Wr and the Markov columns are views of one (P, G)
     total, so writing into one writes into the others."""
     paths: dict[str, np.ndarray]

@@ -49,9 +49,13 @@ INIT = {"count": {"kind": "fixed", "level": 1.0}, "residual": {"kind": "exponent
 
 def tiny(experiment):
     """TINY for ``experiment``, with TINY's last n alone where the
-    experiment reads one n."""
-    one_n = experiment in ("age_distribution", "poisson_property")
-    return {**TINY, "experiment": experiment, **({"n_list": [40]} if one_n else {})}
+    experiment reads one n, and no n_list where it reads none."""
+    raw = {**TINY, "experiment": experiment}
+    if experiment == "limit_path_validation":
+        del raw["n_list"]
+    elif experiment in ("age_distribution", "poisson_property"):
+        raw["n_list"] = [40]
+    return raw
 
 
 def write_config(tmp_path, raw):
@@ -130,12 +134,15 @@ class TestIntegerKeys:
         ("master_seed", -1, "master_seed"),
     ])
     def test_rejected_at_parse_time(self, key, value, where):
+        # k in the one experiment that reads it
+        raw = tiny("limit_path_validation") if key == "k" else TINY
         with pytest.raises(ValueError, match="config error at " + re.escape(where)):
-            config_from_dict({**TINY, key: value})
+            config_from_dict({**raw, key: value})
 
     def test_integral_values_accepted(self):
-        cfg = config_from_dict({**TINY, "k": 3.0, "master_seed": 0})
-        assert (cfg.k, cfg.master_seed, cfg.n_list) == (3, 0, (20, 40))
+        cfg = config_from_dict({**tiny("limit_path_validation"), "k": 3.0, "master_seed": 0})
+        assert (cfg.k, cfg.master_seed) == (3, 0)
+        assert config_from_dict({**TINY, "n_list": [20.0, 40]}).n_list == (20, 40)
 
 
 class TestKeyChecks:
@@ -175,7 +182,7 @@ class TestKeyChecks:
             config_from_dict({**TINY, key: value})
 
     @pytest.mark.parametrize("experiment", ["fclt_variance", "age_distribution",
-                                            "poisson_property", "markov_check"])
+                                            "poisson_property"])
     def test_workload_refused_where_nothing_reads_it(self, experiment):
         message = ("config error at workload: only fwlln and limit_path_validation read it, "
                    f"not {experiment}")
@@ -183,13 +190,32 @@ class TestKeyChecks:
             config_from_dict(tiny(experiment))
         assert not config_from_dict({**tiny(experiment), "workload": False}).workload
 
-    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "markov_check"])
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS
+                                            if e != "limit_path_validation"])
     def test_markov_refused_where_nothing_reads_it(self, experiment):
-        message = f"config error at markov: only markov_check reads it, not {experiment}"
+        message = f"config error at markov: only limit_path_validation reads it, not {experiment}"
         raw = {**tiny(experiment), "workload": False}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict({**raw, "markov": [[0.5, 1.0, 0.0]]})
         assert config_from_dict({**raw, "markov": []}).markov_probes == ()
+
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS
+                                            if e != "limit_path_validation"])
+    def test_k_refused_where_nothing_reads_it(self, experiment):
+        # k refines the limit engine, which no trace experiment runs
+        message = f"config error at k: only limit_path_validation reads it, not {experiment}"
+        raw = {**tiny(experiment), "workload": False}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**raw, "k": 20})
+        assert config_from_dict({**tiny("limit_path_validation"), "k": 20}).k == 20
+
+    def test_n_list_refused_where_nothing_reads_it(self):
+        # the limit experiment samples the limit itself, at no scale n
+        message = ("config error at n_list: only the trace experiments read it, "
+                   "not limit_path_validation")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**TINY, "experiment": "limit_path_validation"})
+        assert config_from_dict(TINY).n_list == (20, 40)
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_one_replication_refused_where_a_sample_moment_is_gated(self, experiment):
@@ -215,7 +241,7 @@ class TestKeyChecks:
         # gated once per probe, a repeated one would be gated twice
         message = "config error at markov: repeated probe (0.5, 1.0, 0.0)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            config_from_dict({**TINY, "experiment": "markov_check", "workload": False,
+            config_from_dict({**tiny("limit_path_validation"),
                               "markov": [[0.5, 1.0, 0.0], [0.5, 1, 0]]})
 
     def test_workload_is_a_field_flag_not_an_experiment(self):
@@ -227,7 +253,7 @@ class TestKeyChecks:
 
     @pytest.mark.parametrize("experiment", ["fwlln", "limit_path_validation"])
     def test_workload_fields_accept_a_time_varying_rate(self, experiment):
-        cfg = config_from_dict({**TINY, "experiment": experiment, "arrival": NHPP})
+        cfg = config_from_dict({**tiny(experiment), "arrival": NHPP})
         assert cfg.workload and cfg.arrival.rate_fn.constant_rate is None
 
     def test_valid_values_accepted(self):
@@ -791,16 +817,20 @@ GATES = {
     "arrival": {"kind": "poisson", "rate": 1.0},
     "service": {"kind": "exponential", "rate": 1.0},
     "grid": {"t": [0.5, 1.0], "y": [0.0, 2.0]},
-    "n_list": [20],
     "replications": 8,
-    "k": 20,
 }
+# per pinned case, the keys it sets over GATES, its experiment (the case's
+# name unless given) among them
 GATE_KEYS = {
     "fwlln": {"n_list": [20, 40], "workload": True},
+    "fclt_variance": {"n_list": [20]},
+    "age_distribution": {"n_list": [20]},
     "poisson_property": {"n_list": [40]},
-    "limit_path_validation": {"service": MIX, "workload": True},
-    "markov_check": {"markov": [[0.5, 1.0, 0.0], [0.5, 1.0, 0.5]]},
+    "limit_path_validation": {"service": MIX, "workload": True, "k": 20},
 }
+GATE_KEYS["limit_path_validation_markov"] = {
+    **GATE_KEYS["limit_path_validation"], "experiment": "limit_path_validation",
+    "markov": [[0.5, 1.0, 0.0], [0.5, 1.0, 0.5]]}
 # (label, t, y, tol_kind, tol) of every point, in summary.csv order; the sup
 # points of fwlln sit where this seed's error peaks
 PINNED_GATES = {
@@ -874,13 +904,15 @@ PINNED_GATES = {
         ("Cov Kiefer U(1,0.3),U(1,0.6)", 1.0, 0.3, "rel", 0.15),
         ("X2 increment mean-square", 1.0, 2.0, "rel", 0.15),
     ],
-    "markov_check": [
-        ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.0, "abs", 1e-09),
-        ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.0, "abs", 0.06),
-        ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 1e-09),
-        ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 0.06),
-    ],
 }
+# the same gates, then per probe its Markov residual and innovation correlation
+PINNED_GATES["limit_path_validation_markov"] = [
+    *PINNED_GATES["limit_path_validation"],
+    ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.0, "abs", 1e-09),
+    ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.0, "abs", 0.06),
+    ("markov residual (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 1e-09),
+    ("corr shifted-state vs innovation (t1=0.5, t2=1.0)", 1.0, 0.5, "abs", 0.06),
+]
 
 
 class TestNonFinitePoints:
@@ -914,11 +946,13 @@ class TestNonFinitePoints:
 
 class TestGateOrder:
     def test_every_experiment_and_no_other_is_pinned(self):
-        assert set(PINNED_GATES) == set(EXPERIMENTS)
+        assert set(PINNED_GATES) == set(GATE_KEYS)
+        assert {keys.get("experiment", name) for name, keys in GATE_KEYS.items()} \
+            == set(EXPERIMENTS)
 
-    @pytest.mark.parametrize("name", EXPERIMENTS)
+    @pytest.mark.parametrize("name", PINNED_GATES)
     def test_points_keep_their_gates_and_order(self, name):
-        cfg = config_from_dict({**GATES, "experiment": name, **GATE_KEYS.get(name, {})})
+        cfg = config_from_dict({**GATES, "experiment": name, **GATE_KEYS[name]})
         report = run_experiment(cfg)
         assert [(p.label, p.t, p.y, p.tol_kind, p.tol) for p in report.points] \
             == PINNED_GATES[name]
@@ -926,18 +960,20 @@ class TestGateOrder:
 
 class TestLimitEngineDiagnostics:
     def test_report_json_carries_the_engine_size_and_exact_bias(self, tmp_path):
-        # 20 nodes for 12 output columns (Qr, Qe and Wr on a 2 x 2 grid):
-        # 20, 2130 and 40 weight rows (the x-columns' levels make the sheet
+        # 40 nodes for 12 output columns (Qr, Qe and Wr on a 2 x 2 grid):
+        # 40, 4260 and 80 weight rows (the x-columns' levels make the sheet
         # cells many; two splitting categories), 12 normals per path for
-        # each component.  Two pieces of 10 Gauss nodes each integrate the
-        # components' exponential integrands to roundoff; Wr's x-columns
-        # add no cuts at the atom, and miss var_w by under 0.5%
+        # each component.  The x-columns' cuts at the atom split [0, 1] into
+        # eight pieces of 1/8; at k = 40 their 5 Gauss nodes each integrate
+        # the components' exponential integrands to roundoff (at k = 20, 3
+        # nodes each read 1e-10 to 1.3e-9).  Wr misses var_w by under 0.5%,
+        # the x-columns' trapezoid rule
         cfg = config_from_dict({**GATES, "experiment": "limit_path_validation",
-                                **GATE_KEYS["limit_path_validation"]})
+                                **GATE_KEYS["limit_path_validation"], "k": 40})
         report = run_experiment(cfg)
         eng = report.extras["limit_engine"]
-        assert (eng["J"], eng["G"]) == (20, 12)
-        assert eng["weight_rows"] == {"X1": 20, "X2": 2130, "X3": 40}
+        assert (eng["J"], eng["G"]) == (40, 12)
+        assert eng["weight_rows"] == {"X1": 40, "X2": 4260, "X3": 80}
         assert eng["normals_per_path"] == {"X1": 12, "X2": 12, "X3": 12}
         bias = eng["worst_exact_rel_bias"]
         assert max(bias["X1"], bias["X2"], bias["X3"]) < 1e-12 and bias["Wr"] < 5e-3, bias

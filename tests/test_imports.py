@@ -86,27 +86,44 @@ def test_one_quadrature_caller():
     assert importers == {"limits.py"}
 
 
-def _interarrival_draws(node, scope=()) -> set[str]:
-    """The functions, by qualified name, under ``node`` that call an
-    interarrival law's ``sample``."""
+def _callers(node, calls, scope=()) -> set[str]:
+    """The functions, by qualified name, under ``node`` that make a call
+    whose callee node ``calls`` accepts."""
     found = set()
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-            found |= _interarrival_draws(child, (*scope, child.name))
+            found |= _callers(child, calls, (*scope, child.name))
             continue
-        func = getattr(child, "func", None)
-        if (isinstance(func, ast.Attribute) and func.attr == "sample"
-                and isinstance(func.value, ast.Attribute) and func.value.attr == "interarrival"):
+        if isinstance(child, ast.Call) and calls(child.func):
             found.add(".".join(scope))
-        found |= _interarrival_draws(child, scope)
+        found |= _callers(child, calls, scope)
     return found
+
+
+def _package_callers(calls) -> set[str]:
+    """The functions of the package, as ``module.qualified_name``, that make
+    a call whose callee node ``calls`` accepts."""
+    return {f"{path.stem}.{name}" for path in pathlib.Path(hqinflab.__file__).parent.glob("*.py")
+            for name in _callers(ast.parse(path.read_text(), str(path)), calls)}
+
+
+def _interarrival_sample(func) -> bool:
+    """Whether a callee node is ``<...>.interarrival.sample``."""
+    return (isinstance(func, ast.Attribute) and func.attr == "sample"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "interarrival")
 
 
 def test_one_epoch_path():
     # one way to draw arrival epochs: ArrivalModel.draw_block_epochs
-    draws = {f"{path.stem}.{name}" for path in pathlib.Path(hqinflab.__file__).parent.glob("*.py")
-             for name in _interarrival_draws(ast.parse(path.read_text(), str(path)))}
-    assert draws == {"arrivals.ArrivalModel.draw_block_epochs"}
+    assert _package_callers(_interarrival_sample) == {"arrivals.ArrivalModel.draw_block_epochs"}
+
+
+def test_one_limit_runner():
+    # one experiment samples the limit engine: the Markov probes are gates
+    # of limit_path_validation, not a second runner with its own bundle
+    def assembles(func):
+        return getattr(func, "attr", getattr(func, "id", None)) == "assemble_limit_bundle"
+    assert _package_callers(assembles) == {"experiments.run_limit_path_validation"}
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
