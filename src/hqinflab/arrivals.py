@@ -11,7 +11,9 @@ function) and plain renewal streams (any interarrival law at the constant
 rate 1/mean) are all special cases.  Rate functions are restricted to three
 forms (constant, linear, sinusoidal) so the cumulative rate
 is exact in closed form.  Its inverse is exact for constant and linear rates
-and accurate to roundoff for sinusoidal ones, by safeguarded Newton.
+and accurate to roundoff for sinusoidal ones: one Newton step from a cubic
+Hermite start, then safeguarded Newton for the few levels that step leaves
+short.
 Epochs are drawn one way, a block of replications at a time, each from its
 own stream's seed words (:meth:`ArrivalModel.draw_block_epochs`).
 """
@@ -29,8 +31,9 @@ from .service import Exponential, Moments, ServiceModel, _as_array_or_scalar
 __all__ = ["RateFunction", "ArrivalModel"]
 
 # Sweeps after which the sinusoidal inverse stops taking Newton steps and only
-# bisects.  Newton needs about 3 from its table start; levels next to a zero
-# of the rate, where it converges only linearly, about 15.
+# bisects; the single step from the start is the first.  Newton needs only
+# that one from its Hermite start; levels next to a zero of the rate, where it
+# converges only linearly, about 15.
 _NEWTON_MAX_ITER = 100
 
 
@@ -96,51 +99,75 @@ class RateFunction:
     def _newton_inverse(self, levels: np.ndarray, horizon: float) -> np.ndarray:
         """Newton on cumulative(t) - L with rate(t) as derivative.
 
-        Each level starts from linear interpolation in a table of
-        cumulative(t) (64 nodes per radian of phase), whose two neighbouring
-        nodes bracket its root.  Every iterate shrinks the closed bracket
-        [lo, hi]; a Newton step that leaves it (or a zero rate) bisects
-        instead, and so does every step after ``_NEWTON_MAX_ITER`` sweeps,
-        which bounds the loop.  A level stops once |cumulative(t) - L| <=
-        4 ulp(L), its Newton step no longer moves t, or its bracket cannot
-        shrink.
+        A table of cumulative(t) (64 nodes per radian of phase) brackets each
+        level's root between two neighbouring nodes [lo, hi].  The start is
+        the cubic Hermite interpolant of the inverse on that interval, with
+        the exact slopes 1/rate at its two nodes; where either slope exceeds
+        three times the secant (next to a zero of the rate) the interval
+        takes the secant line instead, which keeps the start monotone and
+        inside [lo, hi].  On a smooth rate the start is within about 2e-10
+        of the root, so one Newton step, kept only where it stays strictly
+        inside [lo, hi], leaves almost every level within
+        |cumulative(t) - L| <= 4 ulp(L).  Such a level costs two
+        ``cumulative`` calls and one ``rate`` call: the step evaluates both,
+        and the check of the rule one ``cumulative``.
 
-        Each sweep works on compact arrays of the levels still unconverged
-        (their iterates, brackets, levels, tolerances and positions), stores
-        the iterates of the levels it stops and keeps only the rest.  A sweep
-        in which every level already meets |cumulative(t) - L| <= 4 ulp(L)
-        stores them all and ends the loop without evaluating the rate.
+        The levels that fail the check go on to a bracketed loop.  Every
+        iterate shrinks the closed bracket [lo, hi]; a Newton step that
+        leaves it (or a zero rate) bisects instead, and so does every step
+        after ``_NEWTON_MAX_ITER`` sweeps, which bounds the loop (a cap of 0
+        also skips the single step).  A level stops once it meets the rule
+        above, its Newton step no longer moves t, or its bracket cannot
+        shrink.  Each sweep works on compact arrays of the levels still
+        unconverged, stores the iterates of the levels it stops and keeps
+        only the rest; a sweep in which every level meets the rule ends the
+        loop without evaluating the rate.
         """
         nodes = np.linspace(0.0, horizon, int(min(64.0 * abs(self.c) * horizon, levels.size)) + 2)
         table = np.maximum.accumulate(self.cumulative(nodes))
         k = np.clip(np.searchsorted(table, levels, side="right") - 1, 0, nodes.size - 2)
         lo, hi = nodes[k], nodes[k + 1]
-        t = np.interp(levels, table, nodes)
-        tol = 4.0 * np.spacing(levels)
-        out = np.empty_like(t)
-        index = np.arange(levels.size)
-        sweep = 0
-        while index.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # slopes dt/dL of the inverse at the nodes, and the secants between
+            h = np.diff(table)
+            slope, secant = 1.0 / self.rate(nodes), np.diff(nodes) / h
+            cubic = (slope[:-1] <= 3.0 * secant) & (slope[1:] <= 3.0 * secant)
+            m0 = np.where(cubic, slope[:-1], secant)
+            m1 = np.where(cubic, slope[1:], secant)
+            # t = lo + u (m0 + u (c2 + u c3)) in u = L - table[k]
+            c2 = (3.0 * secant - 2.0 * m0 - m1) / h
+            c3 = (m0 + m1 - 2.0 * secant) / (h * h)
+            u = levels - table[k]
+            t = lo + u * (m0[k] + u * (c2[k] + u * c3[k]))
+            if _NEWTON_MAX_ITER > 0:
+                step = t - (self.cumulative(t) - levels) / self.rate(t)
+                t = np.where((step > lo) & (step < hi), step, t)
+        # out holds each level's latest iterate.  A sweep first drops the
+        # levels that meet the rule, and only then brackets and steps the rest.
+        out, index = t, np.arange(levels.size)
+        sweep = 1
+        while True:
             f = self.cumulative(t) - levels
-            close = np.abs(f) <= tol
-            if close.all():
-                out[index] = t
-                break
+            # 4 ulp(L) > 2^-51 L, so only a level outside 2^-51 L needs np.spacing
+            keep = np.flatnonzero(~(np.abs(f) <= 2.0**-51 * levels))
+            keep = keep[~(np.abs(f[keep]) <= 4.0 * np.spacing(levels[keep]))]
+            if not keep.size:
+                return out
+            index, t, f, levels, lo, hi = (a[keep] for a in (index, t, f, levels, lo, hi))
             lo = np.where(f < 0.0, t, lo)
             hi = np.where(f > 0.0, t, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = t - f / self.rate(t)
-            mid = 0.5 * (lo + hi)
-            done = close | (newton == t) | (mid == lo) | (mid == hi)
+            mid = newton = 0.5 * (lo + hi)
+            if sweep < _NEWTON_MAX_ITER:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    newton = t - f / self.rate(t)
             # t is one end of the bracket: a step onto the other end would
             # oscillate between the two, so it bisects like any step outside
-            inside = (newton > lo) & (newton < hi) & (sweep < _NEWTON_MAX_ITER)
-            out[index[done]] = t[done]
-            going = ~done
+            inside = (newton > lo) & (newton < hi)
+            going = ~((newton == t) | (mid == lo) | (mid == hi))
             t = np.where(inside, newton, mid)[going]
-            index, levels, tol, lo, hi = index[going], levels[going], tol[going], lo[going], hi[going]
+            index, levels, lo, hi = index[going], levels[going], lo[going], hi[going]
+            out[index] = t
             sweep += 1
-        return out
 
 
 def _strictify(epochs: np.ndarray, bounds=None) -> np.ndarray:

@@ -6,8 +6,9 @@ import pytest
 
 from hqinflab import arrivals
 from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
-from hqinflab.config import read_section
-from hqinflab.rng import seed_words
+from hqinflab.config import config_from_dict, read_section
+from hqinflab.experiments import run_experiment
+from hqinflab.rng import seated, seed_words
 from hqinflab.service import FiniteAtoms, HyperExponential
 
 from oracles import simpson
@@ -110,7 +111,7 @@ def inversion_levels(rate_fn, horizon):
 
 
 def assert_round_trip(rate_fn, levels, t, horizon):
-    assert t[0] == 0.0 and np.all((t >= 0.0) & (t <= horizon))
+    assert np.all(t[levels == 0.0] == 0.0) and np.all((t >= 0.0) & (t <= horizon))
     # 4 ulp of L, or of a*t where the sinusoidal form adds a negative
     # 2(b/c) sin(ct/2) sin(ct/2 + d) to it: that cancellation is in the
     # function, not in the way it is written
@@ -118,6 +119,33 @@ def assert_round_trip(rate_fn, levels, t, horizon):
     if rate_fn.form == "sinusoidal":
         scale = np.maximum(scale, rate_fn.a * t)
     assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(scale))
+
+
+def count_points(monkeypatch, method):
+    """The number of points of each call of RateFunction.<method>, in order."""
+    sizes = []
+    original = getattr(RateFunction, method)
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return original(self, t)
+    monkeypatch.setattr(RateFunction, method, counted)
+    return sizes
+
+
+def block_levels(model, n, horizon, words):
+    """The levels of each row of draw_block_epochs(n, horizon, words),
+    rebuilt from the row's seed words: its first batch of interarrivals,
+    rescaled to mean 1 and summed, up to n abar(horizon), over n."""
+    total = n * model.rate_fn.cumulative(horizon)
+    batch = max(int(total * 1.1 + 6.0 * math.sqrt(total + 1.0)), 16)
+    mean = model.interarrival.moments().mean
+    rows = []
+    for w in words:
+        levels = np.cumsum(model.interarrival.sample(seated(w), size=batch) / mean)
+        assert levels[-1] > total           # the first batch reaches the top
+        rows.append(levels[levels <= total] / n)
+    return rows
 
 
 class TestInvertCumulative:
@@ -151,16 +179,17 @@ class TestInvertCumulative:
     def test_iterations_bounded(self, case, monkeypatch):
         rate_fn, horizon = INVERSION_CASES[case]
         levels = inversion_levels(rate_fn, horizon)
-        sizes = []
-        original = RateFunction.cumulative
-
-        def counted(self, t):
-            sizes.append(np.size(t))
-            return original(self, t)
-        monkeypatch.setattr(RateFunction, "cumulative", counted)
+        sizes = count_points(monkeypatch, "cumulative")
+        rates = count_points(monkeypatch, "rate")
         rate_fn.invert_cumulative(levels, horizon)
         sweeps = sizes[1:]                  # sizes[0] is the start table
-        assert sweeps[0] == levels.size
+        # the single Newton step from the Hermite start, then the check
+        assert sweeps[:2] == [levels.size] * 2
+        if case == "sinusoidal":
+            # rates: the table's slopes, the single step, then one call per
+            # loop sweep at the levels it steps; at most 2% of the levels
+            # fail the check and reach the loop
+            assert rates[1] == levels.size and sum(rates[2:3]) <= 0.02 * levels.size
         # Newton converges quadratically: after three sweeps almost every
         # level is done, and the stragglers near a zero of the rate stop
         # long before the cap
@@ -170,26 +199,25 @@ class TestInvertCumulative:
     def test_rate_skipped_once_every_level_converged(self, monkeypatch):
         rate_fn, horizon = INVERSION_CASES["sinusoidal"]
         levels = inversion_levels(rate_fn, horizon)
-        points = []
-        original = RateFunction.rate
-
-        def counted(self, t):
-            points.append(np.size(t))
-            return original(self, t)
-        monkeypatch.setattr(RateFunction, "rate", counted)
+        points = count_points(monkeypatch, "rate")
         rate_fn.invert_cumulative(levels, horizon)
-        # two Newton steps from the table start; the sweep that finds every
-        # level converged stops before it evaluates the rate
-        assert sum(points) <= 2.05 * levels.size
+        # the table's slopes and one Newton step from the Hermite start; the
+        # sweep that finds every level converged stops before it evaluates
+        # the rate
+        assert sum(points) <= 1.05 * levels.size
 
     @pytest.mark.parametrize("case", ["sinusoidal", "sin_zero_rate", "sin_zero_rate_shifted"])
     def test_cap_falls_back_to_bisection(self, case, monkeypatch):
         rate_fn, horizon = INVERSION_CASES[case]
         levels = inversion_levels(rate_fn, horizon)
-        # with no Newton step allowed every level bisects its start bracket
-        # until it meets the same stopping rule
+        # with no Newton step allowed, not even the single one from the
+        # Hermite start, every level bisects its start bracket until it
+        # meets the same stopping rule; the rate is read only for the
+        # table's slopes
         monkeypatch.setattr(arrivals, "_NEWTON_MAX_ITER", 0)
+        points = count_points(monkeypatch, "rate")
         assert_round_trip(rate_fn, levels, rate_fn.invert_cumulative(levels, horizon), horizon)
+        assert len(points) == 1 and points[0] < levels.size
 
     def test_small_levels_round_trip(self):
         # cumulative() near t = 0 rounds relative to the level, not to b/c
@@ -197,6 +225,46 @@ class TestInvertCumulative:
         levels = np.concatenate(([0.0], np.geomspace(1e-15, 1e-3, 200)))
         t = rate_fn.invert_cumulative(levels, 4.0)
         assert np.all(np.abs(rate_fn.cumulative(t) - levels) <= 4.0 * np.spacing(levels))
+
+
+class TestDrawPathRoundTrip:
+    # mc_large_n's arrival model, and a sinusoid whose rate touches zero
+    @pytest.mark.parametrize("model,horizon", [
+        (ArrivalModel(H2, RateFunction("sinusoidal", a=1.0, b=0.5)), 4.0),
+        (ArrivalModel.nhpp(RateFunction("sinusoidal", a=1.0, b=-1.0, c=2.0, d=0.5)), 5.0),
+    ], ids=["time_changed_h2", "sin_zero_rate"])
+    def test_every_epoch_meets_the_rule(self, model, horizon):
+        # each row is inverted on its own table, as in the benchmark's blocks
+        words = seed_words(3, [("draw_path", r) for r in range(4)])
+        epochs = model.draw_block_epochs(6000, horizon, words)
+        for levels, t in zip(block_levels(model, 6000, horizon, words), epochs, strict=True):
+            assert t.size == levels.size
+            assert_round_trip(model.rate_fn, levels, t, horizon)
+
+
+class TestRoundoffOfTheInverse:
+    def test_fclt_variance_as_with_the_bisection_oracle(self, monkeypatch):
+        # the shipped inverse and the bisection oracle differ by roundoff:
+        # the same points and verdicts, every estimate within 1e-12
+        # relative.  max|X1+X2-Qr-hat| is itself a roundoff residual
+        # (about 1e-15, gated at 1e-9), so it is held to 1e-12 absolute.
+        cfg = config_from_dict({
+            "experiment": "fclt_variance",
+            "arrival": {"kind": "time_changed_renewal", "interarrival": H2_SPEC,
+                        "rate_fn": SIN_SPEC},
+            "service": {"kind": "lognormal", "logmean": -0.5, "logsd": 1.0},
+            "grid": {"t": [0.5, 1.0, 2.0], "y": [0.0, 0.5]},
+            "n_list": [400], "replications": 20})
+        shipped = run_experiment(cfg)
+        monkeypatch.setattr(RateFunction, "_newton_inverse", bisect_inverse)
+        oracle = run_experiment(cfg)
+        assert len(shipped.points) == len(oracle.points) == 22
+        for p, q in zip(shipped.points, oracle.points):
+            assert (p.label, p.t, p.y, p.passed) == (q.label, q.t, q.y, q.passed)
+            if p.tol_kind == "rel":
+                assert p.estimate == pytest.approx(q.estimate, rel=1e-12, abs=0.0), p.label
+            else:
+                assert p.estimate == pytest.approx(q.estimate, rel=0.0, abs=1e-12), p.label
 
 
 class TestCumulativeRate:

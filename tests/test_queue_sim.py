@@ -184,13 +184,15 @@ INIT = InitialConditions(CountLaw("poisson", 1.5), Exponential(2.0))
 # simulate(ARRIVALS[name], LogNormal(-0.5, 1), n=4, horizon=3, init) on the
 # children of substream(2024, "pin", name), as recorded before blocks existed:
 # (customers, first and last epoch, first and last service, initial count
-# and first residual with INIT).
+# and first residual with INIT).  The sinusoidal epochs were re-recorded
+# when the rate inverse started from a cubic Hermite interpolant: each moved
+# by 1 ulp, and both the old and the new ones meet |abar(t) - L| <= 4 ulp(L).
 PINNED_TRACES = {
     "poisson": (17, [0.11284108116027242, 2.7991559067445877],
                 [1.625407727838294, 0.34173418249967297], 2, 0.23036804122714802),
     "h2_renewal": (14, [0.0502887128256734, 2.892254642526341],
                    [0.2090198437237073, 1.6259616806813226], 4, 0.19769328085673119),
-    "sinusoidal_nhpp": (10, [0.49014675308467787, 2.698762414330837],
+    "sinusoidal_nhpp": (10, [0.4901467530846778, 2.6987624143308366],
                         [0.44448042885736666, 2.547732999495028], 6, 0.6007773376895593),
 }
 
