@@ -8,9 +8,10 @@ reproducible bit-for-bit and replication order cannot matter; the seed words
 of every replication's streams at scale n are derived in one call.  One
 worker, :func:`_block`, draws each block of traces (see
 :func:`simulate.block_size`) and evaluates the fields its runner names in one
-pass, as count rows; each trace runner reduces the joined rows: the means of
-rows/n, the variances of sqrt(n) (rows/n - q), the age sup (:func:`_age_sup`)
-or the dispersion.  The block sizes, the thread count and the process pool
+pass, as count rows; each trace runner reduces the rows of all blocks, held
+once and released before its next n is drawn: the means of rows/n, the
+variances of sqrt(n) (rows/n - q), the age sup (:func:`_age_sup`) or the
+dispersion.  The block sizes, the thread count and the process pool
 change no replication's values.  No runner simulates initial customers, so
 :func:`check_runnable`, which :func:`run_experiment` calls before any work,
 refuses a config with ``init``.
@@ -39,6 +40,7 @@ point, t-major, and at each point gate by gate in the order listed.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
@@ -167,30 +169,38 @@ def _map_replications(worker, n_reps: int, threads: int, block: int):
 
     A worker returns (rows, stats): a dict of arrays with one row per
     replication, and its block's simulation stats.  Returns the rows of all
-    blocks joined in replication order, and the summed stats.
+    blocks, in replication order, and the summed stats.  Each block's rows
+    are written, as the block arrives, into arrays of n_reps rows shaped
+    after the first block's: the rows are held once, with no list of parts
+    and no join, and a block's own rows go once written.
     """
     blocks = [range(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
     workers = min(threads, len(blocks))     # a pool starts all its workers at once
-    if workers <= 1:
-        parts = [worker(b) for b in blocks]
-    else:
-        # imported here: it pulls in multiprocessing and logging, which a
-        # single-process run never needs
-        from concurrent.futures import ProcessPoolExecutor
-        # a worker started by spawn or forkserver has the default policy
-        with ProcessPoolExecutor(max_workers=workers, initializer=_allocator_policy) as pool:
-            chunk = max(1, len(blocks) // (8 * workers))
-            parts = list(pool.map(worker, blocks, chunksize=chunk))
-    rows = {k: np.concatenate([p[0][k] for p in parts]) for k in parts[0][0]}
-    stats = {"replications": n_reps, "blocks": len(blocks),
-             **{k: sum(p[1][k] for p in parts) for k in parts[0][1]}}
+    rows, stats = {}, {"replications": n_reps, "blocks": len(blocks)}
+    with contextlib.ExitStack() as scope:
+        parts = map(worker, blocks)
+        if workers > 1:
+            # imported here: it pulls in multiprocessing and logging, which a
+            # single-process run never needs
+            from concurrent.futures import ProcessPoolExecutor
+            # a worker started by spawn or forkserver has the default policy
+            pool = scope.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_allocator_policy))
+            parts = pool.map(worker, blocks, chunksize=max(1, len(blocks) // (8 * workers)))
+        for reps, (part, part_stats) in zip(blocks, parts):
+            for k, v in part.items():
+                if k not in rows:
+                    rows[k] = np.empty((n_reps, *v.shape[1:]), v.dtype)
+                rows[k][reps.start:reps.stop] = v
+            for k, v in part_stats.items():
+                stats[k] = stats.get(k, 0) + v
     return rows, stats
 
 
 def _replications(report: ExperimentReport, cfg: ExperimentConfig, n: int, threads: int,
                   names: tuple[str, ...], fluid_qr=None, frc=None) -> dict:
     """The count rows of cfg.replications traces at scale n, drawn by
-    :func:`_block` in blocks sized by :func:`block_size` and joined in
+    :func:`_block` in blocks sized by :func:`block_size` and written in
     replication order for the runner to reduce; their simulation stats go to
     ``report.extras["simulation"][str(n)]``."""
     block = block_size(cfg.arrival, n, cfg.horizon, cfg.grid)
@@ -209,15 +219,15 @@ def _block(cfg: ExperimentConfig, n: int, words: np.ndarray, names: tuple[str, .
            reps: range, fluid_qr: np.ndarray | None = None, frc: np.ndarray | None = None):
     """The one replication worker: draw one block of replications at scale n
     from their own "trace" substreams, seeded by ``words[reps]``, and
-    evaluate it in one pass.  Returns the count rows of the fields ``names``
-    (copies: a view would keep the block's histogram alive), plus X1 and X2
-    of hat Qr centred on ``fluid_qr`` and the Binomial(Qt, ``frc``) resample
-    Qtilde from the "bernoulli" substreams when given; and with them the
-    arrivals simulated and the seconds spent drawing and evaluating."""
+    evaluate it in one pass.  Returns the count rows of the fields ``names``,
+    plus X1 and X2 of hat Qr centred on ``fluid_qr`` and the Binomial(Qt,
+    ``frc``) resample Qtilde from the "bernoulli" substreams when given; and
+    with them the arrivals simulated and the seconds spent drawing and
+    evaluating."""
     start = time.perf_counter()
     trace = simulate(cfg.arrival, cfg.service, n, cfg.horizon, words[reps.start:reps.stop])
     drawn = time.perf_counter()
-    rows = {name: f.copy() for name, f in eval_fields(trace, cfg.grid, names).items()}
+    rows = eval_fields(trace, cfg.grid, names)
     if fluid_qr is not None:
         rows["X1"], rows["X2"] = decompose_hatQr(trace, cfg.grid, fluid_qr)
     if frc is not None:
@@ -260,8 +270,10 @@ def run_fwlln(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     names = ("Qr", "Qe", "Wt") if cfg.workload else ("Qr", "Qe")
     sup_errors = {}
     for n in cfg.n_list:
-        rows = _replications(report, cfg, n, threads, names)
-        means = {name: np.mean(rows[name] / n, axis=0) for name in names}
+        # rows/n in place; no name holds the rows, so they go before the
+        # next n's are drawn
+        means = {name: np.mean(np.divide(rows, n, out=rows), axis=0)
+                 for name, rows in _replications(report, cfg, n, threads, names).items()}
         sup_errors[n] = 0.0
         for name, target in fluid.items():
             err = np.abs(means[name] - target)
@@ -324,6 +336,7 @@ def run_fclt_variance(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                 {"t": float(t), "skew": float(s), "excess_kurtosis": float(k)}
                 for t, s, k in zip(cfg.grid.t, *skew_kurtosis(qr[:, :, 0]))]
         report.surface_rows(f"mc_var_n{n}", cfg.grid, var_qr_mc, f"mc_var_qr_n{n}")
+        del rows, qr, qe        # before the next n's rows are drawn
     return report
 
 

@@ -29,9 +29,10 @@ bin(x) <= m, and x > c_m exactly when bin(x) > m.  So one histogram of
 customers over (replication, tau-bin, end-bin) cells, with tau-bins over the
 grid times and end-bins over the values t + y, gives every Qr(t, y) as a sum
 over a corner of cells; another, with tau-bins over the values t and t - y
-and end-bins over the grid times, gives every Qe(t, y).  Cumulative sums over
-the bins read all grid points off at once, and the same residual histogram
-weighted by the ends gives Wr(t, y) = sum(end) - (t + y) * Qr(t, y).
+and end-bins over the grid times, gives every Qe(t, y).  One prefix sum over
+each axis of a histogram, in place, and one gather read all grid points off
+at once, and the same residual histogram weighted by the ends gives
+Wr(t, y) = sum(end) - (t + y) * Qr(t, y).
 
 One call bins each customer's tau and end once, each through an exact
 bucket map made once per threshold set (:class:`_Binner`): a few array
@@ -47,6 +48,12 @@ without binning the arrivals.  Bins are not kept between calls, so a caller
 names every field it needs of a trace and grid in one call.  The thresholds
 and the cell layout are set up once per grid, and the cells of a block are
 kept within the block budget, down to one replication.
+
+A call holds little beside the trace.  The cells are built in the arrays of
+the bins, the ends are added again for their weight rather than held through
+the binning, and the histograms are built, summed and gathered one at a
+time: at most about three arrays of one value per customer (with the
+trace's two, about 42 bytes per customer), and one histogram.
 
 Boundary conventions are exact: the residual comparison is strict and the
 elapsed window is open on the left, which makes the counting identities
@@ -80,9 +87,19 @@ __all__ = [
 ]
 
 # Customers, and histogram cells, that one block of replications aims to hold.
-_BLOCK_BUDGET = 2**14
+# A block pays a fixed cost beside its customers, and while its fields are
+# evaluated it holds about 42 bytes per customer.  On the mc_small_n benchmark
+# workload (2-vCPU x86-64 VM; medians of ten alternating worker runs, scaled
+# wall_s and peak_rss_mb): 2**14 0.683 s, 40.26 MB; 2**15 0.635 s, 40.90 MB;
+# 2**16 0.614 s, 42.15 MB.  2**15 is the largest that holds what 2**14 held
+# when each block kept a corner table beside its histogram and the rows were
+# joined (0.689 s, 40.88 MB).
+_BLOCK_BUDGET = 2**15
 # The fields that eval_fields evaluates.
 FIELDS = ("Qr", "Qe", "Qt", "D", "Wr", "Wt", "I", "C", "Qir", "QTr")
+# The weights of the residual histograms, each with the fields that read it.
+_WEIGHTS = {"count": {"Qr", "Qt", "D", "Wr", "Wt", "C", "QTr"}, "ends": {"Wr", "Wt", "C"},
+            "services": {"I", "C"}}
 
 
 @dataclass(frozen=True)
@@ -197,8 +214,10 @@ def simulate(arrival: ArrivalModel, service: ServiceModel,
     epochs = arrival.draw_block_epochs(n, horizon, [w[0] for w in words])
     bounds = np.zeros(len(epochs) + 1, dtype=np.intp)
     np.cumsum([len(tau) for tau in epochs], out=bounds[1:])
+    arrivals = _strictify(np.concatenate(epochs), bounds)
+    del epochs
     services = np.empty(bounds[-1])
-    counts, residuals = np.zeros(len(epochs), dtype=np.intp), []
+    counts, residuals = np.zeros(len(words), dtype=np.intp), []
     for r, (w, lo, hi) in enumerate(zip(words, bounds.tolist(), bounds[1:].tolist())):
         services[lo:hi] = service.sample(seated(w[1]), size=hi - lo)
         if init is not None:
@@ -206,8 +225,7 @@ def simulate(arrival: ArrivalModel, service: ServiceModel,
             counts[r] = init.count.draw(n, gen)
             residuals.append(np.asarray(init.residual.sample(gen, size=counts[r]), dtype=float))
     return SimulationTrace(
-        n=n, arrivals=_strictify(np.concatenate(epochs), bounds),
-        services=services, horizon=horizon, service_model=service,
+        n=n, arrivals=arrivals, services=services, horizon=horizon, service_model=service,
         initial_counts=counts,
         initial_residuals=np.concatenate(residuals) if residuals else None,
         bounds=bounds)
@@ -231,17 +249,20 @@ def _check_grid(trace: SimulationTrace, grid: Grid) -> None:
         raise ValueError(f"grid extends to t={grid.t[-1]} beyond trace horizon {trace.horizon}")
 
 
-def _corners(hist: np.ndarray, *pairs) -> list[np.ndarray]:
-    """For each (rows, cols) pair: hist[r, a, e] summed over a <= row and
-    e > col, per replication r and (row, col); row is short of the last, col
-    may be -1.  Axis 1, the grid times, is summed by one add per row: a
-    cumsum would loop over (replication, column) pairs.  The results are
-    C-ordered, so that a mean over replications sums in one order whatever
-    the block size."""
+def _corners(hist: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """hist[r, a, e] summed over a <= row and e <= col, per replication r, at
+    the flat cells row * hist.shape[2] + col: a prefix sum over each axis, in
+    place, and one gather, shape (R, *flat.shape).  Axis 1, the grid times,
+    is summed by one add per row: a cumulative sum along it runs one short
+    strided loop per (replication, column) pair, 1.6 times as long on a
+    block of 88 replications of a 5 x 5 grid and 3.3 times on one
+    replication of an irregular 40 x 40 grid.  The results are C-ordered, so
+    that a mean over replications sums in one order whatever the block
+    size."""
     for a in range(1, hist.shape[1] - 1):
         hist[:, a] += hist[:, a - 1]
-    table = np.cumsum(hist[:, :-1, ::-1], axis=2)[:, :, ::-1]
-    return [np.ascontiguousarray(table[:, rows, cols + 1]) for rows, cols in pairs]
+    np.cumsum(hist[:, :-1], axis=2, out=hist[:, :-1])
+    return hist.reshape(len(hist), -1).take(flat, axis=1)
 
 
 class _Binner:
@@ -263,22 +284,28 @@ class _Binner:
         self.c0, span = thresholds[0], float(thresholds[-1] - thresholds[0])
         self.top = 4 * len(thresholds) - 1             # the last bucket
         self.scale = min(self.top / span, 1e300) if span > 0 else 1.0
-        below = np.searchsorted(self._bucket(thresholds), np.arange(self.top + 1))
+        below = np.searchsorted(self._bucket(thresholds).astype(np.intp), np.arange(self.top + 1))
         most = int(np.diff(below, append=len(thresholds)).max())   # in the fullest bucket
         self.step = (1 << (most - 1).bit_length()) >> 1            # of the search, 0 for none
         self.padded = np.concatenate((thresholds, np.full(2 * self.step + 1, np.inf)))
         self.below, self.first = below, self.padded[below]
 
     def _bucket(self, x: np.ndarray) -> np.ndarray:
+        """Every x's bucket, as a float."""
         b = np.subtract(x, self.c0)
         b *= self.scale
-        return b.clip(0, self.top, out=b).astype(np.intp)
+        return b.clip(0, self.top, out=b)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Every x's bin."""
-        b = self._bucket(x)
+        """Every x's bin.  The float buckets' buffer takes the first
+        thresholds, and each buffer goes once its last use is passed."""
+        buf = self._bucket(x)
+        b = buf.astype(np.intp)
+        above = x > self.first.take(b, out=buf, mode="clip")
+        del buf
         out = self.below.take(b)
-        out += x > self.first.take(b)
+        del b
+        out += above
         step = self.step
         while step:
             out += step * (x > self.padded.take(out + (step - 1)))
@@ -295,8 +322,15 @@ def _sorted_set(values: np.ndarray) -> np.ndarray:
 
 def _offsets(sizes: np.ndarray, stride: int, first: int = 0) -> np.ndarray:
     """first + stride * (each customer's replication), for customers that
-    follow one another, sizes[r] of replication r."""
-    return np.repeat(np.arange(first, first + len(sizes) * stride, stride), sizes)
+    follow one another, sizes[r] of replication r, as int32 where every
+    offset fits: added in place to an intp array, it costs half as much."""
+    top = first + len(sizes) * stride
+    return np.repeat(np.arange(first, top, stride, dtype=_index_type(top)), sizes)
+
+
+def _index_type(top: int):
+    """int32 if every index below ``top`` fits in it, else intp."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.intp
 
 
 class _Layout:
@@ -306,11 +340,12 @@ class _Layout:
     values t + y (y = 0 included).  Both sets hold the grid times, so a bin
     over the grid times alone follows from either by a table, which holds it
     as the offset of its row in a replication's histogram: a customer's cell
-    is its replication's offset, one lookup and one bin.  Both histograms
-    have the grid times on axis 1, summed up from the first as
-    :func:`_corners` sums; so the elapsed one counts its end-bins down from
-    the last grid time and its tau-bins down from the last value.  The
-    layout depends on the grid only and is made once per grid.
+    is its replication's offset, one lookup and one bin.  Every field is a
+    sum over a corner of cells that :func:`_corners` reads as a prefix sum
+    over both axes, so each histogram counts down the bins of the side that
+    its corners bound from below: the residual one its end-bins, the
+    elapsed one its rows, the grid times that end exceeds.  The layout
+    depends on the grid only and is made once per grid.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
@@ -320,52 +355,70 @@ class _Layout:
         c_end = _sorted_set(self.shifts)
         c_tau = _sorted_set(np.concatenate((t, starts.ravel())))
         self.bin_tau, self.bin_end = _Binner(c_tau), _Binner(c_end)
-        self.times = np.arange(T)[:, None]
         self.residual_shape = (T + 1, len(c_end) + 1)
         self.elapsed_shape = (T + 1, len(c_tau) + 1)
         # a value's bin over the grid times: the grid times among the
-        # thresholds of the set below it
+        # thresholds of the set below it, as its row's offset
+        cells = max(math.prod(self.residual_shape), math.prod(self.elapsed_shape))
         rows = np.concatenate(([0], np.cumsum(np.isin(c_tau, t))))
-        self.residual_rows = rows * self.residual_shape[1]
+        self.residual_rows = (rows * self.residual_shape[1]).astype(_index_type(cells))
         rows = np.concatenate(([0], np.cumsum(np.isin(c_end, t))))
-        self.elapsed_rows = (T - rows) * self.elapsed_shape[1]
-        # residual columns: tau <= t alone, then every t + y; elapsed ones:
-        # tau <= t and tau <= t - y, counted down
-        self.residual_cols = np.concatenate(
-            (np.full((T, 1), -1), np.searchsorted(c_end, self.shifts)), axis=1)
-        self.elapsed_corners = [(self.times[::-1], len(c_tau) - 1 - np.searchsorted(c_tau, c))
-                                for c in (t[:, None], starts)]
+        self.elapsed_rows = ((T - rows) * self.elapsed_shape[1]).astype(_index_type(cells))
+        # the corners' flat cells in a replication's prefix table: residual
+        # tau <= t and end > t alone, then end > t + y, that is end-bin
+        # counted down to len(c_end) - 1 - k for the k-th threshold; elapsed
+        # end > t and tau <= t, then tau <= t - y
+        times = np.arange(T)[:, None]
+        ends = np.concatenate((np.full((T, 1), -1), np.searchsorted(c_end, self.shifts)), axis=1)
+        self.residual_corners = times * self.residual_shape[1] + (len(c_end) - 1 - ends)
+        bounds = np.stack(np.broadcast_arrays(t[:, None], starts))     # t, then t - y
+        self.elapsed_corners = ((T - 1 - times) * self.elapsed_shape[1]
+                                + np.searchsorted(c_tau, bounds))
 
-    def bin(self, tau, end) -> tuple[np.ndarray, np.ndarray]:
-        """Every customer's tau-bin and end-bin."""
-        return self.bin_tau(tau), self.bin_end(end)
+    def cells(self, tau, service, sizes, elapsed: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each customer's residual cell and, with ``elapsed``, its elapsed
+        cell (else None), for customers that arrive at tau, stay for
+        ``service`` and follow one another, sizes[r] of replication r.
 
-    def residual(self, bins, sizes, *weights) -> list[np.ndarray]:
+        Each end and tau is binned once, and the cells are built in place
+        in the arrays of the bins: the ends go once they are binned, and
+        the row lookups and replication offsets are added as int32
+        temporaries.  Beyond its arguments, a call holds at most about three
+        arrays of one float or index per customer at a time: two in the
+        binner (three where it searches within buckets), and the ends or the
+        bins beside them.
+        """
+        end = self.bin_end(tau + service)
+        tau = self.bin_tau(tau)
+        rows = self.residual_rows.take(tau)     # before tau's array is reused
+        if elapsed:
+            tau += self.elapsed_rows.take(end)
+            tau += _offsets(sizes, math.prod(self.elapsed_shape))
+        np.subtract(self.residual_shape[1] - 1, end, out=end)   # end-bins counted down
+        end += rows
+        del rows
+        end += _offsets(sizes, math.prod(self.residual_shape))
+        return end, tau if elapsed else None
+
+    def residual(self, cells, sizes, weights) -> list[np.ndarray]:
         """Sums over {tau <= t, end > t + y} per replication, for customers
-        that follow one another, sizes[r] of replication r: the customer
-        count for a weight of None, else the weight's sum.
+        in ``cells`` (see :meth:`cells`), sizes[r] of replication r, one per
+        weight, taken in turn: the customer count for a weight of None, else
+        the weight's sum.
 
         Each result has shape (R, T, Y + 2): column 0 sums over tau <= t
         alone, column 1 is y = 0, and the rest follow grid.y.
         """
-        tau, end = bins
         shape = (len(sizes), *self.residual_shape)
-        cells = _offsets(sizes, shape[1] * shape[2])
-        cells += self.residual_rows.take(tau)
-        cells += end
         return [_corners(np.bincount(cells, weights=w, minlength=math.prod(shape)).reshape(shape),
-                         (self.times, self.residual_cols))[0] for w in weights]
+                         self.residual_corners) for w in weights]
 
-    def elapsed(self, bins, sizes) -> np.ndarray:
+    def elapsed(self, cells, sizes) -> np.ndarray:
         """Qe(t, y) = #{t - y < tau <= t, end > t} per replication, shape
-        (R, T, Y), for customers as in :meth:`residual`."""
-        tau, end = bins
+        (R, T, Y), for customers in elapsed ``cells`` as in :meth:`residual`."""
         shape = (len(sizes), *self.elapsed_shape)
-        cells = _offsets(sizes, shape[1] * shape[2], shape[2] - 1)
-        cells -= tau
-        cells += self.elapsed_rows.take(end)
         hist = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
-        upper, lower = _corners(hist, *self.elapsed_corners)
+        upper, lower = _corners(hist, self.elapsed_corners).swapaxes(0, 1)
         return upper - lower
 
 
@@ -391,26 +444,26 @@ def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, n
     """
     wanted = set(names)
     _check_grid(trace, grid)
-    layout, ends = _layout(grid), trace.arrivals + trace.services
-    weights = {}
-    if wanted & {"Qr", "Qt", "D", "Wr", "Wt", "C", "QTr"}:
-        weights["count"] = None
-    if wanted & {"Wr", "Wt", "C"}:
-        weights["ends"] = ends
-    if wanted & {"I", "C"}:
-        weights["services"] = trace.services
+    layout = _layout(grid)
+    weights = [w for w, fields in _WEIGHTS.items() if wanted & fields]
     sums, out = {}, {}
     if weights or "Qe" in wanted:
-        bins, sizes = layout.bin(trace.arrivals, ends), trace.bounds[1:] - trace.bounds[:-1]
-        sums = dict(zip(weights, layout.residual(bins, sizes, *weights.values())))
+        sizes = trace.bounds[1:] - trace.bounds[:-1]
+        cells, elapsed = layout.cells(trace.arrivals, trace.services, sizes, "Qe" in wanted)
+        if elapsed is not None:                 # Qe first, so its cells go
+            out["Qe"] = layout.elapsed(elapsed, sizes).astype(float)
+            del elapsed
+        # each weight is made in its turn: the ends are added again here
+        # rather than held through the binning
+        weight = {"count": lambda: None, "ends": lambda: trace.arrivals + trace.services,
+                  "services": lambda: trace.services}
+        sums = dict(zip(weights, layout.residual(cells, sizes, (weight[w]() for w in weights))))
     if "count" in sums:
         counts = sums["count"].astype(float)
         qt = counts[:, :, 1]
         out["Qr"] = counts[:, :, 2:]
         out["Qt"] = qt
         out["D"] = counts[:, :, 0] - qt
-    if "Qe" in wanted:
-        out["Qe"] = layout.elapsed(bins, sizes).astype(float)
     if "ends" in sums:
         work = sums["ends"][:, :, 1:] - layout.shifts * sums["count"][:, :, 1:]
         out["Wr"] = work[:, :, 1:]
@@ -423,10 +476,12 @@ def eval_fields(trace: SimulationTrace, grid: Grid, names=FIELDS) -> dict[str, n
         at_zero, resid = np.zeros(len(trace.initial_residuals)), trace.initial_residuals
     if "Qir" in wanted:
         initial = _layout(Grid([0.0], grid.y))
-        (qir,) = initial.residual(initial.bin(at_zero, resid), trace.initial_counts, None)
+        cells, _ = initial.cells(at_zero, resid, trace.initial_counts, False)
+        (qir,) = initial.residual(cells, trace.initial_counts, [None])
         out["Qir"] = qir[:, 0, 2:].astype(float)
     if "QTr" in wanted:
-        (qtr,) = layout.residual(layout.bin(at_zero, resid), trace.initial_counts, None)
+        cells, _ = layout.cells(at_zero, resid, trace.initial_counts, False)
+        (qtr,) = layout.residual(cells, trace.initial_counts, [None])
         qtr += sums["count"]
         out["QTr"] = qtr[:, :, 2:].astype(float)
     return {name: out[name] for name in names}

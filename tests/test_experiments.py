@@ -653,7 +653,7 @@ def spy_histograms(monkeypatch, current):
     its weight ("count", the "ends" or "other") and its cells per
     replication."""
     calls, binned = [], []
-    original_bincount, original_bin = np.bincount, simulate._Layout.bin
+    original_bincount, original_cells = np.bincount, simulate._Layout.cells
 
     def spy(x, weights=None, minlength=0):
         if sys._getframe(1).f_globals["__name__"] == simulate.__name__:
@@ -666,11 +666,11 @@ def spy_histograms(monkeypatch, current):
             calls.append((kind, minlength // trace.replications))
         return original_bincount(x, weights=weights, minlength=minlength)
 
-    def binning(layout, tau, end):
+    def binning(layout, tau, *args):
         binned.append(len(tau))
-        return original_bin(layout, tau, end)
+        return original_cells(layout, tau, *args)
     monkeypatch.setattr(np, "bincount", spy)
-    monkeypatch.setattr(simulate._Layout, "bin", binning)
+    monkeypatch.setattr(simulate._Layout, "cells", binning)
     return calls, binned
 
 
@@ -1046,6 +1046,38 @@ def test_limit_runner_peaks_below_four_and_a_half_path_arrays():
         tracemalloc.stop()
     arrays = peak / (cfg.replications * report.extras["limit_engine"]["G"] * 8)
     assert arrays < 4.5, arrays
+
+
+def test_fwlln_peaks_near_one_n_of_rows_and_one_block():
+    # 3000 replications at n = 2 and 4 on a 5 x 5 grid: each n's Qr and Qe
+    # rows take 1.2 MB, and a block of 88 replications of about 8 customers
+    # peaks at about 0.19 MB.  Each block's rows are written into arrays made
+    # once per n, and an n's rows go before the next n is drawn, so the run
+    # peaks at about 1.3 times one n's rows and one block, the rest mostly
+    # the n's seed words.  Holding the previous n's rows, and each block's
+    # rows in a list and again in their join, read 3.0.  A first run at
+    # R = 4 takes the first-call imports and caches out of the reading
+    cfg = config_from_dict({
+        "experiment": "fwlln", "arrival": {"kind": "poisson", "rate": 1.0},
+        "service": {"kind": "exponential", "rate": 1.0},
+        "grid": {"t": [0.25, 0.5, 1.0, 1.5, 2.0], "y": [0.0, 0.25, 0.5, 1.0, 2.0]},
+        "n_list": [2, 4], "replications": 3000})
+    experiments.run_fwlln(dataclasses.replace(cfg, replications=4))
+    n = cfg.n_list[-1]
+    size = simulate.block_size(cfg.arrival, n, cfg.horizon, cfg.grid)
+    words = seed_words(cfg.master_seed, [(cfg.experiment, n, r, "trace") for r in range(size)], 2)
+    tracemalloc.start()
+    try:
+        experiments._block(cfg, n, words, ("Qr", "Qe"), range(size))
+        block = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        experiments.run_fwlln(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = cfg.replications * 2 * cfg.grid.t.size * cfg.grid.y.size * 8
+    assert size < cfg.replications // 10 and block < rows / 4
+    assert peak < 1.5 * (rows + block), peak / (rows + block)
 
 
 TRACE_STATS = {

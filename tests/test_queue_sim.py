@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hqinflab.arrivals import ArrivalModel, RateFunction, _strictify
 from hqinflab.fields import Grid, write_surfaces_csv
 from hqinflab.rng import reseat, seed_words, substream
 from hqinflab.service import Exponential, FiniteAtoms, HyperExponential, LogNormal
-from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace,
+from hqinflab.simulate import (FIELDS, CountLaw, InitialConditions, SimulationTrace, _layout,
                                eval_fields, export_trace_csv, replication_sums, simulate)
 
 from oracles import brute_queue_fields, generator_epochs
@@ -409,6 +411,30 @@ class TestBlockFields:
             trace([1.0, 2.0], [0, 1, 2], counts=np.array([1]), resid=np.array([0.5]))
         assert trace([1.0, 2.0], [0, 1, 2]).count_arrivals([1.5]).tolist() == [[1], [0]]
         assert alone(([2.0], [1.0], [])).count_arrivals([1.5, 2.0]).tolist() == [[0, 1]]
+
+
+def test_a_fine_grid_holds_one_histogram_at_a_time():
+    # on an irregular 40 x 40 grid, one replication's residual and elapsed
+    # histograms have 41 x 1601 cells (0.53 MB) each, against 93
+    # customers.  They are built one at a time and summed in place, so
+    # evaluating Qr, Qe and Wt peaks near one of them; a corner table made
+    # beside each histogram read 2.15.  A first call makes the grid's
+    # layout outside the reading
+    rng = np.random.default_rng(5)
+    grid = Grid(np.sort(rng.uniform(0.1, 2.0, 40)),
+                np.concatenate(([0.0], np.sort(rng.uniform(0.01, 1.5, 39)))))
+    trace = simulate(ArrivalModel.poisson(1.0), EXP1, 50, 2.0, stream_words(1, "fine", count=2))
+    eval_fields(trace, grid, ("Qr", "Qe", "Wt"))
+    layout = _layout(grid)
+    assert layout.residual_shape == layout.elapsed_shape == (41, 1601)
+    tracemalloc.start()
+    try:
+        eval_fields(trace, grid, ("Qr", "Qe", "Wt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    histogram = math.prod(layout.residual_shape) * 8
+    assert peak <= 1.3 * histogram, peak / histogram
 
 
 def looped_sums(rows, bounds):
